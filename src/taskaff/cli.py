@@ -108,6 +108,12 @@ def _resolve(args, file_cfg, key, default):
     return default
 
 
+def _load_graph_and_tasks(dataset_dir, meta):
+    """(featureless graph, task set) of a community dataset directory."""
+    return (load_edge_list(_require(meta["edges"])),
+            load_task_set(_require(os.path.join(dataset_dir, "taskset.json"))))
+
+
 def _load_dataset(dataset_dir, holdout_frac):
     """Return (tasks, features, meta, graph_or_none) for a dataset directory."""
     meta_path = _require(os.path.join(dataset_dir, "meta.json"))
@@ -117,7 +123,7 @@ def _load_dataset(dataset_dir, holdout_frac):
         inst = pl_mod.load_instance(dataset_dir)
         tasks, features = pl_mod.to_task_set(inst, holdout_frac=holdout_frac)
         return tasks, features, meta, None
-    g = load_edge_list(_require(meta["edges"]))
+    g, tasks = _load_graph_and_tasks(dataset_dir, meta)
     if meta.get("features"):
         g = g.with_features(load_features_csv(_require(meta["features"]), g.num_nodes))
     else:
@@ -126,7 +132,6 @@ def _load_dataset(dataset_dir, holdout_frac):
         deg = g.degrees()
         scale = deg.max() if deg.max() > 0 else 1.0
         g = g.with_features(np.stack([deg / scale, np.ones(g.num_nodes)], axis=1))
-    tasks = load_task_set(_require(os.path.join(dataset_dir, "taskset.json")))
     op = DiffusionOperator(kind=meta.get("op", "row-normalized"),
                            teleport=meta.get("teleport", 0.15))
     features = diffuse_features(g, op, meta.get("hops", 2))
@@ -179,6 +184,9 @@ def cmd_split(args) -> int:
     features_path = _resolve(args, file_cfg, "features", None)
     if features_path:
         _require(features_path)
+    # Later commands diffuse with these; reject bad values before any artifact.
+    op = DiffusionOperator(kind=_resolve(args, file_cfg, "op", "row-normalized"),
+                           num_hops=_resolve(args, file_cfg, "hops", 2))
     os.makedirs(args.out, exist_ok=True)
     g = load_edge_list(edges, idmap_path=os.path.join(args.out, "idmap.json"))
     comms = load_communities(communities_path, g, _resolve(args, file_cfg, "top-k", 100))
@@ -194,8 +202,8 @@ def cmd_split(args) -> int:
         "kind": "community",
         "edges": os.path.abspath(edges),
         "features": os.path.abspath(features_path) if features_path else None,
-        "op": _resolve(args, file_cfg, "op", "row-normalized"),
-        "hops": _resolve(args, file_cfg, "hops", 2),
+        "op": op.kind,
+        "hops": op.num_hops,
         "num_tasks": tasks.num_tasks,
     }
     _write_json(os.path.join(args.out, "meta.json"), meta)
@@ -522,7 +530,7 @@ def cmd_ppr_sim(args) -> int:
         meta = json.load(fh)
     if meta.get("kind") != "community":
         raise TaskAffError("ppr-sim needs a community dataset (a graph to walk on)")
-    tasks, _, _, g = _load_dataset(dataset, 0.25)
+    g, tasks = _load_graph_and_tasks(dataset, meta)
     grp = grp_mod.load_grouping(_require(os.path.join(args.grouping_dir, "grouping.json")))
     teleport = _resolve(args, file_cfg, "teleport", 0.15)
     within, between = ppr_group_similarity(g, tasks, grp, teleport=teleport)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,10 @@ log = logging.getLogger(__name__)
 
 PPR_MAX_ITER = 1000
 PPR_DEFAULT_TOL = 1e-10
+# Relative L1 error bound at which a PPR diffusion hop stops. It sits a
+# few decades above the iteration's rounding floor, so a hop converges and
+# still matches a dense solve to rounding level.
+PPR_DIFFUSION_RTOL = 1e-13
 
 OPERATOR_KINDS = ("row-normalized", "symmetric-normalized", "ppr")
 
@@ -207,6 +210,11 @@ def _row_normalized(g: Graph) -> sparse.csr_matrix:
     return p.tocsr()
 
 
+def _transposed_walk(g: Graph) -> sparse.csr_matrix:
+    # P^T of the row-normalized walk; column-stochastic, so it keeps L1 mass.
+    return _row_normalized(g).T.tocsr()
+
+
 def _sym_normalized(g: Graph) -> sparse.csr_matrix:
     deg = g.degrees()
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
@@ -214,20 +222,65 @@ def _sym_normalized(g: Graph) -> sparse.csr_matrix:
     return (d @ g.adj @ d).tocsr()
 
 
-def _ppr_matrix(g: Graph, teleport: float) -> np.ndarray:
-    # Dense solve; row i holds the PPR weights of a walk restarted at i.
-    p = _row_normalized(g).toarray()
-    n = g.num_nodes
-    return teleport * np.linalg.solve(np.eye(n) - (1.0 - teleport) * p, np.eye(n)).T
+def operator_matrix(g: Graph, op: DiffusionOperator) -> sparse.csr_matrix:
+    """Materialize a sparse operator as a matrix acting on node-indexed rows.
 
-
-def operator_matrix(g: Graph, op: DiffusionOperator):
-    """Materialize the operator as a matrix acting on node-indexed rows."""
+    The ``ppr`` kind has no sparse form; ``diffuse_features`` applies it by
+    iteration instead.
+    """
     if op.kind == "row-normalized":
         return _row_normalized(g)
     if op.kind == "symmetric-normalized":
         return _sym_normalized(g)
-    return _ppr_matrix(g, op.teleport)
+    raise InvalidInputError(
+        "the ppr operator is dense and is never materialized; "
+        "use diffuse_features to apply it"
+    )
+
+
+def _ppr_propagate(pt: sparse.csr_matrix, s: np.ndarray, teleport: float,
+                   tol: np.ndarray) -> np.ndarray:
+    """Iterate R <- teleport*S + (1-teleport)*P^T R from R = S, column by column.
+
+    ``pt`` is the transposed row-normalized operator and ``s`` an N x k
+    block. Column j is frozen after the first step whose L1 change
+    ||R_{k+1} - R_k||_1 is below ``tol[j]``. A column with ``tol[j] <= 0`` is
+    returned as given; callers pass 0 only for all-zero columns, whose fixed
+    point is zero. Raises ConvergenceError with the largest remaining L1
+    change if a column is still moving after PPR_MAX_ITER steps.
+    """
+    r = s.copy()
+    active = np.flatnonzero(tol > 0)
+    steps = 0
+    while active.size:
+        if steps == PPR_MAX_ITER:
+            raise ConvergenceError("PPR propagation did not converge",
+                                   float(residual.max()))
+        cur = r[:, active]
+        nxt = teleport * s[:, active] + (1.0 - teleport) * (pt @ cur)
+        residual = np.abs(nxt - cur).sum(axis=0)
+        r[:, active] = nxt
+        moving = residual >= tol[active]
+        active, residual = active[moving], residual[moving]
+        steps += 1
+    return r
+
+
+def _ppr_hop(pt: sparse.csr_matrix, x: np.ndarray, teleport: float) -> np.ndarray:
+    """One PPR diffusion hop: teleport * (I - (1-teleport) P^T)^{-1} x.
+
+    Column i of that operator is the PPR vector of a walk restarted at node
+    i, so output row j sums the features of every node i weighted by the
+    PPR mass that i's walk leaves at j (column sums are 1, row sums are
+    not). Since (1-teleport) P^T contracts the L1 norm by 1-teleport, a
+    column stops once its a-posteriori error bound
+    (1-teleport)/teleport * ||R_{k+1} - R_k||_1 falls below
+    PPR_DIFFUSION_RTOL * ||x_col||_1.
+    """
+    if teleport == 1.0:
+        return x
+    tol = np.abs(x).sum(axis=0) * (PPR_DIFFUSION_RTOL * teleport / (1.0 - teleport))
+    return _ppr_propagate(pt, x, teleport, tol)
 
 
 def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
@@ -235,15 +288,24 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
 
     Hop 0 equals the raw feature matrix exactly; block order follows hop
     index, so the hops=h output is a column-prefix of the hops=h+1 output.
+    The ``ppr`` kind is applied by sparse fixed-point iteration (see
+    ``_ppr_hop``) in O(nnz + N*d) memory and raises ConvergenceError if a
+    hop does not converge within PPR_MAX_ITER steps.
     """
     if hops < 0:
         raise InvalidInputError("hops must be >= 0")
-    p = operator_matrix(g, op)
     blocks = [g.node_features]
     cur = g.node_features
-    for _ in range(hops):
-        cur = np.asarray(p @ cur)
-        blocks.append(cur)
+    if op.kind == "ppr":
+        pt = _transposed_walk(g)
+        for _ in range(hops):
+            cur = _ppr_hop(pt, cur, op.teleport)
+            blocks.append(cur)
+    else:
+        p = operator_matrix(g, op)
+        for _ in range(hops):
+            cur = np.asarray(p @ cur)
+            blocks.append(cur)
     return np.hstack(blocks)
 
 
@@ -251,9 +313,15 @@ def personalized_pagerank(g: Graph, seeds, teleport: float,
                           tol: float = PPR_DEFAULT_TOL) -> np.ndarray:
     """Power-iterate r = teleport*s + (1-teleport)*P^T r to a fixed point.
 
-    ``s`` is uniform over the seed set. Raises ConvergenceError with the last
-    L1 residual if the iteration cap is hit.
+    ``s`` is uniform over the seed set. The iteration stops at the first
+    step whose L1 change is below ``tol``. Raises ConvergenceError with the
+    last L1 residual if the iteration cap is hit.
     """
+    return _seeded_ppr(g, _transposed_walk(g), seeds, teleport, tol)
+
+
+def _seeded_ppr(g: Graph, pt, seeds, teleport: float, tol: float) -> np.ndarray:
+    # ``pt`` is _transposed_walk(g), built once by the caller.
     seeds = np.asarray(sorted(set(int(s) for s in seeds)), dtype=np.int64)
     if seeds.size == 0:
         raise InvalidInputError("seed set must be nonempty")
@@ -265,18 +333,7 @@ def personalized_pagerank(g: Graph, seeds, teleport: float,
         raise InvalidInputError("tol must be positive")
     s = np.zeros(g.num_nodes)
     s[seeds] = 1.0 / seeds.size
-    if teleport == 1.0:
-        return s
-    pt = _row_normalized(g).T.tocsr()
-    r = s.copy()
-    residual = math.inf
-    for _ in range(PPR_MAX_ITER):
-        r_next = teleport * s + (1.0 - teleport) * (pt @ r)
-        residual = float(np.abs(r_next - r).sum())
-        r = r_next
-        if residual < tol:
-            return r
-    raise ConvergenceError("personalized PageRank did not converge", residual)
+    return _ppr_propagate(pt, s[:, None], teleport, np.array([tol]))[:, 0]
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -297,13 +354,14 @@ def ppr_group_similarity(g: Graph, tasks, grouping, teleport: float = 0.15,
     """
     groups = getattr(grouping, "groups", grouping)
     num_tasks = tasks.num_tasks
+    pt = _transposed_walk(g)
     vectors = []
     for i in range(num_tasks):
         mask = tasks.train_mask[i]
         seeds = mask[tasks.labels[i][mask] == 1]
         if seeds.size == 0:
             raise InvalidInputError(f"task {i} has no positive training nodes")
-        vectors.append(personalized_pagerank(g, seeds, teleport, tol))
+        vectors.append(_seeded_ppr(g, pt, seeds, teleport, tol))
     member_groups = [set() for _ in range(num_tasks)]
     for gi, members in enumerate(groups):
         for t in members:

@@ -254,7 +254,31 @@ class TestSplitAndPprSim:
         assert run(["split", "--edges", str(tmp_path / "no.txt"),
                     "--communities", cmty, "--out", str(tmp_path / "d")]) == 66
 
-    def test_ppr_sim_on_community(self, tmp_path, community_dataset):
+    @pytest.mark.parametrize("bad", [["--op", "pprr"], ["--hops", "-1"]])
+    def test_split_rejects_bad_diffusion_settings(self, tmp_path, community_dataset, bad):
+        _, edges, cmty = community_dataset
+        out = tmp_path / "ds"
+        assert run(["split", "--edges", edges, "--communities", cmty,
+                    "--top-k", "4", "--seed", "1", "--out", str(out)] + bad) == 2
+        assert not (out / "meta.json").exists()
+
+    def test_ppr_operator_pipeline_on_community(self, tmp_path, community_dataset):
+        _, edges, cmty = community_dataset
+        ds = str(tmp_path / "ds")
+        assert run(["split", "--edges", edges, "--communities", cmty,
+                    "--top-k", "4", "--train-pos-frac", "0.3",
+                    "--train-neg-frac", "0.3", "--val-frac", "0.2",
+                    "--op", "ppr", "--hops", "2", "--seed", "1", "--out", ds]) == 0
+        aff = str(tmp_path / "aff")
+        assert run(["affinity", "--dataset", ds, "--alpha", "2",
+                    "--num-subsets", "12", "--learner", "mlp",
+                    "--hidden-width", "8", "--epochs", "60",
+                    "--learning-rate", "0.2", "--seed", "2", "--out", aff]) == 0
+        theta = np.loadtxt(aff + "/theta.csv", delimiter=",")
+        assert theta.shape == (4, 4)
+        assert np.isfinite(theta).all()
+
+    def test_ppr_sim_on_community(self, tmp_path, community_dataset, monkeypatch):
         _, edges, cmty = community_dataset
         ds = str(tmp_path / "ds")
         assert run(["split", "--edges", edges, "--communities", cmty,
@@ -275,6 +299,11 @@ class TestSplitAndPprSim:
                                   assignments=np.zeros(8, dtype=np.int64), budget=2),
             gdir / "grouping.json")
         out = str(tmp_path / "ppr")
+
+        def no_diffusion(*args, **kwargs):
+            raise AssertionError("ppr-sim needs no node features")
+
+        monkeypatch.setattr(cli, "diffuse_features", no_diffusion)
         assert run(["ppr-sim", "--dataset", ds, "--grouping-dir", str(gdir),
                     "--seed", "0", "--out", out]) == 0
         rep = read_json(out + "/ppr_similarity.json")

@@ -102,11 +102,69 @@ class TestDiffuseFeatures:
         g = g.with_features(rng.standard_normal((10, 3)))
         op = graphs.DiffusionOperator(kind)
         out = graphs.diffuse_features(g, op, hops=2)
-        p = graphs.operator_matrix(g, op)
-        p = p.toarray() if hasattr(p, "toarray") else p
+        if kind == "ppr":
+            walk = graphs.operator_matrix(
+                g, graphs.DiffusionOperator("row-normalized")).toarray()
+            a = op.teleport
+            p = a * np.linalg.solve(np.eye(10) - (1 - a) * walk.T, np.eye(10))
+        else:
+            p = graphs.operator_matrix(g, op).toarray()
         expected = np.hstack([g.node_features, p @ g.node_features,
                               p @ p @ g.node_features])
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_ppr_operator_is_not_materialized(self):
+        g = graphs.build_graph([(0, 1), (1, 2)])
+        with pytest.raises(InvalidInputError, match="diffuse_features"):
+            graphs.operator_matrix(g, graphs.DiffusionOperator("ppr"))
+
+    def test_ppr_nonconvergence_raises(self):
+        edges = [(i, (i + 1) % 40) for i in range(40)]
+        rng = np.random.default_rng(0)
+        g = graphs.build_graph(edges, features=rng.standard_normal((40, 2)))
+        op = graphs.DiffusionOperator("ppr", teleport=0.001)
+        with pytest.raises(ConvergenceError) as err:
+            graphs.diffuse_features(g, op, hops=1)
+        assert err.value.residual > 0
+
+    def test_ppr_teleport_one_is_identity(self):
+        rng = np.random.default_rng(5)
+        g = two_block_graph(rng, n_per=6, p_in=0.5, p_out=0.2)
+        x = rng.standard_normal((12, 3))
+        g = g.with_features(x)
+        out = graphs.diffuse_features(g, graphs.DiffusionOperator("ppr", teleport=1.0),
+                                      hops=2)
+        np.testing.assert_array_equal(out, np.hstack([x, x, x]))
+
+    def test_ppr_zero_column_stays_zero(self):
+        rng = np.random.default_rng(6)
+        g = two_block_graph(rng, n_per=6, p_in=0.5, p_out=0.2)
+        x = rng.standard_normal((12, 3))
+        x[:, 1] = 0.0
+        out = graphs.diffuse_features(g.with_features(x),
+                                      graphs.DiffusionOperator("ppr"), hops=2)
+        assert not out[:, [1, 4, 7]].any()
+        assert out[:, [3, 5, 6, 8]].all()
+
+    def test_ppr_memory_is_linear_in_graph_size(self):
+        # A dense N x N solve peaks near 4 * N^2 * 8 B (~290 MB) on this graph.
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        n, d = 3000, 16
+        chords = zip(range(n), rng.integers(0, n, size=n).tolist())
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        g = graphs.build_graph(ring + list(chords), num_nodes=n,
+                               features=rng.standard_normal((n, d)))
+        op = graphs.DiffusionOperator("ppr")
+        tracemalloc.start()
+        try:
+            out = graphs.diffuse_features(g, op, hops=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(out).all()
+        assert peak < 16 * n * d * 8
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(9)
@@ -134,6 +192,24 @@ class TestPersonalizedPagerank:
         g = graphs.build_graph([(0, 1), (1, 2), (2, 3)])
         r = graphs.personalized_pagerank(g, [0, 2], teleport=1.0)
         np.testing.assert_allclose(r, [0.5, 0.0, 0.5, 0.0])
+
+    def test_bitwise_equal_to_reference_power_loop(self):
+        rng = np.random.default_rng(12)
+        g = two_block_graph(rng, n_per=40, p_in=0.2, p_out=0.02)
+        seeds = rng.choice(80, size=5, replace=False)
+        pt = graphs.operator_matrix(
+            g, graphs.DiffusionOperator("row-normalized")).T.tocsr()
+        s = np.zeros(80)
+        s[seeds] = 1.0 / 5
+        r = s.copy()
+        while True:
+            r_next = 0.15 * s + 0.85 * (pt @ r)
+            residual = float(np.abs(r_next - r).sum())
+            r = r_next
+            if residual < 1e-10:
+                break
+        out = graphs.personalized_pagerank(g, seeds, teleport=0.15)
+        assert out.tobytes() == r.tobytes()
 
     def test_cycle_matches_dense_solve(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
