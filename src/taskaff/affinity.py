@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,12 +115,11 @@ def sample_subsets(plan: SamplingPlan):
 
 
 def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
-                        features: np.ndarray | None = None, workers: int = 1):
+                        features: np.ndarray | None = None):
     """Train one model per subset and score every member on its val mask.
 
     The model for subset k is seeded with base_seed XOR k. Training errors
-    are re-raised tagged with the subset index. Subsets may be trained in
-    parallel; results are returned in subset order regardless.
+    are re-raised tagged with the subset index. Results are in subset order.
     """
 
     def run_one(k, subset):
@@ -136,11 +134,7 @@ def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
             raise TrainingError(f"subset training failed: {exc}", subset_index=k) from exc
         return SubsetEvaluation(model.subset, scores, spec.metric, seed)
 
-    if workers <= 1:
-        return [run_one(k, s) for k, s in enumerate(subsets)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, k, s) for k, s in enumerate(subsets)]
-        return [f.result() for f in futures]
+    return [run_one(k, s) for k, s in enumerate(subsets)]
 
 
 def _aggregate(evals, num_tasks):

@@ -7,7 +7,9 @@ and inputs produce byte-identical outputs. The affinity command keeps an
 append-only evaluation log with per-subset completion markers so an
 interrupted run resumes without retraining finished subsets.
 
-Exit codes: 0 ok, 2 domain error, 3 training error, 64 usage, 66 missing input.
+Exit codes: 0 ok, 2 domain error (including a failed linear-algebra routine
+and an affinity rerun whose plan, learner or dataset differs from the log in
+its output directory), 3 training error, 64 usage, 66 missing input.
 """
 
 from __future__ import annotations
@@ -217,7 +219,21 @@ def cmd_split(args) -> int:
 def _log_paths(out_dir):
     return (os.path.join(out_dir, "evals.csv"),
             os.path.join(out_dir, "subsets.json"),
-            os.path.join(out_dir, "completed.idx"))
+            os.path.join(out_dir, "completed.idx"),
+            os.path.join(out_dir, "fingerprint.json"))
+
+
+def _affinity_fingerprint(dataset, plan, spec, holdout):
+    """What an affinity log depends on, as it round-trips through JSON.
+
+    The dataset enters by the bytes of its meta.json and taskset.json, not
+    by its path, so a moved dataset still resumes.
+    """
+    files = [os.path.join(dataset, n) for n in ("meta.json", "taskset.json")]
+    return json.loads(json.dumps({
+        "plan": asdict(plan), "learner": asdict(spec), "holdout_frac": holdout,
+        "dataset": {os.path.basename(p): _sha256(p) for p in files if os.path.exists(p)},
+    }))
 
 
 def _append_eval(csv_path, k, ev) -> None:
@@ -274,9 +290,20 @@ def cmd_affinity(args) -> int:
                                    1 if t <= 200 else 0),
     )
     os.makedirs(args.out, exist_ok=True)
-    csv_path, subsets_path, idx_path = _log_paths(args.out)
+    csv_path, subsets_path, idx_path, fp_path = _log_paths(args.out)
+    fingerprint = _affinity_fingerprint(dataset, plan, spec, holdout)
 
     if os.path.exists(subsets_path):
+        stored = {}
+        if os.path.exists(fp_path):
+            with open(fp_path, "r", encoding="utf-8") as fh:
+                stored = json.load(fh)
+        differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
+        if differs:
+            raise TaskAffError(
+                f"{args.out} holds an affinity log whose {', '.join(differs)} "
+                "differ from this run; remove it or choose another --out"
+            )
         with open(subsets_path, "r", encoding="utf-8") as fh:
             subsets = [tuple(s) for s in json.load(fh)]
         if (len(subsets) < plan.num_subsets
@@ -287,6 +314,7 @@ def cmd_affinity(args) -> int:
             )
     else:
         subsets = aff_mod.sample_subsets(plan)
+        _write_json(fp_path, fingerprint)
         with open(subsets_path, "w", encoding="utf-8") as fh:
             json.dump([list(s) for s in subsets], fh)
     done = _resume_state(csv_path, idx_path, subsets)
@@ -295,35 +323,19 @@ def cmd_affinity(args) -> int:
     for k, ev in done.items():
         evals[k] = ev
     pending = [(k, s) for k, s in enumerate(subsets) if evals[k] is None]
-
-    def run_one(k, subset):
-        seed = args.seed ^ k
-        model = train_subset(None, tasks, subset, spec, seed, features=features)
-        scores = {i: evaluate(model, tasks, i, "val", spec.metric) for i in model.subset}
-        return SubsetEvaluation(model.subset, scores, spec.metric, seed)
-
-    workers = max(1, args.workers)
-    if workers == 1:
-        produced = ((k, run_one(k, s)) for k, s in pending)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        futures = [(k, pool.submit(run_one, k, s)) for k, s in pending]
-        produced = ((k, f.result()) for k, f in futures)
     try:
-        for k, ev in produced:
-            evals[k] = ev
-            _append_eval(csv_path, k, ev)
+        for k, subset in pending:
+            seed = args.seed ^ k
+            model = train_subset(None, tasks, subset, spec, seed, features=features)
+            scores = {i: evaluate(model, tasks, i, "val", spec.metric) for i in model.subset}
+            evals[k] = SubsetEvaluation(model.subset, scores, spec.metric, seed)
+            _append_eval(csv_path, k, evals[k])
             with open(idx_path, "a", encoding="utf-8") as fh:
                 fh.write(f"{k}\n")
     except TaskAffError as exc:
         print(f"affinity: training failed, log retained for resume: {exc}",
               file=sys.stderr)
         return EX_TRAINING
-    finally:
-        if workers > 1:
-            pool.shutdown(wait=False)
 
     result = aff_mod.estimate_affinity(evals, t)
     aff_mod.save_affinity(
@@ -439,7 +451,7 @@ def cmd_predict_nt(args) -> int:
     singles = [(i,) for i in range(t)]
     stl_evals = aff_mod.collect_evaluations(None, tasks, singles, spec,
                                             base_seed=args.seed ^ STL_SEED_SALT,
-                                            features=features, workers=args.workers)
+                                            features=features)
     stl = {i: stl_evals[i].scores[i] for i in range(t)}
     train_subsets = {ev.subset for ev in evals}
     alpha = len(evals[0].subset)
@@ -451,7 +463,7 @@ def cmd_predict_nt(args) -> int:
     held = [s for s in aff_mod.sample_subsets(held_plan) if s not in train_subsets]
     held_evals = aff_mod.collect_evaluations(None, tasks, held, spec,
                                              base_seed=args.seed ^ HELDOUT_SEED_SALT,
-                                             features=features, workers=args.workers)
+                                             features=features)
     train_ex = tr_mod.build_examples(evals, stl, aff)
     held_ex = tr_mod.build_examples(held_evals, stl, aff)
     models = tr_mod.fit_all(
@@ -551,7 +563,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="global seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON config file; flags override")
 
     p = sub.add_parser("generate", help="generate a planted instance")
@@ -668,6 +679,9 @@ def main(argv=None) -> int:
         return EX_TRAINING
     except TaskAffError as exc:
         print(f"taskaff: {exc}", file=sys.stderr)
+        return EX_DOMAIN
+    except np.linalg.LinAlgError as exc:
+        print(f"taskaff: linear algebra failed: {exc}", file=sys.stderr)
         return EX_DOMAIN
 
 

@@ -147,17 +147,18 @@ def _canonical_subset(subset, num_tasks):
     return tuple(ids)
 
 
-def _init_params(rng, in_dim, spec: LearnerSpec, subset):
-    encoder = []
+def _init_params(rng, in_dim, spec: LearnerSpec, num_tasks):
+    """Encoder [w, b] layers followed by the heads as one [width x alpha, alpha] pair."""
+    layers = []
     fan_in = in_dim
     for _ in range(spec.hidden_layers):
         w = rng.normal(0.0, np.sqrt(2.0 / max(fan_in, 1)), size=(fan_in, spec.hidden_width))
-        encoder.append([w, np.zeros(spec.hidden_width)])
+        layers.append([w, np.zeros(spec.hidden_width)])
         fan_in = spec.hidden_width
-    heads = {}
-    for tid in subset:
-        heads[tid] = [rng.normal(0.0, np.sqrt(1.0 / max(fan_in, 1)), size=fan_in), 0.0]
-    return encoder, heads
+    # Row k of the draw is head k's weight vector, so column k of the matrix.
+    heads = rng.normal(0.0, np.sqrt(1.0 / max(fan_in, 1)), size=(num_tasks, fan_in))
+    layers.append([heads.T.copy(), np.zeros(num_tasks)])
+    return layers
 
 
 def _encode(encoder, x):
@@ -167,52 +168,79 @@ def _encode(encoder, x):
     return h
 
 
-def _forward_backward(encoder, heads, x, task_rows, task_labels, loss_kind):
+@dataclass
+class _Batch:
+    """Training data of one subset, indexed by member (row, task) pairs.
+
+    ``x`` holds the feature rows of the union of the train masks; pair q
+    is row ``rows[q]`` of ``x`` under task column ``cols[q]`` with label
+    ``y[q]``, weighted by 1 / ``denom[q]`` (task size times task count) in
+    the mean per-task loss. ``d_out`` is the union x tasks output-gradient
+    buffer; entries off the member pairs stay zero.
+    """
+
+    x: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    y: np.ndarray
+    denom: np.ndarray
+    d_out: np.ndarray
+
+
+def _batch(features, masks, labels) -> _Batch:
+    """Union, row maps and member labels of per-task node masks."""
+    masks = [np.asarray(m, dtype=np.int64) for m in masks]
+    sizes = np.array([m.size for m in masks])
+    if not sizes.all():
+        raise InvalidInputError(f"task column {int(np.argmin(sizes))} has an empty train mask")
+    union = np.unique(np.concatenate(masks))
+    cols = np.repeat(np.arange(len(masks)), sizes)
+    return _Batch(
+        x=features[union],
+        rows=np.concatenate([np.searchsorted(union, m) for m in masks]),
+        cols=cols,
+        y=np.concatenate([np.asarray(y, dtype=float)[m] for y, m in zip(labels, masks)]),
+        denom=(sizes * len(masks))[cols].astype(float),
+        d_out=np.zeros((union.size, len(masks))),
+    )
+
+
+def _forward_backward(layers, batch: _Batch, loss_kind):
     """Loss and gradients of the mean per-task loss at the current params.
 
-    ``x`` holds the feature rows for the union of train masks; task_rows
-    maps each task to its positions inside that union.
+    ``layers`` is the encoder followed by the head pair (see _init_params);
+    the gradients come back in the same structure. Outputs are linked and
+    scored only at the batch's member pairs.
     """
-    acts = [x]
-    pre = []
-    h = x
-    for w, b in encoder:
-        a = h @ w + b
+    acts, pre = [batch.x], []
+    for w, b in layers[:-1]:
+        a = acts[-1] @ w + b
         pre.append(a)
-        h = np.maximum(a, 0.0)
-        acts.append(h)
-    n_tasks = len(task_rows)
+        acts.append(np.maximum(a, 0.0))
     top = acts[-1]
-    d_top = np.zeros_like(top)
-    g_heads = {}
-    total = 0.0
-    for tid, rows in task_rows.items():
-        w, b = heads[tid]
-        y = task_labels[tid]
-        out = top[rows] @ w + b
-        m_i = rows.size
-        if loss_kind == "bce":
-            p = _sigmoid(out)
-            pc = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
-            total += -float(np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-            d_out = (p - y) / (m_i * n_tasks)
-        else:
-            diff = out - y
-            total += float(np.mean(diff**2))
-            d_out = 2.0 * diff / (m_i * n_tasks)
-        g_heads[tid] = [top[rows].T @ d_out, float(d_out.sum())]
-        d_top[rows] += np.outer(d_out, w)
-    loss = total / n_tasks
-    g_encoder = []
-    d_h = d_top
-    for layer in range(len(encoder) - 1, -1, -1):
-        w, _ = encoder[layer]
+    head_w, head_b = layers[-1]
+    out = (top @ head_w + head_b)[batch.rows, batch.cols]
+    y = batch.y
+    if loss_kind == "bce":
+        p = _sigmoid(out)
+        pc = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
+        pair_loss = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
+        d_pair = p - y
+    else:
+        diff = out - y
+        pair_loss = diff**2
+        d_pair = 2.0 * diff
+    loss = float(np.sum(pair_loss / batch.denom))
+    d_out = batch.d_out
+    d_out[batch.rows, batch.cols] = d_pair / batch.denom
+    grads = [[top.T @ d_out, d_out.sum(axis=0)]]
+    d_h = d_out @ head_w.T
+    for layer in range(len(layers) - 2, -1, -1):
         d_a = d_h * (pre[layer] > 0.0)
-        g_w = acts[layer].T @ d_a
-        g_b = d_a.sum(axis=0)
-        g_encoder.insert(0, [g_w, g_b])
-        d_h = d_a @ w.T
-    return loss, g_encoder, g_heads
+        grads.insert(0, [acts[layer].T @ d_a, d_a.sum(axis=0)])
+        if layer:  # the input gradient of layer 0 is never used
+            d_h = d_a @ layers[layer][0].T
+    return loss, grads
 
 
 def _sigmoid(z):
@@ -254,23 +282,15 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
                         loss_kind=spec.train_loss_kind())
 
     rng = np.random.default_rng(seed)
-    union = np.unique(np.concatenate([tasks.train_mask[tid] for tid in subset]))
-    pos_of = {node: k for k, node in enumerate(union)}
-    task_rows = {
-        tid: np.array([pos_of[v] for v in tasks.train_mask[tid]], dtype=np.int64)
-        for tid in subset
-    }
-    task_labels = {tid: tasks.labels[tid][tasks.train_mask[tid]] for tid in subset}
-    x = features[union]
-    encoder, heads = _init_params(rng, features.shape[1], spec, subset)
+    batch = _batch(features, [tasks.train_mask[tid] for tid in subset],
+                   [tasks.labels[tid] for tid in subset])
+    layers = _init_params(rng, features.shape[1], spec, len(subset))
     loss_kind = spec.train_loss_kind()
     lr = spec.learning_rate
     prev_loss = np.inf
     monotone = True
     for epoch in range(spec.epochs):
-        loss, g_enc, g_heads = _forward_backward(
-            encoder, heads, x, task_rows, task_labels, loss_kind
-        )
+        loss, grads = _forward_backward(layers, batch, loss_kind)
         if not np.isfinite(loss):
             raise TrainingError("training loss became non-finite", epoch=epoch)
         if monotone and loss > prev_loss + 1e-12:
@@ -278,14 +298,13 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
             log.warning("training loss increased at epoch %d (lr=%g); flagged, "
                         "not fatal", epoch, lr)
         prev_loss = loss
-        for layer, (gw, gb) in zip(encoder, g_enc):
+        for layer, (gw, gb) in zip(layers, grads):
             layer[0] -= lr * gw
             layer[1] -= lr * gb
-        for tid, (gw, gb) in g_heads.items():
-            heads[tid][0] -= lr * gw
-            heads[tid][1] -= lr * gb
+    head_w, head_b = layers.pop()
+    heads = {tid: [head_w[:, k].copy(), float(head_b[k])] for k, tid in enumerate(subset)}
     return MtlModel("shared-encoder-mlp", subset, seed, features,
-                    encoder=encoder, heads=heads, loss_kind=loss_kind,
+                    encoder=layers, heads=heads, loss_kind=loss_kind,
                     monotone_loss=monotone)
 
 
@@ -323,31 +342,19 @@ def evaluate(model: MtlModel, tasks, task_id: int, mask_kind: str,
     return f1_score(y == 1, probs >= 0.5)
 
 
-def _flatten(encoder, heads, subset):
-    parts = []
-    for w, b in encoder:
-        parts.append(w.ravel())
-        parts.append(np.atleast_1d(b).ravel())
-    for tid in subset:
-        w, b = heads[tid]
-        parts.append(np.atleast_1d(w).ravel())
-        parts.append(np.atleast_1d(b).ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+def _flatten(layers):
+    return np.concatenate([a.ravel() for layer in layers for a in layer])
 
 
-def _unflatten(vec, encoder, heads, subset):
-    enc_out, heads_out = [], {}
-    k = 0
-    for w, b in encoder:
-        nw = w.size
-        enc_out.append([vec[k:k + nw].reshape(w.shape), vec[k + nw:k + nw + b.size].copy()])
-        k += nw + b.size
-    for tid in subset:
-        w, _ = heads[tid]
-        nw = np.atleast_1d(w).size
-        heads_out[tid] = [vec[k:k + nw].copy(), float(vec[k + nw])]
-        k += nw + 1
-    return enc_out, heads_out
+def _unflatten(vec, layers):
+    out, k = [], 0
+    for layer in layers:
+        pair = []
+        for a in layer:
+            pair.append(vec[k:k + a.size].reshape(a.shape))
+            k += a.size
+        out.append(pair)
+    return out
 
 
 def gradient_check(spec: LearnerSpec, features, masks, labels, seed: int = 0,
@@ -364,34 +371,21 @@ def gradient_check(spec: LearnerSpec, features, masks, labels, seed: int = 0,
     if spec.kind != "shared-encoder-mlp":
         raise InvalidInputError("gradient_check applies to the mlp kind only")
     features = np.asarray(features, dtype=float)
-    subset = tuple(range(len(masks)))
     rng = np.random.default_rng(seed)
-    encoder, heads = _init_params(rng, features.shape[1], spec, subset)
+    layers = _init_params(rng, features.shape[1], spec, len(masks))
     if zero_weights:
-        for layer in encoder:
+        for layer in layers:
             layer[0][...] = 0.0
             layer[1][...] = 0.1
-        for tid in subset:
-            heads[tid][0] = np.zeros_like(np.atleast_1d(heads[tid][0]))
-            heads[tid][1] = 0.1
-    union = np.unique(np.concatenate([np.asarray(m) for m in masks]))
-    pos_of = {node: k for k, node in enumerate(union)}
-    task_rows = {
-        tid: np.array([pos_of[v] for v in masks[tid]], dtype=np.int64)
-        for tid in subset
-    }
-    task_labels = {tid: np.asarray(labels[tid])[np.asarray(masks[tid])] for tid in subset}
-    x = features[union]
+    batch = _batch(features, masks, labels)
     loss_kind = spec.train_loss_kind()
 
-    _, g_enc, g_heads = _forward_backward(encoder, heads, x, task_rows, task_labels, loss_kind)
-    analytic = _flatten(g_enc, g_heads, subset)
-    theta = _flatten(encoder, heads, subset)
+    _, grads = _forward_backward(layers, batch, loss_kind)
+    analytic = _flatten(grads)
+    theta = _flatten(layers)
 
     def loss_at(vec):
-        enc, hds = _unflatten(vec, encoder, heads, subset)
-        val, _, _ = _forward_backward(enc, hds, x, task_rows, task_labels, loss_kind)
-        return val
+        return _forward_backward(_unflatten(vec, layers), batch, loss_kind)[0]
 
     count = min(num_params, theta.size)
     coords = rng.choice(theta.size, size=count, replace=False)

@@ -97,15 +97,15 @@ def _random_diffusion(rng, n: int) -> np.ndarray:
 
 def _separations(sigma, labels, group_of):
     """(max within-group, min cross-group) projected pair distance."""
-    t = labels.shape[0]
+    # sigma (y_i - y_j) = sigma y_i - sigma y_j: project each task once, then
+    # difference the rows (a Gram expansion would cancel catastrophically).
+    projected = labels @ sigma.T
     max_within, min_between = 0.0, np.inf
-    for i in range(t):
-        for j in range(i + 1, t):
-            dist = float(np.linalg.norm(sigma @ (labels[i] - labels[j])))
-            if group_of[i] == group_of[j]:
-                max_within = max(max_within, dist)
-            else:
-                min_between = min(min_between, dist)
+    for i in range(labels.shape[0] - 1):
+        dist = np.linalg.norm(projected[i + 1:] - projected[i], axis=1)
+        same = group_of[i + 1:] == group_of[i]
+        max_within = max(max_within, float(dist[same].max(initial=0.0)))
+        min_between = min(min_between, float(dist[~same].min(initial=np.inf)))
     return max_within, min_between
 
 

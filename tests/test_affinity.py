@@ -94,18 +94,6 @@ class TestCollectEvaluations:
                 oracle = -np.sum((inst.sigma_tilde @ ybar - y_obs[i]) ** 2) / rows.size
                 assert ev.scores[i] == pytest.approx(oracle, rel=1e-9)
 
-    def test_workers_do_not_change_results(self, small_instance):
-        tasks, feats = planted.to_task_set(small_instance)
-        spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-        plan = affinity.SamplingPlan(num_tasks=6, subset_size=3, num_subsets=12, seed=8)
-        subsets = affinity.sample_subsets(plan)
-        serial = affinity.collect_evaluations(None, tasks, subsets, spec, 3,
-                                              features=feats, workers=1)
-        parallel = affinity.collect_evaluations(None, tasks, subsets, spec, 3,
-                                                features=feats, workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.subset == b.subset and a.scores == b.scores
-
 
 class TestEstimateAffinity:
     def test_single_eval_pair(self):

@@ -125,18 +125,29 @@ class TestAffinity:
         assert cli._resolve(args, {}, "alpha", 10) == 10
         assert cli._resolve(args, {}, "num-subsets", 2000) == 2000
 
-    def test_workers_flag_identical_artifacts(self, tmp_path, pipeline):
+    @pytest.mark.parametrize("change", ["seed", "learner", "dataset"])
+    def test_rerun_with_different_plan_refused(self, tmp_path, pipeline, change):
         _, inst_dir, aff_dir = pipeline
-        out = str(tmp_path / "affw")
-        assert run(["affinity", "--dataset", inst_dir, "--alpha", "4",
-                    "--num-subsets", "120", "--learner", "linear",
-                    "--metric", "negative-mse", "--seed", "2",
-                    "--workers", "4", "--out", out]) == 0
         import os
+        import shutil
 
-        for name in ("evals.csv", "theta.csv", "counts.csv"):
-            assert (tmp_path / "affw" / name).read_bytes() == \
-                   open(os.path.join(aff_dir, name), "rb").read()
+        out = str(tmp_path / "aff")
+        shutil.copytree(aff_dir, out)
+        argv = {"seed": "2", "ridge": "0.0", "dataset": inst_dir}
+        if change == "seed":
+            argv["seed"] = "3"
+        elif change == "learner":
+            argv["ridge"] = "0.5"
+        else:
+            argv["dataset"] = str(tmp_path / "other")
+            assert run(GEN + ["--seed", "9", "--out", argv["dataset"]]) == 0
+        before = {n: open(os.path.join(out, n), "rb").read() for n in os.listdir(out)}
+        assert run(["affinity", "--dataset", argv["dataset"], "--alpha", "4",
+                    "--num-subsets", "120", "--learner", "linear",
+                    "--metric", "negative-mse", "--ridge", argv["ridge"],
+                    "--seed", argv["seed"], "--out", out]) == 2
+        after = {n: open(os.path.join(out, n), "rb").read() for n in os.listdir(out)}
+        assert after == before
 
 
 class TestClusterEvaluate:
@@ -191,6 +202,22 @@ class TestVerifyTheory:
         assert rep["pass"] is True
         assert rep["global_gap"] > 0
         assert len(rep["per_row_gaps"]) == 12
+
+    def test_nan_features_exit_2_without_traceback(self, tmp_path, pipeline, capsys):
+        _, inst_dir, _ = pipeline
+        import shutil
+
+        bad = tmp_path / "bad"
+        shutil.copytree(inst_dir, bad)
+        rows = (bad / "features.csv").read_text().splitlines()
+        rows[0] = ",".join(["nan"] + rows[0].split(",")[1:])
+        (bad / "features.csv").write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run(["verify-theory", "--dataset", str(bad), "--alpha", "4",
+                    "--num-subsets", "150", "--seed", "5",
+                    "--out", str(tmp_path / "ver")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ")
 
     def test_exhaustive_mode(self, tmp_path, pipeline):
         _, inst_dir, _ = pipeline

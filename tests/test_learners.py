@@ -174,6 +174,108 @@ class TestTrainSubset:
             learners.train_subset(None, shifted, [0, 1], spec, seed=0, features=x)
 
 
+def _reference_train(tasks, subset, spec, seed, x):
+    """The per-task head loop the vectorized kernel replaced, kept as oracle."""
+    rng = np.random.default_rng(seed)
+    encoder, fan_in = [], x.shape[1]
+    for _ in range(spec.hidden_layers):
+        w = rng.normal(0.0, np.sqrt(2.0 / max(fan_in, 1)), size=(fan_in, spec.hidden_width))
+        encoder.append([w, np.zeros(spec.hidden_width)])
+        fan_in = spec.hidden_width
+    heads = {tid: [rng.normal(0.0, np.sqrt(1.0 / max(fan_in, 1)), size=fan_in), 0.0]
+             for tid in subset}
+    union = np.unique(np.concatenate([tasks.train_mask[tid] for tid in subset]))
+    pos_of = {node: k for k, node in enumerate(union)}
+    task_rows = {tid: np.array([pos_of[v] for v in tasks.train_mask[tid]], dtype=np.int64)
+                 for tid in subset}
+    task_labels = {tid: tasks.labels[tid][tasks.train_mask[tid]] for tid in subset}
+    xu = x[union]
+    loss_kind = spec.train_loss_kind()
+    prev_loss, monotone = np.inf, True
+    for _ in range(spec.epochs):
+        acts, pre, h = [xu], [], xu
+        for w, b in encoder:
+            a = h @ w + b
+            pre.append(a)
+            h = np.maximum(a, 0.0)
+            acts.append(h)
+        n_tasks, top = len(task_rows), acts[-1]
+        d_top = np.zeros_like(top)
+        g_heads, total = {}, 0.0
+        for tid, rows in task_rows.items():
+            w, b = heads[tid]
+            y = task_labels[tid]
+            out = top[rows] @ w + b
+            if loss_kind == "bce":
+                p = learners._sigmoid(out)
+                pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+                total += -float(np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+                d_out = (p - y) / (rows.size * n_tasks)
+            else:
+                diff = out - y
+                total += float(np.mean(diff**2))
+                d_out = 2.0 * diff / (rows.size * n_tasks)
+            g_heads[tid] = [top[rows].T @ d_out, float(d_out.sum())]
+            d_top[rows] += np.outer(d_out, w)
+        loss = total / n_tasks
+        g_encoder, d_h = [], d_top
+        for layer in range(len(encoder) - 1, -1, -1):
+            d_a = d_h * (pre[layer] > 0.0)
+            g_encoder.insert(0, [acts[layer].T @ d_a, d_a.sum(axis=0)])
+            d_h = d_a @ encoder[layer][0].T
+        if monotone and loss > prev_loss + 1e-12:
+            monotone = False
+        prev_loss = loss
+        for layer, (gw, gb) in zip(encoder, g_encoder):
+            layer[0] -= spec.learning_rate * gw
+            layer[1] -= spec.learning_rate * gb
+        for tid, (gw, gb) in g_heads.items():
+            heads[tid][0] -= spec.learning_rate * gw
+            heads[tid][1] -= spec.learning_rate * gb
+    return encoder, heads, monotone
+
+
+class TestVectorizedKernel:
+    @pytest.mark.parametrize("hidden_layers", [0, 1, 2])
+    @pytest.mark.parametrize("metric", ["negative-cross-entropy", "negative-mse"])
+    def test_matches_per_task_loop(self, hidden_layers, metric):
+        # overlapping train masks of unequal sizes; one task shares no row
+        rng = np.random.default_rng(20 + hidden_layers)
+        n = 40
+        x = rng.standard_normal((n, 5))
+        trains = (np.arange(0, 20), np.arange(10, 35), np.arange(0, 35, 4),
+                  np.array([35]))
+        if metric == "negative-mse":
+            labels = tuple(rng.standard_normal(n) for _ in trains)
+        else:
+            labels = tuple((rng.random(n) > 0.5).astype(float) for _ in trains)
+        val, test = np.arange(36, 38), np.arange(38, 40)
+        ts = TaskSet(n, labels, trains, (val,) * 4, (test,) * 4)
+        spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=7,
+                                    hidden_layers=hidden_layers, epochs=60,
+                                    learning_rate=0.2, metric=metric)
+        model = learners.train_subset(None, ts, [3, 0, 1, 2], spec, seed=5, features=x)
+        encoder, heads, monotone = _reference_train(ts, (0, 1, 2, 3), spec, 5, x)
+        assert len(model.encoder) == hidden_layers
+        for (w, b), (rw, rb) in zip(model.encoder, encoder):
+            np.testing.assert_allclose(w, rw, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(b, rb, rtol=0, atol=1e-10)
+        for tid in range(4):
+            np.testing.assert_allclose(model.heads[tid][0], heads[tid][0], rtol=0, atol=1e-10)
+            assert model.heads[tid][1] == pytest.approx(heads[tid][1], rel=0, abs=1e-10)
+        assert model.monotone_loss == monotone
+
+    def test_empty_train_mask_rejected(self):
+        rng = np.random.default_rng(21)
+        ts, x = toy_binary_tasks(rng)
+        empty = TaskSet(ts.num_nodes, ts.labels,
+                        (ts.train_mask[0], np.array([], dtype=np.int64)),
+                        ts.val_mask, ts.test_mask)
+        spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=4, epochs=5)
+        with pytest.raises(InvalidInputError):
+            learners.train_subset(None, empty, [0, 1], spec, seed=0, features=x)
+
+
 class TestEvaluate:
     def test_perfect_predictor_f1(self):
         rng = np.random.default_rng(9)
@@ -276,13 +378,14 @@ class TestGradientCheck:
         mask = np.arange(8)
         y = (rng.random(8) > 0.5).astype(float)
         spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_layers=0)
-        encoder, heads = learners._init_params(np.random.default_rng(3), 3, spec, (0,))
-        _, _, g_heads = learners._forward_backward(
-            encoder, heads, x, {0: mask}, {0: y}, "bce")
-        w, b = heads[0]
-        p = 1 / (1 + np.exp(-(x @ w + b)))
-        np.testing.assert_allclose(g_heads[0][0], x.T @ (p - y) / 8, atol=1e-12)
-        assert g_heads[0][1] == pytest.approx(np.mean(p - y), abs=1e-12)
+        layers = learners._init_params(np.random.default_rng(3), 3, spec, 1)
+        _, grads = learners._forward_backward(
+            layers, learners._batch(x, [mask], [y]), "bce")
+        (w, b), = layers
+        (g_w, g_b), = grads
+        p = 1 / (1 + np.exp(-(x @ w[:, 0] + b[0])))
+        np.testing.assert_allclose(g_w[:, 0], x.T @ (p - y) / 8, atol=1e-12)
+        assert g_b[0] == pytest.approx(np.mean(p - y), abs=1e-12)
 
     def test_mse_loss_gradients(self):
         rng = np.random.default_rng(13)

@@ -48,6 +48,25 @@ class TestGenerate:
             else:
                 assert d >= 6.0 - 1e-9
 
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_separations_match_pairwise_loop(self, groups):
+        inst = planted.generate(quick_cfg(num_tasks=9, num_groups=groups,
+                                          within_sep=0.3, seed=groups))
+        # the per-pair projection loop the vectorized version replaced
+        max_within, min_between = 0.0, np.inf
+        for i, j in itertools.combinations(range(9), 2):
+            d = float(np.linalg.norm(inst.sigma @ (inst.labels[i] - inst.labels[j])))
+            if inst.group_of[i] == inst.group_of[j]:
+                max_within = max(max_within, d)
+            else:
+                min_between = min(min_between, d)
+        got = planted._separations(inst.sigma, inst.labels, inst.group_of)
+        assert got[0] == pytest.approx(max_within, rel=1e-12, abs=1e-12)
+        if groups == 1:
+            assert got[1] == min_between == np.inf
+        else:
+            assert got[1] == pytest.approx(min_between, rel=1e-12, abs=1e-12)
+
     def test_label_bound_respected(self):
         inst = planted.generate(quick_cfg(noise_std=0.4, label_bound=0.9))
         assert np.abs(inst.labels).max() <= 0.9 + 1e-12
