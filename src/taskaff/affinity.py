@@ -10,8 +10,10 @@ collection order and matches an exact regroup-and-average oracle.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,7 @@ from .errors import (
     TaskAffError,
     TrainingError,
 )
-from .learners import LearnerSpec, SubsetEvaluation, evaluate, train_subset
+from .learners import LearnerSpec, closed_form_scores, evaluate, train_subset
 
 COVERAGE_CAP_FACTOR = 10
 
@@ -74,6 +76,49 @@ class AffinityMatrix:
         return self.theta.shape[0]
 
 
+@dataclass
+class EvalLog:
+    """Scores f_i(S) of n trained subsets of one size alpha, as arrays.
+
+    ``scores[k, p]`` is the score of task ``subsets[k, p]`` on subset k's
+    model, trained with seed ``seeds[k]``; all scores share one ``metric``.
+    """
+
+    subsets: np.ndarray
+    scores: np.ndarray
+    seeds: np.ndarray
+    metric: str | None
+
+    def __post_init__(self):
+        self.subsets = _rows(self.subsets)
+        self.scores = np.asarray(self.scores, dtype=float)
+        self.seeds = np.asarray(self.seeds, dtype=np.int64)
+        if (self.subsets.ndim != 2 or self.scores.shape != self.subsets.shape
+                or self.seeds.shape != self.subsets.shape[:1]):
+            raise InvalidInputError("evaluation log needs n x alpha subsets and scores, n seeds")
+
+    def __len__(self) -> int:
+        return self.subsets.shape[0]
+
+
+def _rows(subsets) -> np.ndarray:
+    try:
+        return np.asarray(subsets, dtype=np.int64)
+    except ValueError as exc:
+        raise InvalidInputError(f"subsets differ in size (a ragged log): {exc}") from exc
+
+
+def subset_array(subsets, num_tasks: int) -> np.ndarray:
+    """Subsets as an n x alpha int64 array with sorted rows; rejects an empty
+    or ragged list, a repeated task and ids outside 0..num_tasks-1."""
+    rows = np.sort(_rows(subsets), axis=-1)
+    if (rows.ndim != 2 or 0 in rows.shape or (rows[:, 1:] == rows[:, :-1]).any()
+            or rows[:, 0].min() < 0 or rows[:, -1].max() >= num_tasks):
+        raise InvalidInputError("subsets must be a nonempty list of nonempty tuples of "
+                                f"distinct task ids in 0..{num_tasks - 1}")
+    return rows
+
+
 def sample_subsets(plan: SamplingPlan):
     """Draw i.i.d. uniform size-alpha subsets of {0..T-1}.
 
@@ -115,86 +160,103 @@ def sample_subsets(plan: SamplingPlan):
 
 
 def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
-                        features: np.ndarray | None = None):
+                        features: np.ndarray | None = None, indices=None,
+                        commit=None) -> EvalLog:
     """Train one model per subset and score every member on its val mask.
 
-    The model for subset k is seeded with base_seed XOR k. Training errors
-    are re-raised tagged with the subset index. Results are in subset order.
+    Subset k has log index ``indices[k]`` (default k) and seed base_seed XOR
+    that index. The linear learner scores all subsets in one batch, the MLP
+    one at a time; ``commit(indices, log)`` receives each finished batch.
+    Failures are re-raised as TrainingError tagged with the log index.
     """
-
-    def run_one(k, subset):
-        seed = base_seed ^ k
+    rows = subset_array(subsets, tasks.num_tasks)
+    indices = np.arange(len(rows)) if indices is None else np.asarray(indices, dtype=np.int64)
+    seeds = base_seed ^ indices
+    if spec.kind == "closed-form-linear":
         try:
-            model = train_subset(g, tasks, subset, spec, seed, features=features)
-            scores = {i: evaluate(model, tasks, i, "val", spec.metric)
-                      for i in model.subset}
-        except TrainingError as exc:
-            raise TrainingError(str(exc), subset_index=k) from exc
+            scores = closed_form_scores(g.node_features if features is None else features,
+                                        tasks, rows, spec.ridge, spec.metric)
         except TaskAffError as exc:
-            raise TrainingError(f"subset training failed: {exc}", subset_index=k) from exc
-        return SubsetEvaluation(model.subset, scores, spec.metric, seed)
-
-    return [run_one(k, s) for k, s in enumerate(subsets)]
-
-
-def _aggregate(evals, num_tasks):
-    """Exact per-pair regroup of the evaluation log: fsum means and counts."""
-    values = {}
-    counts = np.zeros((num_tasks, num_tasks), dtype=np.int64)
-    for ev in evals:
-        members = list(ev.subset)
-        if members and (min(members) < 0 or max(members) >= num_tasks):
-            raise InvalidInputError(
-                f"subset {ev.subset} holds task ids outside 0..{num_tasks - 1}"
-            )
-        for i in members:
-            fi = ev.scores[i]
-            for j in members:
-                values.setdefault((i, j), []).append(fi)
-                counts[i, j] += 1
-    theta = np.zeros((num_tasks, num_tasks))
-    for (i, j), vals in values.items():
-        theta[i, j] = math.fsum(vals) / len(vals)
-    return theta, counts
+            k = getattr(exc, "subset_index", None)
+            raise TrainingError(f"subset training failed: {exc}",
+                                subset_index=None if k is None else int(indices[k])) from exc
+        log = EvalLog(rows, scores, seeds, spec.metric)
+        if commit is not None:
+            commit(indices, log)
+        return log
+    scores = np.empty(rows.shape)
+    for k, subset in enumerate(rows.tolist()):
+        try:
+            model = train_subset(g, tasks, subset, spec, int(seeds[k]), features=features)
+            scores[k] = [evaluate(model, tasks, i, "val", spec.metric) for i in subset]
+        except TrainingError as exc:
+            raise TrainingError(str(exc), subset_index=int(indices[k])) from exc
+        except TaskAffError as exc:
+            raise TrainingError(f"subset training failed: {exc}",
+                                subset_index=int(indices[k])) from exc
+        if commit is not None:
+            commit(indices[k:k + 1], EvalLog(rows[k:k + 1], scores[k:k + 1], seeds[k:k + 1],
+                                             spec.metric))
+    return EvalLog(rows, scores, seeds, spec.metric)
 
 
-def estimate_affinity(evals, num_tasks: int) -> AffinityMatrix:
+def _regroup(subsets, scores, num_tasks, prefixes):
+    """(theta, counts) of each prefix length c: exact fsum means of f_i per pair.
+
+    A stable sort on the pair keys i*T + j makes each pair's values one slice
+    in subset order, so the first c subsets' values open the slice.
+    """
+    alpha = subsets.shape[1]
+    if subsets[:, 0].min() < 0 or subsets[:, -1].max() >= num_tasks:
+        raise InvalidInputError(f"a logged subset holds task ids outside 0..{num_tasks - 1}")
+    keys = (subsets[:, :, None] * num_tasks + subsets[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    values = np.repeat(scores.ravel(), alpha)[order].tolist()
+    full = np.bincount(keys, minlength=num_tasks**2)
+    starts = np.cumsum(full) - full
+    for c in prefixes:
+        counts = np.bincount(keys[:c * alpha * alpha], minlength=num_tasks**2)
+        pairs, theta = np.flatnonzero(counts), np.zeros(num_tasks**2)
+        theta[pairs] = [math.fsum(values[s:s + k]) / k
+                        for s, k in zip(starts[pairs].tolist(), counts[pairs].tolist())]
+        yield theta.reshape(num_tasks, num_tasks), counts.reshape(num_tasks, num_tasks)
+
+
+def _imputed(theta, counts, scores) -> AffinityMatrix:
+    """Fill never co-sampled pairs from the row's diagonal, or the global mean."""
+    imputed = counts == 0
+    global_mean = math.fsum(scores.ravel().tolist()) / scores.size
+    fallback = np.where(np.diag(counts) > 0, np.diag(theta), global_mean)
+    theta = np.where(imputed, fallback[:, None], theta)
+    return AffinityMatrix(theta, counts, orientation="performance", imputed=imputed)
+
+
+def estimate_affinity(log: EvalLog, num_tasks: int) -> AffinityMatrix:
     """Aggregate an evaluation log into the affinity matrix.
 
     Pairs that never co-occurred are imputed with the target task's diagonal
     (its overall mean score) and flagged; a task never sampled at all falls
     back to the global mean of observed scores.
     """
-    if not evals:
+    if not len(log):
         raise InvalidInputError("evaluation log is empty")
-    metrics = {ev.metric for ev in evals}
-    if len(metrics) > 1:
-        raise InvalidInputError(f"evaluation log mixes metrics: {sorted(metrics)}")
-    theta, counts = _aggregate(evals, num_tasks)
-    imputed = counts == 0
-    observed = [ev.scores[i] for ev in evals for i in ev.subset]
-    global_mean = math.fsum(observed) / len(observed)
-    for i in range(num_tasks):
-        fallback = theta[i, i] if counts[i, i] > 0 else global_mean
-        theta[i, imputed[i]] = fallback
-    return AffinityMatrix(theta, counts, orientation="performance", imputed=imputed)
+    (theta, counts), = _regroup(log.subsets, log.scores, num_tasks, [len(log)])
+    return _imputed(theta, counts, log.scores)
 
 
-def convergence_trace(evals, num_tasks: int, checkpoints):
+def convergence_trace(log: EvalLog, num_tasks: int, checkpoints):
     """Max-entry |theta(prefix) - theta(full log)| at each prefix size."""
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise InvalidInputError("checkpoints must be strictly ascending")
-    if checkpoints and checkpoints[-1] > len(evals):
+    if checkpoints and checkpoints[-1] > len(log):
         raise InvalidInputError("checkpoints exceed the log length")
     if checkpoints and checkpoints[0] < 1:
         raise InvalidInputError("checkpoints must be >= 1")
-    full = estimate_affinity(evals, num_tasks).theta
-    out = []
-    for c in checkpoints:
-        prefix = estimate_affinity(evals[:c], num_tasks).theta
-        out.append(float(np.max(np.abs(prefix - full))))
-    return out
+    full = estimate_affinity(log, num_tasks).theta
+    return [float(np.max(np.abs(_imputed(theta, counts, log.scores[:c]).theta - full)))
+            for c, (theta, counts) in zip(checkpoints, _regroup(
+                log.subsets, log.scores, num_tasks, checkpoints))]
 
 
 def _normalize_log(f_log, task_id):
@@ -257,35 +319,46 @@ def probe_submodularity(f_log, task_id: int):
     return violations
 
 
-def save_eval_log(evals, csv_path, subsets_path) -> None:
-    """Persist the log: score rows in CSV plus a companion subset array."""
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+def save_eval_log(log: EvalLog, csv_path, subsets_path=None, indices=None,
+                  append: bool = False) -> None:
+    """Persist the log as CSV score rows tagged ``indices[k]`` (default k),
+    plus the subset array as JSON when ``subsets_path`` is given; ``append``
+    adds the rows to an existing CSV instead of writing one with a header."""
+    indices = range(len(log)) if indices is None else indices
+    with open(csv_path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subset_index", "task_id", "score", "metric", "seed"])
-        for k, ev in enumerate(evals):
-            for tid in ev.subset:
-                writer.writerow([k, tid, repr(ev.scores[tid]), ev.metric, ev.seed])
-    with open(subsets_path, "w", encoding="utf-8") as fh:
-        json.dump([list(ev.subset) for ev in evals], fh)
+        if not append:
+            writer.writerow(["subset_index", "task_id", "score", "metric", "seed"])
+        for k, subset, scores, seed in zip(indices, log.subsets.tolist(),
+                                           log.scores.tolist(), log.seeds.tolist()):
+            writer.writerows([int(k), tid, repr(score), log.metric, seed]
+                             for tid, score in zip(subset, scores))
+    if subsets_path is not None:
+        with open(subsets_path, "w", encoding="utf-8") as fh:
+            json.dump(log.subsets.tolist(), fh)
 
 
-def load_eval_log(csv_path, subsets_path):
+def load_eval_log(csv_path, subsets_path, indices=None) -> EvalLog:
+    """Read a saved log, or only its subsets at ``indices``; rows of other
+    subsets are skipped and a missing CSV holds no rows."""
     with open(subsets_path, "r", encoding="utf-8") as fh:
-        subsets = [tuple(s) for s in json.load(fh)]
-    scores = [dict() for _ in subsets]
-    meta = [None] * len(subsets)
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            k = int(row["subset_index"])
-            scores[k][int(row["task_id"])] = float(row["score"])
-            meta[k] = (row["metric"], int(row["seed"]))
-    out = []
-    for k, subset in enumerate(subsets):
-        if meta[k] is None:
-            raise InvalidInputError(f"evaluation log holds no rows for subset {k}")
-        metric, seed = meta[k]
-        out.append(SubsetEvaluation(subset, scores[k], metric, seed))
-    return out
+        subsets = _rows(json.load(fh))
+    indices = np.arange(len(subsets)) if indices is None else np.asarray(indices, dtype=np.int64)
+    kept, rows = subsets[indices], {}
+    if os.path.exists(csv_path):
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            rows = {(int(r[0]), int(r[1])): r for r in itertools.islice(csv.reader(fh), 1, None)}
+    try:
+        cells = [[rows[k, tid] for tid in members]
+                 for k, members in zip(indices.tolist(), kept.tolist())]
+    except KeyError as exc:
+        raise InvalidInputError(f"evaluation log holds no row for (subset, task) {exc}") from None
+    metrics = {cell[3] for row in cells for cell in row}
+    if len(metrics) > 1:
+        raise InvalidInputError(f"evaluation log mixes metrics: {sorted(metrics)}")
+    scores = np.array([[float(cell[2]) for cell in row] for row in cells]).reshape(kept.shape)
+    return EvalLog(kept, scores, [int(row[0][4]) for row in cells],
+                   metrics.pop() if metrics else None)
 
 
 def save_affinity(aff: AffinityMatrix, theta_path, counts_path, sidecar_path) -> None:

@@ -7,9 +7,10 @@ and inputs produce byte-identical outputs. The affinity command keeps an
 append-only evaluation log with per-subset completion markers so an
 interrupted run resumes without retraining finished subsets.
 
-Exit codes: 0 ok, 2 domain error (including a failed linear-algebra routine
-and an affinity rerun whose plan, learner or dataset differs from the log in
-its output directory), 3 training error, 64 usage, 66 missing input.
+Exit codes: 0 ok, 2 domain error (including a failed linear-algebra routine,
+an exhausted memory and an affinity rerun whose plan, learner or dataset
+differs from the log in its output directory), 3 training error, 64 usage,
+66 missing input.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .graphs import (
     load_features_csv,
     ppr_group_similarity,
 )
-from .learners import LearnerSpec, SubsetEvaluation, evaluate, train_subset
+from .learners import LearnerSpec, train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 from .tasks import SplitPolicy, load_communities, load_task_set, make_splits, save_task_set
 
 EX_OK = 0
@@ -236,44 +237,6 @@ def _affinity_fingerprint(dataset, plan, spec, holdout):
     }))
 
 
-def _append_eval(csv_path, k, ev) -> None:
-    with open(csv_path, "a", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for tid in ev.subset:
-            writer.writerow([k, tid, repr(ev.scores[tid]), ev.metric, ev.seed])
-
-
-def _resume_state(csv_path, idx_path, subsets):
-    """Completed-subset evaluations; truncates uncommitted rows from the log."""
-    done = set()
-    if os.path.exists(idx_path):
-        with open(idx_path, "r", encoding="utf-8") as fh:
-            done = {int(line) for line in fh if line.strip()}
-    rows = []
-    if os.path.exists(csv_path):
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.DictReader(fh)
-                    if int(r["subset_index"]) in done]
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subset_index", "task_id", "score", "metric", "seed"])
-        for r in rows:
-            writer.writerow([r["subset_index"], r["task_id"], r["score"],
-                             r["metric"], r["seed"]])
-    with open(idx_path, "w", encoding="utf-8") as fh:
-        for k in sorted(done):
-            fh.write(f"{k}\n")
-    evals = {}
-    for r in rows:
-        k = int(r["subset_index"])
-        ev = evals.setdefault(k, {"scores": {}, "metric": r["metric"], "seed": int(r["seed"])})
-        ev["scores"][int(r["task_id"])] = float(r["score"])
-    return {
-        k: SubsetEvaluation(tuple(subsets[k]), v["scores"], v["metric"], v["seed"])
-        for k, v in evals.items()
-    }
-
-
 def cmd_affinity(args) -> int:
     file_cfg = _load_config_file(args.config)
     dataset = _require(args.dataset)
@@ -317,25 +280,32 @@ def cmd_affinity(args) -> int:
         _write_json(fp_path, fingerprint)
         with open(subsets_path, "w", encoding="utf-8") as fh:
             json.dump([list(s) for s in subsets], fh)
-    done = _resume_state(csv_path, idx_path, subsets)
+    done = []
+    if os.path.exists(idx_path):
+        with open(idx_path, "r", encoding="utf-8") as fh:
+            done = sorted({int(line) for line in fh if line.strip()})
+    # Keep only committed rows, so appended batches extend a clean log.
+    committed = aff_mod.load_eval_log(csv_path, subsets_path, done)
+    aff_mod.save_eval_log(committed, csv_path, indices=done)
+    with open(idx_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{k}\n" for k in done)
 
-    evals = [None] * len(subsets)
-    for k, ev in done.items():
-        evals[k] = ev
-    pending = [(k, s) for k, s in enumerate(subsets) if evals[k] is None]
+    def commit(indices, batch):
+        aff_mod.save_eval_log(batch, csv_path, indices=indices, append=True)
+        with open(idx_path, "a", encoding="utf-8") as fh:
+            fh.writelines(f"{k}\n" for k in indices)
+
+    pending = sorted(set(range(len(subsets))) - set(done))
     try:
-        for k, subset in pending:
-            seed = args.seed ^ k
-            model = train_subset(None, tasks, subset, spec, seed, features=features)
-            scores = {i: evaluate(model, tasks, i, "val", spec.metric) for i in model.subset}
-            evals[k] = SubsetEvaluation(model.subset, scores, spec.metric, seed)
-            _append_eval(csv_path, k, evals[k])
-            with open(idx_path, "a", encoding="utf-8") as fh:
-                fh.write(f"{k}\n")
+        evals = committed if not pending else aff_mod.collect_evaluations(
+            None, tasks, [subsets[k] for k in pending], spec, args.seed, features=features,
+            indices=pending, commit=commit)
     except TaskAffError as exc:
         print(f"affinity: training failed, log retained for resume: {exc}",
               file=sys.stderr)
         return EX_TRAINING
+    if done and pending:  # resumed: the full log is the committed and the new rows
+        evals = aff_mod.load_eval_log(csv_path, subsets_path)
 
     result = aff_mod.estimate_affinity(evals, t)
     aff_mod.save_affinity(
@@ -452,9 +422,9 @@ def cmd_predict_nt(args) -> int:
     stl_evals = aff_mod.collect_evaluations(None, tasks, singles, spec,
                                             base_seed=args.seed ^ STL_SEED_SALT,
                                             features=features)
-    stl = {i: stl_evals[i].scores[i] for i in range(t)}
-    train_subsets = {ev.subset for ev in evals}
-    alpha = len(evals[0].subset)
+    stl = dict(enumerate(stl_evals.scores[:, 0].tolist()))
+    train_subsets = set(map(tuple, evals.subsets.tolist()))
+    alpha = evals.subsets.shape[1]
     held_plan = aff_mod.SamplingPlan(
         num_tasks=t, subset_size=alpha,
         num_subsets=_resolve(args, file_cfg, "heldout-subsets", 250),
@@ -680,8 +650,9 @@ def main(argv=None) -> int:
     except TaskAffError as exc:
         print(f"taskaff: {exc}", file=sys.stderr)
         return EX_DOMAIN
-    except np.linalg.LinAlgError as exc:
-        print(f"taskaff: linear algebra failed: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        what = "out of memory" if isinstance(exc, MemoryError) else "linear algebra failed"
+        print(f"taskaff: {what}: {exc}", file=sys.stderr)
         return EX_DOMAIN
 
 

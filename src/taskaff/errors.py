@@ -6,7 +6,12 @@ class TaskAffError(Exception):
 
 
 class InvalidInputError(TaskAffError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition (``subset_index``: the
+    offending row of a batch of subsets, if any)."""
+
+    def __init__(self, message, subset_index=None):
+        super().__init__(message)
+        self.subset_index = subset_index
 
 
 class ParseError(TaskAffError):

@@ -2,7 +2,8 @@
 
 The graph is immutable after construction: adjacency lives in CSR form,
 node ids are remapped to 0..N-1, and an id map back to the original labels
-is kept so external annotations can be joined again later.
+is kept so external annotations can be joined again later. scipy.sparse is
+imported where matrices are built, so graph-free commands skip its import.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ConvergenceError,
@@ -111,6 +111,7 @@ def build_graph(edges, num_nodes=None, features=None, orig_ids=None) -> Graph:
     Duplicate edges and self-loops are dropped. When ``num_nodes`` is None it
     is inferred as max id + 1.
     """
+    from scipy import sparse
     seen = set()
     max_id = -1
     for u, v in edges:
@@ -180,6 +181,7 @@ def load_edge_list(path, idmap_path=None) -> Graph:
 
 def save_edge_list(g: Graph, path) -> None:
     """Write the graph as "u v" lines using original node ids."""
+    from scipy import sparse
     coo = sparse.triu(g.adj, k=1).tocoo()
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in zip(coo.row, coo.col):
@@ -197,6 +199,7 @@ def load_features_csv(path, num_nodes) -> np.ndarray:
 
 
 def _row_normalized(g: Graph) -> sparse.csr_matrix:
+    from scipy import sparse
     # Isolated nodes become self-loop rows so the operator stays stochastic.
     deg = g.degrees()
     isolated = np.where(deg == 0)[0]
@@ -216,6 +219,7 @@ def _transposed_walk(g: Graph) -> sparse.csr_matrix:
 
 
 def _sym_normalized(g: Graph) -> sparse.csr_matrix:
+    from scipy import sparse
     deg = g.degrees()
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
     d = sparse.diags(inv_sqrt)

@@ -12,7 +12,6 @@ losses are negated.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -28,6 +27,8 @@ LEARNER_KINDS = ("closed-form-linear", "shared-encoder-mlp")
 METRICS = ("negative-cross-entropy", "negative-mse", "f1")
 
 _PROB_EPS = 1e-12
+# Bound on one float temporary of closed_form_scores' chunked scoring (bytes).
+_CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,6 @@ class MtlModel:
         return h @ w + b
 
 
-@dataclass(frozen=True)
-class SubsetEvaluation:
-    """Scores f_i(S) for every task i of one trained subset S."""
-
-    subset: tuple
-    scores: dict
-    metric: str
-    seed: int
-
-    def __post_init__(self):
-        if set(self.scores) != set(self.subset):
-            raise InvalidInputError("scores must be keyed exactly by subset members")
-
-
 def fit_closed_form(features, labels, ridge: float = 0.0) -> np.ndarray:
     """Least-squares fit of one weight vector against the mean label.
 
@@ -130,12 +117,65 @@ def fit_closed_form(features, labels, ridge: float = 0.0) -> np.ndarray:
         raise InvalidInputError("at least one label vector is required")
     if ridge < 0:
         raise InvalidInputError("ridge must be >= 0")
-    ybar = np.mean(stack, axis=0)
+    return _normal_solve(z, np.mean(stack, axis=0), ridge)
+
+
+def _normal_solve(z, y, ridge):
+    """(Z^T Z + ridge*I)^+ Z^T y for a label vector or an m x k label matrix."""
     gram = z.T @ z
-    rhs = z.T @ ybar
+    rhs = z.T @ y
     if ridge > 0:
         return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
     return np.linalg.pinv(gram, rcond=PINV_RCOND) @ rhs
+
+
+def _mask_ids(masks):
+    """Index of each task's node mask among the distinct masks."""
+    seen = {}
+    return np.array([seen.setdefault(np.asarray(m, dtype=np.int64).tobytes(), len(seen))
+                     for m in masks], dtype=np.int64)
+
+
+def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
+                       metric: str = "negative-mse") -> np.ndarray:
+    """evaluate()'s val score [k, p] of task subsets[k, p] under the model
+    train_subset fits to subset k, for an n x alpha array of valid task ids.
+
+    The fit is linear in the mean label: subset k's val outputs are the mean
+    of its members' rows of P = (Z_val W)^T, with W = (Z^T Z + ridge*I)^+ Z^T Y
+    solved once per distinct train mask. P and the labels are task-major, so
+    a subset gathers contiguous rows; residuals are formed directly, a chunk
+    of subsets at a time with temporaries of about _CHUNK_BYTES. A subset
+    mixing train masks raises InvalidInputError naming its row.
+    """
+    features, subsets = np.asarray(features, dtype=float), np.asarray(subsets, dtype=np.int64)
+    train_id, val_id = _mask_ids(tasks.train_mask), _mask_ids(tasks.val_mask)
+    mixed = np.flatnonzero((train_id[subsets] != train_id[subsets[:, :1]]).any(axis=1))
+    if mixed.size:
+        raise InvalidInputError("closed-form-linear requires identical train masks across "
+                                "the subset", subset_index=int(mixed[0]))
+    used = np.unique(subsets)
+    weights = np.zeros((features.shape[1], tasks.num_tasks))
+    for group in np.unique(train_id[used]):
+        members = used[train_id[used] == group]
+        rows = tasks.train_mask[members[0]]
+        y = np.stack([tasks.labels[i][rows] for i in members], axis=1)
+        weights[:, members] = _normal_solve(features[rows], y, ridge)
+    scores = np.empty(subsets.shape)
+    for group in np.unique(val_id[used]):
+        first = int(used[val_id[used] == group][0])
+        rows = tasks.val_mask[first]
+        if rows.size == 0:
+            raise InvalidInputError(f"task {first} has an empty val mask")
+        fitted = (features[rows] @ weights).T
+        labels = np.stack([np.asarray(y, dtype=float)[rows] for y in tasks.labels])
+        in_group = val_id[subsets] == group
+        ks = np.flatnonzero(in_group.any(axis=1))
+        step = max(1, _CHUNK_BYTES // (8 * subsets.shape[1] * rows.size))
+        for k in (ks[lo:lo + step] for lo in range(0, ks.size, step)):
+            part = _score(fitted[subsets[k]].mean(axis=1)[:, None, :], labels[subsets[k]], metric)
+            scores[k] = np.where(in_group[k], part, scores[k])
+    return scores
 
 
 def _canonical_subset(subset, num_tasks):
@@ -269,12 +309,10 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     subset = _canonical_subset(subset, tasks.num_tasks)
 
     if spec.kind == "closed-form-linear":
+        if np.unique(_mask_ids([tasks.train_mask[tid] for tid in subset])).size > 1:
+            raise InvalidInputError(
+                "closed-form-linear requires identical train masks across the subset")
         base = tasks.train_mask[subset[0]]
-        for tid in subset[1:]:
-            if not np.array_equal(tasks.train_mask[tid], base):
-                raise InvalidInputError(
-                    "closed-form-linear requires identical train masks across the subset"
-                )
         z = features[base]
         labels = [tasks.labels[tid][base] for tid in subset]
         w = fit_closed_form(z, labels, spec.ridge)
@@ -310,13 +348,13 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
 
 def f1_score(y_true, y_pred) -> float:
     """F1 of the positive class; 0.0 when the denominator vanishes."""
-    y_true = np.asarray(y_true).astype(bool)
-    y_pred = np.asarray(y_pred).astype(bool)
-    tp = int(np.sum(y_true & y_pred))
-    fp = int(np.sum(~y_true & y_pred))
-    fn = int(np.sum(y_true & ~y_pred))
-    denom = 2 * tp + fp + fn
-    return 2.0 * tp / denom if denom else 0.0
+    return float(_f1(np.asarray(y_true).astype(bool), np.asarray(y_pred).astype(bool)))
+
+
+def _f1(pos, pred):
+    tp = np.sum(pos & pred, axis=-1)
+    denom = 2 * tp + np.sum(pos ^ pred, axis=-1)  # 2tp + fp + fn
+    return np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0)
 
 
 def evaluate(model: MtlModel, tasks, task_id: int, mask_kind: str,
@@ -331,15 +369,18 @@ def evaluate(model: MtlModel, tasks, task_id: int, mask_kind: str,
         raise InvalidInputError(f"task {task_id} has an empty {mask_kind} mask")
     if model.kind == "shared-encoder-mlp" and task_id not in model.subset:
         raise InvalidInputError(f"model trained on {model.subset} has no head for task {task_id}")
-    raw = model.raw_scores(mask, task_id)
-    y = tasks.labels[task_id][mask]
+    return float(_score(model.raw_scores(mask, task_id), tasks.labels[task_id][mask], metric))
+
+
+def _score(raw, y, metric):
+    """Metric of pre-link outputs against labels over the last axis (broadcasting)."""
     if metric == "negative-mse":
-        return -float(np.mean((raw - y) ** 2))
+        return -np.mean((raw - y) ** 2, axis=-1)
     probs = _sigmoid(raw)
     if metric == "negative-cross-entropy":
         pc = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
-        return float(np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-    return f1_score(y == 1, probs >= 0.5)
+        return np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc), axis=-1)
+    return _f1(y == 1, probs >= 0.5)
 
 
 def _flatten(layers):
@@ -399,45 +440,3 @@ def gradient_check(spec: LearnerSpec, features, masks, labels, seed: int = 0,
         denom = max(abs(analytic[c]), abs(fd), 1e-8)
         max_rel = max(max_rel, abs(analytic[c] - fd) / denom)
     return max_rel
-
-
-def save_model(model: MtlModel, path_prefix) -> None:
-    """Dump weights to ``<prefix>.npz`` with a JSON header at ``<prefix>.json``."""
-    header = {
-        "kind": model.kind,
-        "subset": list(model.subset),
-        "seed": model.seed,
-        "loss_kind": model.loss_kind,
-        "feature_dim": int(model.features.shape[1]),
-    }
-    arrays = {}
-    if model.kind == "closed-form-linear":
-        arrays["weights"] = model.weights
-    else:
-        for li, (w, b) in enumerate(model.encoder):
-            arrays[f"enc_w_{li}"] = w
-            arrays[f"enc_b_{li}"] = b
-        header["num_layers"] = len(model.encoder)
-        for tid in model.subset:
-            w, b = model.heads[tid]
-            arrays[f"head_w_{tid}"] = np.atleast_1d(w)
-            arrays[f"head_b_{tid}"] = np.array([b])
-    with open(f"{path_prefix}.json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True)
-    np.savez(f"{path_prefix}.npz", **arrays)
-
-
-def load_model(path_prefix, features) -> MtlModel:
-    with open(f"{path_prefix}.json", "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    data = np.load(f"{path_prefix}.npz")
-    subset = tuple(header["subset"])
-    if header["kind"] == "closed-form-linear":
-        return MtlModel("closed-form-linear", subset, header["seed"], features,
-                        weights=data["weights"], loss_kind=header["loss_kind"])
-    encoder = [[data[f"enc_w_{li}"], data[f"enc_b_{li}"]]
-               for li in range(header["num_layers"])]
-    heads = {tid: [data[f"head_w_{tid}"], float(data[f"head_b_{tid}"][0])]
-             for tid in subset}
-    return MtlModel("shared-encoder-mlp", subset, header["seed"], features,
-                    encoder=encoder, heads=heads, loss_kind=header["loss_kind"])

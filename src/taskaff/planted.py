@@ -15,17 +15,18 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .affinity import AffinityMatrix, _aggregate
+from .affinity import AffinityMatrix, _regroup, subset_array
 from .errors import (
     CoverageError,
     GenerationError,
     InvalidInputError,
 )
-from .learners import PINV_RCOND
+from .learners import PINV_RCOND, closed_form_scores
 from .tasks import TaskSet
 
 MAX_GENERATION_RETRIES = 100
@@ -67,7 +68,7 @@ class PlantedConfig:
 
 @dataclass
 class PlantedInstance:
-    """One generated instance with its projection matrices precomputed."""
+    """One generated instance; its projection matrices are formed on first use."""
 
     config: PlantedConfig
     features: np.ndarray = field(repr=False)
@@ -75,8 +76,17 @@ class PlantedInstance:
     observed_rows: np.ndarray
     labels: np.ndarray = field(repr=False)
     group_of: np.ndarray
-    sigma: np.ndarray = field(repr=False)
-    sigma_tilde: np.ndarray = field(repr=False)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """N x N hat matrix of the full diffused design."""
+        return _projection(self.diffusion @ self.features)
+
+    @cached_property
+    def sigma_tilde(self) -> np.ndarray:
+        """m x m hat matrix of the design restricted to the observed rows."""
+        rows = self.observed_rows
+        return _projection(self.diffusion[np.ix_(rows, rows)] @ self.features[rows])
 
 
 def _projection(design: np.ndarray) -> np.ndarray:
@@ -137,8 +147,6 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
         design = p @ x
         sigma = _projection(design)
         rows = np.sort(rng.choice(n, size=m, replace=False))
-        design_obs = p[np.ix_(rows, rows)] @ x[rows]
-        sigma_tilde = _projection(design_obs)
 
         basis, _ = np.linalg.qr(design)  # N x d orthonormal basis of col(sigma)
         dirs, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -161,11 +169,10 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
         within_ok = max_within <= cfg.within_sep + SEPARATION_SLACK
         between_ok = cfg.num_groups == 1 or min_between >= cfg.between_sep - SEPARATION_SLACK
         if within_ok and between_ok:
-            return PlantedInstance(
-                config=cfg, features=x, diffusion=p, observed_rows=rows,
-                labels=labels, group_of=group_of, sigma=sigma,
-                sigma_tilde=sigma_tilde,
-            )
+            inst = PlantedInstance(config=cfg, features=x, diffusion=p,
+                                   observed_rows=rows, labels=labels, group_of=group_of)
+            inst.sigma = sigma
+            return inst
         achieved = (max_within, min_between)
     raise GenerationError(
         f"separation targets unreachable in {MAX_GENERATION_RETRIES} tries",
@@ -173,43 +180,20 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
     )
 
 
-class _TheoryEval:
-    """Minimal stand-in for SubsetEvaluation used by the shared aggregator."""
-
-    __slots__ = ("subset", "scores")
-
-    def __init__(self, subset, scores):
-        self.subset = subset
-        self.scores = scores
-
-
-def _subset_losses(inst: PlantedInstance, subsets):
-    rows = inst.observed_rows
-    m = rows.size
-    y_obs = inst.labels[:, rows]
-    projected = y_obs @ inst.sigma_tilde.T
-    evals = []
-    for subset in subsets:
-        members = list(subset)
-        fitted = projected[members].mean(axis=0)
-        scores = {
-            i: float(np.sum((fitted - y_obs[i]) ** 2)) / m
-            for i in members
-        }
-        evals.append(_TheoryEval(tuple(members), scores))
-    return evals
-
-
 def theta_closed_form(inst: PlantedInstance, subsets) -> AffinityMatrix:
     """Loss-oriented affinity matrix from the closed-form learner, no training.
 
     theta[i, j] averages (1/m) * || sigma_tilde @ (mean of subset labels)
-    - y_i ||^2 over the given subsets containing both tasks. Every pair must
-    be covered; theory mode does not impute.
+    - y_i ||^2 over the given subsets containing both tasks: the negated
+    linear learner's score on the theory view (holdout 0), from the shared
+    kernel learners.closed_form_scores. Every pair must be covered; theory
+    mode does not impute.
     """
     t = inst.config.num_tasks
-    evals = _subset_losses(inst, subsets)
-    theta, counts = _aggregate(evals, t)
+    rows = subset_array(list(subsets), t)
+    tasks, features = to_task_set(inst)
+    losses = -closed_form_scores(features, tasks, rows, metric="negative-mse")
+    (theta, counts), = _regroup(rows, losses, t, [len(rows)])
     missing = [(int(i), int(j)) for i, j in np.argwhere(counts == 0)]
     if missing:
         raise CoverageError(
@@ -228,8 +212,7 @@ def population_theta(inst: PlantedInstance, alpha: int) -> AffinityMatrix:
         raise InvalidInputError(
             f"C({t},{alpha}) = {total} exceeds the enumeration bound {ENUMERATION_BOUND}"
         )
-    subsets = itertools.combinations(range(t), alpha)
-    return theta_closed_form(inst, subsets)
+    return theta_closed_form(inst, itertools.combinations(range(t), alpha))
 
 
 @dataclass(frozen=True)
@@ -270,35 +253,15 @@ def verify_block_structure(aff: AffinityMatrix, group_of) -> BlockStructureRepor
                                 passed=global_gap > 0)
 
 
-@dataclass(frozen=True)
-class TheoryTaskView:
-    """TaskSet-shaped view whose train/val/test masks all alias one node set.
-
-    The closed-form theory evaluates the fitted loss on the same observed
-    rows it trains on, which a strict TaskSet (pairwise-disjoint masks)
-    cannot express. This view satisfies the same attribute surface.
-    """
-
-    num_nodes: int
-    labels: tuple
-    train_mask: tuple
-    val_mask: tuple
-    test_mask: tuple
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.labels)
-
-
 def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
                 split_seed: int = 0):
     """View the instance as tasks plus its design feature matrix.
 
-    With holdout_frac = 0 every mask equals the observed rows (a
-    TheoryTaskView), matching the theory where training loss and evaluation
-    coincide. A positive fraction carves validation and test shares out of
-    the observed rows into a regular TaskSet (masks shared across tasks, so
-    the closed-form learner stays applicable).
+    With holdout_frac = 0 every mask equals the observed rows (a TaskSet
+    with aliased masks), matching the theory where training loss and
+    evaluation coincide. A positive fraction carves validation and test
+    shares out of the observed rows into a regular TaskSet (masks shared
+    across tasks, so the closed-form learner stays applicable).
 
     Returns (tasks, features) where features[observed_rows] is the
     restricted diffused design and other rows are zero.
@@ -306,33 +269,19 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
     if not 0.0 <= holdout_frac < 0.5:
         raise InvalidInputError("holdout_frac must lie in [0, 0.5)")
     rows = inst.observed_rows
-    m = rows.size
     n = inst.config.num_nodes
     features = np.zeros((n, inst.config.feature_dim))
     features[rows] = inst.diffusion[np.ix_(rows, rows)] @ inst.features[rows]
     t = inst.config.num_tasks
-    labels = tuple(inst.labels[i] for i in range(t))
-    if holdout_frac == 0.0:
-        masks = tuple(rows.copy() for _ in range(3))
-        tasks = TheoryTaskView(
-            num_nodes=n, labels=labels,
-            train_mask=tuple(masks[0] for _ in range(t)),
-            val_mask=tuple(masks[1] for _ in range(t)),
-            test_mask=tuple(masks[2] for _ in range(t)),
-        )
-        return tasks, features
-    perm = np.random.default_rng([inst.config.seed, split_seed]).permutation(m)
-    n_val = math.ceil(holdout_frac * m)
-    n_test = math.ceil(holdout_frac * m)
-    val = np.sort(rows[perm[:n_val]])
-    test = np.sort(rows[perm[n_val:n_val + n_test]])
-    train = np.sort(rows[perm[n_val + n_test:]])
-    tasks = TaskSet(
-        num_nodes=n, labels=labels,
-        train_mask=tuple(train for _ in range(t)),
-        val_mask=tuple(val for _ in range(t)),
-        test_mask=tuple(test for _ in range(t)),
-    )
+    labels = tuple(inst.labels)
+    train = val = test = rows
+    if holdout_frac > 0.0:
+        perm = np.random.default_rng([inst.config.seed, split_seed]).permutation(rows.size)
+        n_hold = math.ceil(holdout_frac * rows.size)
+        val, test, train = (np.sort(rows[part]) for part in (
+            perm[:n_hold], perm[n_hold:2 * n_hold], perm[2 * n_hold:]))
+    tasks = TaskSet(num_nodes=n, labels=labels, train_mask=(train,) * t, val_mask=(val,) * t,
+                    test_mask=(test,) * t, aliased_masks=holdout_frac == 0.0)
     return tasks, features
 
 
@@ -359,18 +308,15 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
 
 
 def load_instance(in_dir) -> PlantedInstance:
-    """Rebuild an instance from disk, recomputing its projection matrices."""
+    """Rebuild an instance from disk."""
     with open(os.path.join(in_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     cfg = PlantedConfig(**meta["config"])
     x = np.loadtxt(os.path.join(in_dir, "features.csv"), delimiter=",", ndmin=2)
     p = np.loadtxt(os.path.join(in_dir, "pg.csv"), delimiter=",", ndmin=2)
     labels = np.loadtxt(os.path.join(in_dir, "labels.csv"), delimiter=",", ndmin=2)
-    rows = np.asarray(meta["observed_rows"], dtype=np.int64)
-    sigma = _projection(p @ x)
-    sigma_tilde = _projection(p[np.ix_(rows, rows)] @ x[rows])
     return PlantedInstance(
-        config=cfg, features=x, diffusion=p, observed_rows=rows, labels=labels,
+        config=cfg, features=x, diffusion=p, labels=labels,
+        observed_rows=np.asarray(meta["observed_rows"], dtype=np.int64),
         group_of=np.asarray(meta["group_of"], dtype=np.int64),
-        sigma=sigma, sigma_tilde=sigma_tilde,
     )

@@ -43,7 +43,8 @@ class TaskSet:
 
     labels[i] is a length-N vector (binary 0/1 for communities, real for
     synthetic regression tasks); masks are sorted arrays of node ids,
-    pairwise disjoint within each task.
+    pairwise disjoint within each task unless ``aliased_masks`` (the planted
+    theory view, which evaluates on the rows it trains on).
     """
 
     num_nodes: int
@@ -51,6 +52,7 @@ class TaskSet:
     train_mask: tuple
     val_mask: tuple
     test_mask: tuple
+    aliased_masks: bool = False
 
     def __post_init__(self):
         n_t = len(self.labels)
@@ -59,9 +61,10 @@ class TaskSet:
         for i in range(n_t):
             if self.labels[i].shape[0] != self.num_nodes:
                 raise InvalidInputError(f"task {i}: label vector length mismatch")
-            tr, va, te = set(self.train_mask[i]), set(self.val_mask[i]), set(self.test_mask[i])
-            if tr & va or tr & te or va & te:
-                raise InvalidInputError(f"task {i}: masks are not pairwise disjoint")
+            if not self.aliased_masks:
+                tr, va, te = (set(m[i]) for m in (self.train_mask, self.val_mask, self.test_mask))
+                if tr & va or tr & te or va & te:
+                    raise InvalidInputError(f"task {i}: masks are not pairwise disjoint")
             for mask in (self.train_mask[i], self.val_mask[i], self.test_mask[i]):
                 if mask.size and (mask.min() < 0 or mask.max() >= self.num_nodes):
                     raise InvalidInputError(f"task {i}: mask node id out of range")

@@ -50,7 +50,7 @@ class LogisticModel:
         return self.predict_proba(features) >= DECISION_THRESHOLD
 
 
-def build_examples(evals, stl_scores, aff: AffinityMatrix):
+def build_examples(log, stl_scores, aff: AffinityMatrix):
     """One example per (task, subset) membership in the evaluation log.
 
     ``stl_scores`` maps each task to its singleton reference f_i({i}).
@@ -59,17 +59,15 @@ def build_examples(evals, stl_scores, aff: AffinityMatrix):
     """
     t = aff.num_tasks
     by_task = {}
-    for ev in evals:
-        members = list(ev.subset)
-        for i in members:
+    for members, scores in zip(log.subsets.tolist(), log.scores.tolist()):
+        for i, score in zip(members, scores):
             if i not in stl_scores:
                 raise InvalidInputError(f"missing single-task reference score for task {i}")
             feats = np.zeros(t)
             feats[members] = aff.theta[i, members]
-            label = 1 if ev.scores[i] < stl_scores[i] else 0
             by_task.setdefault(i, []).append(
-                TransferExample(target=i, subset=tuple(members),
-                                features=feats, label=label)
+                TransferExample(target=i, subset=tuple(members), features=feats,
+                                label=int(score < stl_scores[i]))
             )
     return by_task
 

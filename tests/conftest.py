@@ -1,10 +1,34 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from taskaff import graphs, planted
+from taskaff.affinity import EvalLog
 from taskaff.tasks import TaskSet
 
 ACCEPTANCE_RESULTS = []
+
+# One subset's scores, keyed by task: the per-subset view oracles iterate.
+Eval = namedtuple("Eval", "subset scores metric seed")
+
+
+def make_eval(subset, scores, metric="negative-mse", seed=0):
+    return Eval(tuple(subset), scores, metric, seed)
+
+
+def make_log(evals):
+    """EvalLog holding the given per-subset records (one shared metric)."""
+    return EvalLog([ev.subset for ev in evals],
+                   [[ev.scores[i] for i in ev.subset] for ev in evals],
+                   [ev.seed for ev in evals], evals[0].metric)
+
+
+def records(log):
+    """Per-subset records of an EvalLog, for oracles that loop over subsets."""
+    return [Eval(tuple(s), dict(zip(s, sc)), log.metric, seed)
+            for s, sc, seed in zip(log.subsets.tolist(), log.scores.tolist(),
+                                   log.seeds.tolist())]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from taskaff import affinity, graphs, grouping, learners, planted, transfer
-from tests.conftest import ACCEPTANCE_RESULTS, block_task_set, two_block_graph
+from tests.conftest import (ACCEPTANCE_RESULTS, block_task_set, make_eval, make_log,
+                            two_block_graph)
 
 
 def report(name, ok, detail=""):
@@ -151,7 +152,7 @@ def test_negative_transfer_prediction_f1():
                                               base_seed=504, features=feats)
     stl_evals = affinity.collect_evaluations(None, tasks, [(i,) for i in range(t)],
                                              spec, base_seed=505, features=feats)
-    stl = {i: stl_evals[i].scores[i] for i in range(t)}
+    stl = {i: stl_evals.scores[i, 0] for i in range(t)}
     aff = affinity.estimate_affinity(train_evals, t)
     train_ex = transfer.build_examples(train_evals, stl, aff)
     held_ex = transfer.build_examples(held_evals, stl, aff)
@@ -269,10 +270,9 @@ def test_unit_oracles():
     plan = affinity.SamplingPlan(num_tasks=7, subset_size=3, num_subsets=60,
                                  seed=704)
     subsets = affinity.sample_subsets(plan)
-    evals = [learners.SubsetEvaluation(s, {i: float(rng.standard_normal())
-                                           for i in s}, "negative-mse", k)
+    evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s}, seed=k)
              for k, s in enumerate(subsets)]
-    aff = affinity.estimate_affinity(evals, 7)
+    aff = affinity.estimate_affinity(make_log(evals), 7)
     buckets = {}
     for ev in evals:
         for i in ev.subset:

@@ -12,11 +12,7 @@ from taskaff.errors import (
     EmptyDomainError,
     InvalidInputError,
 )
-from taskaff.learners import SubsetEvaluation
-
-
-def make_eval(subset, scores, metric="negative-mse", seed=0):
-    return SubsetEvaluation(tuple(subset), scores, metric, seed)
+from tests.conftest import make_eval, make_log, records
 
 
 class TestSampleSubsets:
@@ -68,13 +64,14 @@ class TestCollectEvaluations:
                                              features=feats)
         model = learners.train_subset(None, tasks, [3], spec, seed=5, features=feats)
         expected = learners.evaluate(model, tasks, 3, "val", "negative-mse")
-        assert evals[0].scores[3] == expected
+        assert evals.scores[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_identical_subsets_identical_scores(self, small_instance):
         tasks, feats = planted.to_task_set(small_instance)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         evals = affinity.collect_evaluations(None, tasks, [(0, 1)] * 3, spec,
                                              base_seed=1, features=feats)
+        evals = records(evals)
         assert evals[0].scores == evals[1].scores == evals[2].scores
 
     def test_scores_match_projection_oracle(self, small_instance):
@@ -88,7 +85,7 @@ class TestCollectEvaluations:
                                              features=feats)
         rows = inst.observed_rows
         y_obs = inst.labels[:, rows]
-        for ev in evals:
+        for ev in records(evals):
             ybar = y_obs[list(ev.subset)].mean(axis=0)
             for i in ev.subset:
                 oracle = -np.sum((inst.sigma_tilde @ ybar - y_obs[i]) ** 2) / rows.size
@@ -98,7 +95,7 @@ class TestCollectEvaluations:
 class TestEstimateAffinity:
     def test_single_eval_pair(self):
         aff = affinity.estimate_affinity(
-            [make_eval((1, 2), {1: 0.5, 2: 0.7})], num_tasks=3)
+            make_log([make_eval((1, 2), {1: 0.5, 2: 0.7})]), num_tasks=3)
         assert aff.theta[1, 2] == 0.5
         assert aff.theta[2, 1] == 0.7
         assert aff.theta[1, 1] == 0.5
@@ -107,13 +104,13 @@ class TestEstimateAffinity:
     def test_two_eval_mean(self):
         evals = [make_eval((1, 2), {1: 0.4, 2: 0.0}),
                  make_eval((1, 2), {1: 0.6, 2: 1.0})]
-        aff = affinity.estimate_affinity(evals, num_tasks=3)
+        aff = affinity.estimate_affinity(make_log(evals), num_tasks=3)
         assert aff.theta[1, 2] == pytest.approx(0.5)
 
     def test_imputation_uses_diagonal(self):
         evals = [make_eval((0, 1), {0: 0.2, 1: 0.4}),
                  make_eval((2, 3), {2: 0.8, 3: 0.6})]
-        aff = affinity.estimate_affinity(evals, num_tasks=4)
+        aff = affinity.estimate_affinity(make_log(evals), num_tasks=4)
         assert aff.imputed[0, 2]
         assert aff.theta[0, 2] == aff.theta[0, 0]
         assert not aff.imputed[0, 1]
@@ -123,7 +120,7 @@ class TestEstimateAffinity:
         plan = affinity.SamplingPlan(num_tasks=7, subset_size=3, num_subsets=60, seed=0)
         subsets = affinity.sample_subsets(plan)
         evals = [make_eval(s, {i: float(rng.random()) for i in s}) for s in subsets]
-        aff = affinity.estimate_affinity(evals, 7)
+        aff = affinity.estimate_affinity(make_log(evals), 7)
         for i in range(7):
             n_i = sum(1 for s in subsets if i in s)
             off_diag = aff.counts[i].sum() - aff.counts[i, i]
@@ -140,7 +137,7 @@ class TestEstimateAffinity:
         subsets = affinity.sample_subsets(plan)
         evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s})
                  for s in subsets]
-        aff = affinity.estimate_affinity(evals, t)
+        aff = affinity.estimate_affinity(make_log(evals), t)
         # independent regroup: collect values per (i, j), exact mean via fsum
         buckets = {}
         for ev in evals:
@@ -157,33 +154,38 @@ class TestEstimateAffinity:
         subsets = affinity.sample_subsets(plan)
         scores = {s: {i: float(rng.random()) for i in s} for s in set(subsets)}
         evals = [make_eval(s, dict(scores[s])) for s in subsets]
-        aff = affinity.estimate_affinity(evals, t)
+        aff = affinity.estimate_affinity(make_log(evals), t)
         perm = np.array([3, 5, 0, 1, 4, 2])
         permuted_evals = [
             make_eval(tuple(sorted(perm[list(s)])),
                       {int(perm[i]): scores[s][i] for i in s})
             for s in subsets
         ]
-        aff_p = affinity.estimate_affinity(permuted_evals, t)
+        aff_p = affinity.estimate_affinity(make_log(permuted_evals), t)
         np.testing.assert_array_equal(aff_p.theta[np.ix_(perm, perm)], aff.theta)
 
-    def test_mixed_metrics_rejected(self):
-        evals = [make_eval((0, 1), {0: 0.1, 1: 0.2}, metric="f1"),
-                 make_eval((0, 1), {0: 0.1, 1: 0.2}, metric="negative-mse")]
+    def test_mixed_metrics_rejected(self, tmp_path):
+        # one EvalLog holds one metric, so a mix can only arrive from a file
+        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2}, metric="f1")]),
+                               csv_path, subsets_path)
+        affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2})]), csv_path,
+                               indices=[1], append=True)
+        subsets_path.write_text("[[0, 1], [0, 1]]")
         with pytest.raises(InvalidInputError):
-            affinity.estimate_affinity(evals, 2)
+            affinity.load_eval_log(csv_path, subsets_path)
 
     def test_task_id_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            affinity.estimate_affinity([make_eval((0, 5), {0: 0.0, 5: 0.0})], 3)
+            affinity.estimate_affinity(make_log([make_eval((0, 5), {0: 0.0, 5: 0.0})]), 3)
 
 
 class TestConvergenceTrace:
     def _random_evals(self, rng, t=5, alpha=3, n=40):
         plan = affinity.SamplingPlan(num_tasks=t, subset_size=alpha,
                                      num_subsets=n, seed=int(rng.integers(1e6)))
-        return [make_eval(s, {i: float(rng.random()) for i in s})
-                for s in affinity.sample_subsets(plan)]
+        return make_log([make_eval(s, {i: float(rng.random()) for i in s})
+                         for s in affinity.sample_subsets(plan)])
 
     def test_full_prefix_distance_zero(self):
         rng = np.random.default_rng(0)
@@ -193,8 +195,8 @@ class TestConvergenceTrace:
 
     def test_constant_scores_zero_everywhere(self):
         plan = affinity.SamplingPlan(num_tasks=5, subset_size=3, num_subsets=30, seed=2)
-        evals = [make_eval(s, {i: 0.75 for i in s})
-                 for s in affinity.sample_subsets(plan)]
+        evals = make_log([make_eval(s, {i: 0.75 for i in s})
+                          for s in affinity.sample_subsets(plan)])
         trace = affinity.convergence_trace(evals, 5, [5, 15, 30])
         assert trace == [0.0, 0.0, 0.0]
 
@@ -214,6 +216,18 @@ class TestConvergenceTrace:
             d_small, d_big = affinity.convergence_trace(evals, 6, [12, 60])
             hits += d_big < d_small
         assert hits >= 8
+
+    def test_matches_prefix_estimates(self):
+        # the trace reads prefixes off one sorted regroup; each must equal an
+        # estimate_affinity of the prefix log itself, bit for bit
+        rng = np.random.default_rng(7)
+        log = self._random_evals(rng, t=8, alpha=3, n=300)
+        full = affinity.estimate_affinity(log, 8).theta
+        checkpoints = [1, 7, 40, 41, 150, 299]
+        expected = [float(np.max(np.abs(affinity.estimate_affinity(affinity.EvalLog(
+            log.subsets[:c], log.scores[:c], log.seeds[:c], log.metric), 8).theta - full)))
+            for c in checkpoints]
+        assert affinity.convergence_trace(log, 8, checkpoints) == expected
 
     def test_checkpoint_validation(self):
         rng = np.random.default_rng(1)
@@ -252,7 +266,9 @@ class TestProbes:
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         target, ally, rival = 0, 1, 5  # groups: {0,1,2}, {3,4,5}
         chain = [(target,), (target, ally), (target, ally, rival)]
-        evals = affinity.collect_evaluations(None, tasks, chain, spec, 0, features=feats)
+        # one call per subset: a log holds subsets of one size
+        evals = [ev for s in chain for ev in records(
+            affinity.collect_evaluations(None, tasks, [s], spec, 0, features=feats))]
         log = {frozenset(ev.subset): ev.scores[target] for ev in evals}
         violations = affinity.probe_monotonicity(log, target)
         assert len(violations) >= 1
@@ -284,8 +300,8 @@ class TestProbes:
         all_subsets = [tuple(sorted({0} | set(c)))
                        for r in range(t)
                        for c in itertools.combinations(range(1, t), r)]
-        evals = affinity.collect_evaluations(None, tasks, all_subsets, spec, 0,
-                                             features=feats)
+        evals = [ev for s in all_subsets for ev in records(
+            affinity.collect_evaluations(None, tasks, [s], spec, 0, features=feats))]
         log = {frozenset(ev.subset): ev.scores[0] for ev in evals}
         got = set(affinity.probe_submodularity(log, 0))
         expected = set()
@@ -327,18 +343,60 @@ class TestLogPersistence:
         plan = affinity.SamplingPlan(num_tasks=5, subset_size=3, num_subsets=12, seed=1)
         evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s}, seed=k)
                  for k, s in enumerate(affinity.sample_subsets(plan))]
-        affinity.save_eval_log(evals, tmp_path / "evals.csv", tmp_path / "subsets.json")
-        loaded = affinity.load_eval_log(tmp_path / "evals.csv", tmp_path / "subsets.json")
+        affinity.save_eval_log(make_log(evals), tmp_path / "evals.csv",
+                               tmp_path / "subsets.json")
+        loaded = records(affinity.load_eval_log(tmp_path / "evals.csv",
+                                                tmp_path / "subsets.json"))
         assert len(loaded) == len(evals)
         for a, b in zip(evals, loaded):
             assert a.subset == b.subset
             assert a.scores == b.scores  # repr round-trips float64 exactly
             assert a.seed == b.seed
 
+    def test_roundtrip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        subsets = np.sort(np.array([rng.choice(40, size=4, replace=False)
+                                    for _ in range(30)]), axis=1)
+        scores = rng.standard_normal((30, 4)) * 10.0 ** rng.integers(-300, 300, (30, 4))
+        log = affinity.EvalLog(subsets, scores, rng.integers(0, 2**62, 30), "f1")
+        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        affinity.save_eval_log(log, csv_path, subsets_path)
+        loaded = affinity.load_eval_log(csv_path, subsets_path)
+        np.testing.assert_array_equal(loaded.subsets, log.subsets)
+        np.testing.assert_array_equal(loaded.scores.view(np.int64), log.scores.view(np.int64))
+        np.testing.assert_array_equal(loaded.seeds, log.seeds)
+        assert loaded.metric == "f1"
+
+    def test_partial_load_and_append(self, tmp_path):
+        evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}, seed=7),
+                 make_eval((1, 2), {1: -1.5, 2: 3.0}, seed=8),
+                 make_eval((0, 2), {0: 0.125, 2: 2.0}, seed=9)]
+        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        affinity.save_eval_log(make_log(evals[:1]), csv_path, subsets_path)
+        subsets_path.write_text("[[0, 1], [1, 2], [0, 2]]")
+        affinity.save_eval_log(make_log(evals[2:]), csv_path, indices=[2], append=True)
+        part = records(affinity.load_eval_log(csv_path, subsets_path, indices=[2, 0]))
+        assert part == [evals[2], evals[0]]
+        with pytest.raises(InvalidInputError):  # subset 1 has no rows
+            affinity.load_eval_log(csv_path, subsets_path)
+        empty = affinity.load_eval_log(tmp_path / "absent.csv", subsets_path, indices=[])
+        assert len(empty) == 0 and empty.subsets.shape == (0, 2)
+
+    def test_ragged_log_rejected(self):
+        with pytest.raises(InvalidInputError):
+            affinity.EvalLog([(0, 1), (0, 1, 2)], [[0.0, 0.0], [0.0, 0.0, 0.0]], [0, 1],
+                             "negative-mse")
+        tasks = planted.to_task_set(planted.generate(planted.PlantedConfig(
+            num_tasks=4, num_groups=2, feature_dim=3, num_nodes=30, observed=20)))[0]
+        spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
+        with pytest.raises(InvalidInputError):
+            affinity.collect_evaluations(None, tasks, [(0, 1), (1, 2, 3)], spec, 0,
+                                         features=np.ones((30, 3)))
+
     def test_affinity_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         evals = [make_eval((0, 1), {0: rng.random(), 1: rng.random()})]
-        aff = affinity.estimate_affinity(evals, 3)
+        aff = affinity.estimate_affinity(make_log(evals), 3)
         affinity.save_affinity(aff, tmp_path / "t.csv", tmp_path / "c.csv",
                                tmp_path / "a.json")
         loaded = affinity.load_affinity(tmp_path / "t.csv", tmp_path / "c.csv",

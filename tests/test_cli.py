@@ -65,6 +65,17 @@ class TestGenerate:
         assert code == 2
 
 
+    def test_memory_error_exit_2_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 30.0 GiB for an array")
+
+        monkeypatch.setattr(cli.pl_mod, "generate", exhausted)
+        capsys.readouterr()
+        assert run(GEN + ["--seed", "1", "--out", str(tmp_path / "g")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["taskaff: out of memory: Unable to allocate 30.0 GiB for an array"]
+
+
 class TestAffinity:
     def test_single_subset_log(self, tmp_path, pipeline):
         _, inst_dir, _ = pipeline
@@ -218,6 +229,29 @@ class TestVerifyTheory:
                     "--out", str(tmp_path / "ver")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ")
+
+    def test_planted_commands_do_not_import_scipy(self, tmp_path):
+        # scipy.sparse serves the graph commands only; the planted chain
+        # starts one process per command and should not pay for its import
+        import os
+        import subprocess
+        import sys
+
+        import taskaff
+        code = (
+            "import sys\n"
+            "import taskaff.cli as cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            f"assert cli.main({GEN + ['--seed', '1', '--out', str(tmp_path / 'i')]!r}) == 0\n"
+            f"assert cli.main(['verify-theory', '--dataset', {str(tmp_path / 'i')!r},"
+            f" '--alpha', '4', '--num-subsets', '150', '--out', {str(tmp_path / 'v')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'verify-theory'\n"
+        )
+        src = os.path.dirname(os.path.dirname(taskaff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_exhaustive_mode(self, tmp_path, pipeline):
         _, inst_dir, _ = pipeline

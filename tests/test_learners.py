@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskaff import learners, planted
-from taskaff.errors import InvalidInputError
+from taskaff import affinity, learners, planted
+from taskaff.errors import InvalidInputError, TrainingError
 from taskaff.tasks import TaskSet
 
 
@@ -420,24 +422,75 @@ class TestF1:
         assert learners.f1_score(y_true, y_pred) == pytest.approx(expected, abs=1e-12)
 
 
-class TestPersistence:
-    def test_model_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        ts, x = toy_binary_tasks(rng)
-        spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=8,
-                                    epochs=30, learning_rate=0.1)
-        model = learners.train_subset(None, ts, [0, 1], spec, seed=4, features=x)
-        learners.save_model(model, tmp_path / "model")
-        loaded = learners.load_model(tmp_path / "model", x)
-        for tid in (0, 1):
-            a = learners.evaluate(model, ts, tid, "val", "negative-cross-entropy")
-            b = learners.evaluate(loaded, ts, tid, "val", "negative-cross-entropy")
-            assert a == b
+def _shared_mask_tasks(rng, masks, n=90, d=6, t=7):
+    """Binary tasks over one feature matrix with a shared train mask.
 
-    def test_linear_roundtrip(self, tmp_path, small_instance):
-        tasks, feats = planted.to_task_set(small_instance)
+    masks: "aliased" (every mask is all rows, the theory view), "holdout"
+    (shared disjoint train/val/test) or "per-task-val" (shared train, a
+    different val mask for every task).
+    """
+    x = rng.standard_normal((n, d))
+    labels = tuple((x @ rng.standard_normal(d) + rng.standard_normal(n) > 0).astype(float)
+                   for _ in range(t))
+    if masks == "aliased":
+        rows = np.arange(n)
+        return TaskSet(n, labels, (rows,) * t, (rows,) * t, (rows,) * t,
+                       aliased_masks=True), x
+    perm = rng.permutation(n)
+    train, rest = np.sort(perm[:60]), perm[60:]
+    if masks == "holdout":
+        vals = (np.sort(rest[:15]),) * t
+    else:
+        vals = tuple(np.sort(rng.choice(rest, size=10 + k, replace=False)) for k in range(t))
+    tests = tuple(np.setdiff1d(rest, v) for v in vals)
+    return TaskSet(n, labels, (train,) * t, vals, tests), x
+
+
+class TestClosedFormScores:
+    """The batched linear kernel against one fit_closed_form + evaluate per subset."""
+
+    @pytest.mark.parametrize("masks", ["aliased", "holdout", "per-task-val"])
+    @pytest.mark.parametrize("metric", learners.METRICS)
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_matches_per_subset_fit(self, masks, metric, ridge):
+        rng = np.random.default_rng(40)
+        tasks, x = _shared_mask_tasks(rng, masks)
+        subsets = np.array(list(itertools.combinations(range(7), 3)))
+        got = learners.closed_form_scores(x, tasks, subsets, ridge, metric)
+        spec = learners.LearnerSpec(kind="closed-form-linear", metric=metric, ridge=ridge)
+        for k, subset in enumerate(subsets.tolist()):
+            model = learners.train_subset(None, tasks, subset, spec, seed=0, features=x)
+            want = [learners.evaluate(model, tasks, i, "val", metric) for i in subset]
+            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0)
+
+    def test_planted_holdout_matches_per_subset_fit(self, small_instance):
+        # real-valued labels, and the holdout split the pipeline uses
+        for holdout in (0.0, 0.25):
+            tasks, feats = planted.to_task_set(small_instance, holdout_frac=holdout)
+            subsets = np.array(list(itertools.combinations(range(6), 4)))
+            got = learners.closed_form_scores(feats, tasks, subsets)
+            spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
+            for k, subset in enumerate(subsets.tolist()):
+                model = learners.train_subset(None, tasks, subset, spec, seed=0, features=feats)
+                want = [learners.evaluate(model, tasks, i, "val", "negative-mse")
+                        for i in subset]
+                np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0)
+
+    def test_mixed_train_masks_name_the_subset(self):
+        rng = np.random.default_rng(41)
+        tasks, x = _shared_mask_tasks(rng, "holdout")
+        other = tasks.train_mask[0][:-1]
+        tasks = TaskSet(tasks.num_nodes, tasks.labels,
+                        tasks.train_mask[:2] + (other,) + tasks.train_mask[3:],
+                        tasks.val_mask, tasks.test_mask)
+        subsets = [(0, 1), (0, 3), (1, 2), (2, 4)]
+        with pytest.raises(InvalidInputError) as err:
+            learners.closed_form_scores(x, tasks, subsets)
+        assert err.value.subset_index == 2
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-        model = learners.train_subset(None, tasks, [0, 1], spec, seed=0, features=feats)
-        learners.save_model(model, tmp_path / "lin")
-        loaded = learners.load_model(tmp_path / "lin", feats)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
+        with pytest.raises(TrainingError) as err:
+            affinity.collect_evaluations(None, tasks, subsets, spec, 0, features=x,
+                                         indices=[10, 11, 12, 13])
+        assert err.value.subset_index == 12
+        assert isinstance(err.value.__cause__, InvalidInputError)
+        assert "identical train masks" in str(err.value)

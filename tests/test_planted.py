@@ -159,6 +159,74 @@ class TestThetaClosedForm:
             planted.theta_closed_form(small_instance, [(0, 1, 2), (0, 1, 3)])
 
 
+def _theta_by_subset_loop(inst, subsets):
+    """The theory before the shared kernel: per-subset sigma_tilde losses
+    regrouped into a dict of lists and averaged with math.fsum."""
+    rows = inst.observed_rows
+    t, m = inst.config.num_tasks, rows.size
+    y_obs = inst.labels[:, rows]
+    projected = y_obs @ inst.sigma_tilde.T
+    values = {}
+    counts = np.zeros((t, t), dtype=np.int64)
+    for subset in subsets:
+        members = list(subset)
+        fitted = projected[members].mean(axis=0)
+        for i in members:
+            loss = float(np.sum((fitted - y_obs[i]) ** 2)) / m
+            for j in members:
+                values.setdefault((i, j), []).append(loss)
+                counts[i, j] += 1
+    theta = np.zeros((t, t))
+    for (i, j), vals in values.items():
+        theta[i, j] = math.fsum(vals) / len(vals)
+    return theta, counts
+
+
+class TestSharedKernelTheory:
+    @pytest.mark.parametrize("alpha, num_subsets", [(2, 80), (3, 300), (5, 60)])
+    def test_matches_subset_loop_oracle(self, small_instance, alpha, num_subsets):
+        plan = affinity.SamplingPlan(num_tasks=6, subset_size=alpha,
+                                     num_subsets=num_subsets, seed=alpha,
+                                     min_pair_coverage=1)
+        subsets = affinity.sample_subsets(plan)
+        got = planted.theta_closed_form(small_instance, subsets)
+        theta, counts = _theta_by_subset_loop(small_instance, subsets)
+        np.testing.assert_array_equal(got.counts, counts)
+        np.testing.assert_allclose(got.theta, theta, rtol=1e-12, atol=0)
+
+    def test_population_matches_subset_loop_oracle(self, small_instance):
+        theta, _ = _theta_by_subset_loop(small_instance, itertools.combinations(range(6), 4))
+        np.testing.assert_allclose(planted.population_theta(small_instance, 4).theta, theta,
+                                   rtol=1e-12, atol=0)
+
+    def test_ragged_subsets_rejected(self, small_instance):
+        with pytest.raises(InvalidInputError):
+            planted.theta_closed_form(small_instance, [(0, 1, 2), (3, 4)])
+
+    def test_memory_bounded_at_paper_scale(self):
+        # T=100, m=1500, 8,000 subsets of 10: unchunked scoring would hold
+        # 8000 x 10 x 1500 doubles (960 MB) at once
+        import tracemalloc
+        rng = np.random.default_rng(3)
+        cfg = planted.PlantedConfig(num_tasks=100, num_groups=10, feature_dim=20,
+                                    num_nodes=1500, observed=1500)
+        inst = planted.PlantedInstance(
+            config=cfg, features=rng.standard_normal((1500, 20)), diffusion=np.eye(1500),
+            observed_rows=np.arange(1500), labels=rng.standard_normal((100, 1500)),
+            group_of=np.repeat(np.arange(10), 10))
+        plan = affinity.SamplingPlan(num_tasks=100, subset_size=10, num_subsets=8000,
+                                     seed=4, min_pair_coverage=1)
+        subsets = affinity.sample_subsets(plan)
+        tracemalloc.start()
+        try:
+            planted.theta_closed_form(inst, subsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"peak {peak / 2**20:.1f} MiB")
+        assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestPopulationTheta:
     def test_alpha_equals_t(self, small_instance):
         inst = small_instance

@@ -3,11 +3,7 @@ import pytest
 
 from taskaff import affinity, transfer
 from taskaff.errors import InvalidInputError
-from taskaff.learners import SubsetEvaluation
-
-
-def make_eval(subset, scores, metric="negative-mse"):
-    return SubsetEvaluation(tuple(subset), scores, metric, 0)
+from tests.conftest import make_eval, make_log
 
 
 def simple_aff(t=4):
@@ -22,20 +18,20 @@ class TestBuildExamples:
         aff = simple_aff()
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.3})]
         stl = {0: 0.5, 1: 0.4}
-        ex = transfer.build_examples(evals, stl, aff)
+        ex = transfer.build_examples(make_log(evals), stl, aff)
         assert ex[0][0].label == 0  # tie
         assert ex[1][0].label == 1  # 0.3 < 0.4
 
     def test_singleton_always_label_zero(self):
         aff = simple_aff()
         evals = [make_eval((2,), {2: -1.0})]
-        ex = transfer.build_examples(evals, {2: -1.0}, aff)
+        ex = transfer.build_examples(make_log(evals), {2: -1.0}, aff)
         assert ex[2][0].label == 0
 
     def test_features_masked_to_subset(self):
         aff = simple_aff(t=5)
         evals = [make_eval((1, 3), {1: 0.2, 3: 0.9})]
-        ex = transfer.build_examples(evals, {1: 0.0, 3: 0.0}, aff)
+        ex = transfer.build_examples(make_log(evals), {1: 0.0, 3: 0.0}, aff)
         feats = ex[1][0].features
         assert feats[0] == feats[2] == feats[4] == 0.0
         assert feats[1] == aff.theta[1, 1]
@@ -44,7 +40,7 @@ class TestBuildExamples:
     def test_missing_stl_score(self):
         aff = simple_aff()
         with pytest.raises(InvalidInputError):
-            transfer.build_examples([make_eval((0, 1), {0: 0.1, 1: 0.1})], {0: 0.0}, aff)
+            transfer.build_examples(make_log([make_eval((0, 1), {0: 0.1, 1: 0.1})]), {0: 0.0}, aff)
 
     def test_label_counts_match_recount(self):
         rng = np.random.default_rng(1)
@@ -55,7 +51,7 @@ class TestBuildExamples:
         evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s})
                  for s in subsets]
         stl = {i: float(rng.standard_normal()) for i in range(t)}
-        ex = transfer.build_examples(evals, stl, aff)
+        ex = transfer.build_examples(make_log(evals), stl, aff)
         # independent recount straight off the log
         expected = sum(1 for ev in evals for i in ev.subset
                        if ev.scores[i] < stl[i])
@@ -167,7 +163,7 @@ class TestPersistence:
     def test_examples_csv(self, tmp_path):
         aff = simple_aff()
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.2})]
-        ex = transfer.build_examples(evals, {0: 0.6, 1: 0.1}, aff)
+        ex = transfer.build_examples(make_log(evals), {0: 0.6, 1: 0.1}, aff)
         models = transfer.fit_all(ex, epochs=10)
         path = tmp_path / "examples.csv"
         transfer.save_examples(ex, path, models=models)
