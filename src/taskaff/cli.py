@@ -7,10 +7,15 @@ and inputs produce byte-identical outputs. The affinity command keeps an
 append-only evaluation log with per-subset completion markers so an
 interrupted run resumes without retraining finished subsets.
 
+Settings: `--config FILE` holds a JSON object whose keys are a command's
+flag names without the leading dashes; it replaces that command's defaults,
+so a flag beats the file and the file beats the default shown by --help.
+
 Exit codes: 0 ok, 2 domain error (including a failed linear-algebra routine,
-an exhausted memory and an affinity rerun whose plan, learner or dataset
-differs from the log in its output directory), 3 training error, 64 usage,
-66 missing input.
+an exhausted memory, a malformed community or config file, and an affinity
+log whose plan, learner or dataset differs from an affinity rerun into it,
+or whose learner, holdout fraction or dataset differs from a predict-nt run
+reading it), 3 training error, 64 usage, 66 missing input.
 """
 
 from __future__ import annotations
@@ -30,11 +35,7 @@ from . import affinity as aff_mod
 from . import grouping as grp_mod
 from . import planted as pl_mod
 from . import transfer as tr_mod
-from .errors import (
-    MissingInputError,
-    TaskAffError,
-    TrainingError,
-)
+from .errors import MissingInputError, ParseError, TaskAffError, TrainingError
 from .graphs import (
     DiffusionOperator,
     diffuse_features,
@@ -56,11 +57,29 @@ HELDOUT_SEED_SALT = 7919
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits with the sysexits usage code."""
+    """argparse variant that exits with the sysexits usage code and reads
+    the --config file of the chosen command as that command's defaults
+    (``commands``, set by build_parser, maps a command name to its parser)."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        if getattr(parsed, "config", None) is None:
+            return parsed
+        command = self.commands[parsed.command]
+        flags = command._option_string_actions
+        command.set_defaults(**{flags["--" + key].dest: value
+                                for key, value in _read_config(parsed.config).items()
+                                if "--" + key in flags})
+        return super().parse_args(args, namespace)
+
+
+class _Help(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # a None default is described in the help text
+        return action.help if action.default is None else super()._get_help_string(action)
 
 
 def _sha256(path) -> str:
@@ -93,22 +112,25 @@ def _require(path):
     return path
 
 
-def _load_config_file(path):
-    if path is None:
-        return {}
-    _require(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_config(path):
+    """The JSON object held by a --config file."""
+    with open(_require(path), "r", encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc.msg}", exc.lineno) from None
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{path} holds a JSON {type(cfg).__name__}, not an object")
+    return cfg
 
 
-def _resolve(args, file_cfg, key, default):
-    """Flag value wins over config-file value wins over default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _read_meta(dataset_dir, kind=None):
+    """The meta.json of a dataset directory; refused unless of ``kind``, if given."""
+    with open(_require(os.path.join(dataset_dir, "meta.json")), "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if kind is not None and meta.get("kind") != kind:
+        raise TaskAffError(f"this command needs a {kind} dataset, not {dataset_dir}")
+    return meta
 
 
 def _load_graph_and_tasks(dataset_dir, meta):
@@ -118,14 +140,10 @@ def _load_graph_and_tasks(dataset_dir, meta):
 
 
 def _load_dataset(dataset_dir, holdout_frac):
-    """Return (tasks, features, meta, graph_or_none) for a dataset directory."""
-    meta_path = _require(os.path.join(dataset_dir, "meta.json"))
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """Return (tasks, features) for a dataset directory."""
+    meta = _read_meta(dataset_dir)
     if meta["kind"] == "planted":
-        inst = pl_mod.load_instance(dataset_dir)
-        tasks, features = pl_mod.to_task_set(inst, holdout_frac=holdout_frac)
-        return tasks, features, meta, None
+        return pl_mod.to_task_set(pl_mod.load_instance(dataset_dir), holdout_frac=holdout_frac)
     g, tasks = _load_graph_and_tasks(dataset_dir, meta)
     if meta.get("features"):
         g = g.with_features(load_features_csv(_require(meta["features"]), g.num_nodes))
@@ -137,40 +155,30 @@ def _load_dataset(dataset_dir, holdout_frac):
         g = g.with_features(np.stack([deg / scale, np.ones(g.num_nodes)], axis=1))
     op = DiffusionOperator(kind=meta.get("op", "row-normalized"),
                            teleport=meta.get("teleport", 0.15))
-    features = diffuse_features(g, op, meta.get("hops", 2))
-    return tasks, features, meta, g
+    return tasks, diffuse_features(g, op, meta.get("hops", 2))
 
 
-def _learner_spec(args, file_cfg) -> LearnerSpec:
-    kind = _resolve(args, file_cfg, "learner", "closed-form-linear")
-    kind = {"linear": "closed-form-linear", "mlp": "shared-encoder-mlp"}.get(kind, kind)
-    return LearnerSpec(
-        kind=kind,
-        hidden_width=_resolve(args, file_cfg, "hidden-width", 64),
-        hidden_layers=_resolve(args, file_cfg, "hidden-layers", 1),
-        learning_rate=_resolve(args, file_cfg, "learning-rate", 0.05),
-        epochs=_resolve(args, file_cfg, "epochs", 500),
-        ridge=_resolve(args, file_cfg, "ridge", 0.0),
-        metric=_resolve(args, file_cfg, "metric",
-                        "negative-mse" if kind == "closed-form-linear"
-                        else "negative-cross-entropy"),
-    )
+def _learner_spec(args) -> LearnerSpec:
+    aliases = {"linear": "closed-form-linear", "mlp": "shared-encoder-mlp"}
+    kind = aliases.get(args.learner, args.learner)
+    metric = "negative-mse" if kind == "closed-form-linear" else "negative-cross-entropy"
+    return LearnerSpec(kind=kind, hidden_width=args.hidden_width,
+                       hidden_layers=args.hidden_layers, learning_rate=args.learning_rate,
+                       epochs=args.epochs, ridge=args.ridge,
+                       metric=metric if args.metric is None else args.metric)
+
+
+def _one_group(num_tasks) -> grp_mod.TaskGrouping:
+    """The grouping that puts every task in one group."""
+    return grp_mod.TaskGrouping(groups=[list(range(num_tasks))],
+                                assignments=np.zeros(2 * num_tasks, dtype=np.int64), budget=1)
 
 
 def cmd_generate(args) -> int:
-    file_cfg = _load_config_file(args.config)
     cfg = pl_mod.PlantedConfig(
-        num_tasks=_resolve(args, file_cfg, "tasks", 20),
-        num_groups=_resolve(args, file_cfg, "groups", 4),
-        feature_dim=_resolve(args, file_cfg, "dim", 10),
-        num_nodes=_resolve(args, file_cfg, "nodes", 600),
-        observed=_resolve(args, file_cfg, "observed", 500),
-        within_sep=_resolve(args, file_cfg, "within-sep", 0.5),
-        between_sep=_resolve(args, file_cfg, "between-sep", 6.0),
-        label_bound=_resolve(args, file_cfg, "label-bound", 2.0),
-        noise_std=_resolve(args, file_cfg, "noise-std", 0.2),
-        seed=args.seed,
-    )
+        num_tasks=args.tasks, num_groups=args.groups, feature_dim=args.dim, num_nodes=args.nodes,
+        observed=args.observed, within_sep=args.within_sep, between_sep=args.between_sep,
+        label_bound=args.label_bound, noise_std=args.noise_std, seed=args.seed)
     inst = pl_mod.generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     pl_mod.save_instance(inst, args.out)
@@ -181,36 +189,28 @@ def cmd_generate(args) -> int:
 
 
 def cmd_split(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    edges = _require(_resolve(args, file_cfg, "edges", None))
-    communities_path = _require(_resolve(args, file_cfg, "communities", None))
-    features_path = _resolve(args, file_cfg, "features", None)
-    if features_path:
-        _require(features_path)
+    edges, communities_path = _require(args.edges), _require(args.communities)
+    if args.features:
+        _require(args.features)
     # Later commands diffuse with these; reject bad values before any artifact.
-    op = DiffusionOperator(kind=_resolve(args, file_cfg, "op", "row-normalized"),
-                           num_hops=_resolve(args, file_cfg, "hops", 2))
+    op = DiffusionOperator(kind=args.op, num_hops=args.hops)
     os.makedirs(args.out, exist_ok=True)
     g = load_edge_list(edges, idmap_path=os.path.join(args.out, "idmap.json"))
-    comms = load_communities(communities_path, g, _resolve(args, file_cfg, "top-k", 100))
-    policy = SplitPolicy(
-        train_pos_frac=_resolve(args, file_cfg, "train-pos-frac", 0.1),
-        train_neg_frac=_resolve(args, file_cfg, "train-neg-frac", 0.1),
-        val_frac=_resolve(args, file_cfg, "val-frac", 0.2),
-        seed=args.seed,
-    )
+    comms = load_communities(communities_path, g, args.top_k)
+    policy = SplitPolicy(train_pos_frac=args.train_pos_frac, train_neg_frac=args.train_neg_frac,
+                         val_frac=args.val_frac, seed=args.seed)
     tasks = make_splits(comms, g, policy)
     save_task_set(tasks, os.path.join(args.out, "taskset.json"))
     meta = {
         "kind": "community",
         "edges": os.path.abspath(edges),
-        "features": os.path.abspath(features_path) if features_path else None,
+        "features": os.path.abspath(args.features) if args.features else None,
         "op": op.kind,
         "hops": op.num_hops,
         "num_tasks": tasks.num_tasks,
     }
     _write_json(os.path.join(args.out, "meta.json"), meta)
-    config = dict(asdict(policy), top_k=_resolve(args, file_cfg, "top-k", 100))
+    config = dict(asdict(policy), top_k=args.top_k)
     artifacts = [os.path.join(args.out, f)
                  for f in ("taskset.json", "meta.json", "idmap.json")]
     _write_manifest(args.out, "split", config, [edges, communities_path], artifacts)
@@ -224,49 +224,53 @@ def _log_paths(out_dir):
             os.path.join(out_dir, "fingerprint.json"))
 
 
-def _affinity_fingerprint(dataset, plan, spec, holdout):
-    """What an affinity log depends on, as it round-trips through JSON.
+def _affinity_fingerprint(dataset, spec, holdout, plan=None):
+    """What an affinity log depends on, as it round-trips through JSON: the
+    learner, the holdout fraction, the dataset and, given one, the plan.
 
     The dataset enters by the bytes of its meta.json and taskset.json, not
     by its path, so a moved dataset still resumes.
     """
     files = [os.path.join(dataset, n) for n in ("meta.json", "taskset.json")]
-    return json.loads(json.dumps({
-        "plan": asdict(plan), "learner": asdict(spec), "holdout_frac": holdout,
+    fingerprint = {
+        "learner": asdict(spec), "holdout_frac": holdout,
         "dataset": {os.path.basename(p): _sha256(p) for p in files if os.path.exists(p)},
-    }))
+    }
+    if plan is not None:
+        fingerprint["plan"] = asdict(plan)
+    return json.loads(json.dumps(fingerprint))
+
+
+def _check_fingerprint(aff_dir, fingerprint, advice) -> None:
+    """Refuse the affinity log in ``aff_dir`` unless its fingerprint.json
+    agrees with ``fingerprint`` on every key of it (a log without one
+    differs on every key)."""
+    stored, fp_path = {}, _log_paths(aff_dir)[3]
+    if os.path.exists(fp_path):
+        with open(fp_path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+    differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
+    if differs:
+        raise TaskAffError(f"{aff_dir} holds an affinity log whose {', '.join(differs)} "
+                           f"differ from this run; {advice}")
 
 
 def cmd_affinity(args) -> int:
-    file_cfg = _load_config_file(args.config)
     dataset = _require(args.dataset)
-    holdout = _resolve(args, file_cfg, "holdout-frac", 0.25)
-    tasks, features, meta, _ = _load_dataset(dataset, holdout)
-    spec = _learner_spec(args, file_cfg)
+    tasks, features = _load_dataset(dataset, args.holdout_frac)
+    spec = _learner_spec(args)
     t = tasks.num_tasks
+    coverage = args.min_pair_coverage
     plan = aff_mod.SamplingPlan(
-        num_tasks=t,
-        subset_size=_resolve(args, file_cfg, "alpha", 10),
-        num_subsets=_resolve(args, file_cfg, "num-subsets", 2000),
-        seed=args.seed,
-        min_pair_coverage=_resolve(args, file_cfg, "min-pair-coverage",
-                                   1 if t <= 200 else 0),
+        num_tasks=t, subset_size=args.alpha, num_subsets=args.num_subsets, seed=args.seed,
+        min_pair_coverage=(1 if t <= 200 else 0) if coverage is None else coverage,
     )
     os.makedirs(args.out, exist_ok=True)
     csv_path, subsets_path, idx_path, fp_path = _log_paths(args.out)
-    fingerprint = _affinity_fingerprint(dataset, plan, spec, holdout)
+    fingerprint = _affinity_fingerprint(dataset, spec, args.holdout_frac, plan)
 
     if os.path.exists(subsets_path):
-        stored = {}
-        if os.path.exists(fp_path):
-            with open(fp_path, "r", encoding="utf-8") as fh:
-                stored = json.load(fh)
-        differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
-        if differs:
-            raise TaskAffError(
-                f"{args.out} holds an affinity log whose {', '.join(differs)} "
-                "differ from this run; remove it or choose another --out"
-            )
+        _check_fingerprint(args.out, fingerprint, "remove it or choose another --out")
         with open(subsets_path, "r", encoding="utf-8") as fh:
             subsets = [tuple(s) for s in json.load(fh)]
         if (len(subsets) < plan.num_subsets
@@ -284,18 +288,19 @@ def cmd_affinity(args) -> int:
     if os.path.exists(idx_path):
         with open(idx_path, "r", encoding="utf-8") as fh:
             done = sorted({int(line) for line in fh if line.strip()})
-    # Keep only committed rows, so appended batches extend a clean log.
+    pending = sorted(set(range(len(subsets))) - set(done))
     committed = aff_mod.load_eval_log(csv_path, subsets_path, done)
-    aff_mod.save_eval_log(committed, csv_path, indices=done)
-    with open(idx_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{k}\n" for k in done)
+    if pending:
+        # Keep only committed rows, so appended batches extend a clean log.
+        aff_mod.save_eval_log(committed, csv_path, indices=done)
+        with open(idx_path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k}\n" for k in done)
 
     def commit(indices, batch):
         aff_mod.save_eval_log(batch, csv_path, indices=indices, append=True)
         with open(idx_path, "a", encoding="utf-8") as fh:
             fh.writelines(f"{k}\n" for k in indices)
 
-    pending = sorted(set(range(len(subsets))) - set(done))
     try:
         evals = committed if not pending else aff_mod.collect_evaluations(
             None, tasks, [subsets[k] for k in pending], spec, args.seed, features=features,
@@ -327,7 +332,7 @@ def cmd_affinity(args) -> int:
         "dataset": os.path.abspath(dataset),
         "alpha": plan.subset_size, "num_subsets": plan.num_subsets,
         "seed": plan.seed, "min_pair_coverage": plan.min_pair_coverage,
-        "holdout_frac": holdout, "learner": asdict(spec),
+        "holdout_frac": args.holdout_frac, "learner": asdict(spec),
     }
     artifacts = [csv_path, subsets_path,
                  os.path.join(args.out, "theta.csv"),
@@ -348,37 +353,31 @@ def _load_affinity_dir(aff_dir):
 
 
 def cmd_cluster(args) -> int:
-    file_cfg = _load_config_file(args.config)
     aff = _load_affinity_dir(_require(args.affinity_dir))
-    budget = _resolve(args, file_cfg, "budget", 20)
     if aff.orientation == "loss":
         aff = aff_mod.AffinityMatrix(-aff.theta, aff.counts, "performance", aff.imputed)
     t = aff.num_tasks
-    if budget == 1:
-        grp = grp_mod.TaskGrouping(groups=[list(range(t))],
-                                   assignments=np.zeros(2 * t, dtype=np.int64),
-                                   budget=1)
+    if args.budget == 1:
+        grp = _one_group(t)
     else:
         cm = grp_mod.build_cluster_matrix(aff)
-        labels = grp_mod.spectral_cluster(cm, budget, seed=args.seed)
-        grp = grp_mod.derive_groups(labels, t, budget)
+        labels = grp_mod.spectral_cluster(cm, args.budget, seed=args.seed)
+        grp = grp_mod.derive_groups(labels, t, args.budget)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "grouping.json")
     grp_mod.save_grouping(grp, out_path)
     _write_manifest(args.out, "cluster",
-                    {"budget": budget, "seed": args.seed,
+                    {"budget": args.budget, "seed": args.seed,
                      "affinity_dir": os.path.abspath(args.affinity_dir)},
                     [os.path.join(args.affinity_dir, "theta.csv")], [out_path])
     return EX_OK
 
 
 def cmd_evaluate(args) -> int:
-    file_cfg = _load_config_file(args.config)
     dataset = _require(args.dataset)
-    holdout = _resolve(args, file_cfg, "holdout-frac", 0.25)
-    tasks, features, _, _ = _load_dataset(dataset, holdout)
+    tasks, features = _load_dataset(dataset, args.holdout_frac)
     grp = grp_mod.load_grouping(_require(os.path.join(args.grouping_dir, "grouping.json")))
-    spec = _learner_spec(args, file_cfg)
+    spec = _learner_spec(args)
     models = grp_mod.train_groups(None, tasks, grp, spec, args.seed, features=features)
     per_task, objective = grp_mod.evaluate_grouping(models, tasks, spec.metric)
     report = {
@@ -387,11 +386,8 @@ def cmd_evaluate(args) -> int:
         "per_task_scores": per_task,
     }
     if args.with_baseline:
-        naive = grp_mod.TaskGrouping(groups=[list(range(tasks.num_tasks))],
-                                     assignments=np.zeros(2 * tasks.num_tasks, dtype=np.int64),
-                                     budget=1)
-        naive_models = grp_mod.train_groups(None, tasks, naive, spec, args.seed,
-                                            features=features)
+        naive_models = grp_mod.train_groups(None, tasks, _one_group(tasks.num_tasks), spec,
+                                            args.seed, features=features)
         _, naive_obj = grp_mod.evaluate_grouping(naive_models, tasks, spec.metric)
         report["baseline_objective"] = naive_obj
     os.makedirs(args.out, exist_ok=True)
@@ -399,50 +395,42 @@ def cmd_evaluate(args) -> int:
     _write_json(out_path, report)
     _write_manifest(args.out, "evaluate",
                     {"dataset": os.path.abspath(dataset), "seed": args.seed,
-                     "holdout_frac": holdout, "learner": asdict(spec),
+                     "holdout_frac": args.holdout_frac, "learner": asdict(spec),
                      "with_baseline": bool(args.with_baseline)},
                     [os.path.join(args.grouping_dir, "grouping.json")], [out_path])
     return EX_OK
 
 
 def cmd_predict_nt(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    dataset = _require(args.dataset)
-    holdout = _resolve(args, file_cfg, "holdout-frac", 0.25)
-    tasks, features, _, _ = _load_dataset(dataset, holdout)
-    spec = _learner_spec(args, file_cfg)
-    aff_dir = _require(args.affinity_dir)
+    dataset, aff_dir = _require(args.dataset), _require(args.affinity_dir)
+    tasks, features = _load_dataset(dataset, args.holdout_frac)
+    spec = _learner_spec(args)
     aff = _load_affinity_dir(aff_dir)
     evals = aff_mod.load_eval_log(
         _require(os.path.join(aff_dir, "evals.csv")),
         _require(os.path.join(aff_dir, "subsets.json")),
     )
+    # The single-task references f_i({i}) trained here are compared with the
+    # log's f_i(S), so both must come from one learner and one dataset.
+    _check_fingerprint(aff_dir, _affinity_fingerprint(dataset, spec, args.holdout_frac),
+                       "pass the learner, --holdout-frac and --dataset of that run")
     t = tasks.num_tasks
-    singles = [(i,) for i in range(t)]
-    stl_evals = aff_mod.collect_evaluations(None, tasks, singles, spec,
+    stl_evals = aff_mod.collect_evaluations(None, tasks, [(i,) for i in range(t)], spec,
                                             base_seed=args.seed ^ STL_SEED_SALT,
                                             features=features)
     stl = dict(enumerate(stl_evals.scores[:, 0].tolist()))
     train_subsets = set(map(tuple, evals.subsets.tolist()))
-    alpha = evals.subsets.shape[1]
-    held_plan = aff_mod.SamplingPlan(
-        num_tasks=t, subset_size=alpha,
-        num_subsets=_resolve(args, file_cfg, "heldout-subsets", 250),
-        seed=args.seed + HELDOUT_SEED_SALT,
-    )
+    held_plan = aff_mod.SamplingPlan(num_tasks=t, subset_size=evals.subsets.shape[1],
+                                     num_subsets=args.heldout_subsets,
+                                     seed=args.seed + HELDOUT_SEED_SALT)
     held = [s for s in aff_mod.sample_subsets(held_plan) if s not in train_subsets]
     held_evals = aff_mod.collect_evaluations(None, tasks, held, spec,
                                              base_seed=args.seed ^ HELDOUT_SEED_SALT,
                                              features=features)
     train_ex = tr_mod.build_examples(evals, stl, aff)
     held_ex = tr_mod.build_examples(held_evals, stl, aff)
-    models = tr_mod.fit_all(
-        train_ex,
-        l2=_resolve(args, file_cfg, "l2", tr_mod.DEFAULT_L2),
-        epochs=_resolve(args, file_cfg, "logistic-epochs", 1500),
-        lr=_resolve(args, file_cfg, "logistic-lr", 0.5),
-        seed=args.seed,
-    )
+    models = tr_mod.fit_all(train_ex, l2=args.l2, epochs=args.logistic_epochs,
+                            lr=args.logistic_lr, seed=args.seed)
     macro, detail = tr_mod.evaluate_f1(models, held_ex)
     os.makedirs(args.out, exist_ok=True)
     report = {
@@ -458,26 +446,21 @@ def cmd_predict_nt(args) -> int:
     tr_mod.save_examples(held_ex, ex_path, models=models)
     _write_manifest(args.out, "predict-nt",
                     {"dataset": os.path.abspath(dataset), "seed": args.seed,
-                     "holdout_frac": holdout, "heldout_subsets": held_plan.num_subsets},
+                     "holdout_frac": args.holdout_frac,
+                     "heldout_subsets": held_plan.num_subsets},
                     [os.path.join(aff_dir, "evals.csv")], [out_path, ex_path])
     return EX_OK
 
 
 def cmd_verify_theory(args) -> int:
-    file_cfg = _load_config_file(args.config)
     dataset = _require(args.dataset)
-    meta_path = _require(os.path.join(dataset, "meta.json"))
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "planted":
-        raise TaskAffError("verify-theory needs a planted dataset directory")
+    _read_meta(dataset, "planted")
     inst = pl_mod.load_instance(dataset)
-    alpha = _resolve(args, file_cfg, "alpha", 5)
+    alpha, n = args.alpha, args.num_subsets
     if args.exhaustive:
         theta = pl_mod.population_theta(inst, alpha)
         mode = {"exhaustive": True, "alpha": alpha}
     else:
-        n = _resolve(args, file_cfg, "num-subsets", 400)
         plan = aff_mod.SamplingPlan(num_tasks=inst.config.num_tasks,
                                     subset_size=alpha, num_subsets=n,
                                     seed=args.seed, min_pair_coverage=1)
@@ -500,27 +483,20 @@ def cmd_verify_theory(args) -> int:
         for i, v in enumerate(report.per_row_gaps):
             writer.writerow([i, "" if math.isnan(v) else repr(float(v))])
     _write_manifest(args.out, "verify-theory", payload["config"],
-                    [meta_path], [out_path, gap_csv])
+                    [os.path.join(dataset, "meta.json")], [out_path, gap_csv])
     return EX_OK if report.passed else EX_DOMAIN
 
 
 def cmd_ppr_sim(args) -> int:
-    file_cfg = _load_config_file(args.config)
     dataset = _require(args.dataset)
-    meta_path = _require(os.path.join(dataset, "meta.json"))
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "community":
-        raise TaskAffError("ppr-sim needs a community dataset (a graph to walk on)")
-    g, tasks = _load_graph_and_tasks(dataset, meta)
+    g, tasks = _load_graph_and_tasks(dataset, _read_meta(dataset, "community"))
     grp = grp_mod.load_grouping(_require(os.path.join(args.grouping_dir, "grouping.json")))
-    teleport = _resolve(args, file_cfg, "teleport", 0.15)
-    within, between = ppr_group_similarity(g, tasks, grp, teleport=teleport)
+    within, between = ppr_group_similarity(g, tasks, grp, teleport=args.teleport)
     os.makedirs(args.out, exist_ok=True)
-    report = {"within_mean": within, "between_mean": between, "teleport": teleport}
+    report = {"within_mean": within, "between_mean": between, "teleport": args.teleport}
     out_path = os.path.join(args.out, "ppr_similarity.json")
     _write_json(out_path, report)
-    _write_manifest(args.out, "ppr-sim", {"teleport": teleport,
+    _write_manifest(args.out, "ppr-sim", {"teleport": args.teleport,
                                           "dataset": os.path.abspath(dataset)},
                     [os.path.join(args.grouping_dir, "grouping.json")], [out_path])
     return EX_OK
@@ -529,115 +505,99 @@ def cmd_ppr_sim(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="taskaff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="global seed")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", default=None, help="JSON config file; flags override")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="global seed")
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--config", help="JSON object of defaults keyed by flag name; flags win")
 
-    p = sub.add_parser("generate", help="generate a planted instance")
-    common(p)
-    p.add_argument("--tasks", type=int)
-    p.add_argument("--groups", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--observed", type=int)
-    p.add_argument("--within-sep", type=float)
-    p.add_argument("--between-sep", type=float)
-    p.add_argument("--label-bound", type=float)
-    p.add_argument("--noise-std", type=float)
-    p.set_defaults(func=cmd_generate)
+    learner = argparse.ArgumentParser(add_help=False)
+    learner.add_argument("--holdout-frac", type=float, default=0.25,
+                         help="planted data: share of the observed rows held out for scoring")
+    learner.add_argument("--learner", default="closed-form-linear",
+                         help="closed-form-linear (alias linear) or shared-encoder-mlp (mlp)")
+    learner.add_argument("--metric", help="default: negative-mse if linear, else "
+                                          "negative-cross-entropy")
+    learner.add_argument("--hidden-width", type=int, default=64, help="MLP hidden units")
+    learner.add_argument("--hidden-layers", type=int, default=1, help="MLP hidden layers")
+    learner.add_argument("--learning-rate", type=float, default=0.05, help="MLP step size")
+    learner.add_argument("--epochs", type=int, default=500, help="MLP training epochs")
+    learner.add_argument("--ridge", type=float, default=0.0, help="linear ridge penalty")
 
-    p = sub.add_parser("split", help="ingest a community dataset and build splits")
-    common(p)
-    p.add_argument("--edges")
-    p.add_argument("--communities")
-    p.add_argument("--features")
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--train-pos-frac", type=float)
-    p.add_argument("--train-neg-frac", type=float)
-    p.add_argument("--val-frac", type=float)
-    p.add_argument("--op")
-    p.add_argument("--hops", type=int)
-    p.set_defaults(func=cmd_split)
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[common, *parents], formatter_class=_Help)
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("affinity", help="sample subsets, train, estimate theta")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--num-subsets", type=int)
-    p.add_argument("--min-pair-coverage", type=int)
-    p.add_argument("--holdout-frac", type=float)
-    p.add_argument("--learner")
-    p.add_argument("--metric")
-    p.add_argument("--hidden-width", type=int)
-    p.add_argument("--hidden-layers", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--ridge", type=float)
-    p.set_defaults(func=cmd_affinity)
+    p = command("generate", cmd_generate, "generate a planted instance")
+    p.add_argument("--tasks", type=int, default=20, help="number of tasks T")
+    p.add_argument("--groups", type=int, default=4, help="number of planted groups")
+    p.add_argument("--dim", type=int, default=10, help="feature dimension")
+    p.add_argument("--nodes", type=int, default=600, help="number of nodes")
+    p.add_argument("--observed", type=int, default=500, help="nodes with observed labels")
+    p.add_argument("--within-sep", type=float, default=0.5, help="within-group separation")
+    p.add_argument("--between-sep", type=float, default=6.0, help="between-group separation")
+    p.add_argument("--label-bound", type=float, default=2.0, help="bound on a label's size")
+    p.add_argument("--noise-std", type=float, default=0.2, help="label noise deviation")
 
-    p = sub.add_parser("cluster", help="spectral clustering of theta into groups")
-    common(p)
-    p.add_argument("--affinity-dir", required=True)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(func=cmd_cluster)
+    p = command("split", cmd_split, "ingest a community dataset and build splits")
+    p.add_argument("--edges", help="edge list; required here or in --config")
+    p.add_argument("--communities", help="community file; required here or in --config")
+    p.add_argument("--features", help="node-feature CSV; default: degree and a constant")
+    p.add_argument("--top-k", type=int, default=100, help="largest communities kept as tasks")
+    p.add_argument("--train-pos-frac", type=float, default=0.1, help="share of the community")
+    p.add_argument("--train-neg-frac", type=float, default=0.1, help="share of the community")
+    p.add_argument("--val-frac", type=float, default=0.2, help="share of the other nodes")
+    p.add_argument("--op", default="row-normalized",
+                   help="feature diffusion: row-normalized, symmetric-normalized or ppr")
+    p.add_argument("--hops", type=int, default=2, help="feature diffusion hops")
 
-    p = sub.add_parser("evaluate", help="train per-group models and report the objective")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--grouping-dir", required=True)
-    p.add_argument("--holdout-frac", type=float)
-    p.add_argument("--with-baseline", action="store_true")
-    p.add_argument("--learner")
-    p.add_argument("--metric")
-    p.add_argument("--hidden-width", type=int)
-    p.add_argument("--hidden-layers", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--ridge", type=float)
-    p.set_defaults(func=cmd_evaluate)
+    p = command("affinity", cmd_affinity, "sample subsets, train, estimate theta", learner)
+    p.add_argument("--dataset", required=True, help="dataset directory")
+    p.add_argument("--alpha", type=int, default=10, help="subset size")
+    p.add_argument("--num-subsets", type=int, default=2000, help="subsets to sample")
+    p.add_argument("--min-pair-coverage", type=int, help="default: 1 if T <= 200, else 0")
 
-    p = sub.add_parser("predict-nt", help="fit and score negative-transfer predictors")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--affinity-dir", required=True)
-    p.add_argument("--heldout-subsets", type=int)
-    p.add_argument("--holdout-frac", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--logistic-epochs", type=int)
-    p.add_argument("--logistic-lr", type=float)
-    p.add_argument("--learner")
-    p.add_argument("--metric")
-    p.set_defaults(func=cmd_predict_nt)
+    p = command("cluster", cmd_cluster, "spectral clustering of theta into groups")
+    p.add_argument("--affinity-dir", required=True, help="output of affinity")
+    p.add_argument("--budget", type=int, default=20, help="number of task groups")
 
-    p = sub.add_parser("verify-theory",
-                       help="closed-form block-structure check; exits 2 when "
-                            "the gap check fails")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--num-subsets", type=int)
-    p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(func=cmd_verify_theory)
+    p = command("evaluate", cmd_evaluate, "train per-group models, report the objective",
+                learner)
+    p.add_argument("--dataset", required=True, help="dataset directory")
+    p.add_argument("--grouping-dir", required=True, help="output of cluster")
+    p.add_argument("--with-baseline", action="store_true", help="also score one group")
 
-    p = sub.add_parser("ppr-sim", help="within vs between group PPR cosine similarity")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--grouping-dir", required=True)
-    p.add_argument("--teleport", type=float)
-    p.set_defaults(func=cmd_ppr_sim)
+    p = command("predict-nt", cmd_predict_nt, "fit and score negative-transfer predictors",
+                learner)
+    p.add_argument("--dataset", required=True, help="dataset of the affinity run")
+    p.add_argument("--affinity-dir", required=True, help="output of affinity")
+    p.add_argument("--heldout-subsets", type=int, default=250, help="subsets to score on")
+    p.add_argument("--l2", type=float, default=tr_mod.DEFAULT_L2, help="logistic L2 penalty")
+    p.add_argument("--logistic-epochs", type=int, default=1500, help="logistic epochs")
+    p.add_argument("--logistic-lr", type=float, default=0.5, help="logistic step size")
+
+    p = command("verify-theory", cmd_verify_theory,
+                "closed-form block-structure check; exits 2 when the gap check fails")
+    p.add_argument("--dataset", required=True, help="planted dataset directory")
+    p.add_argument("--alpha", type=int, default=5, help="subset size")
+    p.add_argument("--num-subsets", type=int, default=400, help="subsets to sample")
+    p.add_argument("--exhaustive", action="store_true", help="average over every subset")
+
+    p = command("ppr-sim", cmd_ppr_sim, "within vs between group PPR cosine similarity")
+    p.add_argument("--dataset", required=True, help="community dataset directory")
+    p.add_argument("--grouping-dir", required=True, help="output of cluster")
+    p.add_argument("--teleport", type=float, default=0.15, help="PPR teleport probability")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EX_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # raised by argparse for usage errors and --help
+        return int(exc.code) if exc.code is not None else EX_USAGE
     except MissingInputError as exc:
         print(f"taskaff: {exc}", file=sys.stderr)
         return EX_NOINPUT

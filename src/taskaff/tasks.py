@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShortfallError
+from .errors import InvalidInputError, ParseError, ShortfallError
 from .graphs import Graph
 
 log = logging.getLogger(__name__)
@@ -79,24 +79,23 @@ def load_communities(path, g: Graph, top_k: int):
 
     One community per line, whitespace-separated member ids. Ids are
     remapped through the graph's id map; members absent from the graph are
-    dropped (a warning reports how many). Raises ShortfallError when fewer
-    than top_k communities remain.
+    dropped (a warning reports how many). Raises ParseError on a non-integer
+    id and ShortfallError when fewer than top_k communities remain.
     """
     id_map = g.id_map()
     communities = []
     dropped = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            members = []
-            for tok in line.split():
-                internal = id_map.get(int(tok))
-                if internal is None:
-                    dropped += 1
-                else:
-                    members.append(internal)
+            try:
+                found = [id_map.get(int(tok)) for tok in line.split()]
+            except ValueError:
+                raise ParseError(f"non-integer member id in {line!r}", lineno) from None
+            members = [m for m in found if m is not None]
+            dropped += len(found) - len(members)
             if members:
                 communities.append(np.array(sorted(set(members)), dtype=np.int64))
     if dropped:

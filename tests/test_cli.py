@@ -87,7 +87,7 @@ class TestAffinity:
         lines = (tmp_path / "aff1" / "evals.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + one subset's four member rows
 
-    def test_idempotent_rerun(self, pipeline):
+    def test_idempotent_rerun(self, pipeline, monkeypatch):
         root, inst_dir, aff_dir = pipeline
         import hashlib, os
 
@@ -98,7 +98,11 @@ class TestAffinity:
                     out[name] = hashlib.sha256(fh.read()).hexdigest()
             return out
 
+        def no_rewrite(*args, **kwargs):
+            raise AssertionError("a complete log is not rewritten")
+
         before = digest()
+        monkeypatch.setattr(cli.aff_mod, "save_eval_log", no_rewrite)
         assert run(["affinity", "--dataset", inst_dir, "--alpha", "4",
                     "--num-subsets", "120", "--learner", "linear",
                     "--metric", "negative-mse", "--seed", "2",
@@ -130,11 +134,9 @@ class TestAffinity:
                    open(os.path.join(aff_dir, name), "rb").read(), name
 
     def test_defaults_match_published_settings(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(["affinity", "--dataset", "x", "--out", "y"])
-        # defaults resolve to alpha=10, n=2000, budget default checked below
-        assert cli._resolve(args, {}, "alpha", 10) == 10
-        assert cli._resolve(args, {}, "num-subsets", 2000) == 2000
+        args = cli.build_parser().parse_args(["affinity", "--dataset", "x", "--out", "y"])
+        assert args.alpha == 10
+        assert args.num_subsets == 2000
 
     @pytest.mark.parametrize("change", ["seed", "learner", "dataset"])
     def test_rerun_with_different_plan_refused(self, tmp_path, pipeline, change):
@@ -171,9 +173,8 @@ class TestClusterEvaluate:
         assert grp["groups"] == [list(range(12))]
 
     def test_default_budget_is_twenty(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(["cluster", "--affinity-dir", "x", "--out", "y"])
-        assert cli._resolve(args, {}, "budget", 20) == 20
+        args = cli.build_parser().parse_args(["cluster", "--affinity-dir", "x", "--out", "y"])
+        assert args.budget == 20
 
     def test_missing_upstream_exit_66(self, tmp_path):
         assert run(["cluster", "--affinity-dir", str(tmp_path / "nope"),
@@ -278,6 +279,30 @@ class TestPredictNt:
         assert 0.0 <= rep["macro_f1"] <= 1.0
         assert rep["num_heldout_subsets"] <= 40
 
+    @pytest.mark.parametrize("change,key", [("ridge", "learner"),
+                                            ("holdout", "holdout_frac"),
+                                            ("dataset", "dataset")])
+    def test_affinity_dir_of_another_run_refused(self, tmp_path, pipeline, capsys,
+                                                 change, key):
+        # f_i(S) comes from the affinity log and f_i({i}) from predict-nt's own
+        # learner and dataset; mixing two runs compares unlike scores
+        _, inst_dir, aff_dir = pipeline
+        dataset, extra = inst_dir, []
+        if change == "ridge":
+            extra = ["--ridge", "50"]
+        elif change == "holdout":
+            extra = ["--holdout-frac", "0.3"]
+        else:
+            dataset = str(tmp_path / "other")
+            assert run(GEN + ["--seed", "9", "--out", dataset]) == 0
+        capsys.readouterr()
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", dataset, "--affinity-dir", aff_dir,
+                    "--heldout-subsets", "40", "--seed", "6", "--out", str(out)] + extra) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and key in err[0]
+
 
 @pytest.fixture(scope="module")
 def community_dataset(tmp_path_factory):
@@ -309,6 +334,16 @@ class TestSplitAndPprSim:
         assert meta["num_tasks"] == 4
         tset = read_json(out + "/taskset.json")
         assert len(tset["tasks"]) == 4
+
+    def test_split_malformed_community_line_exit_2(self, tmp_path, community_dataset, capsys):
+        _, edges, cmty = community_dataset
+        bad = tmp_path / "cmty.txt"
+        bad.write_text(open(cmty).read() + "4 x 6\n")
+        capsys.readouterr()
+        assert run(["split", "--edges", edges, "--communities", str(bad), "--top-k", "4",
+                    "--seed", "1", "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["taskaff: line 5: non-integer member id in '4 x 6'"]
 
     def test_split_missing_edges_exit_66(self, tmp_path, community_dataset):
         _, _, cmty = community_dataset
@@ -415,3 +450,50 @@ class TestConfigFile:
         subsets = read_json(out + "/subsets.json")
         assert len(subsets) == 15      # flag wins
         assert len(subsets[0]) == 3    # file value used where no flag given
+
+    @pytest.mark.parametrize("argv,key,dest,file_value,flag", [
+        (["cluster", "--affinity-dir", "x"], "budget", "budget", 7, "3"),
+        (["affinity", "--dataset", "x"], "ridge", "ridge", 0.5, "0.25"),
+        (["cluster", "--affinity-dir", "x"], "seed", "seed", 7, "3"),
+        (["evaluate", "--dataset", "x", "--grouping-dir", "y"], "with-baseline",
+         "with_baseline", True, None),
+    ])
+    def test_file_beats_default_and_flag_beats_file(self, tmp_path, argv, key, dest,
+                                                     file_value, flag):
+        # seed and with-baseline were ignored in a config file before the
+        # file became the parser's defaults; every flag name is now a key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: file_value}))
+        parser = cli.build_parser()
+        default = getattr(parser.parse_args(argv + ["--out", "o"]), dest)
+        assert default != file_value
+        argv = argv + ["--out", "o", "--config", str(cfg_path)]
+        assert getattr(cli.build_parser().parse_args(argv), dest) == file_value
+        if flag is not None:
+            flagged = cli.build_parser().parse_args(argv + ["--" + key, flag])
+            assert getattr(flagged, dest) == type(file_value)(flag)
+
+    def test_key_of_another_command_ignored(self, tmp_path, pipeline):
+        _, _, aff_dir = pipeline
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"budget": 3, "alpha": 99, "teleport": 0.5}))
+        out = tmp_path / "c"
+        assert run(["cluster", "--affinity-dir", aff_dir, "--config", str(cfg_path),
+                    "--out", str(out)]) == 0
+        assert read_json(str(out / "manifest.json"))["config"]["budget"] == 3
+        args = cli.build_parser().parse_args(["cluster", "--affinity-dir", aff_dir,
+                                              "--config", str(cfg_path), "--out", "o"])
+        assert not hasattr(args, "alpha") and not hasattr(args, "teleport")
+
+    @pytest.mark.parametrize("content", ['{"budget": 3,,}', "[1, 2]"])
+    def test_malformed_config_exit_2(self, tmp_path, pipeline, capsys, content):
+        _, _, aff_dir = pipeline
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert run(["cluster", "--affinity-dir", aff_dir, "--config", str(cfg_path),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and str(cfg_path) in err[0]
