@@ -71,10 +71,26 @@ class _Parser(argparse.ArgumentParser):
             return parsed
         command = self.commands[parsed.command]
         flags = command._option_string_actions
-        command.set_defaults(**{flags["--" + key].dest: value
-                                for key, value in _read_config(parsed.config).items()
+        command.set_defaults(**{flags["--" + key].dest:
+                                _config_value(flags["--" + key], key, value, parsed.config)
+                                for key, value in _read_json_object(parsed.config).items()
                                 if "--" + key in flags})
         return super().parse_args(args, namespace)
+
+
+def _config_value(action, key, value, path):
+    """A --config value as its flag would parse it on the command line: a
+    switch takes a JSON boolean, any other flag the text of a JSON string or
+    number, passed through the flag's type."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return str(value) if action.type is None else action.type(str(value))
+        except ValueError:
+            pass
+    raise ParseError(f"{path}: invalid value {json.dumps(value)} for {key}")
 
 
 class _Help(argparse.ArgumentDefaultsHelpFormatter):
@@ -112,8 +128,8 @@ def _require(path):
     return path
 
 
-def _read_config(path):
-    """The JSON object held by a --config file."""
+def _read_json_object(path):
+    """The JSON object held by a file (a --config file or a meta.json)."""
     with open(_require(path), "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -125,12 +141,25 @@ def _read_config(path):
 
 
 def _read_meta(dataset_dir, kind=None):
-    """The meta.json of a dataset directory; refused unless of ``kind``, if given."""
-    with open(_require(os.path.join(dataset_dir, "meta.json")), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if kind is not None and meta.get("kind") != kind:
+    """The meta.json of a dataset directory; refused unless its kind is
+    planted or community, and ``kind``, if given."""
+    path = os.path.join(dataset_dir, "meta.json")
+    meta = _read_json_object(path)
+    if meta.get("kind") not in ("planted", "community"):
+        raise ParseError(f"{path}: kind must be planted or community, "
+                         f"not {json.dumps(meta.get('kind'))}")
+    if kind is not None and meta["kind"] != kind:
         raise TaskAffError(f"this command needs a {kind} dataset, not {dataset_dir}")
     return meta
+
+
+def _num_tasks(dataset_dir, meta) -> int:
+    """T of a dataset, as its meta.json records it."""
+    recorded = meta.get("config") if meta["kind"] == "planted" else meta
+    t = recorded.get("num_tasks") if isinstance(recorded, dict) else None
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise ParseError(f"{os.path.join(dataset_dir, 'meta.json')} records no task count")
+    return t
 
 
 def _load_graph_and_tasks(dataset_dir, meta):
@@ -183,7 +212,7 @@ def cmd_generate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     pl_mod.save_instance(inst, args.out)
     artifacts = [os.path.join(args.out, f)
-                 for f in ("features.csv", "pg.csv", "labels.csv", "meta.json")]
+                 for f in ("features.csv", "pg_coo.csv", "labels.csv", "meta.json")]
     _write_manifest(args.out, "generate", asdict(cfg), [], artifacts)
     return EX_OK
 
@@ -257,19 +286,20 @@ def _check_fingerprint(aff_dir, fingerprint, advice) -> None:
 
 def cmd_affinity(args) -> int:
     dataset = _require(args.dataset)
-    tasks, features = _load_dataset(dataset, args.holdout_frac)
+    t = _num_tasks(dataset, _read_meta(dataset))
     spec = _learner_spec(args)
-    t = tasks.num_tasks
     coverage = args.min_pair_coverage
     plan = aff_mod.SamplingPlan(
         num_tasks=t, subset_size=args.alpha, num_subsets=args.num_subsets, seed=args.seed,
         min_pair_coverage=(1 if t <= 200 else 0) if coverage is None else coverage,
     )
-    os.makedirs(args.out, exist_ok=True)
     csv_path, subsets_path, idx_path, fp_path = _log_paths(args.out)
     fingerprint = _affinity_fingerprint(dataset, spec, args.holdout_frac, plan)
 
-    if os.path.exists(subsets_path):
+    fresh = not os.path.exists(subsets_path)
+    if fresh:
+        subsets = aff_mod.sample_subsets(plan)
+    else:
         _check_fingerprint(args.out, fingerprint, "remove it or choose another --out")
         with open(subsets_path, "r", encoding="utf-8") as fh:
             subsets = [tuple(s) for s in json.load(fh)]
@@ -279,16 +309,21 @@ def cmd_affinity(args) -> int:
                 f"{subsets_path} does not match the requested plan; "
                 "remove the output directory to start fresh"
             )
-    else:
-        subsets = aff_mod.sample_subsets(plan)
-        _write_json(fp_path, fingerprint)
-        with open(subsets_path, "w", encoding="utf-8") as fh:
-            json.dump([list(s) for s in subsets], fh)
     done = []
     if os.path.exists(idx_path):
         with open(idx_path, "r", encoding="utf-8") as fh:
             done = sorted({int(line) for line in fh if line.strip()})
     pending = sorted(set(range(len(subsets))) - set(done))
+    if pending:  # a complete log is rescored without reading the dataset
+        tasks, features = _load_dataset(dataset, args.holdout_frac)
+        if tasks.num_tasks != t:
+            raise TaskAffError(f"{dataset} holds {tasks.num_tasks} tasks, "
+                               f"but its meta.json records {t}")
+    if fresh:
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(fp_path, fingerprint)
+        with open(subsets_path, "w", encoding="utf-8") as fh:
+            json.dump([list(s) for s in subsets], fh)
     committed = aff_mod.load_eval_log(csv_path, subsets_path, done)
     if pending:
         # Keep only committed rows, so appended batches extend a clean log.

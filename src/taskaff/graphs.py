@@ -8,8 +8,10 @@ imported where matrices are built, so graph-free commands skip its import.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,75 +108,110 @@ class Graph:
 
 
 def build_graph(edges, num_nodes=None, features=None, orig_ids=None) -> Graph:
-    """Construct a Graph from an iterable of (u, v) pairs with internal ids.
+    """Construct a Graph from (u, v) pairs with internal ids: an iterable of
+    pairs or an (E, 2) integer array.
 
     Duplicate edges and self-loops are dropped. When ``num_nodes`` is None it
     is inferred as max id + 1.
     """
     from scipy import sparse
-    seen = set()
-    max_id = -1
-    for u, v in edges:
-        max_id = max(max_id, u, v)
-        if u == v:
-            continue
-        seen.add((u, v) if u < v else (v, u))
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64).reshape(-1, 2)
     if num_nodes is None:
-        num_nodes = max_id + 1
+        num_nodes = int(pairs.max()) + 1 if pairs.size else 0
     if num_nodes <= 0:
         raise InvalidInputError("graph has no nodes")
-    if seen:
-        arr = np.array(sorted(seen), dtype=np.int64)
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        data = np.ones(rows.shape[0])
-        adj = sparse.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
-    else:
-        adj = sparse.csr_matrix((num_nodes, num_nodes))
+    pairs = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
+    if pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 1].max() >= num_nodes):
+        raise InvalidInputError(f"edge node id outside 0..{num_nodes - 1}")
+    # Sorted unique keys lo * N + hi are the distinct edges in (lo, hi) order.
+    keys = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
+    lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_nodes)
+    adj = sparse.csr_matrix((np.ones(2 * lo.size), (np.concatenate([lo, hi]),
+                                                    np.concatenate([hi, lo]))),
+                            shape=(num_nodes, num_nodes))
     if features is None:
         features = np.zeros((num_nodes, 0))
     return Graph(num_nodes, adj, np.asarray(features, dtype=float), orig_ids)
 
 
+def _has_inline_comment(text) -> bool:
+    """Whether a line holds a '#' after a field: np.loadtxt would cut such a
+    comment off, but an edge list takes whole-line comments only."""
+    at = text.find("#")
+    while at >= 0:
+        if text[text.rfind("\n", 0, at) + 1:at].strip():
+            return True
+        end = text.find("\n", at)  # the rest of a comment line is comment
+        at = -1 if end < 0 else text.find("#", end)
+    return False
+
+
+def _scan_id_pairs(text) -> np.ndarray:
+    """The line-by-line parse: raises the ParseError of the first bad line.
+
+    It runs only when the array parse refuses the text or cannot be trusted
+    with it; it also takes the ids that int() reads and numpy does not
+    (``1_000``, non-ASCII digits).
+    """
+    pairs = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected two node ids, got {line!r}", lineno)
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"non-integer node id in {line!r}", lineno) from None
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _read_id_pairs(path) -> np.ndarray:
+    """The (E, 2) array of external id pairs of an edge list, in file order."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()  # universal newlines: the lines a line loop would see
+    if not _has_inline_comment(text):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#",
+                                   ndmin=2)
+            if pairs.shape[1] == 2 or pairs.size == 0:
+                return pairs.reshape(-1, 2)
+        except ValueError:
+            pass
+    return _scan_id_pairs(text)
+
+
 def load_edge_list(path, idmap_path=None) -> Graph:
-    """Load a SNAP-style edge list: one "u v" pair per line, '#' comments.
+    """Load a SNAP-style edge list: one "u v" pair per line, whole-line '#'
+    comments.
 
     Node ids are remapped to a contiguous 0..N-1 range in order of first
     appearance. When ``idmap_path`` is given, the original-to-internal map is
     persisted there as JSON so external labels can be joined back later.
     """
-    remap = {}
-    edges = []
-    n_self = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected two node ids, got {line!r}", lineno)
-            try:
-                u_raw, v_raw = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer node id in {line!r}", lineno) from None
-            u = remap.setdefault(u_raw, len(remap))
-            v = remap.setdefault(v_raw, len(remap))
-            if u == v:
-                n_self += 1
-                continue
-            edges.append((u, v))
-    if not remap:
+    pairs = _read_id_pairs(path)
+    if not pairs.size:
         raise InvalidInputError(f"edge list {path} holds no edges")
+    ids, inverse = np.unique(pairs.ravel(), return_inverse=True)
+    first = np.full(ids.size, inverse.size)
+    np.minimum.at(first, inverse, np.arange(inverse.size))
+    order = np.argsort(first)  # distinct ids by first appearance
+    internal = np.empty_like(order)
+    internal[order] = np.arange(order.size)
+    edges = internal[inverse].reshape(-1, 2)
+    n_self = int(np.count_nonzero(edges[:, 0] == edges[:, 1]))
     if n_self:
         log.warning("dropped %d self-loop(s) while loading %s", n_self, path)
-    orig_ids = np.empty(len(remap), dtype=np.int64)
-    for orig, internal in remap.items():
-        orig_ids[internal] = orig
-    g = build_graph(edges, num_nodes=len(remap), orig_ids=orig_ids)
+    orig_ids = ids[order]
+    g = build_graph(edges, num_nodes=orig_ids.size, orig_ids=orig_ids)
     if idmap_path is not None:
         with open(idmap_path, "w", encoding="utf-8") as fh:
-            json.dump({str(int(o)): i for i, o in enumerate(orig_ids)}, fh,
+            json.dump({str(o): i for i, o in enumerate(orig_ids.tolist())}, fh,
                       sort_keys=True, indent=0)
     return g
 

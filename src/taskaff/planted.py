@@ -286,12 +286,18 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
 
 
 def save_instance(inst: PlantedInstance, out_dir) -> None:
-    """Persist the instance as CSVs plus a meta.json."""
+    """Persist the instance as CSVs plus a meta.json.
+
+    The diffusion matrix P is sparse (a random graph plus the identity), so
+    pg_coo.csv holds its non-zeros only, one ``row,col,value`` line each in
+    np.nonzero order; features.csv and labels.csv are dense.
+    """
     os.makedirs(out_dir, exist_ok=True)
     np.savetxt(os.path.join(out_dir, "features.csv"), inst.features,
                delimiter=",", fmt="%.17g")
-    np.savetxt(os.path.join(out_dir, "pg.csv"), inst.diffusion,
-               delimiter=",", fmt="%.17g")
+    rows, cols = np.nonzero(inst.diffusion)
+    np.savetxt(os.path.join(out_dir, "pg_coo.csv"),
+               np.column_stack([rows, cols, inst.diffusion[rows, cols]]), fmt="%d,%d,%.17g")
     np.savetxt(os.path.join(out_dir, "labels.csv"), inst.labels,
                delimiter=",", fmt="%.17g")
     max_within, min_between = _separations(inst.sigma, inst.labels, inst.group_of)
@@ -308,12 +314,20 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
 
 
 def load_instance(in_dir) -> PlantedInstance:
-    """Rebuild an instance from disk."""
+    """Rebuild an instance from disk; P is scattered back into a dense array."""
     with open(os.path.join(in_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     cfg = PlantedConfig(**meta["config"])
+    coo_path = os.path.join(in_dir, "pg_coo.csv")
+    if not os.path.exists(coo_path) and os.path.exists(os.path.join(in_dir, "pg.csv")):
+        raise InvalidInputError(
+            f"{in_dir} holds P as a dense pg.csv, a format no longer read; "
+            "re-run generate to rewrite the instance"
+        )
     x = np.loadtxt(os.path.join(in_dir, "features.csv"), delimiter=",", ndmin=2)
-    p = np.loadtxt(os.path.join(in_dir, "pg.csv"), delimiter=",", ndmin=2)
+    triplets = np.loadtxt(coo_path, delimiter=",", ndmin=2)
+    p = np.zeros((cfg.num_nodes, cfg.num_nodes))
+    p[triplets[:, 0].astype(np.int64), triplets[:, 1].astype(np.int64)] = triplets[:, 2]
     labels = np.loadtxt(os.path.join(in_dir, "labels.csv"), delimiter=",", ndmin=2)
     return PlantedInstance(
         config=cfg, features=x, diffusion=p, labels=labels,

@@ -61,13 +61,16 @@ class TaskSet:
         for i in range(n_t):
             if self.labels[i].shape[0] != self.num_nodes:
                 raise InvalidInputError(f"task {i}: label vector length mismatch")
-            if not self.aliased_masks:
-                tr, va, te = (set(m[i]) for m in (self.train_mask, self.val_mask, self.test_mask))
-                if tr & va or tr & te or va & te:
-                    raise InvalidInputError(f"task {i}: masks are not pairwise disjoint")
-            for mask in (self.train_mask[i], self.val_mask[i], self.test_mask[i]):
+            masks = (self.train_mask[i], self.val_mask[i], self.test_mask[i])
+            for mask in masks:
                 if mask.size and (mask.min() < 0 or mask.max() >= self.num_nodes):
                     raise InvalidInputError(f"task {i}: mask node id out of range")
+            if not self.aliased_masks:
+                member = np.zeros((3, self.num_nodes), dtype=bool)
+                for row, mask in zip(member, masks):
+                    row[mask.astype(np.intp, copy=False)] = True
+                if (member.sum(axis=0) > 1).any():
+                    raise InvalidInputError(f"task {i}: masks are not pairwise disjoint")
 
     @property
     def num_tasks(self) -> int:
@@ -116,13 +119,16 @@ def make_splits(communities, g: Graph, policy: SplitPolicy) -> TaskSet:
     two nodes are rejected with a warning.
     """
     n = g.num_nodes
-    all_nodes = np.arange(n)
     labels, trains, vals, tests = [], [], [], []
     for idx, comm in enumerate(communities):
         if comm.size < 2:
             log.warning("task %d rejected: community has %d node(s)", idx, comm.size)
             continue
-        outside = np.setdiff1d(all_nodes, comm, assume_unique=False)
+        # Complements of boolean masks: ascending, as np.setdiff1d(arange(n), .)
+        # returned them, so rng.choice draws the same nodes.
+        taken = np.zeros(n, dtype=bool)
+        taken[comm] = True
+        outside = np.flatnonzero(~taken)
         if outside.size == 0:
             log.warning("task %d rejected: no negative pool", idx)
             continue
@@ -133,10 +139,13 @@ def make_splits(communities, g: Graph, policy: SplitPolicy) -> TaskSet:
             rng.choice(comm, size=n_pos, replace=False),
             rng.choice(outside, size=n_neg, replace=False),
         ])
-        rest = np.setdiff1d(all_nodes, train)
+        taken[:] = False
+        taken[train] = True
+        rest = np.flatnonzero(~taken)
         n_val = math.ceil(policy.val_frac * rest.size)
         val = rng.choice(rest, size=n_val, replace=False)
-        test = np.setdiff1d(rest, val)
+        taken[val] = True
+        test = np.flatnonzero(~taken)
         y = np.zeros(n)
         y[comm] = 1.0
         labels.append(y)
@@ -163,7 +172,7 @@ def save_task_set(tasks: TaskSet, path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))  # the C encoder; json.dump is pure Python
 
 
 def load_task_set(path) -> TaskSet:

@@ -39,7 +39,7 @@ class TestGenerate:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert run(GEN + ["--seed", "3", "--out", a]) == 0
         assert run(GEN + ["--seed", "3", "--out", b]) == 0
-        for name in ("features.csv", "pg.csv", "labels.csv", "meta.json",
+        for name in ("features.csv", "pg_coo.csv", "labels.csv", "meta.json",
                      "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
@@ -108,6 +108,46 @@ class TestAffinity:
                     "--metric", "negative-mse", "--seed", "2",
                     "--out", aff_dir]) == 0
         assert digest() == before
+
+    def test_complete_rerun_reads_no_dataset(self, tmp_path, pipeline, monkeypatch):
+        # T comes from meta.json; the fingerprint still hashes the dataset files
+        import shutil
+
+        _, inst_dir, aff_dir = pipeline
+        rerun = tmp_path / "rerun"
+        shutil.copytree(aff_dir, rerun)
+        before = {p.name: p.read_bytes() for p in rerun.iterdir()}
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a complete log needs no dataset")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_load)
+        assert run(["affinity", "--dataset", inst_dir, "--alpha", "4",
+                    "--num-subsets", "120", "--learner", "linear",
+                    "--metric", "negative-mse", "--seed", "2",
+                    "--out", str(rerun)]) == 0
+        assert {p.name: p.read_bytes() for p in rerun.iterdir()} == before
+
+    def test_pending_subsets_still_load_the_dataset(self, tmp_path, pipeline, monkeypatch):
+        import os
+        import shutil
+
+        _, inst_dir, aff_dir = pipeline
+        resumed = tmp_path / "resumed"
+        shutil.copytree(aff_dir, resumed)
+        idx = resumed / "completed.idx"
+        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:40]))
+        loads = []
+        real = cli._load_dataset
+        monkeypatch.setattr(cli, "_load_dataset", lambda *a: loads.append(a) or real(*a))
+        assert run(["affinity", "--dataset", inst_dir, "--alpha", "4",
+                    "--num-subsets", "120", "--learner", "linear",
+                    "--metric", "negative-mse", "--seed", "2",
+                    "--out", str(resumed)]) == 0
+        assert len(loads) == 1
+        for name in ("evals.csv", "theta.csv", "counts.csv"):
+            assert (resumed / name).read_bytes() == \
+                   open(os.path.join(aff_dir, name), "rb").read()
 
     def test_resume_after_kill_matches_clean_run(self, tmp_path, pipeline):
         _, inst_dir, aff_dir = pipeline
@@ -231,6 +271,22 @@ class TestVerifyTheory:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ")
 
+    def test_dense_pg_csv_instance_exit_2(self, tmp_path, pipeline, capsys):
+        # instances written before P was stored as sparse triplets
+        import shutil
+
+        _, inst_dir, _ = pipeline
+        old = tmp_path / "old"
+        shutil.copytree(inst_dir, old)
+        np.savetxt(old / "pg.csv", cli.pl_mod.load_instance(inst_dir).diffusion,
+                   delimiter=",", fmt="%.17g")
+        (old / "pg_coo.csv").unlink()
+        capsys.readouterr()
+        assert run(["verify-theory", "--dataset", str(old), "--alpha", "4",
+                    "--num-subsets", "150", "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "re-run generate" in err[0]
+
     def test_planted_commands_do_not_import_scipy(self, tmp_path):
         # scipy.sparse serves the graph commands only; the planted chain
         # starts one process per command and should not pay for its import
@@ -267,6 +323,33 @@ class TestVerifyTheory:
         (ds / "meta.json").write_text('{"kind": "community"}')
         assert run(["verify-theory", "--dataset", str(ds), "--out",
                     str(tmp_path / "v")]) == 2
+
+
+class TestDatasetMeta:
+    @pytest.mark.parametrize("command", ["affinity", "evaluate", "predict-nt"])
+    @pytest.mark.parametrize("meta", ["{}", '{"kind": "dense"}', "[1]"])
+    def test_meta_without_known_kind_exit_2(self, tmp_path, pipeline, capsys, command, meta):
+        _, _, aff_dir = pipeline
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "meta.json").write_text(meta)
+        extra = {"affinity": [], "evaluate": ["--grouping-dir", str(tmp_path)],
+                 "predict-nt": ["--affinity-dir", aff_dir]}[command]
+        capsys.readouterr()
+        assert run([command, "--dataset", str(ds), *extra, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and "meta.json" in err[0]
+
+    @pytest.mark.parametrize("meta", ['{"kind": "community"}', '{"kind": "planted"}',
+                                      '{"kind": "planted", "config": {"num_tasks": "4"}}'])
+    def test_affinity_needs_the_recorded_task_count(self, tmp_path, capsys, meta):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "meta.json").write_text(meta)
+        capsys.readouterr()
+        assert run(["affinity", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
+        assert "records no task count" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPredictNt:
@@ -485,7 +568,18 @@ class TestConfigFile:
                                               "--config", str(cfg_path), "--out", "o"])
         assert not hasattr(args, "alpha") and not hasattr(args, "teleport")
 
-    @pytest.mark.parametrize("content", ['{"budget": 3,,}', "[1, 2]"])
+    def test_values_parse_as_their_flags_would(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"budget": "4", "seed": 3, "affinity-dir": "a"}))
+        args = cli.build_parser().parse_args(["cluster", "--config", str(cfg_path),
+                                              "--affinity-dir", "b", "--out", "o"])
+        assert (args.budget, args.seed, args.affinity_dir) == (4, 3, "b")
+
+    # the last six hold values that the flag would refuse on the command line
+    @pytest.mark.parametrize("content", ['{"budget": 3,,}', "[1, 2]", '{"budget": 2.5}',
+                                         '{"budget": null}', '{"budget": "x"}',
+                                         '{"budget": [3]}', '{"budget": true}',
+                                         '{"seed": "7", "affinity-dir": false}'])
     def test_malformed_config_exit_2(self, tmp_path, pipeline, capsys, content):
         _, _, aff_dir = pipeline
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taskaff import graphs
@@ -82,6 +84,128 @@ class TestLoadEdgeList:
                     for u, v in zip(coo.row, coo.col)}
 
         assert edge_set(g) == edge_set(g2)
+
+
+def old_load_edge_list(path):
+    """The line-loop loader that the array parse replaced, kept as the oracle:
+    (orig_ids, CSR adjacency, idmap dict, self-loop count)."""
+    from scipy import sparse
+
+    remap, edges, n_self = {}, [], 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected two node ids, got {line!r}", lineno)
+            try:
+                u_raw, v_raw = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"non-integer node id in {line!r}", lineno) from None
+            u = remap.setdefault(u_raw, len(remap))
+            v = remap.setdefault(v_raw, len(remap))
+            if u == v:
+                n_self += 1
+                continue
+            edges.append((u, v))
+    if not remap:
+        raise InvalidInputError(f"edge list {path} holds no edges")
+    orig_ids = np.empty(len(remap), dtype=np.int64)
+    for orig, internal in remap.items():
+        orig_ids[internal] = orig
+    n = len(remap)
+    seen = sorted({(u, v) if u < v else (v, u) for u, v in edges})
+    if seen:
+        arr = np.array(seen, dtype=np.int64)
+        adj = sparse.csr_matrix((np.ones(2 * len(seen)),
+                                 (np.concatenate([arr[:, 0], arr[:, 1]]),
+                                  np.concatenate([arr[:, 1], arr[:, 0]]))), shape=(n, n))
+    else:
+        adj = sparse.csr_matrix((n, n))
+    return orig_ids, adj, {str(int(o)): i for i, o in enumerate(orig_ids)}, n_self
+
+
+ID = st.sampled_from([0, 1, 2, 3, 7, 42, 10**6, 10**12, -5])
+GAP = st.sampled_from([" ", "\t", "  ", " \t ", "\u3000", "\x0b", "\xa0", "\x85", "\u200b"])
+DATA_LINE = st.builds(lambda pad, u, gap, v, end: f"{pad}{u}{gap}{v}{end}",
+                      st.sampled_from(["", " ", "\t"]), ID, GAP, ID,
+                      st.sampled_from(["", " ", "\t"]))
+SELF_LOOP = ID.map(lambda u: f"{u} {u}")
+OTHER_LINE = st.sampled_from(["", "   ", "\t", "# comment", "  # indented comment",
+                              "#", "# 1 2"])
+# Lines the loop accepts or refuses in its own ways: inline comments,
+# three fields, floats, underscores, non-ASCII digits, a sign.
+ODD_LINE = st.sampled_from(["1 2 # x", "1 2 3", "1.0 2", "x 1", "1_0 2", "\u0663 2",
+                            "+1 -2", "01 2", "1", "1 2#"])
+
+
+@st.composite
+def edge_files(draw, odd=False):
+    line = st.one_of(DATA_LINE, DATA_LINE.map(lambda l: " ".join(reversed(l.split()))),
+                     SELF_LOOP, OTHER_LINE, *([ODD_LINE] if odd else []))
+    lines = draw(st.lists(line, min_size=0, max_size=30))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestLoadEdgeListMatchesLineLoop:
+    def check_same(self, tmp_path, text, caplog):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = old_load_edge_list(path)
+        except (ParseError, InvalidInputError) as exc:
+            with pytest.raises(type(exc)) as err:
+                graphs.load_edge_list(path)
+            assert str(err.value) == str(exc)
+            return
+        idmap = tmp_path / "idmap.json"
+        caplog.clear()
+        g = graphs.load_edge_list(path, idmap_path=idmap)
+        orig_ids, adj, ids, n_self = expected
+        np.testing.assert_array_equal(g.orig_ids, orig_ids)
+        assert g.orig_ids.dtype == orig_ids.dtype
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(g.adj, name), getattr(adj, name)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        assert idmap.read_text() == json.dumps(ids, sort_keys=True, indent=0)
+        warned = [r.getMessage() for r in caplog.records if "self-loop" in r.getMessage()]
+        assert warned == ([f"dropped {n_self} self-loop(s) while loading {path}"]
+                          if n_self else [])
+
+    # check_same clears caplog before each example
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=edge_files())
+    def test_well_formed_files(self, tmp_path_factory, caplog, text):
+        self.check_same(tmp_path_factory.mktemp("e"), text, caplog)
+
+    # check_same clears caplog before each example
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=edge_files(odd=True))
+    def test_files_with_odd_lines(self, tmp_path_factory, caplog, text):
+        self.check_same(tmp_path_factory.mktemp("e"), text, caplog)
+
+    def test_generated_snap_file(self, tmp_path, caplog):
+        rng = np.random.default_rng(5)
+        ids = rng.choice(10**9, size=300, replace=False)
+        pairs = ids[rng.integers(0, 300, size=(2000, 2))]
+        lines = [f"{u}\t{v}" for u, v in pairs.tolist()]
+        self.check_same(tmp_path, "# header\n" + "\n".join(lines) + "\n", caplog)
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("0 1\n# c\n\n1 2 3\n", 4),
+        ("0 1\n1.0 2\n", 2),
+        ("# c\n0 1\n0 x\n", 3),
+        ("0 1\n1 2 # comment\n2 3\n", 2),
+    ])
+    def test_parse_error_line_numbers(self, tmp_path, text, lineno):
+        with pytest.raises(ParseError) as err:
+            graphs.load_edge_list(write(tmp_path, text))
+        assert err.value.line_number == lineno
 
 
 class TestDiffuseFeatures:

@@ -357,3 +357,23 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.group_of, small_instance.group_of)
         np.testing.assert_allclose(loaded.sigma_tilde, small_instance.sigma_tilde,
                                    atol=1e-10)
+
+    def test_diffusion_roundtrip_exact(self, tmp_path, small_instance):
+        planted.save_instance(small_instance, tmp_path / "inst")
+        loaded = planted.load_instance(tmp_path / "inst")
+        assert np.array_equal(loaded.diffusion, small_instance.diffusion)
+        assert not (tmp_path / "inst" / "pg.csv").exists()
+        rows, cols = np.nonzero(small_instance.diffusion)
+        lines = (tmp_path / "inst" / "pg_coo.csv").read_text().splitlines()
+        assert lines == [f"{r},{c},{small_instance.diffusion[r, c]:.17g}"
+                         for r, c in zip(rows.tolist(), cols.tolist())]
+        _, design = planted.to_task_set(loaded)
+        assert np.array_equal(design, planted.to_task_set(small_instance)[1])
+
+    def test_dense_pg_csv_directory_refused(self, tmp_path, small_instance):
+        inst = tmp_path / "inst"
+        planted.save_instance(small_instance, inst)
+        np.savetxt(inst / "pg.csv", small_instance.diffusion, delimiter=",", fmt="%.17g")
+        (inst / "pg_coo.csv").unlink()
+        with pytest.raises(InvalidInputError, match="re-run generate"):
+            planted.load_instance(inst)

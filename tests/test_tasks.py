@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,48 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.test_mask[i], ts.test_mask[i])
 
 
+def old_taskset_json(communities, n, policy):
+    """taskset.json as the setdiff1d splits and json.dump wrote it (the oracle)."""
+    import json
+    import math
+
+    all_nodes = np.arange(n)
+    recs = []
+    for idx, comm in enumerate(communities):
+        if comm.size < 2:
+            continue
+        outside = np.setdiff1d(all_nodes, comm, assume_unique=False)
+        if outside.size == 0:
+            continue
+        rng = np.random.default_rng([policy.seed, idx])
+        n_pos = math.ceil(policy.train_pos_frac * comm.size)
+        n_neg = min(math.ceil(policy.train_neg_frac * comm.size), outside.size)
+        train = np.concatenate([rng.choice(comm, size=n_pos, replace=False),
+                                rng.choice(outside, size=n_neg, replace=False)])
+        rest = np.setdiff1d(all_nodes, train)
+        val = rng.choice(rest, size=math.ceil(policy.val_frac * rest.size), replace=False)
+        test = np.setdiff1d(rest, val)
+        recs.append({"positives": comm.tolist(), "train": np.sort(train).tolist(),
+                     "val": np.sort(val).tolist(), "test": np.sort(test).tolist()})
+    buf = io.StringIO()
+    json.dump({"num_nodes": n, "tasks": recs}, buf, sort_keys=True)
+    return buf.getvalue()
+
+
+class TestSplitsMatchSetdiffSplits:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
+    def test_taskset_json_bytes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        g = ring_graph(n)
+        comms = [np.sort(rng.choice(n, size=int(rng.integers(1, 120)), replace=False))
+                 for _ in range(8)] + [np.array([5]), np.arange(n)]  # no positives, no negatives
+        policy = tasks.SplitPolicy(0.15, 0.1, 0.25, seed=seed)
+        path = tmp_path / "taskset.json"
+        tasks.save_task_set(tasks.make_splits(comms, g, policy), path)
+        assert path.read_text(encoding="utf-8") == old_taskset_json(comms, n, policy)
+
+
 class TestValidation:
     def test_policy_fraction_bounds(self):
         with pytest.raises(InvalidInputError):
@@ -152,3 +196,15 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             tasks.TaskSet(10, (y,), (np.array([0, 1]),), (np.array([1, 2]),),
                           (np.array([3]),))
+
+    @pytest.mark.parametrize("val,test", [([2], [1]), ([3], [3]), ([4, 9], [9])])
+    def test_any_shared_node_rejected(self, val, test):
+        y = np.zeros(10)
+        with pytest.raises(InvalidInputError, match="disjoint"):
+            tasks.TaskSet(10, (y,), (np.array([0, 1]),), (np.array(val),), (np.array(test),))
+
+    def test_duplicates_inside_one_mask_accepted(self):
+        y = np.zeros(10)
+        ts = tasks.TaskSet(10, (y,), (np.array([0, 0, 1]),), (np.array([2, 2]),),
+                           (np.array([], dtype=np.int64),))
+        assert ts.num_tasks == 1
