@@ -135,26 +135,24 @@ def sample_subsets(plan: SamplingPlan):
 
     subsets = [draw() for _ in range(plan.num_subsets)]
     if plan.min_pair_coverage > 0:
-        cover = np.zeros((t, t), dtype=np.int64)
-        for s in subsets:
-            idx = np.array(s)
-            cover[np.ix_(idx, idx)] += 1
+        rows = np.array(subsets, dtype=np.int64)
+        keys = rows[:, :, None] * t + rows[:, None, :]
+        cover = np.bincount(keys.ravel(), minlength=t * t).reshape(t, t)
         cap = COVERAGE_CAP_FACTOR * plan.num_subsets
 
         def uncovered():
-            short = np.argwhere(np.triu(cover < plan.min_pair_coverage, k=1))
-            return [(int(i), int(j)) for i, j in short]
+            return np.argwhere(np.triu(cover < plan.min_pair_coverage, k=1))
 
-        while uncovered() and len(subsets) < cap:
+        while len(uncovered()) and len(subsets) < cap:
             s = draw()
             subsets.append(s)
             idx = np.array(s)
             cover[np.ix_(idx, idx)] += 1
         missing = uncovered()
-        if missing:
+        if len(missing):
             raise CoverageError(
                 f"pair coverage {plan.min_pair_coverage} unreachable within "
-                f"{cap} subsets", uncovered=missing,
+                f"{cap} subsets", uncovered=[(int(i), int(j)) for i, j in missing],
             )
     return subsets
 

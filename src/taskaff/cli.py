@@ -11,11 +11,13 @@ Settings: `--config FILE` holds a JSON object whose keys are a command's
 flag names without the leading dashes; it replaces that command's defaults,
 so a flag beats the file and the file beats the default shown by --help.
 
+Warnings go to stderr as `taskaff LEVEL logger: message`.
+
 Exit codes: 0 ok, 2 domain error (including a failed linear-algebra routine,
-an exhausted memory, a malformed community or config file, and an affinity
-log whose plan, learner or dataset differs from an affinity rerun into it,
-or whose learner, holdout fraction or dataset differs from a predict-nt run
-reading it), 3 training error, 64 usage, 66 missing input.
+an exhausted memory, a malformed community, planted or config file, and an
+affinity log whose plan, learner or dataset differs from an affinity rerun
+into it, or whose learner, holdout fraction or dataset differs from a
+predict-nt run reading it), 3 training error, 64 usage, 66 missing input.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -54,6 +57,23 @@ EX_NOINPUT = 66
 
 STL_SEED_SALT = 0x5EED
 HELDOUT_SEED_SALT = 7919
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is at that moment, so a swapped
+    stream (a caller's redirect, a test's capture) receives it."""
+
+    def __init__(self):
+        logging.Handler.__init__(self, logging.WARNING)
+        self.setFormatter(logging.Formatter("taskaff %(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+# The package's one warning handler; main() attaches it once per process.
+_LOG_HANDLER = _StderrHandler()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -628,6 +648,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    package_log = logging.getLogger("taskaff")
+    if _LOG_HANDLER not in package_log.handlers:
+        package_log.addHandler(_LOG_HANDLER)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -147,6 +147,15 @@ def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
     a subset gathers contiguous rows; residuals are formed directly, a chunk
     of subsets at a time with temporaries of about _CHUNK_BYTES. A subset
     mixing train masks raises InvalidInputError naming its row.
+
+    Under negative-mse a residual p - y_i splits into its part in the span of
+    Z_val, where every row of P lies, and the part of y_i orthogonal to that
+    span. With Q an orthonormal basis of the span (one reduced QR of the
+    m x d design), the rows of P become their coordinates Q^T p plus a zero,
+    and each label row its coordinates Q^T y_i plus the norm of
+    y_i - Q Q^T y_i: every residual keeps its norm in d+1 columns instead of
+    m. Residuals are still formed directly, never by a Gram expansion, which
+    would lose the small ones.
     """
     features, subsets = np.asarray(features, dtype=float), np.asarray(subsets, dtype=np.int64)
     train_id, val_id = _mask_ids(tasks.train_mask), _mask_ids(tasks.val_mask)
@@ -167,13 +176,21 @@ def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
         rows = tasks.val_mask[first]
         if rows.size == 0:
             raise InvalidInputError(f"task {first} has an empty val mask")
-        fitted = (features[rows] @ weights).T
+        design = features[rows]
+        fitted = (design @ weights).T
         labels = np.stack([np.asarray(y, dtype=float)[rows] for y in tasks.labels])
+        if metric == "negative-mse":
+            basis = np.linalg.qr(design)[0]
+            coords = labels @ basis
+            off_span = np.linalg.norm(labels - coords @ basis.T, axis=1)
+            fitted = np.column_stack([fitted @ basis, np.zeros(len(fitted))])
+            labels = np.column_stack([coords, off_span])
         in_group = val_id[subsets] == group
         ks = np.flatnonzero(in_group.any(axis=1))
-        step = max(1, _CHUNK_BYTES // (8 * subsets.shape[1] * rows.size))
+        step = max(1, _CHUNK_BYTES // (8 * subsets.shape[1] * labels.shape[1]))
         for k in (ks[lo:lo + step] for lo in range(0, ks.size, step)):
-            part = _score(fitted[subsets[k]].mean(axis=1)[:, None, :], labels[subsets[k]], metric)
+            part = _score(fitted[subsets[k]].mean(axis=1)[:, None, :], labels[subsets[k]],
+                          metric, rows.size)
             scores[k] = np.where(in_group[k], part, scores[k])
     return scores
 
@@ -372,10 +389,15 @@ def evaluate(model: MtlModel, tasks, task_id: int, mask_kind: str,
     return float(_score(model.raw_scores(mask, task_id), tasks.labels[task_id][mask], metric))
 
 
-def _score(raw, y, metric):
-    """Metric of pre-link outputs against labels over the last axis (broadcasting)."""
+def _score(raw, y, metric, count=None):
+    """Metric of pre-link outputs against labels over the last axis (broadcasting).
+
+    ``count`` is the number of rows a negative-mse residual stands for when
+    the last axis holds its coordinates in an orthonormal basis (default:
+    the axis length).
+    """
     if metric == "negative-mse":
-        return -np.mean((raw - y) ** 2, axis=-1)
+        return -np.sum((raw - y) ** 2, axis=-1) / (raw.shape[-1] if count is None else count)
     probs = _sigmoid(raw)
     if metric == "negative-cross-entropy":
         pc = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)

@@ -25,6 +25,7 @@ from .errors import (
     CoverageError,
     GenerationError,
     InvalidInputError,
+    ParseError,
 )
 from .learners import PINV_RCOND, closed_form_scores
 from .tasks import TaskSet
@@ -313,22 +314,46 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
         json.dump(meta, fh, sort_keys=True, indent=1)
 
 
+def _load_matrix(path, columns, rows=None):
+    """A numeric CSV matrix; a ragged or non-numeric row, or a shape other
+    than the given rows x columns, raises ParseError naming the file."""
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    want = (data.shape[0] if rows is None else rows, columns)
+    if data.shape != want:
+        raise ParseError(f"{path} holds a {data.shape[0]} x {data.shape[1]} matrix, "
+                         f"expected {want[0]} x {want[1]}")
+    return data
+
+
 def load_instance(in_dir) -> PlantedInstance:
-    """Rebuild an instance from disk; P is scattered back into a dense array."""
+    """Rebuild an instance from disk; P is scattered back into a dense array.
+
+    A malformed CSV, a matrix shaped otherwise than meta.json says, or a P
+    triplet whose row or column is not an integer in 0..N-1 raises ParseError.
+    """
     with open(os.path.join(in_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     cfg = PlantedConfig(**meta["config"])
+    n = cfg.num_nodes
     coo_path = os.path.join(in_dir, "pg_coo.csv")
     if not os.path.exists(coo_path) and os.path.exists(os.path.join(in_dir, "pg.csv")):
         raise InvalidInputError(
             f"{in_dir} holds P as a dense pg.csv, a format no longer read; "
             "re-run generate to rewrite the instance"
         )
-    x = np.loadtxt(os.path.join(in_dir, "features.csv"), delimiter=",", ndmin=2)
-    triplets = np.loadtxt(coo_path, delimiter=",", ndmin=2)
-    p = np.zeros((cfg.num_nodes, cfg.num_nodes))
-    p[triplets[:, 0].astype(np.int64), triplets[:, 1].astype(np.int64)] = triplets[:, 2]
-    labels = np.loadtxt(os.path.join(in_dir, "labels.csv"), delimiter=",", ndmin=2)
+    x = _load_matrix(os.path.join(in_dir, "features.csv"), cfg.feature_dim, n)
+    triplets = _load_matrix(coo_path, 3)
+    index = triplets[:, :2]
+    bad = np.flatnonzero(((index < 0) | (index >= n) | (index != np.floor(index))).any(axis=1))
+    if bad.size:
+        raise ParseError(f"{coo_path}: row {bad[0] + 1} has index {index[bad[0]].tolist()}, "
+                         f"not a pair of integers in 0..{n - 1}")
+    p = np.zeros((n, n))
+    p[index[:, 0].astype(np.int64), index[:, 1].astype(np.int64)] = triplets[:, 2]
+    labels = _load_matrix(os.path.join(in_dir, "labels.csv"), n, cfg.num_tasks)
     return PlantedInstance(
         config=cfg, features=x, diffusion=p, labels=labels,
         observed_rows=np.asarray(meta["observed_rows"], dtype=np.int64),

@@ -55,20 +55,36 @@ def build_examples(log, stl_scores, aff: AffinityMatrix):
 
     ``stl_scores`` maps each task to its singleton reference f_i({i}).
     The label is 1 exactly when f_i(S) < f_i({i}) (performance orientation);
-    ties count as non-negative transfer.
+    ties count as non-negative transfer. Tasks appear in order of first
+    membership, each with its examples in log order; the feature rows are
+    views into one (n * alpha) x T array.
     """
     t = aff.num_tasks
+    subsets = log.subsets
+    n, alpha = subsets.shape
+    targets = subsets.ravel()
+    order = np.argsort(targets, kind="stable")
+    ranked = targets[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))
+    stops = np.append(starts[1:], ranked.size)
+    tids, firsts = ranked[starts].tolist(), order[starts]
+    missing = [u for u, i in enumerate(tids) if i not in stl_scores]
+    if missing:
+        raise InvalidInputError("missing single-task reference score for task "
+                                f"{tids[min(missing, key=firsts.__getitem__)]}")
+    stl = np.zeros(t)
+    stl[tids] = [stl_scores[i] for i in tids]
+    labels = (log.scores.ravel() < stl[targets]).astype(int).tolist()
+    cols = np.repeat(subsets, alpha, axis=0)  # membership q = k * alpha + p is in subset k
+    feats = np.zeros((n * alpha, t))
+    feats[np.arange(n * alpha)[:, None], cols] = aff.theta[targets[:, None], cols]
+    members = [tuple(row) for row in subsets.tolist()]
     by_task = {}
-    for members, scores in zip(log.subsets.tolist(), log.scores.tolist()):
-        for i, score in zip(members, scores):
-            if i not in stl_scores:
-                raise InvalidInputError(f"missing single-task reference score for task {i}")
-            feats = np.zeros(t)
-            feats[members] = aff.theta[i, members]
-            by_task.setdefault(i, []).append(
-                TransferExample(target=i, subset=tuple(members), features=feats,
-                                label=int(score < stl_scores[i]))
-            )
+    for u in np.argsort(firsts).tolist():
+        i = tids[u]
+        by_task[i] = [TransferExample(target=i, subset=members[q // alpha], features=feats[q],
+                                      label=labels[q])
+                      for q in order[starts[u]:stops[u]].tolist()]
     return by_task
 
 

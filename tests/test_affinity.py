@@ -56,6 +56,64 @@ class TestSampleSubsets:
             affinity.SamplingPlan(num_tasks=5, subset_size=6, num_subsets=3)
 
 
+def _ix_sample_subsets(plan):
+    """sample_subsets with the coverage counted by one np.ix_ add per subset."""
+    rng = np.random.default_rng(plan.seed)
+    t, alpha = plan.num_tasks, plan.subset_size
+
+    def draw():
+        return tuple(sorted(rng.choice(t, size=alpha, replace=False).tolist()))
+
+    subsets = [draw() for _ in range(plan.num_subsets)]
+    if plan.min_pair_coverage > 0:
+        cover = np.zeros((t, t), dtype=np.int64)
+        for s in subsets:
+            idx = np.array(s)
+            cover[np.ix_(idx, idx)] += 1
+        cap = affinity.COVERAGE_CAP_FACTOR * plan.num_subsets
+
+        def uncovered():
+            short = np.argwhere(np.triu(cover < plan.min_pair_coverage, k=1))
+            return [(int(i), int(j)) for i, j in short]
+
+        while uncovered() and len(subsets) < cap:
+            s = draw()
+            subsets.append(s)
+            idx = np.array(s)
+            cover[np.ix_(idx, idx)] += 1
+        missing = uncovered()
+        if missing:
+            raise CoverageError("unreachable", uncovered=missing)
+    return subsets
+
+
+class TestSampleSubsetsOracle:
+    """The bincount coverage count against a per-subset np.ix_ count."""
+
+    @pytest.mark.parametrize("t,alpha,n,cover,seed,extra", [
+        (12, 3, 40, 0, 5, False),    # no coverage guard
+        (12, 3, 40, 1, 6, True),     # extra draws past num_subsets
+        (9, 4, 10, 3, 7, True),      # a higher coverage target
+        (20, 10, 200, 1, 8, False),  # covered by the initial draws
+    ])
+    def test_same_subsets_as_ix_count(self, t, alpha, n, cover, seed, extra):
+        plan = affinity.SamplingPlan(num_tasks=t, subset_size=alpha, num_subsets=n,
+                                     seed=seed, min_pair_coverage=cover)
+        got = affinity.sample_subsets(plan)
+        assert got == _ix_sample_subsets(plan)
+        assert all(type(s) is tuple and all(type(i) is int for i in s) for s in got)
+        assert (len(got) > n) == extra
+
+    def test_same_coverage_error_as_ix_count(self):
+        plan = affinity.SamplingPlan(num_tasks=30, subset_size=3, num_subsets=4,
+                                     seed=9, min_pair_coverage=1)
+        with pytest.raises(CoverageError) as want:
+            _ix_sample_subsets(plan)
+        with pytest.raises(CoverageError) as got:
+            affinity.sample_subsets(plan)
+        assert got.value.uncovered == want.value.uncovered
+
+
 class TestCollectEvaluations:
     def test_singleton_matches_stl_score(self, small_instance):
         tasks, feats = planted.to_task_set(small_instance)

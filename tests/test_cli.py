@@ -271,6 +271,51 @@ class TestVerifyTheory:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ")
 
+    # (file, edit of its lines, expected stderr fragment); the fixture
+    # instance has N=150 nodes, T=12 tasks and d=8 features
+    MALFORMED = {
+        "ragged-pg-row": ("pg_coo.csv", lambda rows: rows + ["1,2"], "columns changed"),
+        "non-numeric-pg-row": ("pg_coo.csv", lambda rows: rows + ["1,x,0.5"], "pg_coo.csv"),
+        "ragged-features-row": ("features.csv", lambda rows: [rows[0] + ",1"] + rows[1:],
+                                "features.csv"),
+        "non-numeric-features-row": ("features.csv", lambda rows: ["x" + rows[0]] + rows[1:],
+                                     "features.csv"),
+        "ragged-labels-row": ("labels.csv", lambda rows: rows[:-1] + ["1,2"], "labels.csv"),
+        "non-numeric-labels-row": ("labels.csv", lambda rows: ["y" + rows[0]] + rows[1:],
+                                   "labels.csv"),
+        "negative-index": ("pg_coo.csv", lambda rows: rows + ["-1,5,0.25"], "[-1.0, 5.0]"),
+        "fractional-index": ("pg_coo.csv", lambda rows: rows + ["3,2.5,0.25"], "[3.0, 2.5]"),
+        "out-of-range-index": ("pg_coo.csv", lambda rows: ["7,150,0.25"] + rows,
+                               "row 1 has index [7.0, 150.0]"),
+        "features-missing-node": ("features.csv", lambda rows: rows[:-1],
+                                  "149 x 8 matrix, expected 150 x 8"),
+        "features-extra-column": ("features.csv", lambda rows: [r + ",0" for r in rows],
+                                  "150 x 9 matrix, expected 150 x 8"),
+        "labels-missing-task": ("labels.csv", lambda rows: rows[:-1],
+                                "11 x 150 matrix, expected 12 x 150"),
+        "labels-transposed": ("labels.csv",
+                              lambda rows: [",".join(c) for c in zip(*(r.split(",")
+                                                                       for r in rows))],
+                              "150 x 12 matrix, expected 12 x 150"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_planted_file_exit_2(self, tmp_path, pipeline, capsys, case):
+        import shutil
+
+        _, inst_dir, _ = pipeline
+        name, edit, fragment = self.MALFORMED[case]
+        bad = tmp_path / "bad"
+        shutil.copytree(inst_dir, bad)
+        rows = (bad / name).read_text().splitlines()
+        (bad / name).write_text("\n".join(edit(rows)) + "\n")
+        capsys.readouterr()
+        assert run(["verify-theory", "--dataset", str(bad), "--alpha", "4",
+                    "--num-subsets", "150", "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and name in err[0]
+        assert fragment in err[0]
+
     def test_dense_pg_csv_instance_exit_2(self, tmp_path, pipeline, capsys):
         # instances written before P was stored as sparse triplets
         import shutil
@@ -427,6 +472,18 @@ class TestSplitAndPprSim:
                     "--seed", "1", "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["taskaff: line 5: non-integer member id in '4 x 6'"]
+
+    def test_warnings_show_level_and_source_once(self, tmp_path, community_dataset, capsys):
+        _, edges, cmty = community_dataset
+        looped = tmp_path / "edges.txt"
+        looped.write_text(open(edges).read() + "3 3\n")
+        capsys.readouterr()
+        for k in range(2):  # a second in-process run must not add a second handler
+            assert run(["split", "--edges", str(looped), "--communities", cmty,
+                        "--top-k", "4", "--seed", "1", "--out", str(tmp_path / f"ds{k}")]) == 0
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"taskaff WARNING taskaff.graphs: dropped 1 self-loop(s) "
+                           f"while loading {looped}"]
 
     def test_split_missing_edges_exit_66(self, tmp_path, community_dataset):
         _, _, cmty = community_dataset

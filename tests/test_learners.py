@@ -476,6 +476,27 @@ class TestClosedFormScores:
                         for i in subset]
                 np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("dim", [6, 16])
+    @pytest.mark.parametrize("holdout", [0.0, 0.25])
+    @pytest.mark.parametrize("alpha", [1, 3])
+    def test_noise_free_planted_matches_per_subset_fit(self, holdout, alpha, dim):
+        # With 49 of 50 nodes observed the labels nearly lie in the design's span:
+        # at d=6 val MSEs go down to 3e-8, where a Gram expansion
+        # ||f||^2 - 2 f.y + ||y||^2 misses this tolerance. At holdout 0.25 the 13
+        # val rows are fewer than d + T = 14 (d=6) and fewer than d (d=16).
+        cfg = planted.PlantedConfig(num_tasks=8, num_groups=2, feature_dim=dim, num_nodes=50,
+                                    observed=49, within_sep=0.2, between_sep=2.0,
+                                    label_bound=5.0, noise_std=0.0, seed=14)
+        tasks, feats = planted.to_task_set(planted.generate(cfg), holdout_frac=holdout)
+        assert (tasks.val_mask[0].size < dim + 8) == (holdout > 0)
+        subsets = np.array(list(itertools.combinations(range(8), alpha)))
+        got = learners.closed_form_scores(feats, tasks, subsets)
+        spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
+        for k, subset in enumerate(subsets.tolist()):
+            model = learners.train_subset(None, tasks, subset, spec, seed=0, features=feats)
+            want = [learners.evaluate(model, tasks, i, "val", "negative-mse") for i in subset]
+            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0)
+
     def test_mixed_train_masks_name_the_subset(self):
         rng = np.random.default_rng(41)
         tasks, x = _shared_mask_tasks(rng, "holdout")

@@ -42,6 +42,54 @@ class TestBuildExamples:
         with pytest.raises(InvalidInputError):
             transfer.build_examples(make_log([make_eval((0, 1), {0: 0.1, 1: 0.1})]), {0: 0.0}, aff)
 
+    @staticmethod
+    def loop_examples(log, stl_scores, aff):
+        """build_examples as one dense T-vector per membership, in log order."""
+        by_task = {}
+        for members, scores in zip(log.subsets.tolist(), log.scores.tolist()):
+            for i, score in zip(members, scores):
+                if i not in stl_scores:
+                    raise InvalidInputError(f"missing single-task reference score for task {i}")
+                feats = np.zeros(aff.num_tasks)
+                feats[members] = aff.theta[i, members]
+                by_task.setdefault(i, []).append(
+                    transfer.TransferExample(target=i, subset=tuple(members), features=feats,
+                                             label=int(score < stl_scores[i])))
+        return by_task
+
+    @pytest.mark.parametrize("alpha", [1, 4])
+    def test_matches_per_membership_loop(self, alpha):
+        rng = np.random.default_rng(3)
+        t = 9
+        aff = simple_aff(t)
+        subsets = [tuple(sorted(rng.choice(t, size=alpha, replace=False).tolist()))
+                   for _ in range(30)]
+        # scores on a coarse grid, so some tie their reference
+        evals = [make_eval(s, {i: float(rng.integers(-2, 3)) for i in s}) for s in subsets]
+        stl = {i: float(rng.integers(-2, 3)) for i in range(t)}
+        log = make_log(evals)
+        got = transfer.build_examples(log, stl, aff)
+        want = self.loop_examples(log, stl, aff)
+        assert list(got) == list(want)
+        assert list(got) != sorted(got)  # first-membership order, not sorted ids
+        for tid in want:
+            assert len(got[tid]) == len(want[tid])
+            for g, w in zip(got[tid], want[tid]):
+                assert (g.target, g.subset, g.label) == (w.target, w.subset, w.label)
+                assert type(g.target) is int and type(g.label) is int
+                assert all(type(i) is int for i in g.subset)
+                assert np.array_equal(g.features, w.features)
+
+    def test_missing_stl_names_the_first_missing_membership(self):
+        aff = simple_aff(t=6)
+        log = make_log([make_eval((1, 4), {1: 0.0, 4: 0.0}),
+                        make_eval((0, 5), {0: 0.0, 5: 0.0}),
+                        make_eval((2, 3), {2: 0.0, 3: 0.0})])
+        stl = {1: 0.0, 4: 0.0, 0: 0.0, 2: 0.0}  # 5 is missing before 3
+        for build in (transfer.build_examples, self.loop_examples):
+            with pytest.raises(InvalidInputError, match="for task 5$"):
+                build(log, stl, aff)
+
     def test_label_counts_match_recount(self):
         rng = np.random.default_rng(1)
         t = 6
