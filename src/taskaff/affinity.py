@@ -10,7 +10,6 @@ collection order and matches an exact regroup-and-average oracle.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -18,13 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    EmptyDomainError,
-    InvalidInputError,
-    TaskAffError,
-    TrainingError,
-)
+from .errors import (CoverageError, InvalidInputError, ParseError, TaskAffError,
+                     TrainingError, reading)
 from .learners import LearnerSpec, closed_form_scores, evaluate, train_subset
 
 COVERAGE_CAP_FACTOR = 10
@@ -257,71 +251,10 @@ def convergence_trace(log: EvalLog, num_tasks: int, checkpoints):
                 log.subsets, log.scores, num_tasks, checkpoints))]
 
 
-def _normalize_log(f_log, task_id):
-    log = {}
-    for s, v in f_log.items():
-        fs = frozenset(int(x) for x in s)
-        if task_id in fs:
-            log[fs] = v
-    return log
-
-
-def probe_monotonicity(f_log, task_id: int):
-    """All nested pairs S < S' (task in both) where the score drops.
-
-    Scores are performance-oriented, so f(S') < f(S) on a superset is a
-    monotonicity violation. Raises EmptyDomainError when the log holds no
-    nested pair at all.
-    """
-    log = _normalize_log(f_log, task_id)
-    chains = [(s, sp) for s in log for sp in log if s < sp]
-    if not chains:
-        raise EmptyDomainError(f"log holds no nested subset pairs containing task {task_id}")
-    return [
-        (tuple(sorted(s)), tuple(sorted(sp)))
-        for s, sp in chains
-        if log[sp] < log[s]
-    ]
-
-
-def probe_submodularity(f_log, task_id: int):
-    """Quadruples (S, S', x) violating the diminishing-returns inequality.
-
-    For S subset of S' and x outside S', submodularity requires
-    f(S' + x) - f(S') <= f(S + x) - f(S); any quadruple with all four
-    values in the log that breaks it is returned.
-    """
-    log = _normalize_log(f_log, task_id)
-    all_tasks = set()
-    for s in log:
-        all_tasks |= s
-    found_domain = False
-    violations = []
-    for s in log:
-        for sp in log:
-            if not s <= sp:
-                continue
-            for x in all_tasks - sp:
-                s_x, sp_x = s | {x}, sp | {x}
-                if s_x not in log or sp_x not in log:
-                    continue
-                found_domain = True
-                if log[sp_x] - log[sp] > log[s_x] - log[s]:
-                    violations.append(
-                        (tuple(sorted(s)), tuple(sorted(sp)), int(x))
-                    )
-    if not found_domain:
-        raise EmptyDomainError(
-            f"log holds no submodularity quadruples containing task {task_id}"
-        )
-    return violations
-
-
-def save_eval_log(log: EvalLog, csv_path, subsets_path=None, indices=None,
-                  append: bool = False) -> None:
-    """Persist the log as CSV score rows tagged ``indices[k]`` (default k),
-    plus the subset array as JSON when ``subsets_path`` is given; ``append``
-    adds the rows to an existing CSV instead of writing one with a header."""
+def save_eval_log(log: EvalLog, csv_path, indices=None, append: bool = False) -> None:
+    """Persist the log as CSV score rows tagged ``indices[k]`` (default k);
+    ``append`` adds the rows to an existing CSV instead of writing one with a
+    header."""
     indices = range(len(log)) if indices is None else indices
     with open(csv_path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -331,31 +264,40 @@ def save_eval_log(log: EvalLog, csv_path, subsets_path=None, indices=None,
                                            log.scores.tolist(), log.seeds.tolist()):
             writer.writerows([int(k), tid, repr(score), log.metric, seed]
                              for tid, score in zip(subset, scores))
-    if subsets_path is not None:
-        with open(subsets_path, "w", encoding="utf-8") as fh:
-            json.dump(log.subsets.tolist(), fh)
 
 
 def load_eval_log(csv_path, subsets_path, indices=None) -> EvalLog:
     """Read a saved log, or only its subsets at ``indices``; rows of other
-    subsets are skipped and a missing CSV holds no rows."""
+    subsets are skipped and a missing CSV holds no rows.
+
+    A malformed last line is the tail of an interrupted append and is
+    skipped; a malformed row anywhere else raises ParseError.
+    """
     with open(subsets_path, "r", encoding="utf-8") as fh:
         subsets = _rows(json.load(fh))
     indices = np.arange(len(subsets)) if indices is None else np.asarray(indices, dtype=np.int64)
     kept, rows = subsets[indices], {}
     if os.path.exists(csv_path):
         with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            rows = {(int(r[0]), int(r[1])): r for r in itertools.islice(csv.reader(fh), 1, None)}
+            lines = list(csv.reader(fh))
+        for number, line in enumerate(lines[1:], 2):
+            try:
+                k, tid, score, metric, seed = line
+                rows[int(k), int(tid)] = float(score), metric, int(seed)
+            except ValueError:
+                if number < len(lines):
+                    raise ParseError(f"malformed row {','.join(line)!r} in {csv_path}",
+                                     number) from None
     try:
         cells = [[rows[k, tid] for tid in members]
                  for k, members in zip(indices.tolist(), kept.tolist())]
     except KeyError as exc:
         raise InvalidInputError(f"evaluation log holds no row for (subset, task) {exc}") from None
-    metrics = {cell[3] for row in cells for cell in row}
+    metrics = {cell[1] for row in cells for cell in row}
     if len(metrics) > 1:
         raise InvalidInputError(f"evaluation log mixes metrics: {sorted(metrics)}")
-    scores = np.array([[float(cell[2]) for cell in row] for row in cells]).reshape(kept.shape)
-    return EvalLog(kept, scores, [int(row[0][4]) for row in cells],
+    scores = np.array([[cell[0] for cell in row] for row in cells]).reshape(kept.shape)
+    return EvalLog(kept, scores, [row[0][2] for row in cells],
                    metrics.pop() if metrics else None)
 
 
@@ -373,9 +315,11 @@ def save_affinity(aff: AffinityMatrix, theta_path, counts_path, sidecar_path) ->
 def load_affinity(theta_path, counts_path, sidecar_path) -> AffinityMatrix:
     theta = np.loadtxt(theta_path, delimiter=",", ndmin=2)
     counts = np.loadtxt(counts_path, delimiter=",", dtype=np.int64, ndmin=2)
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
     imputed = np.zeros_like(theta, dtype=bool)
-    for i, j in sidecar["imputed"]:
-        imputed[i, j] = True
-    return AffinityMatrix(theta, counts, sidecar["orientation"], imputed)
+    with open(sidecar_path, "r", encoding="utf-8") as fh, reading(sidecar_path):
+        sidecar = json.load(fh)
+        for i, j in sidecar["imputed"]:
+            if min(i, j) < 0:
+                raise IndexError(f"imputed pair {[i, j]} has a negative index")
+            imputed[i, j] = True
+        return AffinityMatrix(theta, counts, sidecar["orientation"], imputed)

@@ -13,11 +13,12 @@ so a flag beats the file and the file beats the default shown by --help.
 
 Warnings go to stderr as `taskaff LEVEL logger: message`.
 
-Exit codes: 0 ok, 2 domain error (including a failed linear-algebra routine,
-an exhausted memory, a malformed community, planted or config file, and an
-affinity log whose plan, learner or dataset differs from an affinity rerun
-into it, or whose learner, holdout fraction or dataset differs from a
-predict-nt run reading it), 3 training error, 64 usage, 66 missing input.
+Exit codes: 0 ok, 2 domain error, 3 training error, 64 usage, 66 missing
+input. Exit 2 includes a failed linear-algebra routine, an exhausted memory,
+a malformed input file or artifact (an evals.csv whose last line an
+interrupted append cut short is resumed, not refused), and an affinity log
+whose plan, learner or dataset differs from an affinity rerun into it, or
+whose learner, holdout fraction or dataset differs from a predict-nt run.
 """
 
 from __future__ import annotations
@@ -202,8 +203,7 @@ def _load_dataset(dataset_dir, holdout_frac):
         deg = g.degrees()
         scale = deg.max() if deg.max() > 0 else 1.0
         g = g.with_features(np.stack([deg / scale, np.ones(g.num_nodes)], axis=1))
-    op = DiffusionOperator(kind=meta.get("op", "row-normalized"),
-                           teleport=meta.get("teleport", 0.15))
+    op = DiffusionOperator(kind=meta.get("op", "row-normalized"))
     return tasks, diffuse_features(g, op, meta.get("hops", 2))
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class TaskAffError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -20,6 +22,16 @@ class ParseError(TaskAffError):
     def __init__(self, message, line_number=None):
         super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+@contextmanager
+def reading(path):
+    """Report the KeyError, IndexError, TypeError or ValueError that a reader
+    raises on a malformed artifact as a ParseError naming the file."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
 
 
 class ShortfallError(InvalidInputError):
@@ -79,7 +91,7 @@ class GenerationError(TaskAffError):
 
 
 class EmptyDomainError(TaskAffError):
-    """A probe or statistic has an empty domain (no admissible pairs)."""
+    """A statistic has an empty domain (PPR similarity over fewer than two tasks)."""
 
 
 class MissingInputError(TaskAffError):

@@ -216,23 +216,24 @@ def load_edge_list(path, idmap_path=None) -> Graph:
     return g
 
 
-def save_edge_list(g: Graph, path) -> None:
-    """Write the graph as "u v" lines using original node ids."""
-    from scipy import sparse
-    coo = sparse.triu(g.adj, k=1).tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in zip(coo.row, coo.col):
-            fh.write(f"{int(g.orig_ids[u])} {int(g.orig_ids[v])}\n")
+def _load_matrix(path, columns=None, rows=None):
+    """A numeric CSV matrix, the one reader of dataset CSVs; a ragged or
+    non-numeric row, or a shape other than the given rows x columns (either
+    left free when None), raises ParseError naming the file."""
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    want = tuple(d if w is None else w for d, w in zip(data.shape, (rows, columns)))
+    if data.shape != want:
+        raise ParseError(f"{path} holds a {data.shape[0]} x {data.shape[1]} matrix, "
+                         f"expected {want[0]} x {want[1]}")
+    return data
 
 
 def load_features_csv(path, num_nodes) -> np.ndarray:
     """Read an N x d headerless CSV whose row order is the internal node id."""
-    feats = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    if feats.shape[0] != num_nodes:
-        raise InvalidInputError(
-            f"feature file {path} has {feats.shape[0]} rows, expected {num_nodes}"
-        )
-    return feats
+    return _load_matrix(path, rows=num_nodes)
 
 
 def _row_normalized(g: Graph) -> sparse.csr_matrix:

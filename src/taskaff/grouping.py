@@ -15,12 +15,7 @@ from math import comb
 import numpy as np
 
 from .affinity import AffinityMatrix
-from .errors import (
-    CoverageError,
-    DegenerateInputError,
-    InvalidInputError,
-    TrainingError,
-)
+from .errors import CoverageError, DegenerateInputError, InvalidInputError, TrainingError, reading
 from .learners import LearnerSpec, evaluate, train_subset
 
 KMEANS_RESTARTS = 10
@@ -51,8 +46,6 @@ class TaskGrouping:
     groups: list
     assignments: np.ndarray
     budget: int
-    objective: float | None = None
-    per_task_scores: list | None = None
 
 
 def minmax_rescale(matrix: np.ndarray):
@@ -166,9 +159,9 @@ def derive_groups(labels, num_tasks: int, budget: int) -> TaskGrouping:
     """Merge target and source copies sharing a cluster into task groups.
 
     Group g holds every task whose target copy (row i) or source copy
-    (row T+i) was labeled g. Clusters with no members are dropped; a task
-    whose target cluster was dropped falls back to its source copy's
-    cluster, else to the largest group.
+    (row T+i) was labeled g, one group per label that occurs. Each copy puts
+    its own task in its cluster, so no group is empty and every task lands
+    in its home group.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != 2 * num_tasks:
@@ -184,19 +177,7 @@ def derive_groups(labels, num_tasks: int, budget: int) -> TaskGrouping:
     for i in range(num_tasks):
         members[labels[i]].add(i)
         members[labels[num_tasks + i]].add(i)
-    kept = [c for c in clusters if members[c]]
-    kept_set = set(kept)
-    for i in range(num_tasks):
-        home = labels[i]
-        if home in kept_set:
-            continue
-        source = labels[num_tasks + i]
-        if source in kept_set:
-            members[source].add(i)
-        else:
-            largest = max(kept, key=lambda c: len(members[c]))
-            members[largest].add(i)
-    groups = [sorted(members[c]) for c in kept]
+    groups = [sorted(members[c]) for c in clusters]
     return TaskGrouping(groups=groups, assignments=labels, budget=budget)
 
 
@@ -263,20 +244,18 @@ def save_grouping(grouping: TaskGrouping, path) -> None:
         "groups": [list(map(int, grp)) for grp in grouping.groups],
         "assignments": grouping.assignments.tolist(),
         "budget": grouping.budget,
-        "objective": grouping.objective,
-        "per_task_scores": grouping.per_task_scores,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
 
 
 def load_grouping(path) -> TaskGrouping:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a grouping.json; keys other than groups, assignments and budget
+    (an older file's always-null objective and per_task_scores) are ignored."""
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
         payload = json.load(fh)
-    return TaskGrouping(
-        groups=[list(map(int, grp)) for grp in payload["groups"]],
-        assignments=np.asarray(payload["assignments"], dtype=np.int64),
-        budget=payload["budget"],
-        objective=payload.get("objective"),
-        per_task_scores=payload.get("per_task_scores"),
-    )
+        return TaskGrouping(
+            groups=[list(map(int, grp)) for grp in payload["groups"]],
+            assignments=np.asarray(payload["assignments"], dtype=np.int64),
+            budget=payload["budget"],
+        )

@@ -78,7 +78,6 @@ class MtlModel:
     weights: np.ndarray | None = None
     encoder: list | None = None
     heads: dict | None = None
-    loss_kind: str = "bce"
     monotone_loss: bool = True
 
     def raw_scores(self, rows: np.ndarray, task_id: int) -> np.ndarray:
@@ -333,8 +332,7 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
         z = features[base]
         labels = [tasks.labels[tid][base] for tid in subset]
         w = fit_closed_form(z, labels, spec.ridge)
-        return MtlModel("closed-form-linear", subset, seed, features, weights=w,
-                        loss_kind=spec.train_loss_kind())
+        return MtlModel("closed-form-linear", subset, seed, features, weights=w)
 
     rng = np.random.default_rng(seed)
     batch = _batch(features, [tasks.train_mask[tid] for tid in subset],
@@ -359,8 +357,7 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     head_w, head_b = layers.pop()
     heads = {tid: [head_w[:, k].copy(), float(head_b[k])] for k, tid in enumerate(subset)}
     return MtlModel("shared-encoder-mlp", subset, seed, features,
-                    encoder=layers, heads=heads, loss_kind=loss_kind,
-                    monotone_loss=monotone)
+                    encoder=layers, heads=heads, monotone_loss=monotone)
 
 
 def f1_score(y_true, y_pred) -> float:

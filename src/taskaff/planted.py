@@ -21,12 +21,8 @@ from math import comb
 import numpy as np
 
 from .affinity import AffinityMatrix, _regroup, subset_array
-from .errors import (
-    CoverageError,
-    GenerationError,
-    InvalidInputError,
-    ParseError,
-)
+from .errors import CoverageError, GenerationError, InvalidInputError, ParseError, reading
+from .graphs import _load_matrix
 from .learners import PINV_RCOND, closed_form_scores
 from .tasks import TaskSet
 
@@ -314,29 +310,19 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
         json.dump(meta, fh, sort_keys=True, indent=1)
 
 
-def _load_matrix(path, columns, rows=None):
-    """A numeric CSV matrix; a ragged or non-numeric row, or a shape other
-    than the given rows x columns, raises ParseError naming the file."""
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    want = (data.shape[0] if rows is None else rows, columns)
-    if data.shape != want:
-        raise ParseError(f"{path} holds a {data.shape[0]} x {data.shape[1]} matrix, "
-                         f"expected {want[0]} x {want[1]}")
-    return data
-
-
 def load_instance(in_dir) -> PlantedInstance:
     """Rebuild an instance from disk; P is scattered back into a dense array.
 
-    A malformed CSV, a matrix shaped otherwise than meta.json says, or a P
-    triplet whose row or column is not an integer in 0..N-1 raises ParseError.
+    A malformed meta.json or CSV, a matrix shaped otherwise than meta.json
+    says, or a P triplet whose row or column is not an integer in 0..N-1
+    raises ParseError.
     """
-    with open(os.path.join(in_dir, "meta.json"), "r", encoding="utf-8") as fh:
+    meta_path = os.path.join(in_dir, "meta.json")
+    with open(meta_path, "r", encoding="utf-8") as fh, reading(meta_path):
         meta = json.load(fh)
-    cfg = PlantedConfig(**meta["config"])
+        cfg = PlantedConfig(**meta["config"])
+        observed_rows, group_of = (np.asarray(meta[k], dtype=np.int64)
+                                   for k in ("observed_rows", "group_of"))
     n = cfg.num_nodes
     coo_path = os.path.join(in_dir, "pg_coo.csv")
     if not os.path.exists(coo_path) and os.path.exists(os.path.join(in_dir, "pg.csv")):
@@ -356,6 +342,5 @@ def load_instance(in_dir) -> PlantedInstance:
     labels = _load_matrix(os.path.join(in_dir, "labels.csv"), n, cfg.num_tasks)
     return PlantedInstance(
         config=cfg, features=x, diffusion=p, labels=labels,
-        observed_rows=np.asarray(meta["observed_rows"], dtype=np.int64),
-        group_of=np.asarray(meta["group_of"], dtype=np.int64),
+        observed_rows=observed_rows, group_of=group_of,
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, ShortfallError
+from .errors import InvalidInputError, ParseError, ShortfallError, reading
 from .graphs import Graph
 
 log = logging.getLogger(__name__)
@@ -176,15 +176,15 @@ def save_task_set(tasks: TaskSet, path) -> None:
 
 
 def load_task_set(path) -> TaskSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
         payload = json.load(fh)
-    n = payload["num_nodes"]
-    labels, trains, vals, tests = [], [], [], []
-    for rec in payload["tasks"]:
-        y = np.zeros(n)
-        y[np.asarray(rec["positives"], dtype=np.int64)] = 1.0
-        labels.append(y)
-        trains.append(np.asarray(rec["train"], dtype=np.int64))
-        vals.append(np.asarray(rec["val"], dtype=np.int64))
-        tests.append(np.asarray(rec["test"], dtype=np.int64))
-    return TaskSet(n, tuple(labels), tuple(trains), tuple(vals), tuple(tests))
+        n = payload["num_nodes"]
+        labels, trains, vals, tests = [], [], [], []
+        for rec in payload["tasks"]:
+            y = np.zeros(n)
+            y[np.asarray(rec["positives"], dtype=np.int64)] = 1.0
+            labels.append(y)
+            trains.append(np.asarray(rec["train"], dtype=np.int64))
+            vals.append(np.asarray(rec["val"], dtype=np.int64))
+            tests.append(np.asarray(rec["test"], dtype=np.int64))
+        return TaskSet(n, tuple(labels), tuple(trains), tuple(vals), tuple(tests))

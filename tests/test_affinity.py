@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskaff import affinity, learners, planted
-from taskaff.errors import (
-    CoverageError,
-    EmptyDomainError,
-    InvalidInputError,
-)
+from taskaff.errors import CoverageError, InvalidInputError, ParseError
 from tests.conftest import make_eval, make_log, records
 
 
@@ -226,7 +223,7 @@ class TestEstimateAffinity:
         # one EvalLog holds one metric, so a mix can only arrive from a file
         csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
         affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2}, metric="f1")]),
-                               csv_path, subsets_path)
+                               csv_path)
         affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2})]), csv_path,
                                indices=[1], append=True)
         subsets_path.write_text("[[0, 1], [0, 1]]")
@@ -297,87 +294,19 @@ class TestConvergenceTrace:
 
 
 class TestProbes:
-    def test_monotonicity_single_violation(self):
-        log = {
-            frozenset({7}): 0.5,
-            frozenset({7, 1}): 0.6,
-            frozenset({7, 1, 2}): 0.55,
-        }
-        violations = affinity.probe_monotonicity(log, 7)
-        assert ((7,), (1, 7)) not in violations
-        assert ((1, 7), (1, 2, 7)) in violations
-        assert len(violations) == 1
-
-    def test_monotone_log_empty_list(self):
-        log = {frozenset({0}): 0.1, frozenset({0, 1}): 0.2, frozenset({0, 1, 2}): 0.3}
-        assert affinity.probe_monotonicity(log, 0) == []
-
-    def test_no_chains_raises(self):
-        log = {frozenset({0, 1}): 0.1, frozenset({0, 2}): 0.2}
-        with pytest.raises(EmptyDomainError):
-            affinity.probe_monotonicity(log, 0)
-
     def test_planted_cross_task_breaks_monotonicity(self, small_instance):
-        # chains that first add a same-group task, then a cross-group one
+        # the paper's f_i(S) is not monotone: along a chain that first adds a
+        # same-group task, then a cross-group one, the target's score drops
         inst = small_instance
         tasks, feats = planted.to_task_set(inst)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         target, ally, rival = 0, 1, 5  # groups: {0,1,2}, {3,4,5}
         chain = [(target,), (target, ally), (target, ally, rival)]
         # one call per subset: a log holds subsets of one size
-        evals = [ev for s in chain for ev in records(
-            affinity.collect_evaluations(None, tasks, [s], spec, 0, features=feats))]
-        log = {frozenset(ev.subset): ev.scores[target] for ev in evals}
-        violations = affinity.probe_monotonicity(log, target)
-        assert len(violations) >= 1
-
-    def test_additive_scores_are_submodular(self):
-        # modular (additive) functions satisfy the inequality everywhere;
-        # dyadic weights keep the sums exact under float addition
-        weight = {0: 0.0, 1: 0.25, 2: -0.5, 3: 0.125}
-        subsets = [s | {0} for s in map(frozenset, [
-            set(), {1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}])]
-        log = {s: sum(weight[i] for i in s) for s in subsets}
-        assert affinity.probe_submodularity(log, 0) == []
-
-    def test_crafted_violation(self):
-        log = {
-            frozenset({0}): 0.0,
-            frozenset({0, 1}): 0.0,
-            frozenset({0, 9}): 0.05,
-            frozenset({0, 1, 9}): 0.1,
-        }
-        violations = affinity.probe_submodularity(log, 0)
-        assert ((0,), (0, 1), 9) in violations
-
-    def test_exhaustive_matches_brute_force(self, small_instance):
-        inst = small_instance
-        tasks, feats = planted.to_task_set(inst)
-        spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-        t = 5
-        all_subsets = [tuple(sorted({0} | set(c)))
-                       for r in range(t)
-                       for c in itertools.combinations(range(1, t), r)]
-        evals = [ev for s in all_subsets for ev in records(
-            affinity.collect_evaluations(None, tasks, [s], spec, 0, features=feats))]
-        log = {frozenset(ev.subset): ev.scores[0] for ev in evals}
-        got = set(affinity.probe_submodularity(log, 0))
-        expected = set()
-        for s in log:
-            for sp in log:
-                if not s <= sp:
-                    continue
-                for x in set(range(t)) - set(sp):
-                    sx, spx = s | {x}, sp | {x}
-                    if sx in log and spx in log:
-                        if log[spx] - log[sp] > log[sx] - log[s]:
-                            expected.add((tuple(sorted(s)), tuple(sorted(sp)), x))
-        assert got == expected
-
-    def test_no_quadruples_raises(self):
-        log = {frozenset({0}): 0.1, frozenset({0, 1, 2}): 0.2}
-        with pytest.raises(EmptyDomainError):
-            affinity.probe_submodularity(log, 0)
+        score = [records(affinity.collect_evaluations(None, tasks, [s], spec, 0,
+                                                      features=feats))[0].scores[target]
+                 for s in chain]
+        assert score[2] < score[1]
 
 
 class TestExhaustiveMatchesPopulation:
@@ -401,8 +330,8 @@ class TestLogPersistence:
         plan = affinity.SamplingPlan(num_tasks=5, subset_size=3, num_subsets=12, seed=1)
         evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s}, seed=k)
                  for k, s in enumerate(affinity.sample_subsets(plan))]
-        affinity.save_eval_log(make_log(evals), tmp_path / "evals.csv",
-                               tmp_path / "subsets.json")
+        affinity.save_eval_log(make_log(evals), tmp_path / "evals.csv")
+        (tmp_path / "subsets.json").write_text(json.dumps([ev.subset for ev in evals]))
         loaded = records(affinity.load_eval_log(tmp_path / "evals.csv",
                                                 tmp_path / "subsets.json"))
         assert len(loaded) == len(evals)
@@ -418,7 +347,8 @@ class TestLogPersistence:
         scores = rng.standard_normal((30, 4)) * 10.0 ** rng.integers(-300, 300, (30, 4))
         log = affinity.EvalLog(subsets, scores, rng.integers(0, 2**62, 30), "f1")
         csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
-        affinity.save_eval_log(log, csv_path, subsets_path)
+        affinity.save_eval_log(log, csv_path)
+        subsets_path.write_text(json.dumps(log.subsets.tolist()))
         loaded = affinity.load_eval_log(csv_path, subsets_path)
         np.testing.assert_array_equal(loaded.subsets, log.subsets)
         np.testing.assert_array_equal(loaded.scores.view(np.int64), log.scores.view(np.int64))
@@ -430,7 +360,7 @@ class TestLogPersistence:
                  make_eval((1, 2), {1: -1.5, 2: 3.0}, seed=8),
                  make_eval((0, 2), {0: 0.125, 2: 2.0}, seed=9)]
         csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
-        affinity.save_eval_log(make_log(evals[:1]), csv_path, subsets_path)
+        affinity.save_eval_log(make_log(evals[:1]), csv_path)
         subsets_path.write_text("[[0, 1], [1, 2], [0, 2]]")
         affinity.save_eval_log(make_log(evals[2:]), csv_path, indices=[2], append=True)
         part = records(affinity.load_eval_log(csv_path, subsets_path, indices=[2, 0]))
@@ -439,6 +369,21 @@ class TestLogPersistence:
             affinity.load_eval_log(csv_path, subsets_path)
         empty = affinity.load_eval_log(tmp_path / "absent.csv", subsets_path, indices=[])
         assert len(empty) == 0 and empty.subsets.shape == (0, 2)
+
+    def test_cut_last_line_skipped_inner_one_refused(self, tmp_path):
+        evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}, seed=7),
+                 make_eval((1, 2), {1: -1.5, 2: 3.0}, seed=8)]
+        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        affinity.save_eval_log(make_log(evals), csv_path)
+        subsets_path.write_text("[[0, 1], [1, 2]]")
+        with open(csv_path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("2,0,0.12")  # an append cut short
+        assert records(affinity.load_eval_log(csv_path, subsets_path)) == evals
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        csv_path.write_text("\n".join(lines[:2] + ["1,1,0.5,negative-mse,x"] + lines[2:]))
+        with pytest.raises(ParseError) as info:
+            affinity.load_eval_log(csv_path, subsets_path)
+        assert info.value.line_number == 3
 
     def test_ragged_log_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from taskaff import cli, graphs, grouping
-from tests.conftest import two_block_graph
+from taskaff import cli, grouping
+from tests.conftest import save_edge_list, two_block_graph
 
 
 def run(argv):
@@ -438,7 +438,7 @@ def community_dataset(tmp_path_factory):
     rng = np.random.default_rng(0)
     g = two_block_graph(rng, n_per=25, p_in=0.4, p_out=0.03)
     edges_path = root / "edges.txt"
-    graphs.save_edge_list(g, edges_path)
+    save_edge_list(g, edges_path)
     cmty_path = root / "cmty.txt"
     comm_a = rng.choice(25, size=12, replace=False)
     comm_b = 25 + rng.choice(25, size=12, replace=False)
@@ -648,3 +648,147 @@ class TestConfigFile:
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ") and str(cfg_path) in err[0]
+
+
+MLP_AFFINITY = ["--alpha", "2", "--num-subsets", "12", "--learner", "mlp",
+                "--hidden-width", "8", "--epochs", "60", "--learning-rate", "0.2",
+                "--seed", "2"]
+
+
+@pytest.fixture(scope="module")
+def community_affinity(tmp_path_factory, community_dataset):
+    """A split community dataset and one complete MLP affinity run on it."""
+    root = tmp_path_factory.mktemp("community_affinity")
+    _, edges, cmty = community_dataset
+    ds, aff = str(root / "ds"), str(root / "aff")
+    assert run(["split", "--edges", edges, "--communities", cmty, "--top-k", "4",
+                "--train-pos-frac", "0.3", "--train-neg-frac", "0.3", "--val-frac", "0.2",
+                "--seed", "1", "--out", ds]) == 0
+    assert run(["affinity", "--dataset", ds, "--out", aff] + MLP_AFFINITY) == 0
+    return ds, aff
+
+
+class TestInterruptedLog:
+    """An affinity run stopped during an append: completed.idx lists the
+    subsets committed before it, evals.csv may end in a cut row."""
+
+    def interrupted_copy(self, tmp_path, aff_dir, committed):
+        import shutil
+
+        copy = tmp_path / "aff"
+        shutil.copytree(aff_dir, copy)
+        idx = copy / "completed.idx"
+        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:committed]))
+        (copy / "theta.csv").unlink()
+        return copy
+
+    @pytest.mark.parametrize("tail", ["3", "3\r\n", "7,1,-0.6", "7,1,-0.6931,negative-cr"])
+    def test_cut_last_row_is_dropped_on_resume(self, tmp_path, community_affinity, tail):
+        ds, aff_dir = community_affinity
+        copy = self.interrupted_copy(tmp_path, aff_dir, 5)
+        with open(copy / "evals.csv", "a", encoding="utf-8", newline="") as fh:
+            fh.write(tail)
+        assert run(["affinity", "--dataset", ds, "--out", str(copy)] + MLP_AFFINITY) == 0
+        for name in ("evals.csv", "completed.idx", "theta.csv", "counts.csv"):
+            assert (copy / name).read_bytes() == open(f"{aff_dir}/{name}", "rb").read(), name
+
+    def test_malformed_inner_row_exit_2(self, tmp_path, community_affinity, capsys):
+        ds, aff_dir = community_affinity
+        copy = self.interrupted_copy(tmp_path, aff_dir, 5)
+        lines = (copy / "evals.csv").read_bytes().split(b"\r\n")
+        lines[4] = b"3"
+        (copy / "evals.csv").write_bytes(b"\r\n".join(lines))
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        capsys.readouterr()
+        assert run(["affinity", "--dataset", ds, "--out", str(copy)] + MLP_AFFINITY) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"taskaff: line 5: malformed row '3' in {copy / 'evals.csv'}"]
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+
+def _drop_key(path, *keys):
+    """Delete payload[keys[0]]...[keys[-1]] from a JSON file."""
+    payload = read_json(path)
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+class TestMalformedArtifacts:
+    """An artifact a later command reads, edited into a malformed one, stops
+    that command with one `taskaff:` line naming the file (exit 2)."""
+
+    def grouping(self, tmp_path, pipeline, community_affinity, community_dataset):
+        _, inst_dir, aff_dir = pipeline
+        clus = tmp_path / "clus"
+        assert run(["cluster", "--affinity-dir", aff_dir, "--budget", "3",
+                    "--seed", "4", "--out", str(clus)]) == 0
+        _drop_key(clus / "grouping.json", "assignments")
+        return (clus / "grouping.json", ["evaluate", "--dataset", inst_dir,
+                                         "--grouping-dir", str(clus)], "'assignments'")
+
+    def affinity(self, tmp_path, pipeline, community_affinity, community_dataset):
+        import shutil
+
+        _, _, aff_dir = pipeline
+        copy = tmp_path / "aff"
+        shutil.copytree(aff_dir, copy)
+        (copy / "affinity.json").write_text(
+            '{"imputed": [[0, 12]], "orientation": "performance"}')
+        return (copy / "affinity.json", ["cluster", "--affinity-dir", str(copy),
+                                         "--budget", "3"], "IndexError")
+
+    def negative_imputed(self, tmp_path, pipeline, community_affinity, community_dataset):
+        path, argv, _ = self.affinity(tmp_path, pipeline, community_affinity,
+                                         community_dataset)
+        path.write_text('{"imputed": [[-1, 2]], "orientation": "performance"}')
+        return path, argv, "[-1, 2]"
+
+    def task_set(self, tmp_path, pipeline, community_affinity, community_dataset):
+        import shutil
+
+        ds, _ = community_affinity
+        copy = tmp_path / "ds"
+        shutil.copytree(ds, copy)
+        _drop_key(copy / "taskset.json", "tasks", 2, "positives")
+        return (copy / "taskset.json", ["affinity", "--dataset", str(copy)] + MLP_AFFINITY,
+                "'positives'")
+
+    def planted_meta(self, tmp_path, pipeline, community_affinity, community_dataset):
+        import shutil
+
+        _, inst_dir, _ = pipeline
+        copy = tmp_path / "inst"
+        shutil.copytree(inst_dir, copy)
+        meta = read_json(copy / "meta.json")
+        meta["config"]["colour"] = "red"
+        (copy / "meta.json").write_text(json.dumps(meta))
+        return (copy / "meta.json", ["verify-theory", "--dataset", str(copy), "--alpha", "4",
+                                     "--num-subsets", "150"], "colour")
+
+    def features(self, tmp_path, pipeline, community_affinity, community_dataset):
+        _, edges, cmty = community_dataset
+        feats = tmp_path / "features.csv"
+        rows = [f"{k},1,0.5,2" for k in range(50)]
+        rows[7] = "1,2,x,4"
+        feats.write_text("\n".join(rows) + "\n")
+        ds = str(tmp_path / "ds")
+        assert run(["split", "--edges", edges, "--communities", cmty, "--top-k", "4",
+                    "--features", str(feats), "--seed", "1", "--out", ds]) == 0
+        return feats, ["affinity", "--dataset", ds] + MLP_AFFINITY, "could not convert"
+
+    @pytest.mark.parametrize("case", ["grouping", "affinity", "negative_imputed", "task_set",
+                                      "planted_meta", "features"])
+    def test_exit_2_with_one_line(self, tmp_path, pipeline, community_affinity,
+                                  community_dataset, capsys, case):
+        path, argv, fragment = getattr(self, case)(tmp_path, pipeline, community_affinity,
+                                                   community_dataset)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"taskaff: {path}"), err
+        assert fragment in err[0]

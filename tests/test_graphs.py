@@ -11,7 +11,7 @@ from taskaff.errors import (
     InvalidInputError,
     ParseError,
 )
-from tests.conftest import block_task_set, two_block_graph
+from tests.conftest import block_task_set, save_edge_list, two_block_graph
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -72,7 +72,7 @@ class TestLoadEdgeList:
         rng = np.random.default_rng(3)
         g = two_block_graph(rng, n_per=10, p_in=0.4, p_out=0.1)
         out = tmp_path / "saved.txt"
-        graphs.save_edge_list(g, out)
+        save_edge_list(g, out)
         g2 = graphs.load_edge_list(out)
 
         def edge_set(graph):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -152,6 +153,18 @@ class TestDeriveGroups:
                 covered |= set(g)
             assert covered == set(range(t))
 
+    def test_one_group_per_label_holding_both_copies(self):
+        # each copy puts its own task in its cluster: no label yields an
+        # empty group, so none is dropped and no task needs a fallback
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            t, b = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+            labels = rng.integers(0, b, size=2 * t)
+            grp = grouping.derive_groups(labels, t, b)
+            clusters = sorted(set(labels.tolist()))
+            assert grp.groups == [sorted({i % t for i in np.flatnonzero(labels == c)})
+                                  for c in clusters]
+
     def test_budget_violation_rejected(self):
         with pytest.raises(InvalidInputError):
             grouping.derive_groups(np.array([0, 1, 2, 0]), num_tasks=2, budget=2)
@@ -269,11 +282,21 @@ class TestGroupingPersistence:
     def test_roundtrip(self, tmp_path):
         grp = grouping.TaskGrouping(groups=[[0, 2], [1, 3]],
                                     assignments=np.array([0, 1, 0, 1, 0, 1, 0, 1]),
-                                    budget=2, objective=-1.5,
-                                    per_task_scores=[-0.1, -0.2, -0.3, -0.9])
+                                    budget=2)
         grouping.save_grouping(grp, tmp_path / "g.json")
         loaded = grouping.load_grouping(tmp_path / "g.json")
         assert loaded.groups == grp.groups
         np.testing.assert_array_equal(loaded.assignments, grp.assignments)
-        assert loaded.objective == grp.objective
-        assert loaded.per_task_scores == grp.per_task_scores
+        assert loaded.budget == grp.budget
+        assert json.loads((tmp_path / "g.json").read_text()).keys() == \
+            {"assignments", "budget", "groups"}
+
+    def test_file_with_null_score_keys_loads(self, tmp_path):
+        # grouping.json files written before the objective and per_task_scores
+        # keys (always null) were dropped
+        path = tmp_path / "g.json"
+        path.write_text('{"assignments": [0, 1, 1, 0], "budget": 2, "groups": [[0, 1], [1]], '
+                        '"objective": null, "per_task_scores": null}')
+        loaded = grouping.load_grouping(path)
+        assert loaded.groups == [[0, 1], [1]] and loaded.budget == 2
+        np.testing.assert_array_equal(loaded.assignments, [0, 1, 1, 0])

@@ -1,0 +1,48 @@
+"""Every public top-level function and class of the package is reached.
+
+A definition counts as reached when some code in src/ or bench/, outside
+the definition itself, names it: as an identifier (a call, an attribute,
+an import) or as a string, which is how bench/tracing.py lists the
+functions it wraps. Code that only tests name is dead weight in src/.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# name -> why it may stay unreached from src/ and bench/
+ALLOWED = {
+    "gradient_check": "finite-difference oracle of the acceptance suite",
+}
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name.rpartition(".")[2], node.asname]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def test_every_public_definition_is_named_outside_itself():
+    definitions, uses = [], {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "taskaff":
+            definitions += [(path, node) for node in tree.body
+                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                            and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            for name in _names(node):
+                uses.setdefault(name, []).append((path, getattr(node, "lineno", 0)))
+    assert definitions
+    unreached = [f"{path.stem}.{node.name}" for path, node in definitions
+                 if node.name not in ALLOWED
+                 and all(p == path and node.lineno <= line <= node.end_lineno
+                         for p, line in uses.get(node.name, []))]
+    assert unreached == []
