@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (CoverageError, InvalidInputError, ParseError, TaskAffError,
                      TrainingError, reading)
+from .graphs import _load_matrix
 from .learners import LearnerSpec, closed_form_scores, evaluate, train_subset
 
 COVERAGE_CAP_FACTOR = 10
@@ -273,7 +274,7 @@ def load_eval_log(csv_path, subsets_path, indices=None) -> EvalLog:
     A malformed last line is the tail of an interrupted append and is
     skipped; a malformed row anywhere else raises ParseError.
     """
-    with open(subsets_path, "r", encoding="utf-8") as fh:
+    with open(subsets_path, "r", encoding="utf-8") as fh, reading(subsets_path):
         subsets = _rows(json.load(fh))
     indices = np.arange(len(subsets)) if indices is None else np.asarray(indices, dtype=np.int64)
     kept, rows = subsets[indices], {}
@@ -313,8 +314,12 @@ def save_affinity(aff: AffinityMatrix, theta_path, counts_path, sidecar_path) ->
 
 
 def load_affinity(theta_path, counts_path, sidecar_path) -> AffinityMatrix:
-    theta = np.loadtxt(theta_path, delimiter=",", ndmin=2)
-    counts = np.loadtxt(counts_path, delimiter=",", dtype=np.int64, ndmin=2)
+    """Read saved affinity files; theta must be square, counts its shape."""
+    theta = _load_matrix(theta_path)
+    t = theta.shape[1]
+    if theta.shape[0] != t:
+        raise ParseError(f"{theta_path} holds a {theta.shape[0]} x {t} matrix, expected {t} x {t}")
+    counts = _load_matrix(counts_path, t, t, dtype=np.int64)
     imputed = np.zeros_like(theta, dtype=bool)
     with open(sidecar_path, "r", encoding="utf-8") as fh, reading(sidecar_path):
         sidecar = json.load(fh)

@@ -39,7 +39,7 @@ from . import affinity as aff_mod
 from . import grouping as grp_mod
 from . import planted as pl_mod
 from . import transfer as tr_mod
-from .errors import MissingInputError, ParseError, TaskAffError, TrainingError
+from .errors import MissingInputError, ParseError, TaskAffError, TrainingError, reading
 from .graphs import (
     DiffusionOperator,
     diffuse_features,
@@ -150,7 +150,8 @@ def _require(path):
 
 
 def _read_json_object(path):
-    """The JSON object held by a file (a --config file or a meta.json)."""
+    """The JSON object held by a file (a --config file, a meta.json or a
+    fingerprint.json)."""
     with open(_require(path), "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -294,10 +295,8 @@ def _check_fingerprint(aff_dir, fingerprint, advice) -> None:
     """Refuse the affinity log in ``aff_dir`` unless its fingerprint.json
     agrees with ``fingerprint`` on every key of it (a log without one
     differs on every key)."""
-    stored, fp_path = {}, _log_paths(aff_dir)[3]
-    if os.path.exists(fp_path):
-        with open(fp_path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
+    fp_path = _log_paths(aff_dir)[3]
+    stored = _read_json_object(fp_path) if os.path.exists(fp_path) else {}
     differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
     if differs:
         raise TaskAffError(f"{aff_dir} holds an affinity log whose {', '.join(differs)} "
@@ -321,7 +320,7 @@ def cmd_affinity(args) -> int:
         subsets = aff_mod.sample_subsets(plan)
     else:
         _check_fingerprint(args.out, fingerprint, "remove it or choose another --out")
-        with open(subsets_path, "r", encoding="utf-8") as fh:
+        with open(subsets_path, "r", encoding="utf-8") as fh, reading(subsets_path):
             subsets = [tuple(s) for s in json.load(fh)]
         if (len(subsets) < plan.num_subsets
                 or any(len(s) != plan.subset_size for s in subsets[:1])):
@@ -331,8 +330,10 @@ def cmd_affinity(args) -> int:
             )
     done = []
     if os.path.exists(idx_path):
-        with open(idx_path, "r", encoding="utf-8") as fh:
+        with open(idx_path, "r", encoding="utf-8") as fh, reading(idx_path):
             done = sorted({int(line) for line in fh if line.strip()})
+            if done and (done[0] < 0 or done[-1] >= len(subsets)):
+                raise IndexError(f"a subset index lies outside 0..{len(subsets) - 1}")
     pending = sorted(set(range(len(subsets))) - set(done))
     if pending:  # a complete log is rescored without reading the dataset
         tasks, features = _load_dataset(dataset, args.holdout_frac)
@@ -409,14 +410,12 @@ def _load_affinity_dir(aff_dir):
 
 def cmd_cluster(args) -> int:
     aff = _load_affinity_dir(_require(args.affinity_dir))
-    if aff.orientation == "loss":
-        aff = aff_mod.AffinityMatrix(-aff.theta, aff.counts, "performance", aff.imputed)
     t = aff.num_tasks
     if args.budget == 1:
         grp = _one_group(t)
     else:
-        cm = grp_mod.build_cluster_matrix(aff)
-        labels = grp_mod.spectral_cluster(cm, args.budget, seed=args.seed)
+        labels = grp_mod.spectral_cluster(grp_mod.build_cluster_matrix(aff), args.budget,
+                                          seed=args.seed)
         grp = grp_mod.derive_groups(labels, t, args.budget)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "grouping.json")
@@ -492,7 +491,7 @@ def cmd_predict_nt(args) -> int:
         "macro_f1": macro,
         "per_task_f1": {str(k): v for k, v in detail["per_task"].items()},
         "excluded_tasks": detail["excluded"],
-        "num_train_examples": sum(len(v) for v in train_ex.values()),
+        "num_train_examples": evals.subsets.size,
         "num_heldout_subsets": len(held),
     }
     out_path = os.path.join(args.out, "transfer_f1.json")
@@ -501,8 +500,9 @@ def cmd_predict_nt(args) -> int:
     tr_mod.save_examples(held_ex, ex_path, models=models)
     _write_manifest(args.out, "predict-nt",
                     {"dataset": os.path.abspath(dataset), "seed": args.seed,
-                     "holdout_frac": args.holdout_frac,
-                     "heldout_subsets": held_plan.num_subsets},
+                     "holdout_frac": args.holdout_frac, "learner": asdict(spec),
+                     "heldout_subsets": held_plan.num_subsets, "l2": args.l2,
+                     "logistic_epochs": args.logistic_epochs, "logistic_lr": args.logistic_lr},
                     [os.path.join(aff_dir, "evals.csv")], [out_path, ex_path])
     return EX_OK
 

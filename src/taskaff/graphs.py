@@ -216,12 +216,12 @@ def load_edge_list(path, idmap_path=None) -> Graph:
     return g
 
 
-def _load_matrix(path, columns=None, rows=None):
-    """A numeric CSV matrix, the one reader of dataset CSVs; a ragged or
-    non-numeric row, or a shape other than the given rows x columns (either
-    left free when None), raises ParseError naming the file."""
+def _load_matrix(path, columns=None, rows=None, dtype=float):
+    """A numeric CSV matrix, the one reader of dataset and affinity CSVs; a
+    ragged or non-numeric row, or a shape other than the given rows x columns
+    (either left free when None), raises ParseError naming the file."""
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     want = tuple(d if w is None else w for d, w in zip(data.shape, (rows, columns)))

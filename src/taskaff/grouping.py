@@ -24,21 +24,6 @@ KMEANS_TOL = 1e-6
 DEGREE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ClusterMatrix:
-    """Rescaled affinity blocks ready for spectral clustering.
-
-    a1 is the symmetrized (rescaled) matrix, full the 2T x 2T block form
-    [[a1, theta], [theta^T, 0]]. ``normalization`` records the affine
-    rescale (offset, scale) applied to theta beforehand.
-    """
-
-    a1: np.ndarray
-    full: np.ndarray
-    normalization: dict
-    num_tasks: int
-
-
 @dataclass
 class TaskGrouping:
     """b (possibly overlapping) task groups from one clustering run."""
@@ -48,28 +33,28 @@ class TaskGrouping:
     budget: int
 
 
-def minmax_rescale(matrix: np.ndarray):
+def minmax_rescale(matrix: np.ndarray) -> np.ndarray:
     """Affine rescale of all entries to [0, 1]; errors on a constant matrix."""
     lo, hi = float(matrix.min()), float(matrix.max())
     if hi == lo:
         raise DegenerateInputError("matrix is constant; no contrast to cluster on")
-    return (matrix - lo) / (hi - lo), {"offset": lo, "scale": hi - lo}
+    return (matrix - lo) / (hi - lo)
 
 
-def build_cluster_matrix(aff: AffinityMatrix) -> ClusterMatrix:
-    """Assemble the doubled symmetric matrix from a performance-oriented theta."""
+def build_cluster_matrix(aff: AffinityMatrix) -> np.ndarray:
+    """The 2T x 2T block form [[a1, theta], [theta^T, 0]] of a performance-oriented
+    theta rescaled to [0, 1], where a1 is the symmetrized rescaled theta."""
     if aff.orientation != "performance":
         raise InvalidInputError(
             "cluster matrix needs performance orientation; flip loss scores first"
         )
-    scaled, norm = minmax_rescale(aff.theta)
+    scaled = minmax_rescale(aff.theta)
     a1 = (scaled + scaled.T) / 2.0
     t = aff.num_tasks
-    full = np.block([
+    return np.block([
         [a1, scaled],
         [scaled.T, np.zeros((t, t))],
     ])
-    return ClusterMatrix(a1=a1, full=full, normalization=norm, num_tasks=t)
 
 
 def _kmeans_pp_init(x, k, rng):
@@ -129,12 +114,11 @@ def _kmeans(x, k, rng, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER,
 def spectral_cluster(matrix, k: int, seed: int) -> np.ndarray:
     """Normalized-cut spectral clustering of a symmetric nonnegative matrix.
 
-    Accepts a ClusterMatrix (its ``full`` block is used) or a raw square
-    ndarray. Takes the eigenvectors of the k smallest eigenvalues of
+    Takes the eigenvectors of the k smallest eigenvalues of
     I - D^{-1/2} A D^{-1/2}, row-normalizes them to unit length (all-zero
     rows stay zero), and k-means clusters the rows.
     """
-    a = matrix.full if isinstance(matrix, ClusterMatrix) else np.asarray(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError("spectral clustering needs a square matrix")
     n = a.shape[0]

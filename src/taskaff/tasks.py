@@ -180,9 +180,12 @@ def load_task_set(path) -> TaskSet:
         payload = json.load(fh)
         n = payload["num_nodes"]
         labels, trains, vals, tests = [], [], [], []
-        for rec in payload["tasks"]:
+        for k, rec in enumerate(payload["tasks"]):
+            positives = np.asarray(rec["positives"], dtype=np.int64)
+            if positives.size and (positives.min() < 0 or positives.max() >= n):
+                raise ParseError(f"{path}: task {k} has a positive node id outside 0..{n - 1}")
             y = np.zeros(n)
-            y[np.asarray(rec["positives"], dtype=np.int64)] = 1.0
+            y[positives] = 1.0
             labels.append(y)
             trains.append(np.asarray(rec["train"], dtype=np.int64))
             vals.append(np.asarray(rec["val"], dtype=np.int64))

@@ -86,7 +86,7 @@ def test_block_structure_and_spectral_recovery():
         theta = planted.theta_closed_form(inst, affinity.sample_subsets(plan))
         rep = planted.verify_block_structure(theta, inst.group_of)
         gaps_pos += rep.passed
-        sim, _ = grouping.minmax_rescale(-theta.theta)
+        sim = grouping.minmax_rescale(-theta.theta)
         labels = grouping.spectral_cluster(sim, c, seed=seed)
         ari_hits += grouping.adjusted_rand_index(labels, inst.group_of) >= 0.99
     elapsed = time.monotonic() - start

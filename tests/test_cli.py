@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ def read_json(path):
         return json.load(fh)
 
 
+AFFINITY = ["--alpha", "4", "--num-subsets", "120", "--learner", "linear",
+            "--metric", "negative-mse", "--seed", "2"]
+
 GEN = ["generate", "--tasks", "12", "--groups", "3", "--dim", "8", "--nodes", "150",
        "--observed", "120", "--within-sep", "0.3", "--between-sep", "5.0",
        "--label-bound", "2.0", "--noise-std", "0.25"]
@@ -28,9 +33,7 @@ def pipeline(tmp_path_factory):
     inst_dir = str(root / "inst")
     aff_dir = str(root / "aff")
     assert run(GEN + ["--seed", "1", "--out", inst_dir]) == 0
-    assert run(["affinity", "--dataset", inst_dir, "--alpha", "4",
-                "--num-subsets", "120", "--learner", "linear",
-                "--metric", "negative-mse", "--seed", "2", "--out", aff_dir]) == 0
+    assert run(["affinity", "--dataset", inst_dir, *AFFINITY, "--out", aff_dir]) == 0
     return root, inst_dir, aff_dir
 
 
@@ -221,6 +224,18 @@ class TestClusterEvaluate:
                     "--budget", "2", "--seed", "0",
                     "--out", str(tmp_path / "c")]) == 66
 
+    def test_loss_oriented_affinity_refused(self, tmp_path, pipeline, capsys):
+        # no command writes a loss-oriented affinity.json; cluster does not flip one
+        _, _, aff_dir = pipeline
+        copy = tmp_path / "aff"
+        shutil.copytree(aff_dir, copy)
+        (copy / "affinity.json").write_text('{"imputed": [], "orientation": "loss"}')
+        capsys.readouterr()
+        assert run(["cluster", "--affinity-dir", str(copy), "--budget", "3",
+                    "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "needs performance orientation" in err[0]
+
     def test_full_pipeline_recovers_planted_groups(self, tmp_path, pipeline):
         _, inst_dir, aff_dir = pipeline
         clus = str(tmp_path / "clus")
@@ -406,6 +421,43 @@ class TestPredictNt:
         rep = read_json(out + "/transfer_f1.json")
         assert 0.0 <= rep["macro_f1"] <= 1.0
         assert rep["num_heldout_subsets"] <= 40
+
+    def test_predictions_agree_with_f1_report(self, tmp_path, pipeline):
+        # each task's F1 from the label and thresholded score of its rows
+        _, inst_dir, aff_dir = pipeline
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", aff_dir,
+                    "--heldout-subsets", "80", "--seed", "6", "--out", str(out)]) == 0
+        rows = {}
+        with open(out / "heldout_predictions.csv", "r", encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                rows.setdefault(int(row["target"]), []).append(
+                    (row["label"] == "1", float(row["score"]) >= 0.5))
+        f1, excluded = {}, []
+        for tid, pairs in sorted(rows.items()):
+            tp = sum(label and pred for label, pred in pairs)
+            wrong = sum(label != pred for label, pred in pairs)
+            if any(label for label, _ in pairs):
+                f1[str(tid)] = 2 * tp / (2 * tp + wrong)
+            else:
+                excluded.append(tid)
+        rep = read_json(out / "transfer_f1.json")
+        assert f1 and f1 == rep["per_task_f1"]
+        assert excluded == rep["excluded_tasks"]
+
+    def test_manifest_records_logistic_settings(self, tmp_path, pipeline):
+        # transfer_f1.json depends on --l2, so the config must too
+        _, inst_dir, aff_dir = pipeline
+        configs = []
+        for l2 in ("0.0001", "0.01"):
+            out = tmp_path / l2
+            assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", aff_dir,
+                        "--heldout-subsets", "40", "--seed", "6", "--l2", l2,
+                        "--out", str(out)]) == 0
+            configs.append(read_json(out / "manifest.json")["config"])
+        assert [k for k in configs[0] if configs[0][k] != configs[1].get(k)] == ["l2"]
+        assert configs[0]["learner"]["kind"] == "closed-form-linear"
+        assert (configs[0]["logistic_epochs"], configs[0]["logistic_lr"]) == (1500, 0.5)
 
     @pytest.mark.parametrize("change,key", [("ridge", "learner"),
                                             ("holdout", "holdout_frac"),
@@ -792,3 +844,42 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"taskaff: {path}"), err
         assert fragment in err[0]
+
+
+def _drop_row_3(lines):
+    return lines[:2] + lines[3:]
+
+
+class TestMalformedAffinityDir:
+    """A file of an affinity directory edited into a malformed one stops the
+    command that reads it with one `taskaff:` line naming the file (exit 2)."""
+
+    @pytest.mark.parametrize("name,edit,command", [
+        ("completed.idx", lambda lines: lines + ["x\n"], "affinity"),
+        ("completed.idx", lambda lines: lines + ["100000\n"], "affinity"),
+        ("completed.idx", lambda lines: lines + ["-1\n"], "affinity"),
+        ("fingerprint.json", lambda lines: ["{"], "affinity"),
+        ("fingerprint.json", lambda lines: ["{"], "predict-nt"),
+        ("subsets.json", lambda lines: ["[[1,2"], "affinity"),
+        ("subsets.json", lambda lines: ["[[1,2"], "predict-nt"),
+        ("theta.csv", lambda lines: lines[:2] + ["x" + lines[2]] + lines[3:], "cluster"),
+        ("theta.csv", _drop_row_3, "cluster"),
+        ("counts.csv", _drop_row_3, "cluster"),
+    ], ids=["idx-x", "idx-past-end", "idx-negative", "fingerprint-affinity",
+            "fingerprint-predict-nt", "subsets-affinity", "subsets-predict-nt", "theta-x",
+            "theta-row-deleted", "counts-row-deleted"])
+    def test_exit_2_with_one_line(self, tmp_path, pipeline, capsys, name, edit, command):
+        _, inst_dir, aff_dir = pipeline
+        copy = tmp_path / "aff"
+        shutil.copytree(aff_dir, copy)
+        path = copy / name
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        argv = {"affinity": ["affinity", "--dataset", inst_dir, *AFFINITY, "--out", str(copy)],
+                "predict-nt": ["predict-nt", "--dataset", inst_dir, "--affinity-dir", str(copy),
+                               "--heldout-subsets", "40", "--out", str(tmp_path / "nt")],
+                "cluster": ["cluster", "--affinity-dir", str(copy), "--budget", "3",
+                            "--out", str(tmp_path / "c")]}[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and str(path) in err[0], err

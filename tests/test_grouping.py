@@ -35,27 +35,27 @@ def block_matrix(sizes, within=1.0, between=0.0, rng=None, noise=0.0):
 class TestBuildClusterMatrix:
     def test_symmetric_theta_gives_rescaled_a1(self):
         theta = np.array([[0.0, 2.0], [2.0, 4.0]])
-        cm = grouping.build_cluster_matrix(perf_aff(theta))
-        np.testing.assert_allclose(cm.a1, theta / 4.0)
+        full = grouping.build_cluster_matrix(perf_aff(theta))
+        np.testing.assert_allclose(full[:2, :2], theta / 4.0)
 
     def test_block_form_arithmetic(self):
         theta = np.array([[1.0, 2.0], [3.0, 4.0]])
-        cm = grouping.build_cluster_matrix(perf_aff(theta))
-        # undo the recorded rescale: A1 must equal [[1, 2.5], [2.5, 4]]
-        norm = cm.normalization
-        a1_raw = cm.a1 * norm["scale"] + norm["offset"]
+        full = grouping.build_cluster_matrix(perf_aff(theta))
+        # undo the rescale (offset min 1, scale max - min 3): A1 must equal [[1, 2.5], [2.5, 4]]
+        offset, scale = 1.0, 3.0
+        a1_raw = full[:2, :2] * scale + offset
         np.testing.assert_allclose(a1_raw, [[1.0, 2.5], [2.5, 4.0]])
-        assert cm.full.shape == (4, 4)
-        np.testing.assert_array_equal(cm.full[2:, 2:], np.zeros((2, 2)))
-        scaled = (theta - norm["offset"]) / norm["scale"]
-        np.testing.assert_allclose(cm.full[:2, 2:], scaled)
-        np.testing.assert_allclose(cm.full[2:, :2], scaled.T)
+        assert full.shape == (4, 4)
+        np.testing.assert_array_equal(full[2:, 2:], np.zeros((2, 2)))
+        scaled = (theta - offset) / scale
+        np.testing.assert_allclose(full[:2, 2:], scaled)
+        np.testing.assert_allclose(full[2:, :2], scaled.T)
 
     def test_full_matrix_exactly_symmetric(self):
         rng = np.random.default_rng(0)
         theta = rng.random((10, 10))
-        cm = grouping.build_cluster_matrix(perf_aff(theta))
-        assert np.array_equal(cm.full, cm.full.T)
+        full = grouping.build_cluster_matrix(perf_aff(theta))
+        assert np.array_equal(full, full.T)
 
     def test_constant_theta_degenerate(self):
         with pytest.raises(DegenerateInputError):

@@ -323,7 +323,7 @@ class TestVerifyBlockStructure:
     def test_spectral_recovery_from_population(self, small_instance):
         inst = small_instance
         pop = planted.population_theta(inst, 3)
-        sim, _ = grouping.minmax_rescale(-pop.theta)
+        sim = grouping.minmax_rescale(-pop.theta)
         labels = grouping.spectral_cluster(sim, 2, seed=9)
         assert grouping.adjusted_rand_index(labels, inst.group_of) == 1.0
 

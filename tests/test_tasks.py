@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskaff import graphs, tasks
-from taskaff.errors import InvalidInputError, ShortfallError
+from taskaff.errors import InvalidInputError, ParseError, ShortfallError
 from tests.conftest import two_block_graph
 
 
@@ -140,6 +140,21 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.train_mask[i], ts.train_mask[i])
             np.testing.assert_array_equal(loaded.val_mask[i], ts.val_mask[i])
             np.testing.assert_array_equal(loaded.test_mask[i], ts.test_mask[i])
+
+    @pytest.mark.parametrize("node", [-1, 30])
+    def test_positive_outside_the_nodes_refused(self, tmp_path, node):
+        # -1 would label node 29 by wrap-around, 30 would index past the end
+        import json
+
+        g = two_block_graph(np.random.default_rng(2), n_per=15)
+        ts = tasks.make_splits([np.arange(8)], g, tasks.SplitPolicy(0.2, 0.2, 0.25, seed=4))
+        path = tmp_path / "taskset.json"
+        tasks.save_task_set(ts, path)
+        payload = json.loads(path.read_text())
+        payload["tasks"][0]["positives"].append(node)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="task 0 has a positive node id outside 0..29"):
+            tasks.load_task_set(path)
 
 
 def old_taskset_json(communities, n, policy):

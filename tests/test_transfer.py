@@ -19,20 +19,20 @@ class TestBuildExamples:
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.3})]
         stl = {0: 0.5, 1: 0.4}
         ex = transfer.build_examples(make_log(evals), stl, aff)
-        assert ex[0][0].label == 0  # tie
-        assert ex[1][0].label == 1  # 0.3 < 0.4
+        assert ex[0][1][0] == 0  # tie
+        assert ex[1][1][0] == 1  # 0.3 < 0.4
 
     def test_singleton_always_label_zero(self):
         aff = simple_aff()
         evals = [make_eval((2,), {2: -1.0})]
         ex = transfer.build_examples(make_log(evals), {2: -1.0}, aff)
-        assert ex[2][0].label == 0
+        assert ex[2][1][0] == 0
 
     def test_features_masked_to_subset(self):
         aff = simple_aff(t=5)
         evals = [make_eval((1, 3), {1: 0.2, 3: 0.9})]
         ex = transfer.build_examples(make_log(evals), {1: 0.0, 3: 0.0}, aff)
-        feats = ex[1][0].features
+        feats = ex[1][0][0]
         assert feats[0] == feats[2] == feats[4] == 0.0
         assert feats[1] == aff.theta[1, 1]
         assert feats[3] == aff.theta[1, 3]
@@ -45,17 +45,16 @@ class TestBuildExamples:
     @staticmethod
     def loop_examples(log, stl_scores, aff):
         """build_examples as one dense T-vector per membership, in log order."""
+        missing = sorted(set(log.subsets.ravel().tolist()) - set(stl_scores))
+        if missing:
+            raise InvalidInputError(f"missing single-task reference score for task {missing[0]}")
         by_task = {}
         for members, scores in zip(log.subsets.tolist(), log.scores.tolist()):
             for i, score in zip(members, scores):
-                if i not in stl_scores:
-                    raise InvalidInputError(f"missing single-task reference score for task {i}")
                 feats = np.zeros(aff.num_tasks)
                 feats[members] = aff.theta[i, members]
-                by_task.setdefault(i, []).append(
-                    transfer.TransferExample(target=i, subset=tuple(members), features=feats,
-                                             label=int(score < stl_scores[i])))
-        return by_task
+                by_task.setdefault(i, []).append((feats, int(score < stl_scores[i]), members))
+        return {i: tuple(map(np.array, zip(*rows))) for i, rows in sorted(by_task.items())}
 
     @pytest.mark.parametrize("alpha", [1, 4])
     def test_matches_per_membership_loop(self, alpha):
@@ -71,23 +70,21 @@ class TestBuildExamples:
         got = transfer.build_examples(log, stl, aff)
         want = self.loop_examples(log, stl, aff)
         assert list(got) == list(want)
-        assert list(got) != sorted(got)  # first-membership order, not sorted ids
+        assert list(got) == sorted(got)  # ascending task ids
         for tid in want:
-            assert len(got[tid]) == len(want[tid])
+            assert type(tid) is int
             for g, w in zip(got[tid], want[tid]):
-                assert (g.target, g.subset, g.label) == (w.target, w.subset, w.label)
-                assert type(g.target) is int and type(g.label) is int
-                assert all(type(i) is int for i in g.subset)
-                assert np.array_equal(g.features, w.features)
+                assert g.shape == w.shape and g.dtype.kind == w.dtype.kind
+                assert np.array_equal(g, w)
 
-    def test_missing_stl_names_the_first_missing_membership(self):
+    def test_missing_stl_names_the_smallest_missing_task(self):
         aff = simple_aff(t=6)
         log = make_log([make_eval((1, 4), {1: 0.0, 4: 0.0}),
                         make_eval((0, 5), {0: 0.0, 5: 0.0}),
                         make_eval((2, 3), {2: 0.0, 3: 0.0})])
-        stl = {1: 0.0, 4: 0.0, 0: 0.0, 2: 0.0}  # 5 is missing before 3
+        stl = {1: 0.0, 4: 0.0, 0: 0.0, 2: 0.0}  # 5 is logged before 3, both missing
         for build in (transfer.build_examples, self.loop_examples):
-            with pytest.raises(InvalidInputError, match="for task 5$"):
+            with pytest.raises(InvalidInputError, match="for task 3$"):
                 build(log, stl, aff)
 
     def test_label_counts_match_recount(self):
@@ -103,31 +100,23 @@ class TestBuildExamples:
         # independent recount straight off the log
         expected = sum(1 for ev in evals for i in ev.subset
                        if ev.scores[i] < stl[i])
-        got = sum(e.label for exs in ex.values() for e in exs)
+        got = sum(int(y.sum()) for _, y, _ in ex.values())
         assert got == expected
-        assert sum(len(v) for v in ex.values()) == 3 * len(subsets)
+        assert sum(len(y) for _, y, _ in ex.values()) == 3 * len(subsets)
 
 
 class TestFitLogistic:
-    def _example(self, x, label, target=0):
-        return transfer.TransferExample(target=target, subset=(0,),
-                                        features=np.atleast_1d(x).astype(float),
-                                        label=label)
-
     def test_separable_one_dimensional(self):
-        exs = [self._example(-1.0, 0), self._example(1.0, 1),
-               self._example(-0.8, 0), self._example(0.9, 1)]
-        model = transfer.fit_logistic(exs, l2=1e-4, epochs=4000, lr=1.0, seed=0)
-        x = np.stack([e.features for e in exs])
-        y = np.array([e.label for e in exs])
+        x = np.array([[-1.0], [1.0], [-0.8], [0.9]])
+        y = np.array([0, 1, 0, 1])
+        model = transfer.fit_logistic(x, y, l2=1e-4, epochs=4000, lr=1.0, seed=0)
         assert np.array_equal(model.predict(x).astype(int), y)
         # decision boundary near zero
         boundary = -model.bias / model.weights[0]
         assert abs(boundary) < 0.4
 
     def test_single_class_degenerate(self):
-        exs = [self._example(0.5, 1), self._example(1.5, 1)]
-        model = transfer.fit_logistic(exs)
+        model = transfer.fit_logistic(np.array([[0.5], [1.5]]), np.array([1, 1]))
         assert model.degenerate
         assert model.predict(np.array([[123.0]]))[0]
 
@@ -137,9 +126,8 @@ class TestFitLogistic:
         x = rng.standard_normal((200, 5))
         w_true = rng.standard_normal(5)
         y = (x @ w_true + 0.3 * rng.standard_normal(200) > 0).astype(int)
-        exs = [transfer.TransferExample(0, (0,), x[i], int(y[i])) for i in range(200)]
         l2 = 1e-3
-        model = transfer.fit_logistic(exs, l2=l2, epochs=20_000, lr=1.0, seed=0)
+        model = transfer.fit_logistic(x, y, l2=l2, epochs=20_000, lr=1.0, seed=0)
 
         def objective(wb):
             w, b = wb[:-1], wb[-1]
@@ -155,21 +143,20 @@ class TestFitLogistic:
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        exs = [self._example(float(v), int(v > 0)) for v in rng.standard_normal(30)]
-        a = transfer.fit_logistic(exs, seed=7)
-        b = transfer.fit_logistic(exs, seed=7)
+        v = rng.standard_normal(30)
+        x, y = v[:, None], (v > 0).astype(int)
+        a = transfer.fit_logistic(x, y, seed=7)
+        b = transfer.fit_logistic(x, y, seed=7)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
 class TestEvaluateF1:
     def _examples(self, labels, target=0):
-        return [transfer.TransferExample(target, (target,),
-                                         np.array([1.0 if l else -1.0]), l)
-                for l in labels]
+        y = np.array(labels)
+        return np.where(y, 1.0, -1.0)[:, None], y, np.full((y.size, 1), target)
 
-    def _perfect_model(self, target=0):
-        return transfer.LogisticModel(weights=np.array([10.0]), bias=0.0,
-                                      trained_for=target)
+    def _perfect_model(self):
+        return transfer.LogisticModel(weights=np.array([10.0]), bias=0.0)
 
     def test_perfect_predictions(self):
         models = {0: self._perfect_model()}
@@ -178,13 +165,12 @@ class TestEvaluateF1:
         assert detail["excluded"] == []
 
     def test_all_negative_predictions(self):
-        models = {0: transfer.LogisticModel(weights=np.zeros(1), bias=-10.0,
-                                            trained_for=0)}
+        models = {0: transfer.LogisticModel(weights=np.zeros(1), bias=-10.0)}
         macro, _ = transfer.evaluate_f1(models, {0: self._examples([1, 1, 0])})
         assert macro == 0.0
 
     def test_tasks_without_positives_excluded(self):
-        models = {0: self._perfect_model(0), 1: self._perfect_model(1)}
+        models = {0: self._perfect_model(), 1: self._perfect_model()}
         held = {0: self._examples([1, 0], target=0),
                 1: self._examples([0, 0], target=1)}
         macro, detail = transfer.evaluate_f1(models, held)
@@ -194,8 +180,7 @@ class TestEvaluateF1:
     def test_permuting_non_members_never_changes_prediction(self):
         rng = np.random.default_rng(5)
         t = 6
-        model = transfer.LogisticModel(weights=rng.standard_normal(t), bias=0.1,
-                                       trained_for=0)
+        model = transfer.LogisticModel(weights=rng.standard_normal(t), bias=0.1)
         feats = np.zeros(t)
         members = [0, 2]
         feats[members] = rng.random(2)
