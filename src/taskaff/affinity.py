@@ -237,8 +237,8 @@ def estimate_affinity(log: EvalLog, num_tasks: int) -> AffinityMatrix:
     return _imputed(theta, counts, log.scores)
 
 
-def convergence_trace(log: EvalLog, num_tasks: int, checkpoints):
-    """Max-entry |theta(prefix) - theta(full log)| at each prefix size."""
+def convergence_trace(log: EvalLog, full: AffinityMatrix, checkpoints):
+    """Max-entry |theta(prefix) - full.theta| per prefix size; full = estimate_affinity(log)."""
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise InvalidInputError("checkpoints must be strictly ascending")
@@ -246,10 +246,11 @@ def convergence_trace(log: EvalLog, num_tasks: int, checkpoints):
         raise InvalidInputError("checkpoints exceed the log length")
     if checkpoints and checkpoints[0] < 1:
         raise InvalidInputError("checkpoints must be >= 1")
-    full = estimate_affinity(log, num_tasks).theta
-    return [float(np.max(np.abs(_imputed(theta, counts, log.scores[:c]).theta - full)))
-            for c, (theta, counts) in zip(checkpoints, _regroup(
-                log.subsets, log.scores, num_tasks, checkpoints))]
+    shorter = [c for c in checkpoints if c < len(log)]
+    thetas = [_imputed(theta, counts, log.scores[:c]).theta for c, (theta, counts) in zip(
+        shorter, _regroup(log.subsets, log.scores, full.num_tasks, shorter))]
+    thetas += [full.theta] * (len(checkpoints) - len(shorter))
+    return [float(np.max(np.abs(theta - full.theta))) for theta in thetas]
 
 
 def save_eval_log(log: EvalLog, csv_path, indices=None, append: bool = False) -> None:
@@ -317,8 +318,9 @@ def load_affinity(theta_path, counts_path, sidecar_path) -> AffinityMatrix:
     """Read saved affinity files; theta must be square, counts its shape."""
     theta = _load_matrix(theta_path)
     t = theta.shape[1]
-    if theta.shape[0] != t:
-        raise ParseError(f"{theta_path} holds a {theta.shape[0]} x {t} matrix, expected {t} x {t}")
+    if theta.shape[0] != t or not np.isfinite(theta).all():
+        raise ParseError(f"{theta_path} holds a {theta.shape[0]} x {t} matrix, "
+                         f"expected {t} x {t} finite scores")
     counts = _load_matrix(counts_path, t, t, dtype=np.int64)
     imputed = np.zeros_like(theta, dtype=bool)
     with open(sidecar_path, "r", encoding="utf-8") as fh, reading(sidecar_path):

@@ -229,11 +229,8 @@ def cmd_generate(args) -> int:
         num_tasks=args.tasks, num_groups=args.groups, feature_dim=args.dim, num_nodes=args.nodes,
         observed=args.observed, within_sep=args.within_sep, between_sep=args.between_sep,
         label_bound=args.label_bound, noise_std=args.noise_std, seed=args.seed)
-    inst = pl_mod.generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    pl_mod.save_instance(inst, args.out)
-    artifacts = [os.path.join(args.out, f)
-                 for f in ("features.csv", "pg_coo.csv", "labels.csv", "meta.json")]
+    pl_mod.save_instance(pl_mod.generate(cfg), args.out)
+    artifacts = [os.path.join(args.out, f) for f in ("instance.npz", "meta.json")]
     _write_manifest(args.out, "generate", asdict(cfg), [], artifacts)
     return EX_OK
 
@@ -377,7 +374,7 @@ def cmd_affinity(args) -> int:
     )
     n = len(evals)
     checkpoints = sorted({max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n})
-    trace = aff_mod.convergence_trace(evals, t, checkpoints)
+    trace = aff_mod.convergence_trace(evals, result, checkpoints)
     with open(os.path.join(args.out, "convergence.csv"), "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.writer(fh)
@@ -457,17 +454,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict_nt(args) -> int:
     dataset, aff_dir = _require(args.dataset), _require(args.affinity_dir)
-    tasks, features = _load_dataset(dataset, args.holdout_frac)
+    _read_meta(dataset)  # a malformed meta.json is named as such, not as a mismatch
     spec = _learner_spec(args)
+    # The single-task references f_i({i}) trained here are compared with the
+    # log's f_i(S), so both must come from one learner and one dataset.
+    _check_fingerprint(aff_dir, _affinity_fingerprint(dataset, spec, args.holdout_frac),
+                       "pass the learner, --holdout-frac and --dataset of that run")
+    tasks, features = _load_dataset(dataset, args.holdout_frac)
     aff = _load_affinity_dir(aff_dir)
     evals = aff_mod.load_eval_log(
         _require(os.path.join(aff_dir, "evals.csv")),
         _require(os.path.join(aff_dir, "subsets.json")),
     )
-    # The single-task references f_i({i}) trained here are compared with the
-    # log's f_i(S), so both must come from one learner and one dataset.
-    _check_fingerprint(aff_dir, _affinity_fingerprint(dataset, spec, args.holdout_frac),
-                       "pass the learner, --holdout-frac and --dataset of that run")
     t = tasks.num_tasks
     stl_evals = aff_mod.collect_evaluations(None, tasks, [(i,) for i in range(t)], spec,
                                             base_seed=args.seed ^ STL_SEED_SALT,

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 from contextlib import contextmanager
+from zipfile import BadZipFile
 
 
 class TaskAffError(Exception):
@@ -17,7 +18,7 @@ class InvalidInputError(TaskAffError):
 
 
 class ParseError(TaskAffError):
-    """A text input file could not be parsed."""
+    """An input file could not be parsed."""
 
     def __init__(self, message, line_number=None):
         super().__init__(message if line_number is None else f"line {line_number}: {message}")
@@ -26,11 +27,11 @@ class ParseError(TaskAffError):
 
 @contextmanager
 def reading(path):
-    """Report the KeyError, IndexError, TypeError or ValueError that a reader
-    raises on a malformed artifact as a ParseError naming the file."""
+    """Report the exception a reader raises on a malformed artifact (BadZipFile
+    and EOFError: a damaged or empty .npz) as a ParseError naming the file."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, BadZipFile, EOFError) as exc:
         raise ParseError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .affinity import AffinityMatrix, _regroup, subset_array
 from .errors import CoverageError, GenerationError, InvalidInputError, ParseError, reading
-from .graphs import _load_matrix
 from .learners import PINV_RCOND, closed_form_scores
 from .tasks import TaskSet
 
@@ -283,20 +282,17 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
 
 
 def save_instance(inst: PlantedInstance, out_dir) -> None:
-    """Persist the instance as CSVs plus a meta.json.
+    """Persist the instance as an uncompressed instance.npz plus a meta.json.
 
     The diffusion matrix P is sparse (a random graph plus the identity), so
-    pg_coo.csv holds its non-zeros only, one ``row,col,value`` line each in
-    np.nonzero order; features.csv and labels.csv are dense.
+    instance.npz holds its non-zeros only, as the p_row, p_col and p_val
+    arrays in np.nonzero order; features and labels are dense.
     """
     os.makedirs(out_dir, exist_ok=True)
-    np.savetxt(os.path.join(out_dir, "features.csv"), inst.features,
-               delimiter=",", fmt="%.17g")
     rows, cols = np.nonzero(inst.diffusion)
-    np.savetxt(os.path.join(out_dir, "pg_coo.csv"),
-               np.column_stack([rows, cols, inst.diffusion[rows, cols]]), fmt="%d,%d,%.17g")
-    np.savetxt(os.path.join(out_dir, "labels.csv"), inst.labels,
-               delimiter=",", fmt="%.17g")
+    np.savez(os.path.join(out_dir, "instance.npz"), features=inst.features,
+             labels=inst.labels, p_row=rows.astype(np.int64), p_col=cols.astype(np.int64),
+             p_val=inst.diffusion[rows, cols])
     max_within, min_between = _separations(inst.sigma, inst.labels, inst.group_of)
     meta = {
         "kind": "planted",
@@ -313,9 +309,9 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
 def load_instance(in_dir) -> PlantedInstance:
     """Rebuild an instance from disk; P is scattered back into a dense array.
 
-    A malformed meta.json or CSV, a matrix shaped otherwise than meta.json
-    says, or a P triplet whose row or column is not an integer in 0..N-1
-    raises ParseError.
+    A malformed meta.json or instance.npz, a missing array, one typed or
+    shaped otherwise than meta.json says, or a P index outside 0..N-1 raises
+    ParseError; a directory of CSV files from before instance.npz does not load.
     """
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh, reading(meta_path):
@@ -324,23 +320,25 @@ def load_instance(in_dir) -> PlantedInstance:
         observed_rows, group_of = (np.asarray(meta[k], dtype=np.int64)
                                    for k in ("observed_rows", "group_of"))
     n = cfg.num_nodes
-    coo_path = os.path.join(in_dir, "pg_coo.csv")
-    if not os.path.exists(coo_path) and os.path.exists(os.path.join(in_dir, "pg.csv")):
-        raise InvalidInputError(
-            f"{in_dir} holds P as a dense pg.csv, a format no longer read; "
-            "re-run generate to rewrite the instance"
-        )
-    x = _load_matrix(os.path.join(in_dir, "features.csv"), cfg.feature_dim, n)
-    triplets = _load_matrix(coo_path, 3)
-    index = triplets[:, :2]
-    bad = np.flatnonzero(((index < 0) | (index >= n) | (index != np.floor(index))).any(axis=1))
-    if bad.size:
-        raise ParseError(f"{coo_path}: row {bad[0] + 1} has index {index[bad[0]].tolist()}, "
-                         f"not a pair of integers in 0..{n - 1}")
+    path = os.path.join(in_dir, "instance.npz")
+    if not os.path.exists(path) and any(os.path.exists(os.path.join(in_dir, f)) for f in (
+            "pg_coo.csv", "labels.csv", "features.csv", "pg.csv")):
+        raise InvalidInputError(f"{in_dir} holds the instance as CSV files, a format no "
+                                "longer read; re-run generate to rewrite it as instance.npz")
+    # np.load leaves a file it opened itself unclosed when the zip is damaged
+    with reading(path), open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+        a = {name: npz[name] for name in ("features", "labels", "p_row", "p_col", "p_val")}
+    k = (a["p_val"].size,)
+    for name, dtype, shape in (("features", np.float64, (n, cfg.feature_dim)),
+                               ("labels", np.float64, (cfg.num_tasks, n)), ("p_row", np.int64, k),
+                               ("p_col", np.int64, k), ("p_val", np.float64, k)):
+        if a[name].dtype != dtype or a[name].shape != shape:
+            raise ParseError(f"{path}: {name} is {a[name].dtype} of shape {a[name].shape}, "
+                             f"expected {np.dtype(dtype)} of shape {shape}")
+    index = np.concatenate([a["p_row"], a["p_col"]])
+    if index.min(initial=0) < 0 or index.max(initial=0) >= n:
+        raise ParseError(f"{path}: P indices span {index.min()}..{index.max()}, not 0..{n - 1}")
     p = np.zeros((n, n))
-    p[index[:, 0].astype(np.int64), index[:, 1].astype(np.int64)] = triplets[:, 2]
-    labels = _load_matrix(os.path.join(in_dir, "labels.csv"), n, cfg.num_tasks)
-    return PlantedInstance(
-        config=cfg, features=x, diffusion=p, labels=labels,
-        observed_rows=observed_rows, group_of=group_of,
-    )
+    p[a["p_row"], a["p_col"]] = a["p_val"]
+    return PlantedInstance(config=cfg, features=a["features"], diffusion=p, labels=a["labels"],
+                           observed_rows=observed_rows, group_of=group_of)

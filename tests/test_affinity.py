@@ -245,14 +245,16 @@ class TestConvergenceTrace:
     def test_full_prefix_distance_zero(self):
         rng = np.random.default_rng(0)
         evals = self._random_evals(rng)
-        trace = affinity.convergence_trace(evals, 5, [len(evals)])
+        trace = affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5),
+                                           [len(evals)])
         assert trace == [0.0]
 
     def test_constant_scores_zero_everywhere(self):
         plan = affinity.SamplingPlan(num_tasks=5, subset_size=3, num_subsets=30, seed=2)
         evals = make_log([make_eval(s, {i: 0.75 for i in s})
                           for s in affinity.sample_subsets(plan)])
-        trace = affinity.convergence_trace(evals, 5, [5, 15, 30])
+        trace = affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5),
+                                           [5, 15, 30])
         assert trace == [0.0, 0.0, 0.0]
 
     def test_distance_shrinks_with_prefix_monte_carlo(self, small_instance):
@@ -268,7 +270,8 @@ class TestConvergenceTrace:
             subsets = affinity.sample_subsets(plan)
             evals = affinity.collect_evaluations(None, tasks, subsets, spec, seed,
                                                  features=feats)
-            d_small, d_big = affinity.convergence_trace(evals, 6, [12, 60])
+            d_small, d_big = affinity.convergence_trace(
+                evals, affinity.estimate_affinity(evals, 6), [12, 60])
             hits += d_big < d_small
         assert hits >= 8
 
@@ -282,15 +285,16 @@ class TestConvergenceTrace:
         expected = [float(np.max(np.abs(affinity.estimate_affinity(affinity.EvalLog(
             log.subsets[:c], log.scores[:c], log.seeds[:c], log.metric), 8).theta - full)))
             for c in checkpoints]
-        assert affinity.convergence_trace(log, 8, checkpoints) == expected
+        assert affinity.convergence_trace(
+            log, affinity.estimate_affinity(log, 8), checkpoints) == expected
 
     def test_checkpoint_validation(self):
         rng = np.random.default_rng(1)
         evals = self._random_evals(rng, n=10)
         with pytest.raises(InvalidInputError):
-            affinity.convergence_trace(evals, 5, [4, 4])
+            affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5), [4, 4])
         with pytest.raises(InvalidInputError):
-            affinity.convergence_trace(evals, 5, [4, 99])
+            affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5), [4, 99])
 
 
 class TestProbes:

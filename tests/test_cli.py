@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ def run(argv):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def npz_arrays(path):
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
 
 
 AFFINITY = ["--alpha", "4", "--num-subsets", "120", "--learner", "linear",
@@ -42,8 +48,7 @@ class TestGenerate:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert run(GEN + ["--seed", "3", "--out", a]) == 0
         assert run(GEN + ["--seed", "3", "--out", b]) == 0
-        for name in ("features.csv", "pg_coo.csv", "labels.csv", "meta.json",
-                     "manifest.json"):
+        for name in ("instance.npz", "meta.json", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
@@ -150,7 +155,7 @@ class TestAffinity:
         assert len(loads) == 1
         for name in ("evals.csv", "theta.csv", "counts.csv"):
             assert (resumed / name).read_bytes() == \
-                   open(os.path.join(aff_dir, name), "rb").read()
+                   Path(aff_dir, name).read_bytes()
 
     def test_resume_after_kill_matches_clean_run(self, tmp_path, pipeline):
         _, inst_dir, aff_dir = pipeline
@@ -174,7 +179,7 @@ class TestAffinity:
                      "counts.csv", "affinity.json", "convergence.csv",
                      "manifest.json"):
             assert (tmp_path / "resumed" / name).read_bytes() == \
-                   open(os.path.join(aff_dir, name), "rb").read(), name
+                   Path(aff_dir, name).read_bytes(), name
 
     def test_defaults_match_published_settings(self):
         args = cli.build_parser().parse_args(["affinity", "--dataset", "x", "--out", "y"])
@@ -197,12 +202,12 @@ class TestAffinity:
         else:
             argv["dataset"] = str(tmp_path / "other")
             assert run(GEN + ["--seed", "9", "--out", argv["dataset"]]) == 0
-        before = {n: open(os.path.join(out, n), "rb").read() for n in os.listdir(out)}
+        before = {n: Path(out, n).read_bytes() for n in os.listdir(out)}
         assert run(["affinity", "--dataset", argv["dataset"], "--alpha", "4",
                     "--num-subsets", "120", "--learner", "linear",
                     "--metric", "negative-mse", "--ridge", argv["ridge"],
                     "--seed", argv["seed"], "--out", out]) == 2
-        after = {n: open(os.path.join(out, n), "rb").read() for n in os.listdir(out)}
+        after = {n: Path(out, n).read_bytes() for n in os.listdir(out)}
         assert after == before
 
 
@@ -276,9 +281,9 @@ class TestVerifyTheory:
 
         bad = tmp_path / "bad"
         shutil.copytree(inst_dir, bad)
-        rows = (bad / "features.csv").read_text().splitlines()
-        rows[0] = ",".join(["nan"] + rows[0].split(",")[1:])
-        (bad / "features.csv").write_text("\n".join(rows) + "\n")
+        arrays = npz_arrays(bad / "instance.npz")
+        arrays["features"][0, 0] = np.nan
+        np.savez(bad / "instance.npz", **arrays)
         capsys.readouterr()
         assert run(["verify-theory", "--dataset", str(bad), "--alpha", "4",
                     "--num-subsets", "150", "--seed", "5",
@@ -286,32 +291,44 @@ class TestVerifyTheory:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ")
 
-    # (file, edit of its lines, expected stderr fragment); the fixture
-    # instance has N=150 nodes, T=12 tasks and d=8 features
+    # (edit of the arrays of instance.npz, or of its bytes, expected stderr
+    # fragment); the fixture instance has N=150 nodes, T=12 tasks and d=8
+    # features, so P's triplet arrays hold k=len(p_val) entries each
     MALFORMED = {
-        "ragged-pg-row": ("pg_coo.csv", lambda rows: rows + ["1,2"], "columns changed"),
-        "non-numeric-pg-row": ("pg_coo.csv", lambda rows: rows + ["1,x,0.5"], "pg_coo.csv"),
-        "ragged-features-row": ("features.csv", lambda rows: [rows[0] + ",1"] + rows[1:],
-                                "features.csv"),
-        "non-numeric-features-row": ("features.csv", lambda rows: ["x" + rows[0]] + rows[1:],
-                                     "features.csv"),
-        "ragged-labels-row": ("labels.csv", lambda rows: rows[:-1] + ["1,2"], "labels.csv"),
-        "non-numeric-labels-row": ("labels.csv", lambda rows: ["y" + rows[0]] + rows[1:],
-                                   "labels.csv"),
-        "negative-index": ("pg_coo.csv", lambda rows: rows + ["-1,5,0.25"], "[-1.0, 5.0]"),
-        "fractional-index": ("pg_coo.csv", lambda rows: rows + ["3,2.5,0.25"], "[3.0, 2.5]"),
-        "out-of-range-index": ("pg_coo.csv", lambda rows: ["7,150,0.25"] + rows,
-                               "row 1 has index [7.0, 150.0]"),
-        "features-missing-node": ("features.csv", lambda rows: rows[:-1],
-                                  "149 x 8 matrix, expected 150 x 8"),
-        "features-extra-column": ("features.csv", lambda rows: [r + ",0" for r in rows],
-                                  "150 x 9 matrix, expected 150 x 8"),
-        "labels-missing-task": ("labels.csv", lambda rows: rows[:-1],
-                                "11 x 150 matrix, expected 12 x 150"),
-        "labels-transposed": ("labels.csv",
-                              lambda rows: [",".join(c) for c in zip(*(r.split(",")
-                                                                       for r in rows))],
-                              "150 x 12 matrix, expected 12 x 150"),
+        "missing-array": (lambda a: a.pop("labels"), "'labels is not a file in the archive'"),
+        "ragged-pg-row": (lambda a: a.update(p_col=a["p_col"][:-1]), "p_col is int64 of shape"),
+        "non-numeric-pg-row": (lambda a: a.update(p_val=a["p_val"].astype(str)),
+                               "p_val is <U"),
+        "ragged-features-row": (lambda a: a.update(features=np.array(
+            [np.append(a["features"][0], 1.0), *a["features"][1:]], dtype=object)),
+                                "Object arrays cannot be loaded"),
+        "non-numeric-features-row": (lambda a: a.update(features=a["features"].astype(str)),
+                                     "features is <U"),
+        "ragged-labels-row": (lambda a: a.update(labels=np.array(
+            [*a["labels"][:-1], np.array([1.0, 2.0])], dtype=object)),
+                              "Object arrays cannot be loaded"),
+        "non-numeric-labels-row": (lambda a: a.update(labels=a["labels"].astype(str)),
+                                   "labels is <U"),
+        "negative-index": (lambda a: a["p_row"].__setitem__(0, -1),
+                           "P indices span -1..149, not 0..149"),
+        "fractional-index": (lambda a: a.update(p_row=a["p_row"] + 0.5),
+                             "p_row is float64 of shape"),
+        "out-of-range-index": (lambda a: a["p_col"].__setitem__(0, 150),
+                               "P indices span 0..150, not 0..149"),
+        "features-missing-node": (lambda a: a.update(features=a["features"][:-1]),
+                                  "shape (149, 8), expected float64 of shape (150, 8)"),
+        "features-extra-column": (lambda a: a.update(features=np.hstack(
+            [a["features"], np.zeros((150, 1))])),
+                                  "shape (150, 9), expected float64 of shape (150, 8)"),
+        "labels-missing-task": (lambda a: a.update(labels=a["labels"][:-1]),
+                                "shape (11, 150), expected float64 of shape (12, 150)"),
+        "labels-transposed": (lambda a: a.update(labels=a["labels"].T),
+                              "shape (150, 12), expected float64 of shape (12, 150)"),
+        "truncated": (lambda b: b[:len(b) // 2], "BadZipFile: File is not a zip file"),
+        "crc-damaged": (lambda b: b[:len(b) // 2] + bytes([b[len(b) // 2] ^ 0xFF])
+                        + b[len(b) // 2 + 1:], "BadZipFile: Bad CRC-32"),
+        "empty": (lambda b: b"", "EOFError"),
+        "garbage": (lambda b: b"not an npz\n" * 10, "ValueError"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -319,33 +336,47 @@ class TestVerifyTheory:
         import shutil
 
         _, inst_dir, _ = pipeline
-        name, edit, fragment = self.MALFORMED[case]
+        edit, fragment = self.MALFORMED[case]
         bad = tmp_path / "bad"
         shutil.copytree(inst_dir, bad)
-        rows = (bad / name).read_text().splitlines()
-        (bad / name).write_text("\n".join(edit(rows)) + "\n")
+        path = bad / "instance.npz"
+        if case in ("truncated", "crc-damaged", "empty", "garbage"):
+            path.write_bytes(edit(path.read_bytes()))
+        else:
+            arrays = npz_arrays(path)
+            edit(arrays)
+            np.savez(path, **arrays)
         capsys.readouterr()
         assert run(["verify-theory", "--dataset", str(bad), "--alpha", "4",
                     "--num-subsets", "150", "--out", str(tmp_path / "v")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("taskaff: ") and name in err[0]
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and str(path) in err[0], err
         assert fragment in err[0]
 
-    def test_dense_pg_csv_instance_exit_2(self, tmp_path, pipeline, capsys):
-        # instances written before P was stored as sparse triplets
+    def assert_csv_instance_refused(self, tmp_path, pipeline, capsys, files):
         import shutil
 
         _, inst_dir, _ = pipeline
         old = tmp_path / "old"
         shutil.copytree(inst_dir, old)
-        np.savetxt(old / "pg.csv", cli.pl_mod.load_instance(inst_dir).diffusion,
-                   delimiter=",", fmt="%.17g")
-        (old / "pg_coo.csv").unlink()
+        (old / "instance.npz").unlink()
+        for name in files:
+            (old / name).write_text("0,0,1\n")
         capsys.readouterr()
         assert run(["verify-theory", "--dataset", str(old), "--alpha", "4",
                     "--num-subsets", "150", "--out", str(tmp_path / "v")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "re-run generate" in err[0]
+
+    def test_dense_pg_csv_instance_exit_2(self, tmp_path, pipeline, capsys):
+        # instances written before P was stored as sparse triplets
+        self.assert_csv_instance_refused(tmp_path, pipeline, capsys,
+                                         ("features.csv", "pg.csv", "labels.csv"))
+
+    def test_coo_csv_instance_exit_2(self, tmp_path, pipeline, capsys):
+        # instances written before instance.npz
+        self.assert_csv_instance_refused(tmp_path, pipeline, capsys,
+                                         ("features.csv", "pg_coo.csv", "labels.csv"))
 
     def test_planted_commands_do_not_import_scipy(self, tmp_path):
         # scipy.sparse serves the graph commands only; the planted chain
@@ -483,6 +514,20 @@ class TestPredictNt:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ") and key in err[0]
 
+    def test_fingerprint_checked_before_the_dataset_is_read(self, tmp_path, pipeline, capsys):
+        # the refusal needs only meta.json, so a dataset without its arrays
+        # still gets it and not a missing-input error
+        _, inst_dir, aff_dir = pipeline
+        dataset = tmp_path / "ds"
+        shutil.copytree(inst_dir, dataset)
+        (dataset / "instance.npz").unlink()
+        capsys.readouterr()
+        assert run(["predict-nt", "--dataset", str(dataset), "--affinity-dir", aff_dir,
+                    "--heldout-subsets", "40", "--holdout-frac", "0.3",
+                    "--out", str(tmp_path / "nt")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "holdout_frac" in err[0], err
+
 
 @pytest.fixture(scope="module")
 def community_dataset(tmp_path_factory):
@@ -518,7 +563,7 @@ class TestSplitAndPprSim:
     def test_split_malformed_community_line_exit_2(self, tmp_path, community_dataset, capsys):
         _, edges, cmty = community_dataset
         bad = tmp_path / "cmty.txt"
-        bad.write_text(open(cmty).read() + "4 x 6\n")
+        bad.write_text(Path(cmty).read_text() + "4 x 6\n")
         capsys.readouterr()
         assert run(["split", "--edges", edges, "--communities", str(bad), "--top-k", "4",
                     "--seed", "1", "--out", str(tmp_path / "ds")]) == 2
@@ -528,7 +573,7 @@ class TestSplitAndPprSim:
     def test_warnings_show_level_and_source_once(self, tmp_path, community_dataset, capsys):
         _, edges, cmty = community_dataset
         looped = tmp_path / "edges.txt"
-        looped.write_text(open(edges).read() + "3 3\n")
+        looped.write_text(Path(edges).read_text() + "3 3\n")
         capsys.readouterr()
         for k in range(2):  # a second in-process run must not add a second handler
             assert run(["split", "--edges", str(looped), "--communities", cmty,
@@ -742,7 +787,7 @@ class TestInterruptedLog:
             fh.write(tail)
         assert run(["affinity", "--dataset", ds, "--out", str(copy)] + MLP_AFFINITY) == 0
         for name in ("evals.csv", "completed.idx", "theta.csv", "counts.csv"):
-            assert (copy / name).read_bytes() == open(f"{aff_dir}/{name}", "rb").read(), name
+            assert (copy / name).read_bytes() == Path(aff_dir, name).read_bytes(), name
 
     def test_malformed_inner_row_exit_2(self, tmp_path, community_affinity, capsys):
         ds, aff_dir = community_affinity
@@ -865,9 +910,13 @@ class TestMalformedAffinityDir:
         ("theta.csv", lambda lines: lines[:2] + ["x" + lines[2]] + lines[3:], "cluster"),
         ("theta.csv", _drop_row_3, "cluster"),
         ("counts.csv", _drop_row_3, "cluster"),
+        ("theta.csv", lambda lines: lines[:2] + ["nan" + lines[2][lines[2].index(","):]]
+         + lines[3:], "cluster"),
+        ("theta.csv", lambda lines: lines[:2] + ["inf" + lines[2][lines[2].index(","):]]
+         + lines[3:], "cluster"),
     ], ids=["idx-x", "idx-past-end", "idx-negative", "fingerprint-affinity",
             "fingerprint-predict-nt", "subsets-affinity", "subsets-predict-nt", "theta-x",
-            "theta-row-deleted", "counts-row-deleted"])
+            "theta-row-deleted", "counts-row-deleted", "theta-nan", "theta-inf"])
     def test_exit_2_with_one_line(self, tmp_path, pipeline, capsys, name, edit, command):
         _, inst_dir, aff_dir = pipeline
         copy = tmp_path / "aff"

@@ -362,11 +362,14 @@ class TestPersistence:
         planted.save_instance(small_instance, tmp_path / "inst")
         loaded = planted.load_instance(tmp_path / "inst")
         assert np.array_equal(loaded.diffusion, small_instance.diffusion)
-        assert not (tmp_path / "inst" / "pg.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "inst").iterdir()) == \
+            ["instance.npz", "meta.json"]
         rows, cols = np.nonzero(small_instance.diffusion)
-        lines = (tmp_path / "inst" / "pg_coo.csv").read_text().splitlines()
-        assert lines == [f"{r},{c},{small_instance.diffusion[r, c]:.17g}"
-                         for r, c in zip(rows.tolist(), cols.tolist())]
+        with np.load(tmp_path / "inst" / "instance.npz") as npz:
+            assert np.array_equal(npz["p_row"], rows) and np.array_equal(npz["p_col"], cols)
+            assert np.array_equal(npz["p_val"], small_instance.diffusion[rows, cols])
+        assert np.array_equal(loaded.features, small_instance.features)
+        assert np.array_equal(loaded.labels, small_instance.labels)
         _, design = planted.to_task_set(loaded)
         assert np.array_equal(design, planted.to_task_set(small_instance)[1])
 
@@ -374,6 +377,6 @@ class TestPersistence:
         inst = tmp_path / "inst"
         planted.save_instance(small_instance, inst)
         np.savetxt(inst / "pg.csv", small_instance.diffusion, delimiter=",", fmt="%.17g")
-        (inst / "pg_coo.csv").unlink()
+        (inst / "instance.npz").unlink()
         with pytest.raises(InvalidInputError, match="re-run generate"):
             planted.load_instance(inst)
