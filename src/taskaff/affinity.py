@@ -13,12 +13,12 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CoverageError, InvalidInputError, ParseError, TaskAffError,
-                     TrainingError, reading)
+                     TrainingError, int_ids, reading)
 from .graphs import _load_matrix
 from .learners import LearnerSpec, closed_form_scores, evaluate, train_subset
 
@@ -51,24 +51,25 @@ class AffinityMatrix:
     """T x T affinity scores with co-occurrence counts.
 
     orientation is "performance" (higher = more affinity) for pipeline
-    metrics and "loss" for the closed-form theory scores. ``imputed`` flags
-    entries filled from the row's diagonal because the pair never co-occurred.
+    metrics and "loss" for the closed-form theory scores.
     """
 
     theta: np.ndarray
     counts: np.ndarray
     orientation: str
-    imputed: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.orientation not in ("performance", "loss"):
             raise InvalidInputError(f"unknown orientation {self.orientation!r}")
-        if self.imputed is None:
-            self.imputed = np.zeros_like(self.theta, dtype=bool)
 
     @property
     def num_tasks(self) -> int:
         return self.theta.shape[0]
+
+    @property
+    def imputed(self) -> np.ndarray:
+        """Entries of pairs that never co-occurred, filled from the row's diagonal."""
+        return self.counts == 0
 
 
 @dataclass
@@ -98,7 +99,7 @@ class EvalLog:
 
 def _rows(subsets) -> np.ndarray:
     try:
-        return np.asarray(subsets, dtype=np.int64)
+        return int_ids(subsets)
     except ValueError as exc:
         raise InvalidInputError(f"subsets differ in size (a ragged log): {exc}") from exc
 
@@ -217,11 +218,10 @@ def _regroup(subsets, scores, num_tasks, prefixes):
 
 def _imputed(theta, counts, scores) -> AffinityMatrix:
     """Fill never co-sampled pairs from the row's diagonal, or the global mean."""
-    imputed = counts == 0
     global_mean = math.fsum(scores.ravel().tolist()) / scores.size
     fallback = np.where(np.diag(counts) > 0, np.diag(theta), global_mean)
-    theta = np.where(imputed, fallback[:, None], theta)
-    return AffinityMatrix(theta, counts, orientation="performance", imputed=imputed)
+    theta = np.where(counts == 0, fallback[:, None], theta)
+    return AffinityMatrix(theta, counts, orientation="performance")
 
 
 def estimate_affinity(log: EvalLog, num_tasks: int) -> AffinityMatrix:
@@ -273,7 +273,8 @@ def load_eval_log(csv_path, subsets_path, indices=None) -> EvalLog:
     subsets are skipped and a missing CSV holds no rows.
 
     A malformed last line is the tail of an interrupted append and is
-    skipped; a malformed row anywhere else raises ParseError.
+    skipped; a malformed row anywhere else, or a non-finite score on any
+    line, raises ParseError.
     """
     with open(subsets_path, "r", encoding="utf-8") as fh, reading(subsets_path):
         subsets = _rows(json.load(fh))
@@ -286,10 +287,12 @@ def load_eval_log(csv_path, subsets_path, indices=None) -> EvalLog:
             try:
                 k, tid, score, metric, seed = line
                 rows[int(k), int(tid)] = float(score), metric, int(seed)
+                if math.isfinite(float(score)):
+                    continue
             except ValueError:
-                if number < len(lines):
-                    raise ParseError(f"malformed row {','.join(line)!r} in {csv_path}",
-                                     number) from None
+                if number == len(lines):
+                    continue  # the cut tail of an interrupted append
+            raise ParseError(f"malformed row {','.join(line)!r} in {csv_path}", number)
     try:
         cells = [[rows[k, tid] for tid in members]
                  for k, members in zip(indices.tolist(), kept.tolist())]
@@ -322,11 +325,10 @@ def load_affinity(theta_path, counts_path, sidecar_path) -> AffinityMatrix:
         raise ParseError(f"{theta_path} holds a {theta.shape[0]} x {t} matrix, "
                          f"expected {t} x {t} finite scores")
     counts = _load_matrix(counts_path, t, t, dtype=np.int64)
-    imputed = np.zeros_like(theta, dtype=bool)
     with open(sidecar_path, "r", encoding="utf-8") as fh, reading(sidecar_path):
         sidecar = json.load(fh)
-        for i, j in sidecar["imputed"]:
-            if min(i, j) < 0:
-                raise IndexError(f"imputed pair {[i, j]} has a negative index")
-            imputed[i, j] = True
-        return AffinityMatrix(theta, counts, sidecar["orientation"], imputed)
+        aff = AffinityMatrix(theta, counts, sidecar["orientation"])
+        if sidecar["imputed"] != np.argwhere(aff.imputed).tolist():
+            raise ParseError(f"{sidecar_path}: its imputed pairs are not the zero counts "
+                             f"of {counts_path}")
+        return aff

@@ -240,7 +240,9 @@ def cmd_split(args) -> int:
     if args.features:
         _require(args.features)
     # Later commands diffuse with these; reject bad values before any artifact.
-    op = DiffusionOperator(kind=args.op, num_hops=args.hops)
+    op = DiffusionOperator(kind=args.op)
+    if args.hops < 0:
+        raise TaskAffError(f"--hops must be >= 0, got {args.hops}")
     os.makedirs(args.out, exist_ok=True)
     g = load_edge_list(edges, idmap_path=os.path.join(args.out, "idmap.json"))
     comms = load_communities(communities_path, g, args.top_k)
@@ -253,7 +255,7 @@ def cmd_split(args) -> int:
         "edges": os.path.abspath(edges),
         "features": os.path.abspath(args.features) if args.features else None,
         "op": op.kind,
-        "hops": op.num_hops,
+        "hops": args.hops,
         "num_tasks": tasks.num_tasks,
     }
     _write_json(os.path.join(args.out, "meta.json"), meta)
@@ -529,14 +531,8 @@ def cmd_verify_theory(args) -> int:
     }
     out_path = os.path.join(args.out, "verify.json")
     _write_json(out_path, payload)
-    gap_csv = os.path.join(args.out, "row_gaps.csv")
-    with open(gap_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "row_gap"])
-        for i, v in enumerate(report.per_row_gaps):
-            writer.writerow([i, "" if math.isnan(v) else repr(float(v))])
     _write_manifest(args.out, "verify-theory", payload["config"],
-                    [os.path.join(dataset, "meta.json")], [out_path, gap_csv])
+                    [os.path.join(dataset, "meta.json")], [out_path])
     return EX_OK if report.passed else EX_DOMAIN
 
 

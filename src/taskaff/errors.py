@@ -3,6 +3,8 @@
 from contextlib import contextmanager
 from zipfile import BadZipFile
 
+import numpy as np
+
 
 class TaskAffError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -33,6 +35,14 @@ def reading(path):
         yield
     except (KeyError, IndexError, TypeError, ValueError, BadZipFile, EOFError) as exc:
         raise ParseError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
+
+
+def int_ids(value) -> np.ndarray:
+    """JSON ids as int64; a float, string or bool id is a TypeError, not truncated."""
+    ids = np.asarray(value)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise TypeError(f"ids must be integers, not {ids.dtype} values")
+    return ids.astype(np.int64, copy=False)
 
 
 class ShortfallError(InvalidInputError):

@@ -40,19 +40,15 @@ class DiffusionOperator:
     """Configuration of a graph diffusion operator.
 
     kind: one of ``row-normalized``, ``symmetric-normalized``, ``ppr``.
-    num_hops: default stacking depth for SIGN-style feature diffusion.
     teleport: restart probability, used by the ``ppr`` kind only.
     """
 
     kind: str = "row-normalized"
-    num_hops: int = 1
     teleport: float = 0.15
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise InvalidInputError(f"unknown operator kind {self.kind!r}")
-        if self.num_hops < 0:
-            raise InvalidInputError("num_hops must be >= 0")
         if not 0.0 < self.teleport <= 1.0:
             raise InvalidInputError("teleport must lie in (0, 1]")
 

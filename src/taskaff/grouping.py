@@ -15,7 +15,8 @@ from math import comb
 import numpy as np
 
 from .affinity import AffinityMatrix
-from .errors import CoverageError, DegenerateInputError, InvalidInputError, TrainingError, reading
+from .errors import (CoverageError, DegenerateInputError, InvalidInputError, TrainingError,
+                     int_ids, reading)
 from .learners import LearnerSpec, evaluate, train_subset
 
 KMEANS_RESTARTS = 10
@@ -239,7 +240,7 @@ def load_grouping(path) -> TaskGrouping:
     with open(path, "r", encoding="utf-8") as fh, reading(path):
         payload = json.load(fh)
         return TaskGrouping(
-            groups=[list(map(int, grp)) for grp in payload["groups"]],
-            assignments=np.asarray(payload["assignments"], dtype=np.int64),
+            groups=[list(map(int, int_ids(grp))) for grp in payload["groups"]],
+            assignments=int_ids(payload["assignments"]),
             budget=payload["budget"],
         )

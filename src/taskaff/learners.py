@@ -68,7 +68,8 @@ class MtlModel:
     """A trained multitask model plus the feature matrix it was fit on.
 
     Linear kind: a single shared weight vector, usable for any task.
-    MLP kind: shared encoder layers plus one head per subset member.
+    MLP kind: the trained [w, b] layers of _init_params, hidden layers then
+    the head pair, whose column k is the head of task subset[k].
     """
 
     kind: str
@@ -76,8 +77,7 @@ class MtlModel:
     seed: int
     features: np.ndarray = field(repr=False)
     weights: np.ndarray | None = None
-    encoder: list | None = None
-    heads: dict | None = None
+    layers: list | None = None
     monotone_loss: bool = True
 
     def raw_scores(self, rows: np.ndarray, task_id: int) -> np.ndarray:
@@ -85,11 +85,11 @@ class MtlModel:
         x = self.features[rows]
         if self.kind == "closed-form-linear":
             return x @ self.weights
-        if task_id not in self.heads:
-            raise InvalidInputError(f"model has no head for task {task_id}")
-        h = _encode(self.encoder, x)
-        w, b = self.heads[task_id]
-        return h @ w + b
+        if task_id not in self.subset:
+            raise InvalidInputError(f"model of {self.subset} has no head for task {task_id}")
+        w, b = self.layers[-1]
+        k = self.subset.index(task_id)
+        return _hidden(self.layers, x)[-1] @ np.ascontiguousarray(w[:, k]) + float(b[k])
 
 
 def fit_closed_form(features, labels, ridge: float = 0.0) -> np.ndarray:
@@ -217,11 +217,12 @@ def _init_params(rng, in_dim, spec: LearnerSpec, num_tasks):
     return layers
 
 
-def _encode(encoder, x):
-    h = x
-    for w, b in encoder:
-        h = np.maximum(h @ w + b, 0.0)
-    return h
+def _hidden(layers, x):
+    """Activations [x, h_1, ..., h_L] of the hidden layers (all pairs but the head)."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts
 
 
 @dataclass
@@ -268,11 +269,7 @@ def _forward_backward(layers, batch: _Batch, loss_kind):
     the gradients come back in the same structure. Outputs are linked and
     scored only at the batch's member pairs.
     """
-    acts, pre = [batch.x], []
-    for w, b in layers[:-1]:
-        a = acts[-1] @ w + b
-        pre.append(a)
-        acts.append(np.maximum(a, 0.0))
+    acts = _hidden(layers, batch.x)
     top = acts[-1]
     head_w, head_b = layers[-1]
     out = (top @ head_w + head_b)[batch.rows, batch.cols]
@@ -292,7 +289,7 @@ def _forward_backward(layers, batch: _Batch, loss_kind):
     grads = [[top.T @ d_out, d_out.sum(axis=0)]]
     d_h = d_out @ head_w.T
     for layer in range(len(layers) - 2, -1, -1):
-        d_a = d_h * (pre[layer] > 0.0)
+        d_a = d_h * (acts[layer + 1] > 0.0)  # relu(a) > 0 exactly where a > 0
         grads.insert(0, [acts[layer].T @ d_a, d_a.sum(axis=0)])
         if layer:  # the input gradient of layer 0 is never used
             d_h = d_a @ layers[layer][0].T
@@ -354,10 +351,8 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
         for layer, (gw, gb) in zip(layers, grads):
             layer[0] -= lr * gw
             layer[1] -= lr * gb
-    head_w, head_b = layers.pop()
-    heads = {tid: [head_w[:, k].copy(), float(head_b[k])] for k, tid in enumerate(subset)}
-    return MtlModel("shared-encoder-mlp", subset, seed, features,
-                    encoder=layers, heads=heads, monotone_loss=monotone)
+    return MtlModel("shared-encoder-mlp", subset, seed, features, layers=layers,
+                    monotone_loss=monotone)
 
 
 def f1_score(y_true, y_pred) -> float:
@@ -381,8 +376,6 @@ def evaluate(model: MtlModel, tasks, task_id: int, mask_kind: str,
     mask = tasks.val_mask[task_id] if mask_kind == "val" else tasks.test_mask[task_id]
     if mask.size == 0:
         raise InvalidInputError(f"task {task_id} has an empty {mask_kind} mask")
-    if model.kind == "shared-encoder-mlp" and task_id not in model.subset:
-        raise InvalidInputError(f"model trained on {model.subset} has no head for task {task_id}")
     return float(_score(model.raw_scores(mask, task_id), tasks.labels[task_id][mask], metric))
 
 

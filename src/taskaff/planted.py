@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .affinity import AffinityMatrix, _regroup, subset_array
-from .errors import CoverageError, GenerationError, InvalidInputError, ParseError, reading
+from .errors import CoverageError, GenerationError, InvalidInputError, ParseError, int_ids, reading
 from .learners import PINV_RCOND, closed_form_scores
 from .tasks import TaskSet
 
@@ -79,6 +79,20 @@ class PlantedInstance:
         return _projection(self.diffusion @ self.features)
 
     @cached_property
+    def separations(self) -> tuple:
+        """(max within-group, min cross-group) projected pair distance."""
+        # sigma (y_i - y_j) = sigma y_i - sigma y_j: project each task once, then
+        # difference the rows (a Gram expansion would cancel catastrophically).
+        projected = self.labels @ self.sigma.T
+        max_within, min_between = 0.0, np.inf
+        for i in range(self.labels.shape[0] - 1):
+            dist = np.linalg.norm(projected[i + 1:] - projected[i], axis=1)
+            same = self.group_of[i + 1:] == self.group_of[i]
+            max_within = max(max_within, float(dist[same].max(initial=0.0)))
+            min_between = min(min_between, float(dist[~same].min(initial=np.inf)))
+        return max_within, min_between
+
+    @cached_property
     def sigma_tilde(self) -> np.ndarray:
         """m x m hat matrix of the design restricted to the observed rows."""
         rows = self.observed_rows
@@ -99,20 +113,6 @@ def _random_diffusion(rng, n: int) -> np.ndarray:
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
     a_hat = inv_sqrt[:, None] * adj * inv_sqrt[None, :]
     return np.eye(n) + 0.5 * a_hat
-
-
-def _separations(sigma, labels, group_of):
-    """(max within-group, min cross-group) projected pair distance."""
-    # sigma (y_i - y_j) = sigma y_i - sigma y_j: project each task once, then
-    # difference the rows (a Gram expansion would cancel catastrophically).
-    projected = labels @ sigma.T
-    max_within, min_between = 0.0, np.inf
-    for i in range(labels.shape[0] - 1):
-        dist = np.linalg.norm(projected[i + 1:] - projected[i], axis=1)
-        same = group_of[i + 1:] == group_of[i]
-        max_within = max(max_within, float(dist[same].max(initial=0.0)))
-        min_between = min(min_between, float(dist[~same].min(initial=np.inf)))
-    return max_within, min_between
 
 
 def generate(cfg: PlantedConfig) -> PlantedInstance:
@@ -161,13 +161,13 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
                 y += cfg.noise_std * (g_noise - sigma @ g_noise)
             labels[i] = np.clip(y, -cfg.label_bound, cfg.label_bound)
 
-        max_within, min_between = _separations(sigma, labels, group_of)
+        inst = PlantedInstance(config=cfg, features=x, diffusion=p,
+                               observed_rows=rows, labels=labels, group_of=group_of)
+        inst.sigma = sigma
+        max_within, min_between = inst.separations
         within_ok = max_within <= cfg.within_sep + SEPARATION_SLACK
         between_ok = cfg.num_groups == 1 or min_between >= cfg.between_sep - SEPARATION_SLACK
         if within_ok and between_ok:
-            inst = PlantedInstance(config=cfg, features=x, diffusion=p,
-                                   observed_rows=rows, labels=labels, group_of=group_of)
-            inst.sigma = sigma
             return inst
         achieved = (max_within, min_between)
     raise GenerationError(
@@ -293,7 +293,7 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
     np.savez(os.path.join(out_dir, "instance.npz"), features=inst.features,
              labels=inst.labels, p_row=rows.astype(np.int64), p_col=cols.astype(np.int64),
              p_val=inst.diffusion[rows, cols])
-    max_within, min_between = _separations(inst.sigma, inst.labels, inst.group_of)
+    max_within, min_between = inst.separations
     meta = {
         "kind": "planted",
         "config": asdict(inst.config),
@@ -317,8 +317,7 @@ def load_instance(in_dir) -> PlantedInstance:
     with open(meta_path, "r", encoding="utf-8") as fh, reading(meta_path):
         meta = json.load(fh)
         cfg = PlantedConfig(**meta["config"])
-        observed_rows, group_of = (np.asarray(meta[k], dtype=np.int64)
-                                   for k in ("observed_rows", "group_of"))
+        observed_rows, group_of = (int_ids(meta[k]) for k in ("observed_rows", "group_of"))
     n = cfg.num_nodes
     path = os.path.join(in_dir, "instance.npz")
     if not os.path.exists(path) and any(os.path.exists(os.path.join(in_dir, f)) for f in (

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, ShortfallError, reading
+from .errors import InvalidInputError, ParseError, ShortfallError, int_ids, reading
 from .graphs import Graph
 
 log = logging.getLogger(__name__)
@@ -181,13 +181,13 @@ def load_task_set(path) -> TaskSet:
         n = payload["num_nodes"]
         labels, trains, vals, tests = [], [], [], []
         for k, rec in enumerate(payload["tasks"]):
-            positives = np.asarray(rec["positives"], dtype=np.int64)
+            positives = int_ids(rec["positives"])
             if positives.size and (positives.min() < 0 or positives.max() >= n):
                 raise ParseError(f"{path}: task {k} has a positive node id outside 0..{n - 1}")
             y = np.zeros(n)
             y[positives] = 1.0
             labels.append(y)
-            trains.append(np.asarray(rec["train"], dtype=np.int64))
-            vals.append(np.asarray(rec["val"], dtype=np.int64))
-            tests.append(np.asarray(rec["test"], dtype=np.int64))
+            trains.append(int_ids(rec["train"]))
+            vals.append(int_ids(rec["val"]))
+            tests.append(int_ids(rec["test"]))
         return TaskSet(n, tuple(labels), tuple(trains), tuple(vals), tuple(tests))

@@ -836,13 +836,20 @@ class TestMalformedArtifacts:
         (copy / "affinity.json").write_text(
             '{"imputed": [[0, 12]], "orientation": "performance"}')
         return (copy / "affinity.json", ["cluster", "--affinity-dir", str(copy),
-                                         "--budget", "3"], "IndexError")
+                                         "--budget", "3"], "not the zero counts")
 
     def negative_imputed(self, tmp_path, pipeline, community_affinity, community_dataset):
         path, argv, _ = self.affinity(tmp_path, pipeline, community_affinity,
                                          community_dataset)
         path.write_text('{"imputed": [[-1, 2]], "orientation": "performance"}')
-        return path, argv, "[-1, 2]"
+        return path, argv, "not the zero counts"
+
+    def grouping_float_id(self, tmp_path, pipeline, community_affinity, community_dataset):
+        path, argv, _ = self.grouping(tmp_path, pipeline, community_affinity, community_dataset)
+        payload = read_json(path)
+        payload["groups"][0][0] += 0.5
+        path.write_text(json.dumps(payload))
+        return path, argv, "ids must be integers"
 
     def task_set(self, tmp_path, pipeline, community_affinity, community_dataset):
         import shutil
@@ -853,6 +860,25 @@ class TestMalformedArtifacts:
         _drop_key(copy / "taskset.json", "tasks", 2, "positives")
         return (copy / "taskset.json", ["affinity", "--dataset", str(copy)] + MLP_AFFINITY,
                 "'positives'")
+
+    def _task_set_first_id(self, tmp_path, community_affinity, key, change):
+        """A copy of the community dataset whose task 0 has its first ``key`` id changed."""
+        ds, _ = community_affinity
+        copy = tmp_path / "ds"
+        shutil.copytree(ds, copy)
+        payload = read_json(copy / "taskset.json")
+        ids = payload["tasks"][0][key]
+        ids[0] = change(ids[0])
+        (copy / "taskset.json").write_text(json.dumps(payload))
+        return (copy / "taskset.json", ["affinity", "--dataset", str(copy)] + MLP_AFFINITY,
+                "ids must be integers")
+
+    def task_set_float_train(self, tmp_path, pipeline, community_affinity, community_dataset):
+        return self._task_set_first_id(tmp_path, community_affinity, "train", lambda i: i + 0.5)
+
+    def task_set_string_positive(self, tmp_path, pipeline, community_affinity,
+                                 community_dataset):
+        return self._task_set_first_id(tmp_path, community_affinity, "positives", str)
 
     def planted_meta(self, tmp_path, pipeline, community_affinity, community_dataset):
         import shutil
@@ -866,6 +892,16 @@ class TestMalformedArtifacts:
         return (copy / "meta.json", ["verify-theory", "--dataset", str(copy), "--alpha", "4",
                                      "--num-subsets", "150"], "colour")
 
+    def planted_meta_float_row(self, tmp_path, pipeline, community_affinity, community_dataset):
+        _, inst_dir, _ = pipeline
+        copy = tmp_path / "inst"
+        shutil.copytree(inst_dir, copy)
+        meta = read_json(copy / "meta.json")
+        meta["observed_rows"][0] += 0.5
+        (copy / "meta.json").write_text(json.dumps(meta))
+        return (copy / "meta.json", ["verify-theory", "--dataset", str(copy), "--alpha", "4",
+                                     "--num-subsets", "150"], "ids must be integers")
+
     def features(self, tmp_path, pipeline, community_affinity, community_dataset):
         _, edges, cmty = community_dataset
         feats = tmp_path / "features.csv"
@@ -878,7 +914,9 @@ class TestMalformedArtifacts:
         return feats, ["affinity", "--dataset", ds] + MLP_AFFINITY, "could not convert"
 
     @pytest.mark.parametrize("case", ["grouping", "affinity", "negative_imputed", "task_set",
-                                      "planted_meta", "features"])
+                                      "planted_meta", "features", "grouping_float_id",
+                                      "task_set_float_train", "task_set_string_positive",
+                                      "planted_meta_float_row"])
     def test_exit_2_with_one_line(self, tmp_path, pipeline, community_affinity,
                                   community_dataset, capsys, case):
         path, argv, fragment = getattr(self, case)(tmp_path, pipeline, community_affinity,
@@ -893,6 +931,22 @@ class TestMalformedArtifacts:
 
 def _drop_row_3(lines):
     return lines[:2] + lines[3:]
+
+
+def _set_score(lines, row, value):
+    """evals.csv lines with the score field of lines[row] replaced by ``value``."""
+    lines = list(lines)
+    fields = lines[row].split(",")
+    fields[2] = value
+    lines[row] = ",".join(fields)
+    return lines
+
+
+def _float_id_in_row_0(lines):
+    """subsets.json with the second id of subset 0 raised by 0.7 (a cast truncates it back)."""
+    subsets = json.loads(lines[0])
+    subsets[0][1] += 0.7
+    return [json.dumps(subsets)]
 
 
 class TestMalformedAffinityDir:
@@ -914,9 +968,16 @@ class TestMalformedAffinityDir:
          + lines[3:], "cluster"),
         ("theta.csv", lambda lines: lines[:2] + ["inf" + lines[2][lines[2].index(","):]]
          + lines[3:], "cluster"),
+        ("subsets.json", _float_id_in_row_0, "affinity"),
+        ("subsets.json", _float_id_in_row_0, "predict-nt"),
+        ("evals.csv", lambda lines: _set_score(lines, 2, "inf"), "affinity"),
+        ("evals.csv", lambda lines: _set_score(lines, -1, "nan"), "affinity"),
+        ("evals.csv", lambda lines: _set_score(lines, 2, "-inf"), "predict-nt"),
     ], ids=["idx-x", "idx-past-end", "idx-negative", "fingerprint-affinity",
             "fingerprint-predict-nt", "subsets-affinity", "subsets-predict-nt", "theta-x",
-            "theta-row-deleted", "counts-row-deleted", "theta-nan", "theta-inf"])
+            "theta-row-deleted", "counts-row-deleted", "theta-nan", "theta-inf",
+            "subsets-float-affinity", "subsets-float-predict-nt", "evals-inf-affinity",
+            "evals-nan-last-line", "evals-inf-predict-nt"])
     def test_exit_2_with_one_line(self, tmp_path, pipeline, capsys, name, edit, command):
         _, inst_dir, aff_dir = pipeline
         copy = tmp_path / "aff"

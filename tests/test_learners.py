@@ -94,11 +94,9 @@ class TestTrainSubset:
                                     epochs=50, learning_rate=0.1)
         a = learners.train_subset(None, ts, [0, 1], spec, seed=9, features=x)
         b = learners.train_subset(None, ts, [0, 1], spec, seed=9, features=x)
-        for (wa, ba), (wb, bb) in zip(a.encoder, b.encoder):
+        assert len(a.layers) == len(b.layers) == 2
+        for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
-        for tid in a.subset:
-            assert np.array_equal(a.heads[tid][0], b.heads[tid][0])
-            assert a.heads[tid][1] == b.heads[tid][1]
 
     def test_subset_order_does_not_matter(self):
         rng = np.random.default_rng(6)
@@ -258,13 +256,14 @@ class TestVectorizedKernel:
                                     learning_rate=0.2, metric=metric)
         model = learners.train_subset(None, ts, [3, 0, 1, 2], spec, seed=5, features=x)
         encoder, heads, monotone = _reference_train(ts, (0, 1, 2, 3), spec, 5, x)
-        assert len(model.encoder) == hidden_layers
-        for (w, b), (rw, rb) in zip(model.encoder, encoder):
+        assert len(model.layers) == hidden_layers + 1
+        for (w, b), (rw, rb) in zip(model.layers, encoder):
             np.testing.assert_allclose(w, rw, rtol=0, atol=1e-10)
             np.testing.assert_allclose(b, rb, rtol=0, atol=1e-10)
-        for tid in range(4):
-            np.testing.assert_allclose(model.heads[tid][0], heads[tid][0], rtol=0, atol=1e-10)
-            assert model.heads[tid][1] == pytest.approx(heads[tid][1], rel=0, abs=1e-10)
+        head_w, head_b = model.layers[-1]
+        for tid in range(4):  # column k is the head of task subset[k] = k
+            np.testing.assert_allclose(head_w[:, tid], heads[tid][0], rtol=0, atol=1e-10)
+            assert head_b[tid] == pytest.approx(heads[tid][1], rel=0, abs=1e-10)
         assert model.monotone_loss == monotone
 
     def test_empty_train_mask_rejected(self):
@@ -279,6 +278,18 @@ class TestVectorizedKernel:
 
 
 class TestEvaluate:
+    def test_head_column_k_scores_task_subset_k(self):
+        rng = np.random.default_rng(8)
+        ts, x = toy_binary_tasks(rng, num_tasks=3)
+        spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=4, epochs=5)
+        model = learners.train_subset(None, ts, [2, 0], spec, seed=0, features=x)
+        (w1, b1), (w2, b2) = model.layers
+        rows = ts.val_mask[2]
+        expect = np.maximum(x[rows] @ w1 + b1, 0.0) @ w2[:, 1] + b2[1]  # subset (0, 2)
+        np.testing.assert_allclose(model.raw_scores(rows, 2), expect, rtol=0, atol=1e-12)
+        with pytest.raises(InvalidInputError, match="no head for task 1"):
+            learners.evaluate(model, ts, 1, "val", "negative-cross-entropy")
+
     def test_perfect_predictor_f1(self):
         rng = np.random.default_rng(9)
         ts, x = toy_binary_tasks(rng, n=30, num_tasks=1)
@@ -306,8 +317,7 @@ class TestEvaluate:
         ts = TaskSet(12, (y,), (np.arange(4),), (np.arange(4, 12),), (np.array([]),))
         model = learners.MtlModel(
             kind="shared-encoder-mlp", subset=(0,), seed=0,
-            features=np.ones((12, 2)), encoder=[],
-            heads={0: [np.zeros(2), 0.0]},
+            features=np.ones((12, 2)), layers=[[np.zeros((2, 1)), np.zeros(1)]],
         )
         got = learners.evaluate(model, ts, 0, "val", "negative-cross-entropy")
         assert got == pytest.approx(-np.log(2.0), abs=1e-12)

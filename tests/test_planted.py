@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -60,12 +61,19 @@ class TestGenerate:
                 max_within = max(max_within, d)
             else:
                 min_between = min(min_between, d)
-        got = planted._separations(inst.sigma, inst.labels, inst.group_of)
+        got = inst.separations
         assert got[0] == pytest.approx(max_within, rel=1e-12, abs=1e-12)
         if groups == 1:
             assert got[1] == min_between == np.inf
         else:
             assert got[1] == pytest.approx(min_between, rel=1e-12, abs=1e-12)
+
+    def test_generate_primes_the_separations(self):
+        inst = planted.generate(quick_cfg(num_tasks=9, num_groups=3, within_sep=0.3, seed=4))
+        assert "separations" in vars(inst)
+        fresh = dataclasses.replace(inst)  # no cached sigma or separations
+        assert "separations" not in vars(fresh)
+        assert inst.separations == fresh.separations
 
     def test_label_bound_respected(self):
         inst = planted.generate(quick_cfg(noise_std=0.4, label_bound=0.9))
