@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,8 @@ import numpy as np
 from .errors import (CoverageError, InvalidInputError, ParseError, TaskAffError,
                      TrainingError, int_ids, reading)
 from .graphs import _load_matrix
-from .learners import LearnerSpec, closed_form_scores, evaluate, train_subset
+from .learners import LearnerSpec, closed_form_scores, evaluate, train_models
+from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 
 COVERAGE_CAP_FACTOR = 10
 
@@ -160,7 +162,8 @@ def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
 
     Subset k has log index ``indices[k]`` (default k) and seed base_seed XOR
     that index. The linear learner scores all subsets in one batch, the MLP
-    one at a time; ``commit(indices, log)`` receives each finished batch.
+    one at a time, in log order (learners.train_models, which may train them
+    on a pool); ``commit(indices, log)`` receives each finished batch.
     Failures are re-raised as TrainingError tagged with the log index.
     """
     rows = subset_array(subsets, tasks.num_tasks)
@@ -178,19 +181,21 @@ def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
         if commit is not None:
             commit(indices, log)
         return log
-    scores = np.empty(rows.shape)
-    for k, subset in enumerate(rows.tolist()):
-        try:
-            model = train_subset(g, tasks, subset, spec, int(seeds[k]), features=features)
-            scores[k] = [evaluate(model, tasks, i, "val", spec.metric) for i in subset]
-        except TrainingError as exc:
-            raise TrainingError(str(exc), subset_index=int(indices[k])) from exc
-        except TaskAffError as exc:
-            raise TrainingError(f"subset training failed: {exc}",
-                                subset_index=int(indices[k])) from exc
-        if commit is not None:
-            commit(indices[k:k + 1], EvalLog(rows[k:k + 1], scores[k:k + 1], seeds[k:k + 1],
-                                             spec.metric))
+    scores, members = np.empty(rows.shape), rows.tolist()
+    models = train_models(g, tasks, members, spec, seeds.tolist(), features=features)
+    with closing(models):
+        for k, subset in enumerate(members):
+            try:
+                model = next(models)
+                scores[k] = [evaluate(model, tasks, i, "val", spec.metric) for i in subset]
+            except TrainingError as exc:
+                raise TrainingError(str(exc), subset_index=int(indices[k])) from exc
+            except TaskAffError as exc:
+                raise TrainingError(f"subset training failed: {exc}",
+                                    subset_index=int(indices[k])) from exc
+            if commit is not None:
+                commit(indices[k:k + 1], EvalLog(rows[k:k + 1], scores[k:k + 1],
+                                                 seeds[k:k + 1], spec.metric))
     return EvalLog(rows, scores, seeds, spec.metric)
 
 

@@ -23,20 +23,32 @@ whose learner, holdout fraction or dataset differs from a predict-nt run.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# One BLAS thread per process, set before numpy loads: MLP training runs one
+# worker process per CPU instead (learners.train_models), and at these matrix
+# sizes a second BLAS thread only spin-waits. A user's own setting is kept.
+# The imports below this block must stay below it.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in _BLAS_THREADS:
+    os.environ.setdefault(_name, "1")
+_ONE_BLAS_THREAD = ("numpy" not in sys.modules
+                    and all(os.environ[name] == "1" for name in _BLAS_THREADS))
+
 import argparse
 import csv
 import hashlib
 import json
 import logging
 import math
-import os
-import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import affinity as aff_mod
 from . import grouping as grp_mod
+from . import learners
 from . import planted as pl_mod
 from . import transfer as tr_mod
 from .errors import MissingInputError, ParseError, TaskAffError, TrainingError, reading
@@ -49,6 +61,8 @@ from .graphs import (
 )
 from .learners import LearnerSpec, train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 from .tasks import SplitPolicy, load_communities, load_task_set, make_splits, save_task_set
+
+learners.ONE_BLAS_THREAD = _ONE_BLAS_THREAD
 
 EX_OK = 0
 EX_DOMAIN = 2
@@ -239,6 +253,8 @@ def cmd_split(args) -> int:
     edges, communities_path = _require(args.edges), _require(args.communities)
     if args.features:
         _require(args.features)
+    if args.top_k < 1:  # a negative slice would silently drop the smallest communities
+        raise TaskAffError(f"--top-k must be >= 1, got {args.top_k}")
     # Later commands diffuse with these; reject bad values before any artifact.
     op = DiffusionOperator(kind=args.op)
     if args.hops < 0:

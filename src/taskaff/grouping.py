@@ -9,6 +9,7 @@ groups as an auxiliary source while keeping exactly one home group.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass
 from math import comb
 
@@ -17,7 +18,8 @@ import numpy as np
 from .affinity import AffinityMatrix
 from .errors import (CoverageError, DegenerateInputError, InvalidInputError, TrainingError,
                      int_ids, reading)
-from .learners import LearnerSpec, evaluate, train_subset
+from .learners import LearnerSpec, evaluate, train_models
+from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -168,14 +170,16 @@ def derive_groups(labels, num_tasks: int, budget: int) -> TaskGrouping:
 
 def train_groups(g, tasks, grouping: TaskGrouping, spec: LearnerSpec, seed: int,
                  features: np.ndarray | None = None):
-    """Train one multitask model per group, seeded by base seed XOR index."""
+    """Train one multitask model per group, seeded by base seed XOR index
+    (learners.train_models, in group order)."""
+    seeds = [seed ^ gi for gi in range(len(grouping.groups))]
     models = []
-    for gi, group in enumerate(grouping.groups):
-        try:
-            models.append(train_subset(g, tasks, group, spec, seed ^ gi,
-                                        features=features))
-        except TrainingError as exc:
-            raise TrainingError(str(exc), group_index=gi) from exc
+    with closing(train_models(g, tasks, grouping.groups, spec, seeds, features)) as trained:
+        for gi in range(len(seeds)):
+            try:
+                models.append(next(trained))
+            except TrainingError as exc:
+                raise TrainingError(str(exc), group_index=gi) from exc
     return models
 
 

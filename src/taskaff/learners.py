@@ -13,6 +13,9 @@ losses are negated.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,14 @@ METRICS = ("negative-cross-entropy", "negative-mse", "f1")
 _PROB_EPS = 1e-12
 # Bound on one float temporary of closed_form_scores' chunked scoring (bytes).
 _CHUNK_BYTES = 4 * 2**20
+
+# Whether this process pinned its BLAS to one thread before numpy loaded;
+# taskaff.cli sets it once, when it is imported. Only then does train_models
+# fork workers: each worker left at several BLAS threads oversubscribes the
+# cores and runs several times slower than one process.
+ONE_BLAS_THREAD = False
+# (parent pid, g, tasks, spec, features) of a train_models worker, set in it.
+_WORKER_DATA = None
 
 
 @dataclass(frozen=True)
@@ -314,11 +325,7 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     (e.g. a precomputed diffused stack); one of the two must be present.
     Deterministic under (subset, seed).
     """
-    if features is None:
-        if g is None:
-            raise InvalidInputError("either a graph or a feature matrix is required")
-        features = g.node_features
-    features = np.asarray(features, dtype=float)
+    features = _features(g, features)
     subset = _canonical_subset(subset, tasks.num_tasks)
 
     if spec.kind == "closed-form-linear":
@@ -353,6 +360,75 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
             layer[1] -= lr * gb
     return MtlModel("shared-encoder-mlp", subset, seed, features, layers=layers,
                     monotone_loss=monotone)
+
+
+def _features(g, features) -> np.ndarray:
+    if features is None:
+        if g is None:
+            raise InvalidInputError("either a graph or a feature matrix is required")
+        features = g.node_features
+    return np.asarray(features, dtype=float)
+
+
+def _init_worker(*data):
+    global _WORKER_DATA
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the pool on Ctrl-C
+    _WORKER_DATA = (os.getppid(), *data)
+
+
+def _train_job(job):
+    parent, g, tasks, spec, features = _WORKER_DATA
+    subset, seed = job
+    model = train_subset(g, tasks, subset, spec, seed, features=features)
+    if os.getppid() != parent:  # the parent was killed; no one reads the result
+        os._exit(1)
+    return model.layers, model.monotone_loss
+
+
+def train_models(g, tasks, subsets, spec: LearnerSpec, seeds, features=None):
+    """Yield train_subset(g, tasks, subsets[k], spec, seeds[k], features) for
+    each k in order.
+
+    MLP subsets train on a fork pool of one worker per available CPU (at most
+    one per subset) when ONE_BLAS_THREAD holds, otherwise one after another in
+    this process. Workers inherit the data by fork and send back only the
+    trained layers and the monotone-loss flag; results are read in order, so
+    a training failure is raised at its own k, after the models before it.
+    Close the generator (contextlib.closing) when not reading it to the end:
+    that stops and joins the workers.
+    """
+    jobs = list(zip(subsets, seeds))
+    workers = min(len(jobs), len(os.sched_getaffinity(0))) if ONE_BLAS_THREAD else 1
+    if spec.kind != "shared-encoder-mlp" or workers < 2:
+        for subset, seed in jobs:
+            yield train_subset(g, tasks, subset, spec, seed, features=features)
+        return
+    x = _features(g, features)
+    ctx = multiprocessing.get_context("fork")
+    others = set(ctx.active_children())
+    pool = ctx.Pool(workers, _init_worker, (g, tasks, spec, features))
+    procs = set(ctx.active_children()) - others
+    try:
+        results = pool.imap(_train_job, jobs)
+        for subset, seed in jobs:
+            layers, monotone = _next_result(results, procs)
+            yield MtlModel(spec.kind, _canonical_subset(subset, tasks.num_tasks), seed, x,
+                           layers=layers, monotone_loss=monotone)
+    finally:
+        pool.terminate()  # also joins the workers
+
+
+def _next_result(results, procs):
+    """The next imap result. A worker that died (killed by the OOM killer,
+    say) took its job with it and the pool would wait for that job forever,
+    so a dead worker ends the wait with a TrainingError."""
+    while True:
+        try:
+            return results.next(timeout=1.0)
+        except multiprocessing.TimeoutError:
+            dead = [p.exitcode for p in procs if p.exitcode is not None]
+            if dead:
+                raise TrainingError(f"a training worker died (exit code {dead[0]})") from None
 
 
 def f1_score(y_true, y_pred) -> float:

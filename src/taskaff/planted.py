@@ -158,7 +158,7 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
                 y += (basis @ v) * (0.5 * cfg.within_sep * rng.random())
             if cfg.noise_std > 0:
                 g_noise = rng.standard_normal(n)
-                y += cfg.noise_std * (g_noise - sigma @ g_noise)
+                y += cfg.noise_std * (g_noise - basis @ (basis.T @ g_noise))
             labels[i] = np.clip(y, -cfg.label_bound, cfg.label_bound)
 
         inst = PlantedInstance(config=cfg, features=x, diffusion=p,

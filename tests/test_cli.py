@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from taskaff import cli, grouping
 from tests.conftest import save_edge_list, two_block_graph
+from tests.test_pool import fail_on, pooled, raise_training_error
 
 
 def run(argv):
@@ -595,6 +597,16 @@ class TestSplitAndPprSim:
                     "--top-k", "4", "--seed", "1", "--out", str(out)] + bad) == 2
         assert not (out / "meta.json").exists()
 
+    @pytest.mark.parametrize("top_k", ["0", "-1", "-3"])
+    def test_split_rejects_top_k_below_one(self, tmp_path, community_dataset, capsys, top_k):
+        _, edges, cmty = community_dataset
+        out = tmp_path / "ds"
+        capsys.readouterr()
+        assert run(["split", "--edges", edges, "--communities", cmty,
+                    "--top-k", top_k, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"taskaff: --top-k must be >= 1, got {top_k}\n"
+        assert not out.exists()
+
     def test_ppr_operator_pipeline_on_community(self, tmp_path, community_dataset):
         _, edges, cmty = community_dataset
         ds = str(tmp_path / "ds")
@@ -801,6 +813,63 @@ class TestInterruptedLog:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"taskaff: line 5: malformed row '3' in {copy / 'evals.csv'}"]
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+
+class TestPooledMlp:
+    """MLP training on three fork workers writes what one process writes, and
+    a failure in a worker exits 3 with the log kept for resume."""
+
+    def test_affinity_matches_one_process(self, tmp_path, monkeypatch, community_affinity):
+        ds, aff_dir = community_affinity
+        pools = pooled(monkeypatch, 3)
+        out = tmp_path / "aff"
+        assert run(["affinity", "--dataset", ds, "--out", str(out)] + MLP_AFFINITY) == 0
+        assert pools == [3]
+        for path in sorted(Path(aff_dir).iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_interrupted_run_resumes_to_the_same_log(self, tmp_path, monkeypatch, capsys,
+                                                     community_affinity):
+        ds, aff_dir = community_affinity
+        subsets = [tuple(s) for s in read_json(Path(aff_dir, "subsets.json"))]
+        first = max(subsets.index(s) for s in subsets)  # where a failing subset first occurs
+        pooled(monkeypatch, 3)
+        out = tmp_path / "aff"
+        argv = ["affinity", "--dataset", ds, "--out", str(out)] + MLP_AFFINITY
+        with monkeypatch.context() as failing:
+            fail_on(failing, subsets[first], raise_training_error)
+            capsys.readouterr()
+            assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "affinity: training failed, log retained for resume: training loss became "
+            f"non-finite, epoch 3, subset {first}\n")
+        assert multiprocessing.active_children() == []
+        assert (out / "completed.idx").read_text() == "".join(f"{k}\n" for k in range(first))
+        assert run(argv) == 0
+        for name in ("evals.csv", "completed.idx", "theta.csv", "counts.csv", "manifest.json"):
+            assert (out / name).read_bytes() == Path(aff_dir, name).read_bytes(), name
+
+    def test_evaluate_matches_one_process_and_names_a_failed_group(
+            self, tmp_path, monkeypatch, capsys, community_affinity):
+        ds, aff_dir = community_affinity
+        grp = str(tmp_path / "grp")
+        assert run(["cluster", "--affinity-dir", aff_dir, "--budget", "2", "--seed", "3",
+                    "--out", grp]) == 0
+        argv = ["evaluate", "--dataset", ds, "--grouping-dir", grp] + MLP_AFFINITY[4:]
+        assert run(argv + ["--out", str(tmp_path / "serial")]) == 0
+        pools = pooled(monkeypatch, 3)
+        assert run(argv + ["--out", str(tmp_path / "pooled")]) == 0
+        assert pools == [2]  # one worker per group
+        for name in ("evaluation.json", "manifest.json"):
+            assert (tmp_path / "pooled" / name).read_bytes() == \
+                   (tmp_path / "serial" / name).read_bytes()
+        fail_on(monkeypatch, read_json(grp + "/grouping.json")["groups"][1],
+                raise_training_error)
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "failed")]) == 3
+        assert capsys.readouterr().err == ("taskaff: training error: training loss became "
+                                           "non-finite, epoch 3, group 1\n")
+        assert multiprocessing.active_children() == []
 
 
 def _drop_key(path, *keys):
