@@ -485,15 +485,20 @@ def cmd_predict_nt(args) -> int:
         _require(os.path.join(aff_dir, "subsets.json")),
     )
     t = tasks.num_tasks
-    stl_evals = aff_mod.collect_evaluations(None, tasks, [(i,) for i in range(t)], spec,
-                                            base_seed=args.seed ^ STL_SEED_SALT,
-                                            features=features)
-    stl = dict(enumerate(stl_evals.scores[:, 0].tolist()))
     train_subsets = set(map(tuple, evals.subsets.tolist()))
     held_plan = aff_mod.SamplingPlan(num_tasks=t, subset_size=evals.subsets.shape[1],
                                      num_subsets=args.heldout_subsets,
                                      seed=args.seed + HELDOUT_SEED_SALT)
     held = [s for s in aff_mod.sample_subsets(held_plan) if s not in train_subsets]
+    unlogged = np.setdiff1d(held, evals.subsets).tolist()  # no predictor is fit for these
+    if unlogged:
+        raise TaskAffError(f"held-out subsets hold task(s) {unlogged}, which no subset of "
+                           f"{aff_dir} holds; rerun affinity with more --num-subsets or "
+                           "with --min-pair-coverage 1")
+    stl_evals = aff_mod.collect_evaluations(None, tasks, [(i,) for i in range(t)], spec,
+                                            base_seed=args.seed ^ STL_SEED_SALT,
+                                            features=features)
+    stl = dict(enumerate(stl_evals.scores[:, 0].tolist()))
     held_evals = aff_mod.collect_evaluations(None, tasks, held, spec,
                                              base_seed=args.seed ^ HELDOUT_SEED_SALT,
                                              features=features)

@@ -64,11 +64,12 @@ class PlantedConfig:
 
 @dataclass
 class PlantedInstance:
-    """One generated instance; its projection matrices are formed on first use."""
+    """One generated instance as the designs of its two hat matrices, P X (N x d) and
+    P[o,o] X[o] (m x d, o the observed rows); the projections are formed on first use."""
 
     config: PlantedConfig
-    features: np.ndarray = field(repr=False)
-    diffusion: np.ndarray = field(repr=False)
+    design: np.ndarray = field(repr=False)
+    observed_design: np.ndarray = field(repr=False)
     observed_rows: np.ndarray
     labels: np.ndarray = field(repr=False)
     group_of: np.ndarray
@@ -76,7 +77,7 @@ class PlantedInstance:
     @cached_property
     def sigma(self) -> np.ndarray:
         """N x N hat matrix of the full diffused design."""
-        return _projection(self.diffusion @ self.features)
+        return _projection(self.design)
 
     @cached_property
     def separations(self) -> tuple:
@@ -95,8 +96,7 @@ class PlantedInstance:
     @cached_property
     def sigma_tilde(self) -> np.ndarray:
         """m x m hat matrix of the design restricted to the observed rows."""
-        rows = self.observed_rows
-        return _projection(self.diffusion[np.ix_(rows, rows)] @ self.features[rows])
+        return _projection(self.observed_design)
 
 
 def _projection(design: np.ndarray) -> np.ndarray:
@@ -105,14 +105,17 @@ def _projection(design: np.ndarray) -> np.ndarray:
 
 def _random_diffusion(rng, n: int) -> np.ndarray:
     # P = I + 0.5 * sym-normalized adjacency; eigenvalues in [0.5, 1.5],
-    # so P is always full rank.
+    # so P is always full rank. Scaled in place, with no N x N temporaries.
     p_edge = min(1.0, 2.0 * math.log(max(n, 2)) / n)
     upper = np.triu(rng.random((n, n)) < p_edge, k=1)
-    adj = (upper | upper.T).astype(float)
-    deg = adj.sum(axis=1)
+    p = (upper | upper.T).astype(float)
+    deg = p.sum(axis=1)
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-    a_hat = inv_sqrt[:, None] * adj * inv_sqrt[None, :]
-    return np.eye(n) + 0.5 * a_hat
+    p *= inv_sqrt[:, None]
+    p *= inv_sqrt[None, :]
+    p *= 0.5
+    p[np.diag_indices(n)] += 1.0
+    return p
 
 
 def generate(cfg: PlantedConfig) -> PlantedInstance:
@@ -140,9 +143,9 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
     for _ in range(MAX_GENERATION_RETRIES):
         x = rng.standard_normal((n, d))
         p = _random_diffusion(rng, n)
-        design = p @ x
-        sigma = _projection(design)
         rows = np.sort(rng.choice(n, size=m, replace=False))
+        design, observed_design = p @ x, p[np.ix_(rows, rows)] @ x[rows]
+        del p  # not needed past here; freeing it lowers generate's peak memory
 
         basis, _ = np.linalg.qr(design)  # N x d orthonormal basis of col(sigma)
         dirs, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -161,9 +164,8 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
                 y += cfg.noise_std * (g_noise - basis @ (basis.T @ g_noise))
             labels[i] = np.clip(y, -cfg.label_bound, cfg.label_bound)
 
-        inst = PlantedInstance(config=cfg, features=x, diffusion=p,
+        inst = PlantedInstance(config=cfg, design=design, observed_design=observed_design,
                                observed_rows=rows, labels=labels, group_of=group_of)
-        inst.sigma = sigma
         max_within, min_between = inst.separations
         within_ok = max_within <= cfg.within_sep + SEPARATION_SLACK
         between_ok = cfg.num_groups == 1 or min_between >= cfg.between_sep - SEPARATION_SLACK
@@ -260,14 +262,14 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
     across tasks, so the closed-form learner stays applicable).
 
     Returns (tasks, features) where features[observed_rows] is the
-    restricted diffused design and other rows are zero.
+    observed design and other rows are zero.
     """
     if not 0.0 <= holdout_frac < 0.5:
         raise InvalidInputError("holdout_frac must lie in [0, 0.5)")
     rows = inst.observed_rows
     n = inst.config.num_nodes
     features = np.zeros((n, inst.config.feature_dim))
-    features[rows] = inst.diffusion[np.ix_(rows, rows)] @ inst.features[rows]
+    features[rows] = inst.observed_design
     t = inst.config.num_tasks
     labels = tuple(inst.labels)
     train = val = test = rows
@@ -282,17 +284,11 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
 
 
 def save_instance(inst: PlantedInstance, out_dir) -> None:
-    """Persist the instance as an uncompressed instance.npz plus a meta.json.
-
-    The diffusion matrix P is sparse (a random graph plus the identity), so
-    instance.npz holds its non-zeros only, as the p_row, p_col and p_val
-    arrays in np.nonzero order; features and labels are dense.
-    """
+    """Persist the instance as an uncompressed instance.npz (its design,
+    observed_design and labels arrays) plus a meta.json."""
     os.makedirs(out_dir, exist_ok=True)
-    rows, cols = np.nonzero(inst.diffusion)
-    np.savez(os.path.join(out_dir, "instance.npz"), features=inst.features,
-             labels=inst.labels, p_row=rows.astype(np.int64), p_col=cols.astype(np.int64),
-             p_val=inst.diffusion[rows, cols])
+    np.savez(os.path.join(out_dir, "instance.npz"), design=inst.design,
+             observed_design=inst.observed_design, labels=inst.labels)
     max_within, min_between = inst.separations
     meta = {
         "kind": "planted",
@@ -307,18 +303,20 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
 
 
 def load_instance(in_dir) -> PlantedInstance:
-    """Rebuild an instance from disk; P is scattered back into a dense array.
+    """Rebuild an instance from disk.
 
-    A malformed meta.json or instance.npz, a missing array, one typed or
-    shaped otherwise than meta.json says, or a P index outside 0..N-1 raises
-    ParseError; a directory of CSV files from before instance.npz does not load.
+    A malformed meta.json or instance.npz, a missing array, or one typed or
+    shaped otherwise than meta.json says raises ParseError; a directory in an
+    earlier format (CSV files, or P as triplets in instance.npz) does not load.
     """
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh, reading(meta_path):
         meta = json.load(fh)
         cfg = PlantedConfig(**meta["config"])
         observed_rows, group_of = (int_ids(meta[k]) for k in ("observed_rows", "group_of"))
-    n = cfg.num_nodes
+        n, d = cfg.num_nodes, cfg.feature_dim
+        if observed_rows.size and not 0 <= observed_rows.min() <= observed_rows.max() < n:
+            raise IndexError(f"an observed row lies outside 0..{n - 1}")  # -1 would wrap
     path = os.path.join(in_dir, "instance.npz")
     if not os.path.exists(path) and any(os.path.exists(os.path.join(in_dir, f)) for f in (
             "pg_coo.csv", "labels.csv", "features.csv", "pg.csv")):
@@ -326,18 +324,13 @@ def load_instance(in_dir) -> PlantedInstance:
                                 "longer read; re-run generate to rewrite it as instance.npz")
     # np.load leaves a file it opened itself unclosed when the zip is damaged
     with reading(path), open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-        a = {name: npz[name] for name in ("features", "labels", "p_row", "p_col", "p_val")}
-    k = (a["p_val"].size,)
-    for name, dtype, shape in (("features", np.float64, (n, cfg.feature_dim)),
-                               ("labels", np.float64, (cfg.num_tasks, n)), ("p_row", np.int64, k),
-                               ("p_col", np.int64, k), ("p_val", np.float64, k)):
-        if a[name].dtype != dtype or a[name].shape != shape:
+        if "p_row" in npz.files:
+            raise InvalidInputError(f"{path} holds P as triplets, a format no longer read; "
+                                    "re-run generate to rewrite it")
+        a = {name: npz[name] for name in ("design", "observed_design", "labels")}
+    for name, shape in (("design", (n, d)), ("observed_design", (observed_rows.size, d)),
+                        ("labels", (cfg.num_tasks, n))):
+        if a[name].dtype != np.float64 or a[name].shape != shape:
             raise ParseError(f"{path}: {name} is {a[name].dtype} of shape {a[name].shape}, "
-                             f"expected {np.dtype(dtype)} of shape {shape}")
-    index = np.concatenate([a["p_row"], a["p_col"]])
-    if index.min(initial=0) < 0 or index.max(initial=0) >= n:
-        raise ParseError(f"{path}: P indices span {index.min()}..{index.max()}, not 0..{n - 1}")
-    p = np.zeros((n, n))
-    p[a["p_row"], a["p_col"]] = a["p_val"]
-    return PlantedInstance(config=cfg, features=a["features"], diffusion=p, labels=a["labels"],
-                           observed_rows=observed_rows, group_of=group_of)
+                             f"expected float64 of shape {shape}")
+    return PlantedInstance(config=cfg, observed_rows=observed_rows, group_of=group_of, **a)

@@ -109,6 +109,14 @@ def load_communities(path, g: Graph, top_k: int):
     return communities[:top_k]
 
 
+def _outside(n: int, *masks) -> np.ndarray:
+    """Ascending ids of the nodes in none of the masks (rng.choice draws depend on the order)."""
+    taken = np.zeros(n, dtype=bool)
+    for mask in masks:
+        taken[mask] = True
+    return np.flatnonzero(~taken)
+
+
 def make_splits(communities, g: Graph, policy: SplitPolicy) -> TaskSet:
     """Build one binary task per community with disjoint train/val/test masks.
 
@@ -124,11 +132,7 @@ def make_splits(communities, g: Graph, policy: SplitPolicy) -> TaskSet:
         if comm.size < 2:
             log.warning("task %d rejected: community has %d node(s)", idx, comm.size)
             continue
-        # Complements of boolean masks: ascending, as np.setdiff1d(arange(n), .)
-        # returned them, so rng.choice draws the same nodes.
-        taken = np.zeros(n, dtype=bool)
-        taken[comm] = True
-        outside = np.flatnonzero(~taken)
+        outside = _outside(n, comm)
         if outside.size == 0:
             log.warning("task %d rejected: no negative pool", idx)
             continue
@@ -139,13 +143,10 @@ def make_splits(communities, g: Graph, policy: SplitPolicy) -> TaskSet:
             rng.choice(comm, size=n_pos, replace=False),
             rng.choice(outside, size=n_neg, replace=False),
         ])
-        taken[:] = False
-        taken[train] = True
-        rest = np.flatnonzero(~taken)
+        rest = _outside(n, train)
         n_val = math.ceil(policy.val_frac * rest.size)
         val = rng.choice(rest, size=n_val, replace=False)
-        taken[val] = True
-        test = np.flatnonzero(~taken)
+        test = _outside(n, train, val)
         y = np.zeros(n)
         y[comm] = 1.0
         labels.append(y)
@@ -158,7 +159,7 @@ def make_splits(communities, g: Graph, policy: SplitPolicy) -> TaskSet:
 
 
 def save_task_set(tasks: TaskSet, path) -> None:
-    """Persist a binary TaskSet as a JSON manifest of node-id arrays."""
+    """Persist a binary TaskSet as a JSON manifest of node-id arrays (no test mask)."""
     payload = {
         "num_nodes": tasks.num_nodes,
         "tasks": [
@@ -166,7 +167,6 @@ def save_task_set(tasks: TaskSet, path) -> None:
                 "positives": np.flatnonzero(tasks.labels[i] == 1).tolist(),
                 "train": tasks.train_mask[i].tolist(),
                 "val": tasks.val_mask[i].tolist(),
-                "test": tasks.test_mask[i].tolist(),
             }
             for i in range(tasks.num_tasks)
         ],
@@ -176,6 +176,7 @@ def save_task_set(tasks: TaskSet, path) -> None:
 
 
 def load_task_set(path) -> TaskSet:
+    """Read a taskset.json; a test mask is every node in neither train nor val."""
     with open(path, "r", encoding="utf-8") as fh, reading(path):
         payload = json.load(fh)
         n = payload["num_nodes"]
@@ -189,5 +190,5 @@ def load_task_set(path) -> TaskSet:
             labels.append(y)
             trains.append(int_ids(rec["train"]))
             vals.append(int_ids(rec["val"]))
-            tests.append(int_ids(rec["test"]))
+            tests.append(_outside(n, trains[-1], vals[-1]))
         return TaskSet(n, tuple(labels), tuple(trains), tuple(vals), tuple(tests))

@@ -266,6 +266,14 @@ class TestClusterEvaluate:
         assert len(report["per_task_scores"]) == 12
 
 
+def _as_p_triplets(arrays):
+    """Rewrite instance.npz's arrays as the format that stored X and P's triplets."""
+    n, d = arrays.pop("design").shape
+    del arrays["observed_design"]
+    arrays.update(features=np.ones((n, d)), p_row=np.arange(n), p_col=np.arange(n),
+                  p_val=np.ones(n))
+
+
 class TestVerifyTheory:
     def test_sampled_gap_report(self, tmp_path, pipeline):
         _, inst_dir, _ = pipeline
@@ -284,7 +292,7 @@ class TestVerifyTheory:
         bad = tmp_path / "bad"
         shutil.copytree(inst_dir, bad)
         arrays = npz_arrays(bad / "instance.npz")
-        arrays["features"][0, 0] = np.nan
+        arrays["observed_design"][0, 0] = np.nan
         np.savez(bad / "instance.npz", **arrays)
         capsys.readouterr()
         assert run(["verify-theory", "--dataset", str(bad), "--alpha", "4",
@@ -294,34 +302,31 @@ class TestVerifyTheory:
         assert len(err) == 1 and err[0].startswith("taskaff: ")
 
     # (edit of the arrays of instance.npz, or of its bytes, expected stderr
-    # fragment); the fixture instance has N=150 nodes, T=12 tasks and d=8
-    # features, so P's triplet arrays hold k=len(p_val) entries each
+    # fragment); the fixture instance has N=150 nodes, m=120 observed rows,
+    # T=12 tasks and d=8 features
     MALFORMED = {
         "missing-array": (lambda a: a.pop("labels"), "'labels is not a file in the archive'"),
-        "ragged-pg-row": (lambda a: a.update(p_col=a["p_col"][:-1]), "p_col is int64 of shape"),
-        "non-numeric-pg-row": (lambda a: a.update(p_val=a["p_val"].astype(str)),
-                               "p_val is <U"),
-        "ragged-features-row": (lambda a: a.update(features=np.array(
-            [np.append(a["features"][0], 1.0), *a["features"][1:]], dtype=object)),
+        "ragged-features-row": (lambda a: a.update(design=np.array(
+            [np.append(a["design"][0], 1.0), *a["design"][1:]], dtype=object)),
                                 "Object arrays cannot be loaded"),
-        "non-numeric-features-row": (lambda a: a.update(features=a["features"].astype(str)),
-                                     "features is <U"),
+        "non-numeric-features-row": (lambda a: a.update(
+            observed_design=a["observed_design"].astype(str)), "observed_design is <U"),
         "ragged-labels-row": (lambda a: a.update(labels=np.array(
             [*a["labels"][:-1], np.array([1.0, 2.0])], dtype=object)),
                               "Object arrays cannot be loaded"),
         "non-numeric-labels-row": (lambda a: a.update(labels=a["labels"].astype(str)),
                                    "labels is <U"),
-        "negative-index": (lambda a: a["p_row"].__setitem__(0, -1),
-                           "P indices span -1..149, not 0..149"),
-        "fractional-index": (lambda a: a.update(p_row=a["p_row"] + 0.5),
-                             "p_row is float64 of shape"),
-        "out-of-range-index": (lambda a: a["p_col"].__setitem__(0, 150),
-                               "P indices span 0..150, not 0..149"),
-        "features-missing-node": (lambda a: a.update(features=a["features"][:-1]),
-                                  "shape (149, 8), expected float64 of shape (150, 8)"),
-        "features-extra-column": (lambda a: a.update(features=np.hstack(
-            [a["features"], np.zeros((150, 1))])),
-                                  "shape (150, 9), expected float64 of shape (150, 8)"),
+        "features-missing-node": (lambda a: a.update(design=a["design"][:-1]),
+                                  "design is float64 of shape (149, 8), "
+                                  "expected float64 of shape (150, 8)"),
+        "features-extra-column": (lambda a: a.update(observed_design=np.hstack(
+            [a["observed_design"], np.zeros((120, 1))])),
+                                  "shape (120, 9), expected float64 of shape (120, 8)"),
+        "observed-design-missing-row": (lambda a: a.update(
+            observed_design=a["observed_design"][:-1]),
+                                        "observed_design is float64 of shape (119, 8), "
+                                        "expected float64 of shape (120, 8)"),
+        "legacy-p-triplets": (_as_p_triplets, "holds P as triplets, a format no longer read"),
         "labels-missing-task": (lambda a: a.update(labels=a["labels"][:-1]),
                                 "shape (11, 150), expected float64 of shape (12, 150)"),
         "labels-transposed": (lambda a: a.update(labels=a["labels"].T),
@@ -515,6 +520,31 @@ class TestPredictNt:
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ") and key in err[0]
+
+    def test_task_in_no_logged_subset_refused_before_training(self, tmp_path, pipeline,
+                                                              capsys, monkeypatch):
+        # no predictor can be fit for a task that no logged subset holds, and the
+        # held-out subsets are known before any model is trained
+        _, inst_dir, _ = pipeline
+        aff_dir = tmp_path / "aff"
+        assert run(["affinity", "--dataset", inst_dir, "--alpha", "2", "--num-subsets", "2",
+                    "--min-pair-coverage", "0", "--out", str(aff_dir)]) == 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("predict-nt trained a model before refusing")
+
+        monkeypatch.setattr(cli.aff_mod, "collect_evaluations", no_training)
+        capsys.readouterr()
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", str(aff_dir),
+                    "--heldout-subsets", "20", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: held-out subsets hold task(s) ")
+        assert "--num-subsets" in err[0] and "--min-pair-coverage 1" in err[0]
+        named = json.loads(err[0].split("task(s) ")[1].split("]")[0] + "]")
+        logged = {i for s in read_json(aff_dir / "subsets.json") for i in s}
+        assert named and not logged & set(named)
 
     def test_fingerprint_checked_before_the_dataset_is_read(self, tmp_path, pipeline, capsys):
         # the refusal needs only meta.json, so a dataset without its arrays

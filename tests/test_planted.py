@@ -10,6 +10,7 @@ from taskaff.errors import (
     CoverageError,
     GenerationError,
     InvalidInputError,
+    ParseError,
 )
 
 
@@ -218,8 +219,9 @@ class TestSharedKernelTheory:
         rng = np.random.default_rng(3)
         cfg = planted.PlantedConfig(num_tasks=100, num_groups=10, feature_dim=20,
                                     num_nodes=1500, observed=1500)
+        x = rng.standard_normal((1500, 20))  # the design of P = I, every row observed
         inst = planted.PlantedInstance(
-            config=cfg, features=rng.standard_normal((1500, 20)), diffusion=np.eye(1500),
+            config=cfg, design=x, observed_design=x,
             observed_rows=np.arange(1500), labels=rng.standard_normal((100, 1500)),
             group_of=np.repeat(np.arange(10), 10))
         plan = affinity.SamplingPlan(num_tasks=100, subset_size=10, num_subsets=8000,
@@ -343,8 +345,8 @@ class TestTaskView:
         np.testing.assert_array_equal(tasks.val_mask[0], small_instance.observed_rows)
         assert feats.shape == (60, 4)
         rows = small_instance.observed_rows
-        design = small_instance.diffusion[np.ix_(rows, rows)] @ small_instance.features[rows]
-        np.testing.assert_allclose(feats[rows], design)
+        assert np.array_equal(feats[rows], small_instance.observed_design)
+        assert not np.delete(feats, rows, axis=0).any()
 
     def test_holdout_split_disjoint_and_deterministic(self, small_instance):
         a, _ = planted.to_task_set(small_instance, holdout_frac=0.2)
@@ -359,7 +361,7 @@ class TestPersistence:
     def test_instance_roundtrip(self, tmp_path, small_instance):
         planted.save_instance(small_instance, tmp_path / "inst")
         loaded = planted.load_instance(tmp_path / "inst")
-        np.testing.assert_allclose(loaded.features, small_instance.features, rtol=1e-15)
+        np.testing.assert_allclose(loaded.design, small_instance.design, rtol=1e-15)
         np.testing.assert_allclose(loaded.labels, small_instance.labels, rtol=1e-15)
         np.testing.assert_array_equal(loaded.observed_rows, small_instance.observed_rows)
         np.testing.assert_array_equal(loaded.group_of, small_instance.group_of)
@@ -367,24 +369,73 @@ class TestPersistence:
                                    atol=1e-10)
 
     def test_diffusion_roundtrip_exact(self, tmp_path, small_instance):
+        # the diffused designs, the only form of P the readers use, come back bit for bit
         planted.save_instance(small_instance, tmp_path / "inst")
         loaded = planted.load_instance(tmp_path / "inst")
-        assert np.array_equal(loaded.diffusion, small_instance.diffusion)
         assert sorted(p.name for p in (tmp_path / "inst").iterdir()) == \
             ["instance.npz", "meta.json"]
-        rows, cols = np.nonzero(small_instance.diffusion)
         with np.load(tmp_path / "inst" / "instance.npz") as npz:
-            assert np.array_equal(npz["p_row"], rows) and np.array_equal(npz["p_col"], cols)
-            assert np.array_equal(npz["p_val"], small_instance.diffusion[rows, cols])
-        assert np.array_equal(loaded.features, small_instance.features)
-        assert np.array_equal(loaded.labels, small_instance.labels)
+            assert sorted(npz.files) == ["design", "labels", "observed_design"]
+        for name in ("design", "observed_design", "labels"):
+            assert np.array_equal(getattr(loaded, name), getattr(small_instance, name))
         _, design = planted.to_task_set(loaded)
         assert np.array_equal(design, planted.to_task_set(small_instance)[1])
 
     def test_dense_pg_csv_directory_refused(self, tmp_path, small_instance):
         inst = tmp_path / "inst"
         planted.save_instance(small_instance, inst)
-        np.savetxt(inst / "pg.csv", small_instance.diffusion, delimiter=",", fmt="%.17g")
+        n = small_instance.config.num_nodes
+        np.savetxt(inst / "pg.csv", np.eye(n), delimiter=",", fmt="%.17g")
         (inst / "instance.npz").unlink()
         with pytest.raises(InvalidInputError, match="re-run generate"):
             planted.load_instance(inst)
+
+    @pytest.mark.parametrize("row", [-1, 60])
+    def test_observed_row_outside_the_nodes_refused(self, tmp_path, small_instance, row):
+        # -1 would silently put a row of the observed design on node N-1
+        import json
+
+        planted.save_instance(small_instance, tmp_path / "inst")
+        meta_path = tmp_path / "inst" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["observed_rows"][0] = row
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match="an observed row lies outside 0..59"):
+            planted.load_instance(tmp_path / "inst")
+
+    def test_load_holds_no_n_by_n_array(self, tmp_path):
+        # load_instance + to_task_set at N = 1,200: a dense N x N float array
+        # (11 MiB) does not fit under the bound
+        import tracemalloc
+        rng = np.random.default_rng(5)
+        n, m, d, t = 1200, 900, 20, 10
+        cfg = planted.PlantedConfig(num_tasks=t, num_groups=2, feature_dim=d,
+                                    num_nodes=n, observed=m)
+        planted.save_instance(planted.PlantedInstance(
+            config=cfg, design=rng.standard_normal((n, d)),
+            observed_design=rng.standard_normal((m, d)),
+            observed_rows=np.sort(rng.choice(n, size=m, replace=False)),
+            labels=rng.standard_normal((t, n)), group_of=np.repeat([0, 1], t // 2)),
+            tmp_path / "inst")
+        tracemalloc.start()
+        try:
+            tasks, features = planted.to_task_set(planted.load_instance(tmp_path / "inst"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert features.shape == (n, d) and tasks.num_tasks == t
+        assert peak < n * n * 8 // 4, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_designs_are_p_x_and_its_observed_block():
+    # seed 0 of quick_cfg is accepted on the first draw, so one replay of the
+    # stream gives X, P and the observed rows
+    cfg = quick_cfg()
+    inst = planted.generate(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal((cfg.num_nodes, cfg.feature_dim))
+    p = planted._random_diffusion(rng, cfg.num_nodes)
+    rows = np.sort(rng.choice(cfg.num_nodes, size=cfg.observed, replace=False))
+    assert np.array_equal(inst.observed_rows, rows)
+    assert np.array_equal(inst.design, p @ x)
+    assert np.array_equal(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])

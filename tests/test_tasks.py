@@ -141,6 +141,23 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.val_mask[i], ts.val_mask[i])
             np.testing.assert_array_equal(loaded.test_mask[i], ts.test_mask[i])
 
+    def test_test_mask_is_the_rest_and_a_stored_one_ignored(self, tmp_path):
+        # files written before the test mask was left out still hold a "test" list
+        import json
+
+        g = two_block_graph(np.random.default_rng(2), n_per=15)
+        ts = tasks.make_splits([np.arange(8)], g, tasks.SplitPolicy(0.2, 0.2, 0.25, seed=4))
+        path = tmp_path / "taskset.json"
+        tasks.save_task_set(ts, path)
+        payload = json.loads(path.read_text())
+        assert "test" not in payload["tasks"][0]
+        payload["tasks"][0]["test"] = [0]
+        path.write_text(json.dumps(payload))
+        test = tasks.load_task_set(path).test_mask[0]
+        assert np.array_equal(test, ts.test_mask[0])
+        assert np.array_equal(test, np.setdiff1d(np.arange(30), np.concatenate(
+            [ts.train_mask[0], ts.val_mask[0]])))
+
     @pytest.mark.parametrize("node", [-1, 30])
     def test_positive_outside_the_nodes_refused(self, tmp_path, node):
         # -1 would label node 29 by wrap-around, 30 would index past the end
@@ -158,12 +175,13 @@ class TestPersistence:
 
 
 def old_taskset_json(communities, n, policy):
-    """taskset.json as the setdiff1d splits and json.dump wrote it (the oracle)."""
+    """taskset.json as the setdiff1d splits and json.dump wrote it, less the
+    test masks, and those masks (the oracle)."""
     import json
     import math
 
     all_nodes = np.arange(n)
-    recs = []
+    recs, tests = [], []
     for idx, comm in enumerate(communities):
         if comm.size < 2:
             continue
@@ -177,12 +195,12 @@ def old_taskset_json(communities, n, policy):
                                 rng.choice(outside, size=n_neg, replace=False)])
         rest = np.setdiff1d(all_nodes, train)
         val = rng.choice(rest, size=math.ceil(policy.val_frac * rest.size), replace=False)
-        test = np.setdiff1d(rest, val)
+        tests.append(np.setdiff1d(rest, val))
         recs.append({"positives": comm.tolist(), "train": np.sort(train).tolist(),
-                     "val": np.sort(val).tolist(), "test": np.sort(test).tolist()})
+                     "val": np.sort(val).tolist()})
     buf = io.StringIO()
     json.dump({"num_nodes": n, "tasks": recs}, buf, sort_keys=True)
-    return buf.getvalue()
+    return buf.getvalue(), tests
 
 
 class TestSplitsMatchSetdiffSplits:
@@ -196,7 +214,12 @@ class TestSplitsMatchSetdiffSplits:
         policy = tasks.SplitPolicy(0.15, 0.1, 0.25, seed=seed)
         path = tmp_path / "taskset.json"
         tasks.save_task_set(tasks.make_splits(comms, g, policy), path)
-        assert path.read_text(encoding="utf-8") == old_taskset_json(comms, n, policy)
+        text, test_masks = old_taskset_json(comms, n, policy)
+        assert path.read_text(encoding="utf-8") == text
+        loaded = tasks.load_task_set(path)
+        assert len(loaded.test_mask) == len(test_masks)
+        for got, want in zip(loaded.test_mask, test_masks):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestValidation:
