@@ -1,9 +1,11 @@
 """Sparse undirected graphs, diffusion operators, and personalized PageRank.
 
-The graph is immutable after construction: adjacency lives in CSR form,
-node ids are remapped to 0..N-1, and an id map back to the original labels
-is kept so external annotations can be joined again later. scipy.sparse is
-imported where matrices are built, so graph-free commands skip its import.
+The graph is immutable after construction: its adjacency is a CSR structure
+held as two numpy arrays, node ids are remapped to 0..N-1, and an id map
+back to the original labels is kept so external annotations can be joined
+again later. The row- and symmetric-normalized operators are applied by one
+numpy kernel; scipy.sparse is imported only to build the PPR walk, so a
+command that runs no PPR never pays for its import.
 """
 
 from __future__ import annotations
@@ -57,13 +59,16 @@ class DiffusionOperator:
 class Graph:
     """Immutable undirected graph with dense node features.
 
-    ``adj`` is a symmetric CSR matrix without self-loops, node ids run
+    ``indptr`` and ``indices`` are the CSR structure of the symmetric 0/1
+    adjacency without self-loops: the neighbours of node i are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending. Node ids run
     0..num_nodes-1, and ``orig_ids[i]`` is the external label of node i
     (identity when the graph was built from already-contiguous ids).
     """
 
     num_nodes: int
-    adj: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
     node_features: np.ndarray
     orig_ids: np.ndarray = field(repr=False, default=None)
 
@@ -78,8 +83,8 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        """Number of undirected edges (each stored twice in adj)."""
-        return self.adj.nnz // 2
+        """Number of undirected edges (each stored twice in indices)."""
+        return self.indices.size // 2
 
     @property
     def feature_dim(self) -> int:
@@ -90,7 +95,7 @@ class Graph:
         return {int(orig): i for i, orig in enumerate(self.orig_ids)}
 
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.adj.sum(axis=1)).ravel()
+        return np.diff(self.indptr).astype(float)
 
     def with_features(self, features: np.ndarray) -> "Graph":
         """Return a copy of this graph carrying the given feature matrix."""
@@ -100,7 +105,7 @@ class Graph:
                 f"features must be a {self.num_nodes}-row matrix, got shape "
                 f"{features.shape}"
             )
-        return Graph(self.num_nodes, self.adj, features, self.orig_ids)
+        return Graph(self.num_nodes, self.indptr, self.indices, features, self.orig_ids)
 
 
 def build_graph(edges, num_nodes=None, features=None, orig_ids=None) -> Graph:
@@ -110,25 +115,27 @@ def build_graph(edges, num_nodes=None, features=None, orig_ids=None) -> Graph:
     Duplicate edges and self-loops are dropped. When ``num_nodes`` is None it
     is inferred as max id + 1.
     """
-    from scipy import sparse
     pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                        dtype=np.int64).reshape(-1, 2)
     if num_nodes is None:
         num_nodes = int(pairs.max()) + 1 if pairs.size else 0
     if num_nodes <= 0:
         raise InvalidInputError("graph has no nodes")
-    pairs = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
-    if pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 1].max() >= num_nodes):
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
         raise InvalidInputError(f"edge node id outside 0..{num_nodes - 1}")
-    # Sorted unique keys lo * N + hi are the distinct edges in (lo, hi) order.
-    keys = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
-    lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_nodes)
-    adj = sparse.csr_matrix((np.ones(2 * lo.size), (np.concatenate([lo, hi]),
-                                                    np.concatenate([hi, lo]))),
-                            shape=(num_nodes, num_nodes))
+    # Sorted unique keys row * N + col over both directions of every edge are
+    # the CSR entries in row-major order.
+    u, v = pairs.T
+    keys = np.sort(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_nodes)
+    # The index width scipy's CSR constructor would pick.
+    index = np.int32 if max(cols.size, num_nodes) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_nodes))])
     if features is None:
         features = np.zeros((num_nodes, 0))
-    return Graph(num_nodes, adj, np.asarray(features, dtype=float), orig_ids)
+    return Graph(num_nodes, indptr.astype(index), cols.astype(index),
+                 np.asarray(features, dtype=float), orig_ids)
 
 
 def _has_inline_comment(text) -> bool:
@@ -228,55 +235,57 @@ def _load_matrix(path, columns=None, rows=None, dtype=float):
 
 
 def load_features_csv(path, num_nodes) -> np.ndarray:
-    """Read an N x d headerless CSV whose row order is the internal node id."""
-    return _load_matrix(path, rows=num_nodes)
+    """Read an N x d headerless CSV whose row order is the internal node id;
+    a non-finite cell (nan, inf) raises ParseError naming the file."""
+    features = _load_matrix(path, rows=num_nodes)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: the row of node {bad[0]} holds a non-finite value")
+    return features
 
 
-def _row_normalized(g: Graph) -> sparse.csr_matrix:
-    from scipy import sparse
+def _inverse(values: np.ndarray) -> np.ndarray:
+    """1 / values, with 0 where a value is 0 (an isolated node)."""
+    return np.divide(1.0, values, out=np.zeros_like(values), where=values > 0)
+
+
+def _operator_entries(g: Graph, kind: str):
+    """(rows, cols, weights) of the row- or symmetric-normalized operator,
+    each row in the order scipy's CSR products ``diags(1/deg) @ A`` (+ I on
+    isolated nodes) and ``D^-1/2 A D^-1/2`` store it: descending column for
+    the walk without self-loop rows, ascending otherwise. Summed in that
+    order, they give those products bit for bit."""
+    deg = g.degrees()
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    cols = g.indices
+    if kind == "symmetric-normalized":
+        s = _inverse(np.sqrt(deg))
+        return rows, cols, s[rows] * s[cols]
+    inv = _inverse(deg)
+    isolated = np.flatnonzero(deg == 0)
+    if not isolated.size:
+        return rows[::-1], cols[::-1], inv[rows[::-1]]
     # Isolated nodes become self-loop rows so the operator stays stochastic.
-    deg = g.degrees()
-    isolated = np.where(deg == 0)[0]
-    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    p = sparse.diags(inv) @ g.adj
-    if isolated.size:
-        p = (p + sparse.csr_matrix(
-            (np.ones(isolated.size), (isolated, isolated)),
-            shape=(g.num_nodes, g.num_nodes),
-        )).tocsr()
-    return p.tocsr()
+    return (np.concatenate([rows, isolated]), np.concatenate([cols, isolated]),
+            np.concatenate([inv[rows], np.ones(isolated.size)]))
 
 
-def _transposed_walk(g: Graph) -> sparse.csr_matrix:
-    # P^T of the row-normalized walk; column-stochastic, so it keeps L1 mass.
-    return _row_normalized(g).T.tocsr()
-
-
-def _sym_normalized(g: Graph) -> sparse.csr_matrix:
+def _transposed_walk(g: Graph):
+    """P^T of the row-normalized walk as a scipy CSR matrix, the one place
+    scipy is imported: PPR needs its sparse product. Row j holds
+    P[i, j] = 1/deg(i) at each neighbour i, ascending, and an isolated node
+    a 1.0 self-loop; column-stochastic, so it keeps L1 mass."""
     from scipy import sparse
     deg = g.degrees()
-    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-    d = sparse.diags(inv_sqrt)
-    return (d @ g.adj @ d).tocsr()
+    isolated = np.flatnonzero(deg == 0)
+    at = g.indptr[isolated]
+    indptr = g.indptr + np.concatenate([[0], np.cumsum(deg == 0)])
+    return sparse.csr_matrix((np.insert(_inverse(deg)[g.indices], at, 1.0),
+                              np.insert(g.indices, at, isolated), indptr),
+                             shape=(g.num_nodes, g.num_nodes))
 
 
-def operator_matrix(g: Graph, op: DiffusionOperator) -> sparse.csr_matrix:
-    """Materialize a sparse operator as a matrix acting on node-indexed rows.
-
-    The ``ppr`` kind has no sparse form; ``diffuse_features`` applies it by
-    iteration instead.
-    """
-    if op.kind == "row-normalized":
-        return _row_normalized(g)
-    if op.kind == "symmetric-normalized":
-        return _sym_normalized(g)
-    raise InvalidInputError(
-        "the ppr operator is dense and is never materialized; "
-        "use diffuse_features to apply it"
-    )
-
-
-def _ppr_propagate(pt: sparse.csr_matrix, s: np.ndarray, teleport: float,
+def _ppr_propagate(pt, s: np.ndarray, teleport: float,
                    tol: np.ndarray) -> np.ndarray:
     """Iterate R <- teleport*S + (1-teleport)*P^T R from R = S, column by column.
 
@@ -304,7 +313,7 @@ def _ppr_propagate(pt: sparse.csr_matrix, s: np.ndarray, teleport: float,
     return r
 
 
-def _ppr_hop(pt: sparse.csr_matrix, x: np.ndarray, teleport: float) -> np.ndarray:
+def _ppr_hop(pt, x: np.ndarray, teleport: float) -> np.ndarray:
     """One PPR diffusion hop: teleport * (I - (1-teleport) P^T)^{-1} x.
 
     Column i of that operator is the PPR vector of a walk restarted at node
@@ -326,9 +335,12 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
 
     Hop 0 equals the raw feature matrix exactly; block order follows hop
     index, so the hops=h output is a column-prefix of the hops=h+1 output.
-    The ``ppr`` kind is applied by sparse fixed-point iteration (see
-    ``_ppr_hop``) in O(nnz + N*d) memory and raises ConvergenceError if a
-    hop does not converge within PPR_MAX_ITER steps.
+    The row- and symmetric-normalized kinds are applied one column at a
+    time with ``np.bincount``, which adds each row's terms in the order of
+    ``_operator_entries``, in O(nnz) temporaries. The ``ppr`` kind is
+    applied by sparse fixed-point iteration (see ``_ppr_hop``) in
+    O(nnz + N*d) memory and raises ConvergenceError if a hop does not
+    converge within PPR_MAX_ITER steps.
     """
     if hops < 0:
         raise InvalidInputError("hops must be >= 0")
@@ -340,9 +352,13 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
             cur = _ppr_hop(pt, cur, op.teleport)
             blocks.append(cur)
     else:
-        p = operator_matrix(g, op)
+        rows, cols, weights = _operator_entries(g, op.kind)
         for _ in range(hops):
-            cur = np.asarray(p @ cur)
+            nxt = np.empty_like(cur)
+            for k in range(cur.shape[1]):
+                nxt[:, k] = np.bincount(rows, weights=weights * cur[cols, k],
+                                        minlength=g.num_nodes)
+            cur = nxt
             blocks.append(cur)
     return np.hstack(blocks)
 

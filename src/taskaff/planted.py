@@ -317,6 +317,8 @@ def load_instance(in_dir) -> PlantedInstance:
         n, d = cfg.num_nodes, cfg.feature_dim
         if observed_rows.size and not 0 <= observed_rows.min() <= observed_rows.max() < n:
             raise IndexError(f"an observed row lies outside 0..{n - 1}")  # -1 would wrap
+        if group_of.shape != (cfg.num_tasks,):
+            raise ValueError(f"group_of holds {group_of.size} groups for {cfg.num_tasks} tasks")
     path = os.path.join(in_dir, "instance.npz")
     if not os.path.exists(path) and any(os.path.exists(os.path.join(in_dir, f)) for f in (
             "pg_coo.csv", "labels.csv", "features.csv", "pg.csv")):

@@ -52,13 +52,13 @@ def two_block_graph(rng, n_per=30, p_in=0.3, p_out=0.02):
 
 
 def save_edge_list(g, path):
-    """Write a graph as "u v" lines of original node ids, each edge once."""
-    from scipy import sparse
-
-    coo = sparse.triu(g.adj, k=1).tocoo()
+    """Write a graph as "u v" lines of original node ids, each edge once, in
+    row-major order of the upper triangle."""
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    upper = rows < g.indices
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{int(g.orig_ids[u])} {int(g.orig_ids[v])}\n"
-                      for u, v in zip(coo.row, coo.col))
+                      for u, v in zip(rows[upper], g.indices[upper]))
 
 
 def block_task_set(g, rng, blocks=((0, 30), (30, 60)), tasks_per_block=2, n_pos=8):

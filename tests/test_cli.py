@@ -16,6 +16,32 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this taskaff and the
+    bench's modules; it fails the test unless it exits 0."""
+    import os
+    import subprocess
+    import sys
+
+    import taskaff
+    src = os.path.dirname(os.path.dirname(taskaff.__file__))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench]))
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# A small bench SBM dataset: generates its inputs into directory d.
+SBM_INPUTS = (
+    "import sbm\n"
+    "paths = sbm.generate(sbm.SbmConfig(num_nodes=300, num_blocks=6, min_block=20,"
+    " max_block=80, num_edges=2400, feature_dim=4), 3, d)\n"
+    "split = ['split', '--edges', paths['edges'], '--communities', paths['communities'],"
+    " '--features', paths['features'], '--top-k', '6', '--seed', '1']\n"
+)
+
+
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -301,7 +327,22 @@ class TestVerifyTheory:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ")
 
-    # (edit of the arrays of instance.npz, or of its bytes, expected stderr
+    def test_group_of_shorter_than_tasks_exit_2(self, tmp_path, capsys):
+        # verify_block_structure would stop on a broadcast ValueError traceback
+        inst = tmp_path / "inst"
+        assert run(["generate", "--tasks", "6", "--groups", "2", "--dim", "4", "--nodes", "60",
+                    "--observed", "50", "--seed", "1", "--out", str(inst)]) == 0
+        meta = read_json(inst / "meta.json")
+        meta["group_of"].pop()
+        (inst / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run(["verify-theory", "--dataset", str(inst), "--alpha", "3",
+                    "--num-subsets", "40", "--out", str(tmp_path / "ver")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ")
+        assert "group_of holds 5 groups for 6 tasks" in err[0]
+        assert not (tmp_path / "ver").exists()
+
     # fragment); the fixture instance has N=150 nodes, m=120 observed rows,
     # T=12 tasks and d=8 features
     MALFORMED = {
@@ -386,15 +427,9 @@ class TestVerifyTheory:
                                          ("features.csv", "pg_coo.csv", "labels.csv"))
 
     def test_planted_commands_do_not_import_scipy(self, tmp_path):
-        # scipy.sparse serves the graph commands only; the planted chain
-        # starts one process per command and should not pay for its import
-        import os
-        import subprocess
-        import sys
-
-        import taskaff
-        code = (
-            "import sys\n"
+        # scipy.sparse serves the PPR paths only; the planted chain starts
+        # one process per command and should not pay for its import
+        run_python(
             "import taskaff.cli as cli\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
             f"assert cli.main({GEN + ['--seed', '1', '--out', str(tmp_path / 'i')]!r}) == 0\n"
@@ -402,11 +437,6 @@ class TestVerifyTheory:
             f" '--alpha', '4', '--num-subsets', '150', '--out', {str(tmp_path / 'v')!r}]) == 0\n"
             "assert 'scipy' not in sys.modules, 'verify-theory'\n"
         )
-        src = os.path.dirname(os.path.dirname(taskaff.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
 
     def test_exhaustive_mode(self, tmp_path, pipeline):
         _, inst_dir, _ = pipeline
@@ -683,6 +713,46 @@ class TestSplitAndPprSim:
                     "--seed", "0", "--out", out]) == 0
         rep = read_json(out + "/ppr_similarity.json")
         assert rep["within_mean"] > rep["between_mean"]
+
+    @pytest.mark.parametrize("op", ["row-normalized", "symmetric-normalized"])
+    def test_commands_without_ppr_run_without_scipy(self, tmp_path, op):
+        # With sys.modules['scipy'] = None, any import of scipy raises. The
+        # linear learner refuses a community dataset (its tasks' train masks
+        # differ), so the chain trains the MLP.
+        run_python(
+            "sys.modules['scipy'] = None\n"
+            "import taskaff.cli as cli\n"
+            f"d = {str(tmp_path)!r}\n" + SBM_INPUTS +
+            f"assert cli.main(split + ['--op', {op!r}, '--out', d + '/ds']) == 0\n"
+            "ds = ['--dataset', d + '/ds']\n"
+            "mlp = ['--learner', 'mlp', '--epochs', '5', '--hidden-width', '8']\n"
+            "assert cli.main(['affinity', *ds, *mlp, '--alpha', '3', '--num-subsets', '12',"
+            " '--out', d + '/aff']) == 0\n"
+            "assert cli.main(['cluster', '--affinity-dir', d + '/aff', '--budget', '2',"
+            " '--out', d + '/grp']) == 0\n"
+            "assert cli.main(['evaluate', *ds, *mlp, '--grouping-dir', d + '/grp',"
+            " '--out', d + '/ev']) == 0\n"
+            "assert cli.main(['predict-nt', *ds, *mlp, '--affinity-dir', d + '/aff',"
+            " '--heldout-subsets', '4', '--out', d + '/nt']) == 0\n"
+        )
+
+    def test_ppr_paths_run_with_scipy(self, tmp_path):
+        # split never reads the adjacency; a PPR hop and ppr-sim import scipy
+        run_python(
+            "import taskaff.cli as cli\n"
+            f"d = {str(tmp_path)!r}\n" + SBM_INPUTS +
+            "assert cli.main(split + ['--op', 'ppr', '--out', d + '/ds']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'split'\n"
+            "ds = ['--dataset', d + '/ds']\n"
+            "assert cli.main(['affinity', *ds, '--learner', 'mlp', '--epochs', '5',"
+            " '--hidden-width', '8', '--alpha', '3', '--num-subsets', '12',"
+            " '--out', d + '/aff']) == 0\n"
+            "assert 'scipy.sparse' in sys.modules, 'affinity'\n"
+            "assert cli.main(['cluster', '--affinity-dir', d + '/aff', '--budget', '2',"
+            " '--out', d + '/grp']) == 0\n"
+            "assert cli.main(['ppr-sim', *ds, '--grouping-dir', d + '/grp',"
+            " '--out', d + '/ppr']) == 0\n"
+        )
 
     def test_mlp_affinity_pipeline_on_community(self, tmp_path, community_dataset):
         _, edges, cmty = community_dataset
@@ -1001,19 +1071,33 @@ class TestMalformedArtifacts:
         return (copy / "meta.json", ["verify-theory", "--dataset", str(copy), "--alpha", "4",
                                      "--num-subsets", "150"], "ids must be integers")
 
-    def features(self, tmp_path, pipeline, community_affinity, community_dataset):
+    def _features(self, tmp_path, community_dataset, row_7):
+        """A split of the community graph whose feature CSV has ``row_7`` as row 7."""
         _, edges, cmty = community_dataset
         feats = tmp_path / "features.csv"
         rows = [f"{k},1,0.5,2" for k in range(50)]
-        rows[7] = "1,2,x,4"
+        rows[7] = row_7
         feats.write_text("\n".join(rows) + "\n")
         ds = str(tmp_path / "ds")
         assert run(["split", "--edges", edges, "--communities", cmty, "--top-k", "4",
                     "--features", str(feats), "--seed", "1", "--out", ds]) == 0
-        return feats, ["affinity", "--dataset", ds] + MLP_AFFINITY, "could not convert"
+        return feats, ["affinity", "--dataset", ds] + MLP_AFFINITY
+
+    def features(self, tmp_path, pipeline, community_affinity, community_dataset):
+        return (*self._features(tmp_path, community_dataset, "1,2,x,4"), "could not convert")
+
+    # Earlier versions trained on these and exited 3 (a non-finite loss).
+    def features_nan(self, tmp_path, pipeline, community_affinity, community_dataset):
+        return (*self._features(tmp_path, community_dataset, "1,2,nan,4"),
+                "the row of node 7 holds a non-finite value")
+
+    def features_inf(self, tmp_path, pipeline, community_affinity, community_dataset):
+        return (*self._features(tmp_path, community_dataset, "1,-inf,0,4"),
+                "the row of node 7 holds a non-finite value")
 
     @pytest.mark.parametrize("case", ["grouping", "affinity", "negative_imputed", "task_set",
-                                      "planted_meta", "features", "grouping_float_id",
+                                      "planted_meta", "features", "features_nan",
+                                      "features_inf", "grouping_float_id",
                                       "task_set_float_train", "task_set_string_positive",
                                       "planted_meta_float_row"])
     def test_exit_2_with_one_line(self, tmp_path, pipeline, community_affinity,
@@ -1026,6 +1110,7 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"taskaff: {path}"), err
         assert fragment in err[0]
+        assert not out.exists()
 
 
 def _drop_row_3(lines):

@@ -14,6 +14,53 @@ from taskaff.errors import (
 from tests.conftest import block_task_set, save_edge_list, two_block_graph
 
 
+def adjacency(g):
+    """The graph's 0/1 adjacency as a scipy CSR matrix, from its indptr and
+    indices."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                             shape=(g.num_nodes, g.num_nodes))
+
+
+def scipy_operator(g, kind):
+    """The row- or symmetric-normalized operator as scipy's sparse products
+    build it: diags(1/deg) @ A plus a 1.0 self-loop on each isolated node, or
+    D^-1/2 A D^-1/2. The reference the numpy kernel must match bit for bit."""
+    from scipy import sparse
+
+    adj = adjacency(g)
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    if kind == "symmetric-normalized":
+        inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+        d = sparse.diags(inv_sqrt)
+        return (d @ adj @ d).tocsr()
+    isolated = np.where(deg == 0)[0]
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    p = sparse.diags(inv) @ adj
+    if isolated.size:
+        p = (p + sparse.csr_matrix((np.ones(isolated.size), (isolated, isolated)),
+                                   shape=(g.num_nodes, g.num_nodes))).tocsr()
+    return p.tocsr()
+
+
+@st.composite
+def small_graphs(draw, isolated):
+    """A graph of up to 26 nodes with 1-4 standard-normal feature columns:
+    with ``isolated`` one node no edge touches, else a ring through every
+    node so that none is isolated."""
+    n = draw(st.integers(2, 25))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=4 * n))
+    if isolated:
+        n += 1
+    else:
+        pairs += [(i, (i + 1) % n) for i in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, draw(st.integers(1, 4))))
+    return graphs.build_graph(pairs, num_nodes=n, features=x)
+
+
 def write(tmp_path, text, name="edges.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -78,7 +125,7 @@ class TestLoadEdgeList:
         def edge_set(graph):
             from scipy import sparse
 
-            coo = sparse.triu(graph.adj, k=1).tocoo()
+            coo = sparse.triu(adjacency(graph), k=1).tocoo()
             ids = graph.orig_ids
             return {tuple(sorted((int(ids[u]), int(ids[v]))))
                     for u, v in zip(coo.row, coo.col)}
@@ -166,10 +213,11 @@ class TestLoadEdgeListMatchesLineLoop:
         orig_ids, adj, ids, n_self = expected
         np.testing.assert_array_equal(g.orig_ids, orig_ids)
         assert g.orig_ids.dtype == orig_ids.dtype
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(g.adj, name), getattr(adj, name)
+        for name in ("indptr", "indices"):
+            got, want = getattr(g, name), getattr(adj, name)
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype
+        assert (adj.data == 1.0).all()
         assert idmap.read_text() == json.dumps(ids, sort_keys=True, indent=0)
         warned = [r.getMessage() for r in caplog.records if "self-loop" in r.getMessage()]
         assert warned == ([f"dropped {n_self} self-loop(s) while loading {path}"]
@@ -227,20 +275,41 @@ class TestDiffuseFeatures:
         op = graphs.DiffusionOperator(kind)
         out = graphs.diffuse_features(g, op, hops=2)
         if kind == "ppr":
-            walk = graphs.operator_matrix(
-                g, graphs.DiffusionOperator("row-normalized")).toarray()
+            walk = scipy_operator(g, "row-normalized").toarray()
             a = op.teleport
             p = a * np.linalg.solve(np.eye(10) - (1 - a) * walk.T, np.eye(10))
         else:
-            p = graphs.operator_matrix(g, op).toarray()
+            p = scipy_operator(g, kind).toarray()
         expected = np.hstack([g.node_features, p @ g.node_features,
                               p @ p @ g.node_features])
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_ppr_operator_is_not_materialized(self):
-        g = graphs.build_graph([(0, 1), (1, 2)])
-        with pytest.raises(InvalidInputError, match="diffuse_features"):
-            graphs.operator_matrix(g, graphs.DiffusionOperator("ppr"))
+    @pytest.mark.parametrize("isolated", [False, True])
+    @pytest.mark.parametrize("kind", ["row-normalized", "symmetric-normalized"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_scipy_operator(self, kind, isolated, data):
+        g = data.draw(small_graphs(isolated))
+        hops = data.draw(st.integers(1, 3))
+        p = scipy_operator(g, kind)
+        blocks = [g.node_features]
+        for _ in range(hops):
+            blocks.append(np.asarray(p @ blocks[-1]))
+        out = graphs.diffuse_features(g, graphs.DiffusionOperator(kind), hops)
+        want = np.hstack(blocks)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_transposed_walk_is_scipy_transpose(self, isolated, data):
+        g = data.draw(small_graphs(isolated))
+        got = graphs._transposed_walk(g)
+        want = scipy_operator(g, "row-normalized").T.tocsr()
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_ppr_nonconvergence_raises(self):
         edges = [(i, (i + 1) % 40) for i in range(40)]
@@ -301,9 +370,9 @@ class TestDiffuseFeatures:
 
     def test_row_normalized_rows_sum_to_one_with_isolated(self):
         # node 3 isolated: self-loop row keeps the operator stochastic
-        g = graphs.build_graph([(0, 1), (1, 2)], num_nodes=4)
-        p = graphs.operator_matrix(g, graphs.DiffusionOperator("row-normalized"))
-        np.testing.assert_allclose(np.asarray(p.sum(axis=1)).ravel(), 1.0)
+        g = graphs.build_graph([(0, 1), (1, 2)], num_nodes=4, features=np.ones((4, 1)))
+        out = graphs.diffuse_features(g, graphs.DiffusionOperator("row-normalized"), 1)
+        np.testing.assert_allclose(out[:, 1], 1.0)
 
 
 class TestPersonalizedPagerank:
@@ -321,8 +390,7 @@ class TestPersonalizedPagerank:
         rng = np.random.default_rng(12)
         g = two_block_graph(rng, n_per=40, p_in=0.2, p_out=0.02)
         seeds = rng.choice(80, size=5, replace=False)
-        pt = graphs.operator_matrix(
-            g, graphs.DiffusionOperator("row-normalized")).T.tocsr()
+        pt = scipy_operator(g, "row-normalized").T.tocsr()
         s = np.zeros(80)
         s[seeds] = 1.0 / 5
         r = s.copy()
@@ -340,7 +408,7 @@ class TestPersonalizedPagerank:
         g = graphs.build_graph(edges)
         alpha = 0.15
         r = graphs.personalized_pagerank(g, [0], teleport=alpha, tol=1e-12)
-        p = graphs.operator_matrix(g, graphs.DiffusionOperator("row-normalized")).toarray()
+        p = scipy_operator(g, "row-normalized").toarray()
         s = np.zeros(5)
         s[0] = 1.0
         oracle = np.linalg.solve(np.eye(5) - (1 - alpha) * p.T, alpha * s)
