@@ -1,4 +1,4 @@
-"""Higher-order task affinity: subset sampling, score collection, aggregation.
+"""Higher-order task affinity: sampling, scoring, aggregation, the affinity directory.
 
 The affinity score theta[i, j] is the exact arithmetic mean of task i's
 multitask score f_i(S) over every sampled subset S containing both i and j;
@@ -14,17 +14,23 @@ import json
 import math
 import os
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (CoverageError, InvalidInputError, ParseError, TaskAffError,
-                     TrainingError, int_ids, reading)
+                     TrainingError, int_ids, read_json_object, reading)
 from .graphs import _load_matrix
-from .learners import LearnerSpec, closed_form_scores, evaluate, train_models
+from .learners import (LearnerSpec, closed_form_scores, evaluate, mixed_train_masks,
+                       train_models)
 from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 
 COVERAGE_CAP_FACTOR = 10
+
+# The files of an affinity directory that a run's manifest hashes; its resume
+# state, completed.idx and fingerprint.json, lies beside them.
+ARTIFACTS = EVALS, SUBSETS, THETA, COUNTS, SIDECAR, CONVERGENCE = (
+    "evals.csv", "subsets.json", "theta.csv", "counts.csv", "affinity.json", "convergence.csv")
 
 
 @dataclass(frozen=True)
@@ -245,12 +251,8 @@ def estimate_affinity(log: EvalLog, num_tasks: int) -> AffinityMatrix:
 def convergence_trace(log: EvalLog, full: AffinityMatrix, checkpoints):
     """Max-entry |theta(prefix) - full.theta| per prefix size; full = estimate_affinity(log)."""
     checkpoints = list(checkpoints)
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise InvalidInputError("checkpoints must be strictly ascending")
-    if checkpoints and checkpoints[-1] > len(log):
-        raise InvalidInputError("checkpoints exceed the log length")
-    if checkpoints and checkpoints[0] < 1:
-        raise InvalidInputError("checkpoints must be >= 1")
+    if any(b <= a for a, b in zip([0] + checkpoints, checkpoints + [len(log) + 1])):
+        raise InvalidInputError(f"checkpoints must ascend strictly within 1..{len(log)}")
     shorter = [c for c in checkpoints if c < len(log)]
     thetas = [_imputed(theta, counts, log.scores[:c]).theta for c, (theta, counts) in zip(
         shorter, _regroup(log.subsets, log.scores, full.num_tasks, shorter))]
@@ -273,19 +275,19 @@ def save_eval_log(log: EvalLog, csv_path, indices=None, append: bool = False) ->
                              for tid, score in zip(subset, scores))
 
 
-def load_eval_log(csv_path, subsets_path, indices=None) -> EvalLog:
-    """Read a saved log, or only its subsets at ``indices``; rows of other
-    subsets are skipped and a missing CSV holds no rows.
+def load_eval_log(csv_path, subsets, indices=None) -> EvalLog:
+    """Read the rows a saved log holds for ``subsets`` (its n x alpha
+    subsets), or only for those at ``indices``; rows of other subsets are
+    skipped, and an empty ``indices`` reads no file.
 
     A malformed last line is the tail of an interrupted append and is
     skipped; a malformed row anywhere else, or a non-finite score on any
     line, raises ParseError.
     """
-    with open(subsets_path, "r", encoding="utf-8") as fh, reading(subsets_path):
-        subsets = _rows(json.load(fh))
+    subsets = _rows(subsets)
     indices = np.arange(len(subsets)) if indices is None else np.asarray(indices, dtype=np.int64)
     kept, rows = subsets[indices], {}
-    if os.path.exists(csv_path):
+    if indices.size:
         with open(csv_path, "r", encoding="utf-8", newline="") as fh:
             lines = list(csv.reader(fh))
         for number, line in enumerate(lines[1:], 2):
@@ -311,19 +313,19 @@ def load_eval_log(csv_path, subsets_path, indices=None) -> EvalLog:
                    metrics.pop() if metrics else None)
 
 
-def save_affinity(aff: AffinityMatrix, theta_path, counts_path, sidecar_path) -> None:
-    np.savetxt(theta_path, aff.theta, delimiter=",", fmt="%.17g")
-    np.savetxt(counts_path, aff.counts, delimiter=",", fmt="%d")
-    sidecar = {
-        "orientation": aff.orientation,
-        "imputed": [[int(i), int(j)] for i, j in np.argwhere(aff.imputed)],
-    }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
+def save_affinity(aff: AffinityMatrix, aff_dir) -> None:
+    """Write theta.csv, counts.csv and affinity.json into ``aff_dir``."""
+    np.savetxt(os.path.join(aff_dir, THETA), aff.theta, delimiter=",", fmt="%.17g")
+    np.savetxt(os.path.join(aff_dir, COUNTS), aff.counts, delimiter=",", fmt="%d")
+    with open(os.path.join(aff_dir, SIDECAR), "w", encoding="utf-8") as fh:
+        json.dump({"orientation": aff.orientation,
+                   "imputed": np.argwhere(aff.imputed).tolist()}, fh, sort_keys=True)
 
 
-def load_affinity(theta_path, counts_path, sidecar_path) -> AffinityMatrix:
-    """Read saved affinity files; theta must be square, counts its shape."""
+def load_affinity(aff_dir) -> AffinityMatrix:
+    """Read the affinity files of ``aff_dir``; theta must be square, counts its shape."""
+    theta_path, counts_path, sidecar_path = (os.path.join(aff_dir, name)
+                                             for name in (THETA, COUNTS, SIDECAR))
     theta = _load_matrix(theta_path)
     t = theta.shape[1]
     if theta.shape[0] != t or not np.isfinite(theta).all():
@@ -337,3 +339,105 @@ def load_affinity(theta_path, counts_path, sidecar_path) -> AffinityMatrix:
             raise ParseError(f"{sidecar_path}: its imputed pairs are not the zero counts "
                              f"of {counts_path}")
         return aff
+
+
+def _check_fingerprint(aff_dir, fingerprint, advice) -> None:
+    """Refuse the log in ``aff_dir`` unless its fingerprint.json agrees with
+    ``fingerprint`` on every key of it (a log without one differs on every key)."""
+    path = os.path.join(aff_dir, "fingerprint.json")
+    stored = read_json_object(path) if os.path.exists(path) else {}
+    differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
+    if differs:
+        raise TaskAffError(f"{aff_dir} holds an affinity log whose {', '.join(differs)} "
+                           f"differ from this run; {advice}")
+
+
+def _load_subsets(path, num_tasks) -> np.ndarray:
+    """The subsets.json of a log: rows of ascending task ids in 0..num_tasks-1."""
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
+        rows = int_ids(json.load(fh))
+        bad = ((np.diff(rows, axis=1) <= 0).any(axis=1) | (rows[:, 0] < 0)
+               | (rows[:, -1] >= num_tasks))
+        if bad.any():
+            raise ValueError(f"subset {np.argmax(bad)} is not a row of ascending task ids "
+                             f"in 0..{num_tasks - 1}")
+        return rows
+
+
+def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_dataset,
+            base_seed: int):
+    """Bring the log in ``aff_dir`` up to ``plan``, write its theta files and
+    return (log, theta). A fresh directory samples the plan; any other must
+    hold ``fingerprint`` plus the plan, and the plan's subsets. Subsets not in
+    completed.idx train on ``load_dataset()``, called only if one is pending,
+    and each batch is appended to evals.csv, then to completed.idx, so a
+    stopped run resumes to the log an uninterrupted one writes."""
+    evals_path, subsets_path, idx_path, fp_path = (os.path.join(aff_dir, name) for name in (
+        EVALS, SUBSETS, "completed.idx", "fingerprint.json"))
+    fingerprint = dict(fingerprint, plan=asdict(plan))
+    fresh, done = not os.path.exists(subsets_path), []
+    if fresh:
+        subsets = subset_array(sample_subsets(plan), plan.num_tasks)
+    else:
+        _check_fingerprint(aff_dir, fingerprint, "remove it or choose another directory")
+        subsets = _load_subsets(subsets_path, plan.num_tasks)
+        if len(subsets) < plan.num_subsets or subsets.shape[1] != plan.subset_size:
+            raise TaskAffError(f"{subsets_path} does not match the requested plan; "
+                               "remove the output directory to start fresh")
+        if os.path.exists(idx_path):
+            with open(idx_path, "r", encoding="utf-8") as fh, reading(idx_path):
+                done = sorted({int(line) for line in fh if line.strip()})
+                if done and (done[0] < 0 or done[-1] >= len(subsets)):
+                    raise IndexError(f"a subset index lies outside 0..{len(subsets) - 1}")
+    log = load_eval_log(evals_path, subsets, done)
+    pending = np.setdiff1d(np.arange(len(subsets)), done)
+    if pending.size:  # a complete log is rescored without reading the dataset
+        tasks, features = load_dataset()
+        if tasks.num_tasks != plan.num_tasks:
+            raise InvalidInputError(f"the dataset holds {tasks.num_tasks} tasks, but the "
+                                    f"plan samples from {plan.num_tasks}")
+        if log.metric not in (None, spec.metric):
+            raise ParseError(f"{evals_path} holds {log.metric} scores, not {spec.metric}")
+        mixed = mixed_train_masks(tasks, subsets) if spec.kind == "closed-form-linear" else []
+        if len(mixed):  # no subset can train, so nothing is written
+            raise InvalidInputError("closed-form-linear requires identical train masks across "
+                                    f"the subset, subset {mixed[0]}")
+        if fresh:
+            os.makedirs(aff_dir, exist_ok=True)
+            with open(fp_path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(fingerprint, sort_keys=True, indent=1) + "\n")
+            with open(subsets_path, "w", encoding="utf-8") as fh:
+                json.dump(subsets.tolist(), fh)
+        # Keep only committed rows, so appended batches extend a clean log.
+        save_eval_log(log, evals_path, indices=done)
+        with open(idx_path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k}\n" for k in done)
+
+        def commit(indices, batch):
+            save_eval_log(batch, evals_path, indices=indices, append=True)
+            with open(idx_path, "a", encoding="utf-8") as fh:
+                fh.writelines(f"{k}\n" for k in indices)
+
+        new = collect_evaluations(None, tasks, subsets[pending], spec, base_seed,
+                                  features=features, indices=pending, commit=commit)
+        scores, seeds = np.empty(subsets.shape), np.empty(len(subsets), dtype=np.int64)
+        scores[done], seeds[done] = log.scores, log.seeds
+        scores[pending], seeds[pending] = new.scores, new.seeds
+        log = EvalLog(subsets, scores, seeds, new.metric)
+    aff = estimate_affinity(log, plan.num_tasks)
+    save_affinity(aff, aff_dir)
+    checkpoints = sorted({max(1, len(log) * q // 4) for q in range(1, 5)})
+    trace = convergence_trace(log, aff, checkpoints)
+    with open(os.path.join(aff_dir, CONVERGENCE), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("prefix", "max_abs_deviation"),
+                                  *zip(checkpoints, map(repr, trace))])
+    return log, aff
+
+
+def open_log(aff_dir, fingerprint):
+    """(log, theta) of the finished affinity run in ``aff_dir``, refused unless
+    its fingerprint.json agrees with ``fingerprint`` on every key of it."""
+    _check_fingerprint(aff_dir, fingerprint, "pass those of that run")
+    aff = load_affinity(aff_dir)
+    subsets = _load_subsets(os.path.join(aff_dir, SUBSETS), aff.num_tasks)
+    return load_eval_log(os.path.join(aff_dir, EVALS), subsets), aff

@@ -3,9 +3,9 @@ predict-nt | verify-theory | ppr-sim.
 
 Every command writes a manifest.json capturing the resolved configuration
 and sha256 hashes of its inputs and artifacts; reruns with identical config
-and inputs produce byte-identical outputs. The affinity command keeps an
-append-only evaluation log with per-subset completion markers so an
-interrupted run resumes without retraining finished subsets.
+and inputs produce byte-identical outputs. `affinity` and `predict-nt` open
+their affinity directory through taskaff.affinity, which owns its files and
+the resume protocol of its evaluation log.
 
 Settings: `--config FILE` holds a JSON object whose keys are a command's
 flag names without the leading dashes; it replaces that command's defaults,
@@ -14,11 +14,9 @@ so a flag beats the file and the file beats the default shown by --help.
 Warnings go to stderr as `taskaff LEVEL logger: message`.
 
 Exit codes: 0 ok, 2 domain error, 3 training error, 64 usage, 66 missing
-input. Exit 2 includes a failed linear-algebra routine, an exhausted memory,
-a malformed input file or artifact (an evals.csv whose last line an
-interrupted append cut short is resumed, not refused), and an affinity log
-whose plan, learner or dataset differs from an affinity rerun into it, or
-whose learner, holdout fraction or dataset differs from a predict-nt run.
+input (or a directory given as a file). Exit 2 includes a failed
+linear-algebra routine, an exhausted memory, a malformed input file or
+artifact, and an affinity log made by another plan, learner or dataset.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ _ONE_BLAS_THREAD = ("numpy" not in sys.modules
                     and all(os.environ[name] == "1" for name in _BLAS_THREADS))
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -51,7 +48,7 @@ from . import grouping as grp_mod
 from . import learners
 from . import planted as pl_mod
 from . import transfer as tr_mod
-from .errors import MissingInputError, ParseError, TaskAffError, TrainingError, reading
+from .errors import MissingInputError, ParseError, TaskAffError, TrainingError, read_json_object
 from .graphs import (
     DiffusionOperator,
     diffuse_features,
@@ -108,7 +105,7 @@ class _Parser(argparse.ArgumentParser):
         flags = command._option_string_actions
         command.set_defaults(**{flags["--" + key].dest:
                                 _config_value(flags["--" + key], key, value, parsed.config)
-                                for key, value in _read_json_object(parsed.config).items()
+                                for key, value in read_json_object(parsed.config).items()
                                 if "--" + key in flags})
         return super().parse_args(args, namespace)
 
@@ -163,24 +160,11 @@ def _require(path):
     return path
 
 
-def _read_json_object(path):
-    """The JSON object held by a file (a --config file, a meta.json or a
-    fingerprint.json)."""
-    with open(_require(path), "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc.msg}", exc.lineno) from None
-    if not isinstance(cfg, dict):
-        raise ParseError(f"{path} holds a JSON {type(cfg).__name__}, not an object")
-    return cfg
-
-
 def _read_meta(dataset_dir, kind=None):
     """The meta.json of a dataset directory; refused unless its kind is
     planted or community, and ``kind``, if given."""
     path = os.path.join(dataset_dir, "meta.json")
-    meta = _read_json_object(path)
+    meta = read_json_object(path)
     if meta.get("kind") not in ("planted", "community"):
         raise ParseError(f"{path}: kind must be planted or community, "
                          f"not {json.dumps(meta.get('kind'))}")
@@ -251,8 +235,8 @@ def cmd_generate(args) -> int:
 
 def cmd_split(args) -> int:
     edges, communities_path = _require(args.edges), _require(args.communities)
-    if args.features:
-        _require(args.features)
+    for path in filter(None, (edges, communities_path, args.features)):
+        open(path, "rb").close()  # a missing file or a directory stops here, before --out
     if args.top_k < 1:  # a negative slice would silently drop the smallest communities
         raise TaskAffError(f"--top-k must be >= 1, got {args.top_k}")
     # Later commands diffuse with these; reject bad values before any artifact.
@@ -282,40 +266,18 @@ def cmd_split(args) -> int:
     return EX_OK
 
 
-def _log_paths(out_dir):
-    return (os.path.join(out_dir, "evals.csv"),
-            os.path.join(out_dir, "subsets.json"),
-            os.path.join(out_dir, "completed.idx"),
-            os.path.join(out_dir, "fingerprint.json"))
-
-
-def _affinity_fingerprint(dataset, spec, holdout, plan=None):
-    """What an affinity log depends on, as it round-trips through JSON: the
-    learner, the holdout fraction, the dataset and, given one, the plan.
+def _affinity_fingerprint(dataset, spec, holdout):
+    """What the scores of an affinity log depend on, as it round-trips through
+    JSON: the learner, the holdout fraction and the dataset.
 
     The dataset enters by the bytes of its meta.json and taskset.json, not
     by its path, so a moved dataset still resumes.
     """
     files = [os.path.join(dataset, n) for n in ("meta.json", "taskset.json")]
-    fingerprint = {
+    return json.loads(json.dumps({
         "learner": asdict(spec), "holdout_frac": holdout,
         "dataset": {os.path.basename(p): _sha256(p) for p in files if os.path.exists(p)},
-    }
-    if plan is not None:
-        fingerprint["plan"] = asdict(plan)
-    return json.loads(json.dumps(fingerprint))
-
-
-def _check_fingerprint(aff_dir, fingerprint, advice) -> None:
-    """Refuse the affinity log in ``aff_dir`` unless its fingerprint.json
-    agrees with ``fingerprint`` on every key of it (a log without one
-    differs on every key)."""
-    fp_path = _log_paths(aff_dir)[3]
-    stored = _read_json_object(fp_path) if os.path.exists(fp_path) else {}
-    differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
-    if differs:
-        raise TaskAffError(f"{aff_dir} holds an affinity log whose {', '.join(differs)} "
-                           f"differ from this run; {advice}")
+    }))
 
 
 def cmd_affinity(args) -> int:
@@ -327,104 +289,26 @@ def cmd_affinity(args) -> int:
         num_tasks=t, subset_size=args.alpha, num_subsets=args.num_subsets, seed=args.seed,
         min_pair_coverage=(1 if t <= 200 else 0) if coverage is None else coverage,
     )
-    csv_path, subsets_path, idx_path, fp_path = _log_paths(args.out)
-    fingerprint = _affinity_fingerprint(dataset, spec, args.holdout_frac, plan)
-
-    fresh = not os.path.exists(subsets_path)
-    if fresh:
-        subsets = aff_mod.sample_subsets(plan)
-    else:
-        _check_fingerprint(args.out, fingerprint, "remove it or choose another --out")
-        with open(subsets_path, "r", encoding="utf-8") as fh, reading(subsets_path):
-            subsets = [tuple(s) for s in json.load(fh)]
-        if (len(subsets) < plan.num_subsets
-                or any(len(s) != plan.subset_size for s in subsets[:1])):
-            raise TaskAffError(
-                f"{subsets_path} does not match the requested plan; "
-                "remove the output directory to start fresh"
-            )
-    done = []
-    if os.path.exists(idx_path):
-        with open(idx_path, "r", encoding="utf-8") as fh, reading(idx_path):
-            done = sorted({int(line) for line in fh if line.strip()})
-            if done and (done[0] < 0 or done[-1] >= len(subsets)):
-                raise IndexError(f"a subset index lies outside 0..{len(subsets) - 1}")
-    pending = sorted(set(range(len(subsets))) - set(done))
-    if pending:  # a complete log is rescored without reading the dataset
-        tasks, features = _load_dataset(dataset, args.holdout_frac)
-        if tasks.num_tasks != t:
-            raise TaskAffError(f"{dataset} holds {tasks.num_tasks} tasks, "
-                               f"but its meta.json records {t}")
-    if fresh:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(fp_path, fingerprint)
-        with open(subsets_path, "w", encoding="utf-8") as fh:
-            json.dump([list(s) for s in subsets], fh)
-    committed = aff_mod.load_eval_log(csv_path, subsets_path, done)
-    if pending:
-        # Keep only committed rows, so appended batches extend a clean log.
-        aff_mod.save_eval_log(committed, csv_path, indices=done)
-        with open(idx_path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{k}\n" for k in done)
-
-    def commit(indices, batch):
-        aff_mod.save_eval_log(batch, csv_path, indices=indices, append=True)
-        with open(idx_path, "a", encoding="utf-8") as fh:
-            fh.writelines(f"{k}\n" for k in indices)
-
     try:
-        evals = committed if not pending else aff_mod.collect_evaluations(
-            None, tasks, [subsets[k] for k in pending], spec, args.seed, features=features,
-            indices=pending, commit=commit)
-    except TaskAffError as exc:
-        print(f"affinity: training failed, log retained for resume: {exc}",
-              file=sys.stderr)
+        aff_mod.run_log(args.out, plan, spec,
+                        _affinity_fingerprint(dataset, spec, args.holdout_frac),
+                        lambda: _load_dataset(dataset, args.holdout_frac), args.seed)
+    except TrainingError as exc:
+        print(f"affinity: training failed, log retained for resume: {exc}", file=sys.stderr)
         return EX_TRAINING
-    if done and pending:  # resumed: the full log is the committed and the new rows
-        evals = aff_mod.load_eval_log(csv_path, subsets_path)
-
-    result = aff_mod.estimate_affinity(evals, t)
-    aff_mod.save_affinity(
-        result,
-        os.path.join(args.out, "theta.csv"),
-        os.path.join(args.out, "counts.csv"),
-        os.path.join(args.out, "affinity.json"),
-    )
-    n = len(evals)
-    checkpoints = sorted({max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n})
-    trace = aff_mod.convergence_trace(evals, result, checkpoints)
-    with open(os.path.join(args.out, "convergence.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prefix", "max_abs_deviation"])
-        for c, d in zip(checkpoints, trace):
-            writer.writerow([c, repr(d)])
     config = {
         "dataset": os.path.abspath(dataset),
         "alpha": plan.subset_size, "num_subsets": plan.num_subsets,
         "seed": plan.seed, "min_pair_coverage": plan.min_pair_coverage,
         "holdout_frac": args.holdout_frac, "learner": asdict(spec),
     }
-    artifacts = [csv_path, subsets_path,
-                 os.path.join(args.out, "theta.csv"),
-                 os.path.join(args.out, "counts.csv"),
-                 os.path.join(args.out, "affinity.json"),
-                 os.path.join(args.out, "convergence.csv")]
     _write_manifest(args.out, "affinity", config, [os.path.join(dataset, "meta.json")],
-                    artifacts)
+                    [os.path.join(args.out, name) for name in aff_mod.ARTIFACTS])
     return EX_OK
 
 
-def _load_affinity_dir(aff_dir):
-    return aff_mod.load_affinity(
-        _require(os.path.join(aff_dir, "theta.csv")),
-        _require(os.path.join(aff_dir, "counts.csv")),
-        _require(os.path.join(aff_dir, "affinity.json")),
-    )
-
-
 def cmd_cluster(args) -> int:
-    aff = _load_affinity_dir(_require(args.affinity_dir))
+    aff = aff_mod.load_affinity(_require(args.affinity_dir))
     t = aff.num_tasks
     if args.budget == 1:
         grp = _one_group(t)
@@ -438,7 +322,7 @@ def cmd_cluster(args) -> int:
     _write_manifest(args.out, "cluster",
                     {"budget": args.budget, "seed": args.seed,
                      "affinity_dir": os.path.abspath(args.affinity_dir)},
-                    [os.path.join(args.affinity_dir, "theta.csv")], [out_path])
+                    [os.path.join(args.affinity_dir, aff_mod.THETA)], [out_path])
     return EX_OK
 
 
@@ -476,14 +360,8 @@ def cmd_predict_nt(args) -> int:
     spec = _learner_spec(args)
     # The single-task references f_i({i}) trained here are compared with the
     # log's f_i(S), so both must come from one learner and one dataset.
-    _check_fingerprint(aff_dir, _affinity_fingerprint(dataset, spec, args.holdout_frac),
-                       "pass the learner, --holdout-frac and --dataset of that run")
+    evals, aff = aff_mod.open_log(aff_dir, _affinity_fingerprint(dataset, spec, args.holdout_frac))
     tasks, features = _load_dataset(dataset, args.holdout_frac)
-    aff = _load_affinity_dir(aff_dir)
-    evals = aff_mod.load_eval_log(
-        _require(os.path.join(aff_dir, "evals.csv")),
-        _require(os.path.join(aff_dir, "subsets.json")),
-    )
     t = tasks.num_tasks
     train_subsets = set(map(tuple, evals.subsets.tolist()))
     held_plan = aff_mod.SamplingPlan(num_tasks=t, subset_size=evals.subsets.shape[1],
@@ -524,7 +402,7 @@ def cmd_predict_nt(args) -> int:
                      "holdout_frac": args.holdout_frac, "learner": asdict(spec),
                      "heldout_subsets": held_plan.num_subsets, "l2": args.l2,
                      "logistic_epochs": args.logistic_epochs, "logistic_lr": args.logistic_lr},
-                    [os.path.join(aff_dir, "evals.csv")], [out_path, ex_path])
+                    [os.path.join(aff_dir, aff_mod.EVALS)], [out_path, ex_path])
     return EX_OK
 
 
@@ -676,6 +554,9 @@ def main(argv=None) -> int:
         return EX_NOINPUT
     except FileNotFoundError as exc:
         print(f"taskaff: missing expected input: {exc.filename}", file=sys.stderr)
+        return EX_NOINPUT
+    except IsADirectoryError as exc:
+        print(f"taskaff: expected a file, not the directory {exc.filename}", file=sys.stderr)
         return EX_NOINPUT
     except TrainingError as exc:
         print(f"taskaff: training error: {exc}", file=sys.stderr)

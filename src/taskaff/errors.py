@@ -1,5 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its checks of read artifacts."""
 
+import json
 from contextlib import contextmanager
 from zipfile import BadZipFile
 
@@ -35,6 +36,12 @@ def reading(path):
         yield
     except (KeyError, IndexError, TypeError, ValueError, BadZipFile, EOFError) as exc:
         raise ParseError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
+
+
+def read_json_object(path) -> dict:
+    """The JSON object a file holds; anything else is a ParseError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
+        return {**json.load(fh)}  # a JSON array, string or number is a TypeError
 
 
 def int_ids(value) -> np.ndarray:

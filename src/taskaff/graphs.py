@@ -224,7 +224,8 @@ def _load_matrix(path, columns=None, rows=None, dtype=float):
     ragged or non-numeric row, or a shape other than the given rows x columns
     (either left free when None), raises ParseError naming the file."""
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
+        with open(path, "r", encoding="utf-8") as fh:  # names a missing file; loadtxt does not
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=dtype)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     want = tuple(d if w is None else w for d, w in zip(data.shape, (rows, columns)))

@@ -146,6 +146,12 @@ def _mask_ids(masks):
                      for m in masks], dtype=np.int64)
 
 
+def mixed_train_masks(tasks, subsets) -> np.ndarray:
+    """Rows of an n x alpha subset array whose members' train masks differ."""
+    train_id = _mask_ids(tasks.train_mask)
+    return np.flatnonzero((train_id[subsets] != train_id[subsets[:, :1]]).any(axis=1))
+
+
 def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
                        metric: str = "negative-mse") -> np.ndarray:
     """evaluate()'s val score [k, p] of task subsets[k, p] under the model
@@ -169,7 +175,7 @@ def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
     """
     features, subsets = np.asarray(features, dtype=float), np.asarray(subsets, dtype=np.int64)
     train_id, val_id = _mask_ids(tasks.train_mask), _mask_ids(tasks.val_mask)
-    mixed = np.flatnonzero((train_id[subsets] != train_id[subsets[:, :1]]).any(axis=1))
+    mixed = mixed_train_masks(tasks, subsets)
     if mixed.size:
         raise InvalidInputError("closed-form-linear requires identical train masks across "
                                 "the subset", subset_index=int(mixed[0]))

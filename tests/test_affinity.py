@@ -1,6 +1,6 @@
 import itertools
-import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskaff import affinity, learners, planted
-from taskaff.errors import CoverageError, InvalidInputError, ParseError
+from taskaff.errors import CoverageError, InvalidInputError, ParseError, TaskAffError
 from tests.conftest import make_eval, make_log, records
 
 
@@ -221,14 +221,13 @@ class TestEstimateAffinity:
 
     def test_mixed_metrics_rejected(self, tmp_path):
         # one EvalLog holds one metric, so a mix can only arrive from a file
-        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        csv_path = tmp_path / "evals.csv"
         affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2}, metric="f1")]),
                                csv_path)
         affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2})]), csv_path,
                                indices=[1], append=True)
-        subsets_path.write_text("[[0, 1], [0, 1]]")
         with pytest.raises(InvalidInputError):
-            affinity.load_eval_log(csv_path, subsets_path)
+            affinity.load_eval_log(csv_path, [[0, 1], [0, 1]])
 
     def test_task_id_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -335,9 +334,8 @@ class TestLogPersistence:
         evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s}, seed=k)
                  for k, s in enumerate(affinity.sample_subsets(plan))]
         affinity.save_eval_log(make_log(evals), tmp_path / "evals.csv")
-        (tmp_path / "subsets.json").write_text(json.dumps([ev.subset for ev in evals]))
         loaded = records(affinity.load_eval_log(tmp_path / "evals.csv",
-                                                tmp_path / "subsets.json"))
+                                                [ev.subset for ev in evals]))
         assert len(loaded) == len(evals)
         for a, b in zip(evals, loaded):
             assert a.subset == b.subset
@@ -350,10 +348,9 @@ class TestLogPersistence:
                                     for _ in range(30)]), axis=1)
         scores = rng.standard_normal((30, 4)) * 10.0 ** rng.integers(-300, 300, (30, 4))
         log = affinity.EvalLog(subsets, scores, rng.integers(0, 2**62, 30), "f1")
-        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        csv_path = tmp_path / "evals.csv"
         affinity.save_eval_log(log, csv_path)
-        subsets_path.write_text(json.dumps(log.subsets.tolist()))
-        loaded = affinity.load_eval_log(csv_path, subsets_path)
+        loaded = affinity.load_eval_log(csv_path, log.subsets)
         np.testing.assert_array_equal(loaded.subsets, log.subsets)
         np.testing.assert_array_equal(loaded.scores.view(np.int64), log.scores.view(np.int64))
         np.testing.assert_array_equal(loaded.seeds, log.seeds)
@@ -363,30 +360,28 @@ class TestLogPersistence:
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}, seed=7),
                  make_eval((1, 2), {1: -1.5, 2: 3.0}, seed=8),
                  make_eval((0, 2), {0: 0.125, 2: 2.0}, seed=9)]
-        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        csv_path, subsets = tmp_path / "evals.csv", [[0, 1], [1, 2], [0, 2]]
         affinity.save_eval_log(make_log(evals[:1]), csv_path)
-        subsets_path.write_text("[[0, 1], [1, 2], [0, 2]]")
         affinity.save_eval_log(make_log(evals[2:]), csv_path, indices=[2], append=True)
-        part = records(affinity.load_eval_log(csv_path, subsets_path, indices=[2, 0]))
+        part = records(affinity.load_eval_log(csv_path, subsets, indices=[2, 0]))
         assert part == [evals[2], evals[0]]
         with pytest.raises(InvalidInputError):  # subset 1 has no rows
-            affinity.load_eval_log(csv_path, subsets_path)
-        empty = affinity.load_eval_log(tmp_path / "absent.csv", subsets_path, indices=[])
+            affinity.load_eval_log(csv_path, subsets)
+        empty = affinity.load_eval_log(tmp_path / "absent.csv", subsets, indices=[])
         assert len(empty) == 0 and empty.subsets.shape == (0, 2)
 
     def test_cut_last_line_skipped_inner_one_refused(self, tmp_path):
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}, seed=7),
                  make_eval((1, 2), {1: -1.5, 2: 3.0}, seed=8)]
-        csv_path, subsets_path = tmp_path / "evals.csv", tmp_path / "subsets.json"
+        csv_path, subsets = tmp_path / "evals.csv", [[0, 1], [1, 2]]
         affinity.save_eval_log(make_log(evals), csv_path)
-        subsets_path.write_text("[[0, 1], [1, 2]]")
         with open(csv_path, "a", encoding="utf-8", newline="") as fh:
             fh.write("2,0,0.12")  # an append cut short
-        assert records(affinity.load_eval_log(csv_path, subsets_path)) == evals
+        assert records(affinity.load_eval_log(csv_path, subsets)) == evals
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         csv_path.write_text("\n".join(lines[:2] + ["1,1,0.5,negative-mse,x"] + lines[2:]))
         with pytest.raises(ParseError) as info:
-            affinity.load_eval_log(csv_path, subsets_path)
+            affinity.load_eval_log(csv_path, subsets)
         assert info.value.line_number == 3
 
     def test_ragged_log_rejected(self):
@@ -404,11 +399,93 @@ class TestLogPersistence:
         rng = np.random.default_rng(4)
         evals = [make_eval((0, 1), {0: rng.random(), 1: rng.random()})]
         aff = affinity.estimate_affinity(make_log(evals), 3)
-        affinity.save_affinity(aff, tmp_path / "t.csv", tmp_path / "c.csv",
-                               tmp_path / "a.json")
-        loaded = affinity.load_affinity(tmp_path / "t.csv", tmp_path / "c.csv",
-                                        tmp_path / "a.json")
+        affinity.save_affinity(aff, tmp_path)
+        loaded = affinity.load_affinity(tmp_path)
         np.testing.assert_allclose(loaded.theta, aff.theta, rtol=1e-15)
         np.testing.assert_array_equal(loaded.counts, aff.counts)
         np.testing.assert_array_equal(loaded.imputed, aff.imputed)
         assert loaded.orientation == aff.orientation
+
+
+class TestRunLog:
+    """affinity.run_log brings an affinity directory up to its plan, and every
+    way of stopping a run resumes to the log a fresh run returns."""
+
+    SPECS = {"linear": learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse"),
+             "mlp": learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=4, epochs=15,
+                                         metric="negative-mse")}
+    PLAN = affinity.SamplingPlan(num_tasks=6, subset_size=3, num_subsets=12, seed=4)
+    FINGERPRINT = {"learner": "l"}
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        inst = planted.generate(planted.PlantedConfig(
+            num_tasks=6, num_groups=2, feature_dim=4, num_nodes=60, observed=50, seed=3))
+        return planted.to_task_set(inst, holdout_frac=0.25)
+
+    def run(self, aff_dir, learner, dataset, loads):
+        def load_dataset():
+            loads.append(aff_dir)
+            return dataset
+        return affinity.run_log(aff_dir, self.PLAN, self.SPECS[learner], self.FINGERPRINT,
+                                load_dataset, 9)
+
+    def assert_same_log(self, got, want):
+        np.testing.assert_array_equal(got.subsets, want.subsets)
+        np.testing.assert_array_equal(got.scores.view(np.int64), want.scores.view(np.int64))
+        np.testing.assert_array_equal(got.seeds, want.seeds)
+        assert got.metric == want.metric
+
+    @pytest.mark.parametrize("learner", sorted(SPECS))
+    def test_every_rerun_returns_the_fresh_log(self, tmp_path, dataset, learner):
+        fresh_dir, loads = tmp_path / "fresh", []
+        fresh, aff = self.run(fresh_dir, learner, dataset, loads)
+        tasks, features = dataset
+        oracle = affinity.collect_evaluations(None, tasks, affinity.sample_subsets(self.PLAN),
+                                              self.SPECS[learner], 9, features=features)
+        self.assert_same_log(fresh, oracle)
+        np.testing.assert_array_equal(aff.theta, affinity.estimate_affinity(oracle, 6).theta)
+        assert loads == [fresh_dir]
+        files = {p.name: p.read_bytes() for p in fresh_dir.iterdir()}
+
+        def stopped(name, committed, tail=""):
+            copy = tmp_path / name
+            shutil.copytree(fresh_dir, copy)
+            idx = copy / "completed.idx"
+            idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:committed]))
+            with open(copy / "evals.csv", "a", encoding="utf-8", newline="") as fh:
+                fh.write(tail)
+            return copy
+
+        for copy in (stopped("cut-idx", 5), stopped("cut-row", 7, "7,1,-0.4")):
+            loads.clear()
+            self.assert_same_log(self.run(copy, learner, dataset, loads)[0], fresh)
+            assert loads == [copy]
+            assert {p.name: p.read_bytes() for p in copy.iterdir()} == files
+
+        def no_load():
+            raise AssertionError("a complete log needs no dataset")
+
+        log, _ = affinity.run_log(fresh_dir, self.PLAN, self.SPECS[learner],
+                                  self.FINGERPRINT, no_load, 9)
+        self.assert_same_log(log, fresh)
+        assert {p.name: p.read_bytes() for p in fresh_dir.iterdir()} == files
+        opened, opened_aff = affinity.open_log(fresh_dir, {"learner": "l"})
+        self.assert_same_log(opened, fresh)
+        np.testing.assert_array_equal(opened_aff.theta, aff.theta)
+
+    def test_mixed_train_masks_refused_before_any_file(self, tmp_path, dataset):
+        tasks, features = dataset
+        masks = list(tasks.train_mask)
+        masks[2] = masks[2][:-1]
+        mixed = (type(tasks)(tasks.num_nodes, tasks.labels, tuple(masks), tasks.val_mask,
+                             tasks.test_mask), features)
+        first = next(k for k, s in enumerate(affinity.sample_subsets(self.PLAN)) if 2 in s)
+        with pytest.raises(InvalidInputError, match=f"train masks .*, subset {first}$"):
+            self.run(tmp_path / "aff", "linear", mixed, [])
+        assert not (tmp_path / "aff").exists()
+
+    def test_other_fingerprint_refused(self, tmp_path, dataset):
+        self.run(tmp_path, "linear", dataset, [])
+        with pytest.raises(TaskAffError, match="learner differ from this run; pass those of that run"):
+            affinity.open_log(tmp_path, {"learner": "other"})

@@ -644,6 +644,20 @@ class TestSplitAndPprSim:
             assert err == [f"taskaff WARNING taskaff.graphs: dropped 1 self-loop(s) "
                            f"while loading {looped}"]
 
+    @pytest.mark.parametrize("flag", ["--edges", "--communities", "--features", "--config"])
+    def test_directory_given_as_input_file_exit_66(self, tmp_path, community_dataset, capsys,
+                                                   flag):
+        _, edges, cmty = community_dataset
+        argv = {"--edges": edges, "--communities": cmty}
+        argv[flag] = str(tmp_path)
+        out = tmp_path / "ds"
+        capsys.readouterr()
+        assert run(["split", *[x for pair in argv.items() for x in pair],
+                    "--out", str(out)]) == 66
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"taskaff: expected a file, not the directory {tmp_path}"]
+        assert not out.exists()
+
     def test_split_missing_edges_exit_66(self, tmp_path, community_dataset):
         _, _, cmty = community_dataset
         assert run(["split", "--edges", str(tmp_path / "no.txt"),
@@ -753,6 +767,20 @@ class TestSplitAndPprSim:
             "assert cli.main(['ppr-sim', *ds, '--grouping-dir', d + '/grp',"
             " '--out', d + '/ppr']) == 0\n"
         )
+
+    def test_linear_affinity_on_community_exit_2_before_writing(self, tmp_path,
+                                                                 community_affinity, capsys):
+        # every community task has its own train mask, which the linear
+        # learner cannot fit, so no subset can train and nothing is written
+        ds, _ = community_affinity
+        out = tmp_path / "aff"
+        capsys.readouterr()
+        assert run(["affinity", "--dataset", ds, "--alpha", "2", "--num-subsets", "6",
+                    "--learner", "linear", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["taskaff: closed-form-linear requires identical train masks across "
+                       "the subset, subset 0"]
+        assert not out.exists()
 
     def test_mlp_affinity_pipeline_on_community(self, tmp_path, community_dataset):
         _, edges, cmty = community_dataset
@@ -1133,6 +1161,27 @@ def _float_id_in_row_0(lines):
     return [json.dumps(subsets)]
 
 
+def _edit_subsets(edit):
+    """An edit of subsets.json that applies ``edit`` to its list of subsets."""
+    def apply(lines):
+        subsets = json.loads(lines[0])
+        edit(subsets)
+        return [json.dumps(subsets)]
+    return apply
+
+
+def _set_last_id(subsets):
+    subsets[-1][-1] = 99
+
+
+def _repeat_first_id(subsets):
+    subsets[0][1] = subsets[0][0]
+
+
+def _reverse_first_row(subsets):
+    subsets[0].reverse()
+
+
 class TestMalformedAffinityDir:
     """A file of an affinity directory edited into a malformed one stops the
     command that reads it with one `taskaff:` line naming the file (exit 2)."""
@@ -1157,11 +1206,20 @@ class TestMalformedAffinityDir:
         ("evals.csv", lambda lines: _set_score(lines, 2, "inf"), "affinity"),
         ("evals.csv", lambda lines: _set_score(lines, -1, "nan"), "affinity"),
         ("evals.csv", lambda lines: _set_score(lines, 2, "-inf"), "predict-nt"),
+        ("subsets.json", _edit_subsets(_set_last_id), "affinity"),
+        ("subsets.json", _edit_subsets(_set_last_id), "predict-nt"),
+        ("subsets.json", _edit_subsets(_repeat_first_id), "affinity"),
+        ("subsets.json", _edit_subsets(_repeat_first_id), "predict-nt"),
+        ("subsets.json", _edit_subsets(_reverse_first_row), "affinity"),
+        ("subsets.json", _edit_subsets(_reverse_first_row), "predict-nt"),
     ], ids=["idx-x", "idx-past-end", "idx-negative", "fingerprint-affinity",
             "fingerprint-predict-nt", "subsets-affinity", "subsets-predict-nt", "theta-x",
             "theta-row-deleted", "counts-row-deleted", "theta-nan", "theta-inf",
             "subsets-float-affinity", "subsets-float-predict-nt", "evals-inf-affinity",
-            "evals-nan-last-line", "evals-inf-predict-nt"])
+            "evals-nan-last-line", "evals-inf-predict-nt", "subsets-id-99-affinity",
+            "subsets-id-99-predict-nt", "subsets-repeated-id-affinity",
+            "subsets-repeated-id-predict-nt", "subsets-unsorted-affinity",
+            "subsets-unsorted-predict-nt"])
     def test_exit_2_with_one_line(self, tmp_path, pipeline, capsys, name, edit, command):
         _, inst_dir, aff_dir = pipeline
         copy = tmp_path / "aff"
