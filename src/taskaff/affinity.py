@@ -343,9 +343,8 @@ def load_affinity(aff_dir) -> AffinityMatrix:
 
 def _check_fingerprint(aff_dir, fingerprint, advice) -> None:
     """Refuse the log in ``aff_dir`` unless its fingerprint.json agrees with
-    ``fingerprint`` on every key of it (a log without one differs on every key)."""
-    path = os.path.join(aff_dir, "fingerprint.json")
-    stored = read_json_object(path) if os.path.exists(path) else {}
+    ``fingerprint`` on every key of it."""
+    stored = read_json_object(os.path.join(aff_dir, "fingerprint.json"))
     differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
     if differs:
         raise TaskAffError(f"{aff_dir} holds an affinity log whose {', '.join(differs)} "

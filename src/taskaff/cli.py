@@ -13,10 +13,12 @@ so a flag beats the file and the file beats the default shown by --help.
 
 Warnings go to stderr as `taskaff LEVEL logger: message`.
 
-Exit codes: 0 ok, 2 domain error, 3 training error, 64 usage, 66 missing
-input (or a directory given as a file). Exit 2 includes a failed
-linear-algebra routine, an exhausted memory, a malformed input file or
-artifact, and an affinity log made by another plan, learner or dataset.
+Exit codes: 0 ok, 2 domain error, 3 training error, 64 usage, 66 a path
+argument that is missing or of the wrong kind (a directory given as a file,
+a file given as a directory, an --out that is a regular file), refused
+before the command does any work. Exit 2 includes a failed linear-algebra
+routine, an exhausted memory, a malformed input file or artifact, and an
+affinity log made by another plan, learner or dataset.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _ONE_BLAS_THREAD = ("numpy" not in sys.modules
                     and all(os.environ[name] == "1" for name in _BLAS_THREADS))
 
 import argparse
+import errno
 import hashlib
 import json
 import logging
@@ -48,7 +51,7 @@ from . import grouping as grp_mod
 from . import learners
 from . import planted as pl_mod
 from . import transfer as tr_mod
-from .errors import MissingInputError, ParseError, TaskAffError, TrainingError, read_json_object
+from .errors import ParseError, TaskAffError, TrainingError, read_json_object
 from .graphs import (
     DiffusionOperator,
     diffuse_features,
@@ -66,6 +69,11 @@ EX_DOMAIN = 2
 EX_TRAINING = 3
 EX_USAGE = 64
 EX_NOINPUT = 66
+
+# The OSErrors that main reports as a missing or wrong-kind input path.
+_NOINPUT = {FileNotFoundError: "missing expected input:",
+            IsADirectoryError: "expected a file, not the directory",
+            NotADirectoryError: "expected a directory, not the file"}
 
 STL_SEED_SALT = 0x5EED
 HELDOUT_SEED_SALT = 7919
@@ -154,15 +162,23 @@ def _write_manifest(out_dir, command, config, inputs, artifacts) -> None:
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _require(path):
+def _require(path, kind):
+    """``path`` if it names an existing ``kind`` ("file" or "dir"); an unset,
+    missing or wrong-kind path raises the OSError that main reports (exit 66)."""
     if path is None or not os.path.exists(path):
-        raise MissingInputError(path if path is not None else "<unset required path>")
-    return path
+        code = errno.ENOENT
+    elif os.path.isdir(path) != (kind == "dir"):
+        code = errno.ENOTDIR if kind == "dir" else errno.EISDIR
+    else:
+        return path
+    raise OSError(code, os.strerror(code), path or "<unset required path>")
 
 
 def _read_meta(dataset_dir, kind=None):
-    """The meta.json of a dataset directory; refused unless its kind is
-    planted or community, and ``kind``, if given."""
+    """(meta.json, T) of a dataset directory; refused unless its kind is
+    planted or community (and ``kind``, if given), it records T, and a
+    community one names its edge list, a feature CSV or null, and any hop
+    count as an integer >= 0."""
     path = os.path.join(dataset_dir, "meta.json")
     meta = read_json_object(path)
     if meta.get("kind") not in ("planted", "community"):
@@ -170,32 +186,32 @@ def _read_meta(dataset_dir, kind=None):
                          f"not {json.dumps(meta.get('kind'))}")
     if kind is not None and meta["kind"] != kind:
         raise TaskAffError(f"this command needs a {kind} dataset, not {dataset_dir}")
-    return meta
-
-
-def _num_tasks(dataset_dir, meta) -> int:
-    """T of a dataset, as its meta.json records it."""
     recorded = meta.get("config") if meta["kind"] == "planted" else meta
     t = recorded.get("num_tasks") if isinstance(recorded, dict) else None
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise ParseError(f"{os.path.join(dataset_dir, 'meta.json')} records no task count")
-    return t
+    if type(t) is not int:
+        raise ParseError(f"{path} records no task count")
+    hops = meta.get("hops", 0)
+    if meta["kind"] == "community" and not (
+            isinstance(meta.get("edges"), str) and type(hops) is int and hops >= 0
+            and isinstance(meta.get("features"), (str, type(None)))):
+        raise ParseError(f"{path}: edges must be a string, features a string or null "
+                         "and hops, if given, an integer >= 0")
+    return meta, t
 
 
 def _load_graph_and_tasks(dataset_dir, meta):
     """(featureless graph, task set) of a community dataset directory."""
-    return (load_edge_list(_require(meta["edges"])),
-            load_task_set(_require(os.path.join(dataset_dir, "taskset.json"))))
+    return load_edge_list(meta["edges"]), load_task_set(os.path.join(dataset_dir, "taskset.json"))
 
 
 def _load_dataset(dataset_dir, holdout_frac):
     """Return (tasks, features) for a dataset directory."""
-    meta = _read_meta(dataset_dir)
+    meta, _ = _read_meta(dataset_dir)
     if meta["kind"] == "planted":
         return pl_mod.to_task_set(pl_mod.load_instance(dataset_dir), holdout_frac=holdout_frac)
     g, tasks = _load_graph_and_tasks(dataset_dir, meta)
     if meta.get("features"):
-        g = g.with_features(load_features_csv(_require(meta["features"]), g.num_nodes))
+        g = g.with_features(load_features_csv(meta["features"], g.num_nodes))
     else:
         # Degree-plus-constant fallback keeps the pipeline runnable without an
         # external embedding file.
@@ -216,12 +232,6 @@ def _learner_spec(args) -> LearnerSpec:
                        metric=metric if args.metric is None else args.metric)
 
 
-def _one_group(num_tasks) -> grp_mod.TaskGrouping:
-    """The grouping that puts every task in one group."""
-    return grp_mod.TaskGrouping(groups=[list(range(num_tasks))],
-                                assignments=np.zeros(2 * num_tasks, dtype=np.int64), budget=1)
-
-
 def cmd_generate(args) -> int:
     cfg = pl_mod.PlantedConfig(
         num_tasks=args.tasks, num_groups=args.groups, feature_dim=args.dim, num_nodes=args.nodes,
@@ -234,9 +244,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_split(args) -> int:
-    edges, communities_path = _require(args.edges), _require(args.communities)
-    for path in filter(None, (edges, communities_path, args.features)):
-        open(path, "rb").close()  # a missing file or a directory stops here, before --out
+    edges, communities_path = _require(args.edges, "file"), _require(args.communities, "file")
+    if args.features:
+        _require(args.features, "file")
     if args.top_k < 1:  # a negative slice would silently drop the smallest communities
         raise TaskAffError(f"--top-k must be >= 1, got {args.top_k}")
     # Later commands diffuse with these; reject bad values before any artifact.
@@ -281,8 +291,8 @@ def _affinity_fingerprint(dataset, spec, holdout):
 
 
 def cmd_affinity(args) -> int:
-    dataset = _require(args.dataset)
-    t = _num_tasks(dataset, _read_meta(dataset))
+    dataset = _require(args.dataset, "dir")
+    t = _read_meta(dataset)[1]
     spec = _learner_spec(args)
     coverage = args.min_pair_coverage
     plan = aff_mod.SamplingPlan(
@@ -308,14 +318,14 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    aff = aff_mod.load_affinity(_require(args.affinity_dir))
+    aff = aff_mod.load_affinity(_require(args.affinity_dir, "dir"))
     t = aff.num_tasks
-    if args.budget == 1:
-        grp = _one_group(t)
+    if args.budget == 1:  # both copies of every task in cluster 0
+        labels = np.zeros(2 * t, dtype=np.int64)
     else:
         labels = grp_mod.spectral_cluster(grp_mod.build_cluster_matrix(aff), args.budget,
                                           seed=args.seed)
-        grp = grp_mod.derive_groups(labels, t, args.budget)
+    grp = grp_mod.derive_groups(labels, t, args.budget)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "grouping.json")
     grp_mod.save_grouping(grp, out_path)
@@ -327,9 +337,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _require(args.dataset)
+    dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
     tasks, features = _load_dataset(dataset, args.holdout_frac)
-    grp = grp_mod.load_grouping(_require(os.path.join(args.grouping_dir, "grouping.json")))
+    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"))
     spec = _learner_spec(args)
     models = grp_mod.train_groups(None, tasks, grp, spec, args.seed, features=features)
     per_task, objective = grp_mod.evaluate_grouping(models, tasks, spec.metric)
@@ -339,8 +349,10 @@ def cmd_evaluate(args) -> int:
         "per_task_scores": per_task,
     }
     if args.with_baseline:
-        naive_models = grp_mod.train_groups(None, tasks, _one_group(tasks.num_tasks), spec,
-                                            args.seed, features=features)
+        t = tasks.num_tasks
+        one_group = grp_mod.derive_groups(np.zeros(2 * t, dtype=np.int64), t, 1)
+        naive_models = grp_mod.train_groups(None, tasks, one_group, spec, args.seed,
+                                            features=features)
         _, naive_obj = grp_mod.evaluate_grouping(naive_models, tasks, spec.metric)
         report["baseline_objective"] = naive_obj
     os.makedirs(args.out, exist_ok=True)
@@ -350,12 +362,12 @@ def cmd_evaluate(args) -> int:
                     {"dataset": os.path.abspath(dataset), "seed": args.seed,
                      "holdout_frac": args.holdout_frac, "learner": asdict(spec),
                      "with_baseline": bool(args.with_baseline)},
-                    [os.path.join(args.grouping_dir, "grouping.json")], [out_path])
+                    [os.path.join(grouping_dir, "grouping.json")], [out_path])
     return EX_OK
 
 
 def cmd_predict_nt(args) -> int:
-    dataset, aff_dir = _require(args.dataset), _require(args.affinity_dir)
+    dataset, aff_dir = _require(args.dataset, "dir"), _require(args.affinity_dir, "dir")
     _read_meta(dataset)  # a malformed meta.json is named as such, not as a mismatch
     spec = _learner_spec(args)
     # The single-task references f_i({i}) trained here are compared with the
@@ -407,7 +419,7 @@ def cmd_predict_nt(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    dataset = _require(args.dataset)
+    dataset = _require(args.dataset, "dir")
     _read_meta(dataset, "planted")
     inst = pl_mod.load_instance(dataset)
     alpha, n = args.alpha, args.num_subsets
@@ -436,9 +448,9 @@ def cmd_verify_theory(args) -> int:
 
 
 def cmd_ppr_sim(args) -> int:
-    dataset = _require(args.dataset)
-    g, tasks = _load_graph_and_tasks(dataset, _read_meta(dataset, "community"))
-    grp = grp_mod.load_grouping(_require(os.path.join(args.grouping_dir, "grouping.json")))
+    dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
+    g, tasks = _load_graph_and_tasks(dataset, _read_meta(dataset, "community")[0])
+    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"))
     within, between = ppr_group_similarity(g, tasks, grp, teleport=args.teleport)
     os.makedirs(args.out, exist_ok=True)
     report = {"within_mean": within, "between_mean": between, "teleport": args.teleport}
@@ -446,7 +458,7 @@ def cmd_ppr_sim(args) -> int:
     _write_json(out_path, report)
     _write_manifest(args.out, "ppr-sim", {"teleport": args.teleport,
                                           "dataset": os.path.abspath(dataset)},
-                    [os.path.join(args.grouping_dir, "grouping.json")], [out_path])
+                    [os.path.join(grouping_dir, "grouping.json")], [out_path])
     return EX_OK
 
 
@@ -546,17 +558,13 @@ def main(argv=None) -> int:
         package_log.addHandler(_LOG_HANDLER)
     try:
         args = build_parser().parse_args(argv)
+        if os.path.exists(args.out):
+            _require(args.out, "dir")
         return args.func(args)
     except SystemExit as exc:  # raised by argparse for usage errors and --help
         return int(exc.code) if exc.code is not None else EX_USAGE
-    except MissingInputError as exc:
-        print(f"taskaff: {exc}", file=sys.stderr)
-        return EX_NOINPUT
-    except FileNotFoundError as exc:
-        print(f"taskaff: missing expected input: {exc.filename}", file=sys.stderr)
-        return EX_NOINPUT
-    except IsADirectoryError as exc:
-        print(f"taskaff: expected a file, not the directory {exc.filename}", file=sys.stderr)
+    except tuple(_NOINPUT) as exc:
+        print(f"taskaff: {_NOINPUT[type(exc)]} {exc.filename}", file=sys.stderr)
         return EX_NOINPUT
     except TrainingError as exc:
         print(f"taskaff: training error: {exc}", file=sys.stderr)

@@ -110,11 +110,3 @@ class GenerationError(TaskAffError):
 
 class EmptyDomainError(TaskAffError):
     """A statistic has an empty domain (PPR similarity over fewer than two tasks)."""
-
-
-class MissingInputError(TaskAffError):
-    """An expected upstream artifact is absent."""
-
-    def __init__(self, expected_path):
-        super().__init__(f"missing expected input: {expected_path}")
-        self.expected_path = expected_path

@@ -398,8 +398,7 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def ppr_group_similarity(g: Graph, tasks, grouping, teleport: float = 0.15,
-                         tol: float = PPR_DEFAULT_TOL):
+def ppr_group_similarity(g: Graph, tasks, grouping, teleport: float = 0.15):
     """Mean pairwise PPR cosine similarity within vs. between task groups.
 
     Each task's PPR vector is seeded at its positively-labeled training
@@ -416,7 +415,7 @@ def ppr_group_similarity(g: Graph, tasks, grouping, teleport: float = 0.15,
         seeds = mask[tasks.labels[i][mask] == 1]
         if seeds.size == 0:
             raise InvalidInputError(f"task {i} has no positive training nodes")
-        vectors.append(_seeded_ppr(g, pt, seeds, teleport, tol))
+        vectors.append(_seeded_ppr(g, pt, seeds, teleport, PPR_DEFAULT_TOL))
     member_groups = [set() for _ in range(num_tasks)]
     for gi, members in enumerate(groups):
         for t in members:

@@ -77,8 +77,7 @@ def _kmeans_pp_init(x, k, rng):
     return centroids
 
 
-def _kmeans(x, k, rng, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER,
-            tol=KMEANS_TOL):
+def _kmeans(x, k, rng):
     """Lloyd iterations with k-means++ seeding and deterministic tie rules.
 
     np.argmin breaks distance ties toward the lowest centroid index; empty
@@ -87,10 +86,10 @@ def _kmeans(x, k, rng, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER,
     """
     n = x.shape[0]
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centroids = _kmeans_pp_init(x, k, rng)
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             labels = np.argmin(d2, axis=1)
             for c in range(k):
@@ -104,7 +103,7 @@ def _kmeans(x, k, rng, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER,
                 new_centroids[c] = x[labels == c].mean(axis=0)
             shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
             centroids = new_centroids
-            if shift < tol:
+            if shift < KMEANS_TOL:
                 break
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)

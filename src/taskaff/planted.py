@@ -251,8 +251,7 @@ def verify_block_structure(aff: AffinityMatrix, group_of) -> BlockStructureRepor
                                 passed=global_gap > 0)
 
 
-def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
-                split_seed: int = 0):
+def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0):
     """View the instance as tasks plus its design feature matrix.
 
     With holdout_frac = 0 every mask equals the observed rows (a TaskSet
@@ -274,7 +273,7 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0,
     labels = tuple(inst.labels)
     train = val = test = rows
     if holdout_frac > 0.0:
-        perm = np.random.default_rng([inst.config.seed, split_seed]).permutation(rows.size)
+        perm = np.random.default_rng([inst.config.seed, 0]).permutation(rows.size)
         n_hold = math.ceil(holdout_frac * rows.size)
         val, test, train = (np.sort(rows[part]) for part in (
             perm[:n_hold], perm[n_hold:2 * n_hold], perm[2 * n_hold:]))

@@ -576,6 +576,20 @@ class TestPredictNt:
         logged = {i for s in read_json(aff_dir / "subsets.json") for i in s}
         assert named and not logged & set(named)
 
+    def test_directory_without_affinity_log_exit_66(self, tmp_path, pipeline, capsys):
+        # a cluster output directory holds no fingerprint.json
+        _, inst_dir, aff_dir = pipeline
+        clus = tmp_path / "clus"
+        assert run(["cluster", "--affinity-dir", aff_dir, "--budget", "2",
+                    "--out", str(clus)]) == 0
+        out = tmp_path / "nt"
+        capsys.readouterr()
+        assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", str(clus),
+                    "--heldout-subsets", "40", "--out", str(out)]) == 66
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"taskaff: missing expected input: {clus / 'fingerprint.json'}"]
+        assert not out.exists()
+
     def test_fingerprint_checked_before_the_dataset_is_read(self, tmp_path, pipeline, capsys):
         # the refusal needs only meta.json, so a dataset without its arrays
         # still gets it and not a missing-input error
@@ -1123,11 +1137,63 @@ class TestMalformedArtifacts:
         return (*self._features(tmp_path, community_dataset, "1,-inf,0,4"),
                 "the row of node 7 holds a non-finite value")
 
+    def _community_meta(self, tmp_path, community_affinity, key, value, command):
+        """A copy of the community dataset whose meta.json sets ``key`` to
+        ``value`` (drops it for None), read by ``command``."""
+        ds, _ = community_affinity
+        copy = tmp_path / "ds"
+        shutil.copytree(ds, copy)
+        meta = read_json(copy / "meta.json")
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        (copy / "meta.json").write_text(json.dumps(meta))
+        extra = {"affinity": MLP_AFFINITY, "ppr-sim": ["--grouping-dir", str(tmp_path)]}[command]
+        return (copy / "meta.json", [command, "--dataset", str(copy), *extra],
+                "edges must be a string, features a string or null")
+
+    # Checked before any file loads: open() takes an int edges value as a
+    # file descriptor (0 reads stdin).
+    def community_meta_no_edges(self, tmp_path, pipeline, community_affinity,
+                                community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "edges", None, "affinity")
+
+    def community_meta_no_edges_ppr_sim(self, tmp_path, pipeline, community_affinity,
+                                        community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "edges", None, "ppr-sim")
+
+    def community_meta_string_hops(self, tmp_path, pipeline, community_affinity,
+                                   community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "hops", "2", "affinity")
+
+    def community_meta_bool_hops(self, tmp_path, pipeline, community_affinity,
+                                 community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "hops", True, "affinity")
+
+    def community_meta_negative_hops(self, tmp_path, pipeline, community_affinity,
+                                     community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "hops", -1, "affinity")
+
+    def community_meta_int_edges(self, tmp_path, pipeline, community_affinity,
+                                 community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "edges", 0, "ppr-sim")
+
+    def community_meta_list_features(self, tmp_path, pipeline, community_affinity,
+                                     community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "features", ["f.csv"],
+                                    "affinity")
+
     @pytest.mark.parametrize("case", ["grouping", "affinity", "negative_imputed", "task_set",
                                       "planted_meta", "features", "features_nan",
                                       "features_inf", "grouping_float_id",
                                       "task_set_float_train", "task_set_string_positive",
-                                      "planted_meta_float_row"])
+                                      "planted_meta_float_row", "community_meta_no_edges",
+                                      "community_meta_no_edges_ppr_sim",
+                                      "community_meta_string_hops", "community_meta_bool_hops",
+                                      "community_meta_negative_hops",
+                                      "community_meta_int_edges",
+                                      "community_meta_list_features"])
     def test_exit_2_with_one_line(self, tmp_path, pipeline, community_affinity,
                                   community_dataset, capsys, case):
         path, argv, fragment = getattr(self, case)(tmp_path, pipeline, community_affinity,
@@ -1235,3 +1301,69 @@ class TestMalformedAffinityDir:
         assert run(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("taskaff: ") and str(path) in err[0], err
+
+
+# The path flags of every command and the kind of path each takes.
+PATH_FLAGS = {
+    "generate": {},
+    "split": {"--edges": "file", "--communities": "file", "--features": "file"},
+    "affinity": {"--dataset": "dir"},
+    "cluster": {"--affinity-dir": "dir"},
+    "evaluate": {"--dataset": "dir", "--grouping-dir": "dir"},
+    "predict-nt": {"--dataset": "dir", "--affinity-dir": "dir"},
+    "verify-theory": {"--dataset": "dir"},
+    "ppr-sim": {"--dataset": "dir", "--grouping-dir": "dir"},
+}
+
+
+class TestPathArguments:
+    """A path flag given a missing path or one of the wrong kind, or an --out
+    that is a regular file, stops the command before it does any work: one
+    `taskaff:` line naming the path, exit 66, no --out."""
+
+    @pytest.fixture
+    def valid(self, tmp_path, pipeline, community_affinity, community_dataset):
+        """The path flags of each command, set to paths of the right kind that
+        the command would run on."""
+        _, inst_dir, aff_dir = pipeline
+        ds, _ = community_affinity
+        _, edges, cmty = community_dataset
+        features = tmp_path / "features.csv"
+        features.write_text("".join(f"{k},1,0.5\n" for k in range(50)))
+        grouping = tmp_path / "clus"
+        assert run(["cluster", "--affinity-dir", aff_dir, "--budget", "2",
+                    "--out", str(grouping)]) == 0
+        return {"generate": {}, "split": {"--edges": edges, "--communities": cmty,
+                                          "--features": str(features)},
+                "affinity": {"--dataset": inst_dir}, "cluster": {"--affinity-dir": aff_dir},
+                "evaluate": {"--dataset": inst_dir, "--grouping-dir": str(grouping)},
+                "predict-nt": {"--dataset": inst_dir, "--affinity-dir": aff_dir},
+                "verify-theory": {"--dataset": inst_dir},
+                "ppr-sim": {"--dataset": ds, "--grouping-dir": str(grouping)}}
+
+    @pytest.mark.parametrize("command,flag,case", [
+        *[(command, flag, case) for command, flags in PATH_FLAGS.items() for flag in flags
+          for case in ("missing", "wrong-kind")],
+        *[(command, "--out", "wrong-kind") for command in PATH_FLAGS]])
+    def test_exit_66_with_one_line_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                   valid, command, flag, case):
+        def no_load(*args):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_load)
+        monkeypatch.setattr(cli, "_load_graph_and_tasks", no_load)
+        afile = tmp_path / "afile"
+        afile.write_text("x\n")
+        # a missing path, or a file where a directory is expected and back
+        kind = "dir" if flag == "--out" else PATH_FLAGS[command][flag]
+        want = "missing" if case == "missing" else kind
+        bad = {"missing": tmp_path / "nope", "dir": afile, "file": tmp_path}[want]
+        argv = dict(valid[command], **{"--out": str(tmp_path / "out")})
+        argv[flag] = str(bad)
+        capsys.readouterr()
+        assert run([command, *[x for pair in argv.items() for x in pair]]) == 66
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [{"missing": f"taskaff: missing expected input: {bad}",
+                        "file": f"taskaff: expected a file, not the directory {bad}",
+                        "dir": f"taskaff: expected a directory, not the file {bad}"}[want]]
+        assert not (tmp_path / "out").exists() and afile.read_text() == "x\n"
