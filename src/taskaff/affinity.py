@@ -209,20 +209,24 @@ def _regroup(subsets, scores, num_tasks, prefixes):
     """(theta, counts) of each prefix length c: exact fsum means of f_i per pair.
 
     A stable sort on the pair keys i*T + j makes each pair's values one slice
-    in subset order, so the first c subsets' values open the slice.
+    of a float64 array in subset order, so the first c subsets' values open
+    the slice. Only one slice at a time becomes Python floats; fsum is
+    correctly rounded, so theta does not depend on how the values are held.
     """
     alpha = subsets.shape[1]
     if subsets[:, 0].min() < 0 or subsets[:, -1].max() >= num_tasks:
         raise InvalidInputError(f"a logged subset holds task ids outside 0..{num_tasks - 1}")
     keys = (subsets[:, :, None] * num_tasks + subsets[:, None, :]).ravel()
     order = np.argsort(keys, kind="stable")
-    values = np.repeat(scores.ravel(), alpha)[order].tolist()
+    order //= alpha  # key k = (subset, i, j) scores f_i = scores.ravel()[k // alpha]
+    values = scores.ravel()[order]
+    del order
     full = np.bincount(keys, minlength=num_tasks**2)
     starts = np.cumsum(full) - full
     for c in prefixes:
         counts = np.bincount(keys[:c * alpha * alpha], minlength=num_tasks**2)
         pairs, theta = np.flatnonzero(counts), np.zeros(num_tasks**2)
-        theta[pairs] = [math.fsum(values[s:s + k]) / k
+        theta[pairs] = [math.fsum(values[s:s + k].tolist()) / k
                         for s, k in zip(starts[pairs].tolist(), counts[pairs].tolist())]
         yield theta.reshape(num_tasks, num_tasks), counts.reshape(num_tasks, num_tasks)
 

@@ -28,6 +28,7 @@ from .tasks import TaskSet
 MAX_GENERATION_RETRIES = 100
 ENUMERATION_BOUND = 1_000_000
 SEPARATION_SLACK = 1e-9
+DRAW_ROWS = 256  # rows of the adjacency drawn at once
 
 
 @dataclass(frozen=True)
@@ -104,17 +105,36 @@ def _projection(design: np.ndarray) -> np.ndarray:
 
 
 def _random_diffusion(rng, n: int) -> np.ndarray:
-    # P = I + 0.5 * sym-normalized adjacency; eigenvalues in [0.5, 1.5],
-    # so P is always full rank. Scaled in place, with no N x N temporaries.
+    """P = I + 0.5 * sym-normalized adjacency of a random graph; eigenvalues in
+    [0.5, 1.5], so P is always full rank."""
+    return _diffusion(*_random_graph(rng, n))
+
+
+def _random_graph(rng, n: int):
+    """(bool symmetric adjacency, inverse-sqrt degrees) of G(n, 2 log n / n).
+
+    The upper triangle is drawn DRAW_ROWS rows at a time: the same numbers, in
+    the same order, as one (n, n) draw, without its N x N float temporary.
+    """
     p_edge = min(1.0, 2.0 * math.log(max(n, 2)) / n)
-    upper = np.triu(rng.random((n, n)) < p_edge, k=1)
-    p = (upper | upper.T).astype(float)
-    deg = p.sum(axis=1)
-    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+    adj = np.empty((n, n), dtype=bool)
+    for start in range(0, n, DRAW_ROWS):
+        block = rng.random((min(DRAW_ROWS, n - start), n)) < p_edge
+        adj[start:start + DRAW_ROWS] = np.triu(block, k=start + 1)
+    adj |= adj.T
+    deg = adj.sum(axis=1, dtype=float)
+    return adj, np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+
+
+def _diffusion(adj: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """A principal block of P (all of it, or P[o,o]) from that block of the
+    adjacency and its rows' inverse-sqrt degrees: the same elementwise steps
+    either way, so P[o,o] is bitwise the block of P. Scaled in place."""
+    p = adj.astype(float)
     p *= inv_sqrt[:, None]
     p *= inv_sqrt[None, :]
     p *= 0.5
-    p[np.diag_indices(n)] += 1.0
+    p[np.diag_indices(len(p))] += 1.0
     return p
 
 
@@ -127,6 +147,10 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
     most within_sep/2. Optional noise lives in the orthogonal complement of
     the projection, so it never disturbs the separations; labels are clipped
     to the configured sup-norm bound and the separations re-verified.
+
+    Memory: the graph is held as a bool adjacency drawn in row blocks; the
+    float P exists only for the one ``P @ X`` product, and P[o,o] is formed
+    afterwards from the adjacency, so one N x N float array is alive at a time.
     """
     if cfg.num_groups > cfg.feature_dim:
         raise InvalidInputError(
@@ -142,10 +166,11 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
     achieved = (np.inf, 0.0)
     for _ in range(MAX_GENERATION_RETRIES):
         x = rng.standard_normal((n, d))
-        p = _random_diffusion(rng, n)
+        adj, inv_sqrt = _random_graph(rng, n)
         rows = np.sort(rng.choice(n, size=m, replace=False))
-        design, observed_design = p @ x, p[np.ix_(rows, rows)] @ x[rows]
-        del p  # not needed past here; freeing it lowers generate's peak memory
+        design = _diffusion(adj, inv_sqrt) @ x
+        observed_design = _diffusion(adj[np.ix_(rows, rows)], inv_sqrt[rows]) @ x[rows]
+        del adj  # before the separation check forms the N x N hat matrix
 
         basis, _ = np.linalg.qr(design)  # N x d orthonormal basis of col(sigma)
         dirs, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -172,6 +197,7 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
         if within_ok and between_ok:
             return inst
         achieved = (max_within, min_between)
+        del inst  # and its N x N sigma, before the next draw forms P
     raise GenerationError(
         f"separation targets unreachable in {MAX_GENERATION_RETRIES} tries",
         achieved_within=achieved[0], achieved_between=achieved[1],

@@ -296,6 +296,50 @@ class TestConvergenceTrace:
             affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5), [4, 99])
 
 
+class TestRegroup:
+    def test_prefixes_match_list_fsum_reference_bitwise(self):
+        # each prefix's theta and counts against per-pair Python lists of the
+        # prefix's scores, in subset order, each averaged with fsum
+        rng = np.random.default_rng(11)
+        t, alpha, n = 9, 4, 200
+        subsets = affinity.subset_array(affinity.sample_subsets(affinity.SamplingPlan(
+            num_tasks=t, subset_size=alpha, num_subsets=n, seed=5)), t)
+        scores = rng.standard_normal((n, alpha)) * 10.0 ** rng.integers(-8, 8, (n, alpha))
+        prefixes = [1, 2, 17, 64, 199, 200]
+        for c, (theta, counts) in zip(prefixes,
+                                      affinity._regroup(subsets, scores, t, prefixes)):
+            buckets = {}
+            for row, vals in zip(subsets[:c].tolist(), scores[:c].tolist()):
+                for i, f in zip(row, vals):
+                    for j in row:
+                        buckets.setdefault((i, j), []).append(f)
+            expected, expected_counts = np.zeros((t, t)), np.zeros((t, t), dtype=np.int64)
+            for (i, j), vals in buckets.items():
+                expected[i, j] = math.fsum(vals) / len(vals)
+                expected_counts[i, j] = len(vals)
+            assert theta.tobytes() == expected.tobytes(), c
+            assert np.array_equal(counts, expected_counts), c
+
+    def test_memory_bounded_at_paper_scale(self):
+        # verify-theory's log: 8,000 subsets of 10 at T = 100, 800,000 pair
+        # values (6.1 MiB as doubles). Holding them all as Python floats at
+        # once takes about seven times that; the bound is four times.
+        import tracemalloc
+        plan = affinity.SamplingPlan(num_tasks=100, subset_size=10, num_subsets=8000,
+                                     seed=4, min_pair_coverage=1)
+        subsets = affinity.subset_array(affinity.sample_subsets(plan), 100)
+        scores = np.random.default_rng(0).standard_normal(subsets.shape)
+        tracemalloc.start()
+        try:
+            (theta, counts), = affinity._regroup(subsets, scores, 100, [8000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = counts.sum() * 8
+        print(f"peak {peak / 2**20:.1f} MiB = {peak / values:.2f} x the pair values")
+        assert counts.sum() == 800_000 and peak < 4 * values, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestProbes:
     def test_planted_cross_task_breaks_monotonicity(self, small_instance):
         # the paper's f_i(S) is not monotone: along a chain that first adds a

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskaff import cli, grouping
+from taskaff import cli, graphs, grouping
 from tests.conftest import save_edge_list, two_block_graph
 from tests.test_pool import fail_on, pooled, raise_training_error
 
@@ -741,6 +741,32 @@ class TestSplitAndPprSim:
                     "--seed", "0", "--out", out]) == 0
         rep = read_json(out + "/ppr_similarity.json")
         assert rep["within_mean"] > rep["between_mean"]
+
+    @pytest.mark.parametrize("group", [[2, 4], [-1, 0]])
+    def test_ppr_sim_task_id_out_of_range_exit_2_before_any_ppr(
+            self, tmp_path, community_dataset, monkeypatch, capsys, group):
+        # T = 4: id 4 is past the last task, and -1 would index the last one
+        _, edges, cmty = community_dataset
+        ds = str(tmp_path / "ds")
+        assert run(["split", "--edges", edges, "--communities", cmty, "--top-k", "4",
+                    "--seed", "1", "--out", ds]) == 0
+        gdir = tmp_path / "grp"
+        gdir.mkdir()
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[1, 3], group], assignments=np.zeros(4, dtype=np.int64), budget=2),
+            gdir / "grouping.json")
+
+        def no_ppr(*args, **kwargs):
+            raise AssertionError("a PPR vector computed before the ids were checked")
+
+        monkeypatch.setattr(graphs, "_seeded_ppr", no_ppr)
+        capsys.readouterr()
+        out = tmp_path / "ppr"
+        assert run(["ppr-sim", "--dataset", ds, "--grouping-dir", str(gdir),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: task id out of range in subset {group}"]
+        assert not (out / "ppr_similarity.json").exists()
 
     @pytest.mark.parametrize("op", ["row-normalized", "symmetric-normalized"])
     def test_commands_without_ppr_run_without_scipy(self, tmp_path, op):

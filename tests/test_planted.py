@@ -439,3 +439,88 @@ def test_designs_are_p_x_and_its_observed_block():
     assert np.array_equal(inst.observed_rows, rows)
     assert np.array_equal(inst.design, p @ x)
     assert np.array_equal(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])
+
+
+def _dense_diffusion(rng, n):
+    # P as one (n, n) draw scaled in float, the form the row-block draw replaces
+    p_edge = min(1.0, 2.0 * math.log(max(n, 2)) / n)
+    upper = np.triu(rng.random((n, n)) < p_edge, k=1)
+    p = (upper | upper.T).astype(float)
+    deg = p.sum(axis=1)
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+    p *= inv_sqrt[:, None]
+    p *= inv_sqrt[None, :]
+    p *= 0.5
+    p[np.diag_indices(n)] += 1.0
+    return p
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generate_across_row_blocks_is_bitwise_the_dense_draw(seed, monkeypatch):
+    # N = 600 holds two full blocks of DRAW_ROWS = 256 and a partial one; both
+    # seeds are accepted on the first draw, so one replay of the stream gives X,
+    # P and the observed rows
+    n, m, d = 600, 450, 6
+    assert n > planted.DRAW_ROWS and n % planted.DRAW_ROWS
+    cfg = quick_cfg(num_tasks=8, feature_dim=d, num_nodes=n, observed=m, within_sep=0.3,
+                    between_sep=5.0, label_bound=2.0, noise_std=0.25, seed=seed)
+    inst = planted.generate(cfg)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    p = _dense_diffusion(rng, n)
+    rows = np.sort(rng.choice(n, size=m, replace=False))
+    replay = np.random.default_rng(seed)
+    replay.standard_normal((n, d))
+    assert _same_bits(planted._random_diffusion(replay, n), p)
+    assert _same_bits(inst.observed_rows, rows)
+    assert _same_bits(inst.design, p @ x)
+    assert _same_bits(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])
+    # one block spanning every row is the dense draw; the rest of the stream
+    # (labels) and the separations follow it bit for bit
+    monkeypatch.setattr(planted, "DRAW_ROWS", n)
+    dense = planted.generate(cfg)
+    for name in ("design", "observed_design", "observed_rows", "labels", "group_of"):
+        assert _same_bits(getattr(inst, name), getattr(dense, name)), name
+    assert inst.separations == dense.separations
+    assert inst.separations == dataclasses.replace(
+        inst, design=p @ x, observed_design=p[np.ix_(rows, rows)] @ x[rows]).separations
+
+
+def test_generate_memory_bounded_at_paper_scale():
+    # the benchmark's instance, N = 2,000: a full-size (N, N) uniform draw or a
+    # float P[o,o] gathered while P is alive does not fit under 1.35 N x N doubles
+    import tracemalloc
+    n = 2000
+    cfg = planted.PlantedConfig(num_tasks=100, num_groups=10, feature_dim=20, num_nodes=n,
+                                observed=1500, seed=7)
+    tracemalloc.start()
+    try:
+        planted.generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"peak {peak / 2**20:.1f} MiB = {peak / (n * n * 8):.2f} N^2 doubles")
+    assert peak < 1.35 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_generate_retry_frees_the_failed_draw(monkeypatch):
+    # two draws that miss an unreachable target at N = 1,200: the first
+    # draw's N x N sigma, kept alive into the second, would put the peak near
+    # 2.2 N x N doubles
+    import tracemalloc
+    n = 1200
+    cfg = planted.PlantedConfig(num_tasks=8, num_groups=2, feature_dim=6, num_nodes=n,
+                                observed=900, between_sep=50.0, label_bound=0.05)
+    monkeypatch.setattr(planted, "MAX_GENERATION_RETRIES", 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GenerationError):
+            planted.generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
