@@ -161,9 +161,8 @@ def sample_subsets(plan: SamplingPlan):
     return subsets
 
 
-def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
-                        features: np.ndarray | None = None, indices=None,
-                        commit=None) -> EvalLog:
+def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, features,
+                        indices=None, commit=None) -> EvalLog:
     """Train one model per subset and score every member on its val mask.
 
     Subset k has log index ``indices[k]`` (default k) and seed base_seed XOR
@@ -177,8 +176,7 @@ def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
     seeds = base_seed ^ indices
     if spec.kind == "closed-form-linear":
         try:
-            scores = closed_form_scores(g.node_features if features is None else features,
-                                        tasks, rows, spec.ridge, spec.metric)
+            scores = closed_form_scores(features, tasks, rows, spec.ridge, spec.metric)
         except TaskAffError as exc:
             k = getattr(exc, "subset_index", None)
             raise TrainingError(f"subset training failed: {exc}",
@@ -188,7 +186,7 @@ def collect_evaluations(g, tasks, subsets, spec: LearnerSpec, base_seed: int,
             commit(indices, log)
         return log
     scores, members = np.empty(rows.shape), rows.tolist()
-    models = train_models(g, tasks, members, spec, seeds.tolist(), features=features)
+    models = train_models(tasks, members, spec, seeds.tolist(), features)
     with closing(models):
         for k, subset in enumerate(members):
             try:
@@ -421,7 +419,7 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
             with open(idx_path, "a", encoding="utf-8") as fh:
                 fh.writelines(f"{k}\n" for k in indices)
 
-        new = collect_evaluations(None, tasks, subsets[pending], spec, base_seed,
+        new = collect_evaluations(tasks, subsets[pending], spec, base_seed,
                                   features=features, indices=pending, commit=commit)
         scores, seeds = np.empty(subsets.shape), np.empty(len(subsets), dtype=np.int64)
         scores[done], seeds[done] = log.scores, log.seeds

@@ -249,6 +249,8 @@ def cmd_split(args) -> int:
         _require(args.features, "file")
     if args.top_k < 1:  # a negative slice would silently drop the smallest communities
         raise TaskAffError(f"--top-k must be >= 1, got {args.top_k}")
+    policy = SplitPolicy(train_pos_frac=args.train_pos_frac, train_neg_frac=args.train_neg_frac,
+                         val_frac=args.val_frac, seed=args.seed)
     # Later commands diffuse with these; reject bad values before any artifact.
     op = DiffusionOperator(kind=args.op)
     if args.hops < 0:
@@ -256,8 +258,6 @@ def cmd_split(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     g = load_edge_list(edges, idmap_path=os.path.join(args.out, "idmap.json"))
     comms = load_communities(communities_path, g, args.top_k)
-    policy = SplitPolicy(train_pos_frac=args.train_pos_frac, train_neg_frac=args.train_neg_frac,
-                         val_frac=args.val_frac, seed=args.seed)
     tasks = make_splits(comms, g, policy)
     save_task_set(tasks, os.path.join(args.out, "taskset.json"))
     meta = {
@@ -341,7 +341,7 @@ def cmd_evaluate(args) -> int:
     tasks, features = _load_dataset(dataset, args.holdout_frac)
     grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"))
     spec = _learner_spec(args)
-    models = grp_mod.train_groups(None, tasks, grp, spec, args.seed, features=features)
+    models = grp_mod.train_groups(tasks, grp, spec, args.seed, features=features)
     per_task, objective = grp_mod.evaluate_grouping(models, tasks, spec.metric)
     report = {
         "groups": [list(map(int, g)) for g in grp.groups],
@@ -351,7 +351,7 @@ def cmd_evaluate(args) -> int:
     if args.with_baseline:
         t = tasks.num_tasks
         one_group = grp_mod.derive_groups(np.zeros(2 * t, dtype=np.int64), t, 1)
-        naive_models = grp_mod.train_groups(None, tasks, one_group, spec, args.seed,
+        naive_models = grp_mod.train_groups(tasks, one_group, spec, args.seed,
                                             features=features)
         _, naive_obj = grp_mod.evaluate_grouping(naive_models, tasks, spec.metric)
         report["baseline_objective"] = naive_obj
@@ -385,11 +385,15 @@ def cmd_predict_nt(args) -> int:
         raise TaskAffError(f"held-out subsets hold task(s) {unlogged}, which no subset of "
                            f"{aff_dir} holds; rerun affinity with more --num-subsets or "
                            "with --min-pair-coverage 1")
-    stl_evals = aff_mod.collect_evaluations(None, tasks, [(i,) for i in range(t)], spec,
+    if not held:  # no subset is left to score the predictors on
+        raise TaskAffError(f"all {held_plan.num_subsets} held-out draws are subsets that "
+                           f"{aff_dir} logged; raise --heldout-subsets, or rerun affinity "
+                           "so that it logs fewer of the possible subsets")
+    stl_evals = aff_mod.collect_evaluations(tasks, [(i,) for i in range(t)], spec,
                                             base_seed=args.seed ^ STL_SEED_SALT,
                                             features=features)
     stl = dict(enumerate(stl_evals.scores[:, 0].tolist()))
-    held_evals = aff_mod.collect_evaluations(None, tasks, held, spec,
+    held_evals = aff_mod.collect_evaluations(tasks, held, spec,
                                              base_seed=args.seed ^ HELDOUT_SEED_SALT,
                                              features=features)
     train_ex = tr_mod.build_examples(evals, stl, aff)

@@ -167,13 +167,12 @@ def derive_groups(labels, num_tasks: int, budget: int) -> TaskGrouping:
     return TaskGrouping(groups=groups, assignments=labels, budget=budget)
 
 
-def train_groups(g, tasks, grouping: TaskGrouping, spec: LearnerSpec, seed: int,
-                 features: np.ndarray | None = None):
+def train_groups(tasks, grouping: TaskGrouping, spec: LearnerSpec, seed: int, features):
     """Train one multitask model per group, seeded by base seed XOR index
     (learners.train_models, in group order)."""
     seeds = [seed ^ gi for gi in range(len(grouping.groups))]
     models = []
-    with closing(train_models(g, tasks, grouping.groups, spec, seeds, features)) as trained:
+    with closing(train_models(tasks, grouping.groups, spec, seeds, features)) as trained:
         for gi in range(len(seeds)):
             try:
                 models.append(next(trained))

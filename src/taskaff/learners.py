@@ -16,7 +16,7 @@ import logging
 import multiprocessing
 import os
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ _CHUNK_BYTES = 4 * 2**20
 # fork workers: each worker left at several BLAS threads oversubscribes the
 # cores and runs several times slower than one process.
 ONE_BLAS_THREAD = False
-# (parent pid, g, tasks, spec, features) of a train_models worker, set in it.
+# (parent pid, tasks, spec, features) of a train_models worker, set in it.
 _WORKER_DATA = None
 
 
@@ -331,11 +331,15 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     (e.g. a precomputed diffused stack); one of the two must be present.
     Deterministic under (subset, seed).
     """
-    features = _features(g, features)
+    if features is None:
+        if g is None:
+            raise InvalidInputError("either a graph or a feature matrix is required")
+        features = g.node_features
+    features = np.asarray(features, dtype=float)
     subset = _canonical_subset(subset, tasks.num_tasks)
 
     if spec.kind == "closed-form-linear":
-        if np.unique(_mask_ids([tasks.train_mask[tid] for tid in subset])).size > 1:
+        if mixed_train_masks(tasks, np.array([subset])).size:
             raise InvalidInputError(
                 "closed-form-linear requires identical train masks across the subset")
         base = tasks.train_mask[subset[0]]
@@ -368,14 +372,6 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
                     monotone_loss=monotone)
 
 
-def _features(g, features) -> np.ndarray:
-    if features is None:
-        if g is None:
-            raise InvalidInputError("either a graph or a feature matrix is required")
-        features = g.node_features
-    return np.asarray(features, dtype=float)
-
-
 def _init_worker(*data):
     global _WORKER_DATA
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the pool on Ctrl-C
@@ -383,43 +379,41 @@ def _init_worker(*data):
 
 
 def _train_job(job):
-    parent, g, tasks, spec, features = _WORKER_DATA
+    parent, tasks, spec, features = _WORKER_DATA
     subset, seed = job
-    model = train_subset(g, tasks, subset, spec, seed, features=features)
+    model = train_subset(None, tasks, subset, spec, seed, features=features)
     if os.getppid() != parent:  # the parent was killed; no one reads the result
         os._exit(1)
-    return model.layers, model.monotone_loss
+    return replace(model, features=None)  # the parent holds the features
 
 
-def train_models(g, tasks, subsets, spec: LearnerSpec, seeds, features=None):
-    """Yield train_subset(g, tasks, subsets[k], spec, seeds[k], features) for
-    each k in order.
+def train_models(tasks, subsets, spec: LearnerSpec, seeds, features):
+    """Yield train_subset(None, tasks, subsets[k], spec, seeds[k], features)
+    for each k in order.
 
     MLP subsets train on a fork pool of one worker per available CPU (at most
     one per subset) when ONE_BLAS_THREAD holds, otherwise one after another in
-    this process. Workers inherit the data by fork and send back only the
-    trained layers and the monotone-loss flag; results are read in order, so
-    a training failure is raised at its own k, after the models before it.
-    Close the generator (contextlib.closing) when not reading it to the end:
-    that stops and joins the workers.
+    this process. Workers inherit the data by fork and send back the model
+    without its features, which this process reattaches; results are read in
+    order, so a training failure is raised at its own k, after the models
+    before it. Close the generator (contextlib.closing) when not reading it to
+    the end: that stops and joins the workers.
     """
     jobs = list(zip(subsets, seeds))
     workers = min(len(jobs), len(os.sched_getaffinity(0))) if ONE_BLAS_THREAD else 1
     if spec.kind != "shared-encoder-mlp" or workers < 2:
         for subset, seed in jobs:
-            yield train_subset(g, tasks, subset, spec, seed, features=features)
+            yield train_subset(None, tasks, subset, spec, seed, features=features)
         return
-    x = _features(g, features)
+    x = np.asarray(features, dtype=float)
     ctx = multiprocessing.get_context("fork")
     others = set(ctx.active_children())
-    pool = ctx.Pool(workers, _init_worker, (g, tasks, spec, features))
+    pool = ctx.Pool(workers, _init_worker, (tasks, spec, features))
     procs = set(ctx.active_children()) - others
     try:
         results = pool.imap(_train_job, jobs)
-        for subset, seed in jobs:
-            layers, monotone = _next_result(results, procs)
-            yield MtlModel(spec.kind, _canonical_subset(subset, tasks.num_tasks), seed, x,
-                           layers=layers, monotone_loss=monotone)
+        for _ in jobs:
+            yield replace(_next_result(results, procs), features=x)
     finally:
         pool.terminate()  # also joins the workers
 

@@ -38,7 +38,7 @@ def test_lemma_equivalence_closed_form_vs_pipeline():
                                  seed=102, min_pair_coverage=1)
     subsets = affinity.sample_subsets(plan)
     spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-    evals = affinity.collect_evaluations(None, tasks, subsets, spec, base_seed=103,
+    evals = affinity.collect_evaluations(tasks, subsets, spec, base_seed=103,
                                          features=feats)
     pipe = affinity.estimate_affinity(evals, 10)
     theory = planted.theta_closed_form(inst, subsets)
@@ -146,11 +146,11 @@ def test_negative_transfer_prediction_f1():
     train_set = set(train_subsets)
     held_subsets = [s for s in affinity.sample_subsets(held_plan)
                     if s not in train_set]
-    train_evals = affinity.collect_evaluations(None, tasks, train_subsets, spec,
+    train_evals = affinity.collect_evaluations(tasks, train_subsets, spec,
                                                base_seed=503, features=feats)
-    held_evals = affinity.collect_evaluations(None, tasks, held_subsets, spec,
+    held_evals = affinity.collect_evaluations(tasks, held_subsets, spec,
                                               base_seed=504, features=feats)
-    stl_evals = affinity.collect_evaluations(None, tasks, [(i,) for i in range(t)],
+    stl_evals = affinity.collect_evaluations(tasks, [(i,) for i in range(t)],
                                              spec, base_seed=505, features=feats)
     stl = {i: stl_evals.scores[i, 0] for i in range(t)}
     aff = affinity.estimate_affinity(train_evals, t)
@@ -180,20 +180,20 @@ def test_grouping_beats_single_group():
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         plan = affinity.SamplingPlan(num_tasks=t, subset_size=5, num_subsets=200,
                                      seed=600 + seed, min_pair_coverage=1)
-        evals = affinity.collect_evaluations(None, tasks,
+        evals = affinity.collect_evaluations(tasks,
                                              affinity.sample_subsets(plan), spec,
                                              base_seed=601, features=feats)
         aff = affinity.estimate_affinity(evals, t)
         cm = grouping.build_cluster_matrix(aff)
         labels = grouping.spectral_cluster(cm, c, seed=seed)
         grp = grouping.derive_groups(labels, t, c)
-        models = grouping.train_groups(None, tasks, grp, spec, seed=602,
+        models = grouping.train_groups(tasks, grp, spec, seed=602,
                                        features=feats)
         _, obj_grouped = grouping.evaluate_grouping(models, tasks, "negative-mse")
         naive_grp = grouping.TaskGrouping(groups=[list(range(t))],
                                           assignments=np.zeros(2 * t, dtype=np.int64),
                                           budget=1)
-        naive = grouping.train_groups(None, tasks, naive_grp, spec, seed=602,
+        naive = grouping.train_groups(tasks, naive_grp, spec, seed=602,
                                       features=feats)
         _, obj_naive = grouping.evaluate_grouping(naive, tasks, "negative-mse")
         wins += obj_grouped >= obj_naive

@@ -115,7 +115,7 @@ class TestCollectEvaluations:
     def test_singleton_matches_stl_score(self, small_instance):
         tasks, feats = planted.to_task_set(small_instance)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-        evals = affinity.collect_evaluations(None, tasks, [(3,)], spec, base_seed=5,
+        evals = affinity.collect_evaluations(tasks, [(3,)], spec, base_seed=5,
                                              features=feats)
         model = learners.train_subset(None, tasks, [3], spec, seed=5, features=feats)
         expected = learners.evaluate(model, tasks, 3, "val", "negative-mse")
@@ -124,7 +124,7 @@ class TestCollectEvaluations:
     def test_identical_subsets_identical_scores(self, small_instance):
         tasks, feats = planted.to_task_set(small_instance)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-        evals = affinity.collect_evaluations(None, tasks, [(0, 1)] * 3, spec,
+        evals = affinity.collect_evaluations(tasks, [(0, 1)] * 3, spec,
                                              base_seed=1, features=feats)
         evals = records(evals)
         assert evals[0].scores == evals[1].scores == evals[2].scores
@@ -136,7 +136,7 @@ class TestCollectEvaluations:
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         plan = affinity.SamplingPlan(num_tasks=6, subset_size=3, num_subsets=40, seed=6)
         subsets = affinity.sample_subsets(plan)
-        evals = affinity.collect_evaluations(None, tasks, subsets, spec, base_seed=2,
+        evals = affinity.collect_evaluations(tasks, subsets, spec, base_seed=2,
                                              features=feats)
         rows = inst.observed_rows
         y_obs = inst.labels[:, rows]
@@ -267,7 +267,7 @@ class TestConvergenceTrace:
             plan = affinity.SamplingPlan(num_tasks=6, subset_size=3,
                                          num_subsets=120, seed=seed)
             subsets = affinity.sample_subsets(plan)
-            evals = affinity.collect_evaluations(None, tasks, subsets, spec, seed,
+            evals = affinity.collect_evaluations(tasks, subsets, spec, seed,
                                                  features=feats)
             d_small, d_big = affinity.convergence_trace(
                 evals, affinity.estimate_affinity(evals, 6), [12, 60])
@@ -350,7 +350,7 @@ class TestProbes:
         target, ally, rival = 0, 1, 5  # groups: {0,1,2}, {3,4,5}
         chain = [(target,), (target, ally), (target, ally, rival)]
         # one call per subset: a log holds subsets of one size
-        score = [records(affinity.collect_evaluations(None, tasks, [s], spec, 0,
+        score = [records(affinity.collect_evaluations(tasks, [s], spec, 0,
                                                       features=feats))[0].scores[target]
                  for s in chain]
         assert score[2] < score[1]
@@ -364,7 +364,7 @@ class TestExhaustiveMatchesPopulation:
         tasks, feats = planted.to_task_set(inst)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         subsets = list(itertools.combinations(range(6), 3))
-        evals = affinity.collect_evaluations(None, tasks, subsets, spec, 0,
+        evals = affinity.collect_evaluations(tasks, subsets, spec, 0,
                                              features=feats)
         aff = affinity.estimate_affinity(evals, 6)
         pop = planted.population_theta(inst, 3)
@@ -436,7 +436,7 @@ class TestLogPersistence:
             num_tasks=4, num_groups=2, feature_dim=3, num_nodes=30, observed=20)))[0]
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         with pytest.raises(InvalidInputError):
-            affinity.collect_evaluations(None, tasks, [(0, 1), (1, 2, 3)], spec, 0,
+            affinity.collect_evaluations(tasks, [(0, 1), (1, 2, 3)], spec, 0,
                                          features=np.ones((30, 3)))
 
     def test_affinity_roundtrip(self, tmp_path):
@@ -485,7 +485,7 @@ class TestRunLog:
         fresh_dir, loads = tmp_path / "fresh", []
         fresh, aff = self.run(fresh_dir, learner, dataset, loads)
         tasks, features = dataset
-        oracle = affinity.collect_evaluations(None, tasks, affinity.sample_subsets(self.PLAN),
+        oracle = affinity.collect_evaluations(tasks, affinity.sample_subsets(self.PLAN),
                                               self.SPECS[learner], 9, features=features)
         self.assert_same_log(fresh, oracle)
         np.testing.assert_array_equal(aff.theta, affinity.estimate_affinity(oracle, 6).theta)

@@ -576,6 +576,29 @@ class TestPredictNt:
         logged = {i for s in read_json(aff_dir / "subsets.json") for i in s}
         assert named and not logged & set(named)
 
+    def test_no_heldout_subset_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        # at T=4 and alpha=2, 40 logged subsets cover all 6 pairs, so every
+        # held-out draw is a logged subset and no predictor could be scored
+        inst_dir, aff_dir = tmp_path / "inst", tmp_path / "aff"
+        assert run(GEN + ["--tasks", "4", "--groups", "2", "--seed", "1",
+                          "--out", str(inst_dir)]) == 0
+        assert run(["affinity", "--dataset", str(inst_dir), "--alpha", "2",
+                    "--num-subsets", "40", "--out", str(aff_dir)]) == 0
+        assert len({tuple(s) for s in read_json(aff_dir / "subsets.json")}) == 6
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("predict-nt trained a model before refusing")
+
+        monkeypatch.setattr(cli.aff_mod, "collect_evaluations", no_training)
+        capsys.readouterr()
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", str(inst_dir), "--affinity-dir", str(aff_dir),
+                    "--heldout-subsets", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: all 5 held-out draws ")
+        assert str(aff_dir) in err[0]
+
     def test_directory_without_affinity_log_exit_66(self, tmp_path, pipeline, capsys):
         # a cluster output directory holds no fingerprint.json
         _, inst_dir, aff_dir = pipeline
@@ -693,6 +716,22 @@ class TestSplitAndPprSim:
         assert run(["split", "--edges", edges, "--communities", cmty,
                     "--top-k", top_k, "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"taskaff: --top-k must be >= 1, got {top_k}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--val-frac", "1.5"], "val_frac must lie in (0, 1), got 1.5"),
+        (["--train-pos-frac", "0"], "train_pos_frac must lie in (0, 1), got 0.0"),
+        (["--train-pos-frac", "0.6", "--val-frac", "0.5"],
+         "train_pos_frac + val_frac must be < 1"),
+    ])
+    def test_split_rejects_bad_fractions_before_writing(self, tmp_path, community_dataset,
+                                                        capsys, bad, message):
+        _, edges, cmty = community_dataset
+        out = tmp_path / "ds"
+        capsys.readouterr()
+        assert run(["split", "--edges", edges, "--communities", cmty,
+                    "--top-k", "4", "--seed", "1", "--out", str(out)] + bad) == 2
+        assert capsys.readouterr().err == f"taskaff: {message}\n"
         assert not out.exists()
 
     def test_ppr_operator_pipeline_on_community(self, tmp_path, community_dataset):

@@ -191,7 +191,7 @@ class TestTrainAndEvaluateGroups:
         _, tasks, feats, spec = holdout_setup
         grp = grouping.TaskGrouping(groups=[list(range(6))],
                                     assignments=np.zeros(12, dtype=np.int64), budget=1)
-        models = grouping.train_groups(None, tasks, grp, spec, seed=0, features=feats)
+        models = grouping.train_groups(tasks, grp, spec, seed=0, features=feats)
         assert len(models) == 1
         direct = learners.train_subset(None, tasks, list(range(6)), spec, seed=0,
                                        features=feats)
@@ -201,7 +201,7 @@ class TestTrainAndEvaluateGroups:
         _, tasks, feats, spec = holdout_setup
         grp = grouping.TaskGrouping(groups=[[i] for i in range(6)],
                                     assignments=np.arange(12) % 6, budget=6)
-        models = grouping.train_groups(None, tasks, grp, spec, seed=3, features=feats)
+        models = grouping.train_groups(tasks, grp, spec, seed=3, features=feats)
         for i, model in enumerate(models):
             stl = learners.train_subset(None, tasks, [i], spec, seed=3 ^ i,
                                         features=feats)
@@ -212,7 +212,7 @@ class TestTrainAndEvaluateGroups:
         _, tasks, feats, spec = holdout_setup
         grp = grouping.TaskGrouping(groups=[[0, 1, 2], [3, 4, 5]],
                                     assignments=np.repeat([0, 1], 6), budget=2)
-        models = grouping.train_groups(None, tasks, grp, spec, seed=1, features=feats)
+        models = grouping.train_groups(tasks, grp, spec, seed=1, features=feats)
         mask = tasks.train_mask[0]
         z = feats[mask]
         for model, members in zip(models, grp.groups):
@@ -223,7 +223,7 @@ class TestTrainAndEvaluateGroups:
         _, tasks, feats, spec = holdout_setup
         grp = grouping.TaskGrouping(groups=[list(range(6))],
                                     assignments=np.zeros(12, dtype=np.int64), budget=1)
-        models = grouping.train_groups(None, tasks, grp, spec, seed=0, features=feats)
+        models = grouping.train_groups(tasks, grp, spec, seed=0, features=feats)
         per_task, objective = grouping.evaluate_grouping(models, tasks, "negative-mse")
         for i, li in enumerate(per_task):
             assert li == learners.evaluate(models[0], tasks, i, "test", "negative-mse")
@@ -233,7 +233,7 @@ class TestTrainAndEvaluateGroups:
         _, tasks, feats, spec = holdout_setup
         grp = grouping.TaskGrouping(groups=[list(range(6))],
                                     assignments=np.zeros(12, dtype=np.int64), budget=1)
-        models = grouping.train_groups(None, tasks, grp, spec, seed=0, features=feats)
+        models = grouping.train_groups(tasks, grp, spec, seed=0, features=feats)
         _, obj_one = grouping.evaluate_grouping(models, tasks, "negative-mse")
         _, obj_two = grouping.evaluate_grouping(models * 2, tasks, "negative-mse")
         assert obj_one == obj_two
@@ -256,8 +256,8 @@ class TestTrainAndEvaluateGroups:
             assignments=np.repeat([0, 1], 6), budget=2)
         naive = grouping.TaskGrouping(groups=[list(range(6))],
                                       assignments=np.zeros(12, dtype=np.int64), budget=1)
-        m_grp = grouping.train_groups(None, tasks, planted_groups, spec, 0, features=feats)
-        m_nv = grouping.train_groups(None, tasks, naive, spec, 0, features=feats)
+        m_grp = grouping.train_groups(tasks, planted_groups, spec, 0, features=feats)
+        m_nv = grouping.train_groups(tasks, naive, spec, 0, features=feats)
         _, obj_grp = grouping.evaluate_grouping(m_grp, tasks, "negative-mse")
         _, obj_nv = grouping.evaluate_grouping(m_nv, tasks, "negative-mse")
         assert obj_grp >= obj_nv

@@ -520,7 +520,7 @@ class TestClosedFormScores:
         assert err.value.subset_index == 2
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         with pytest.raises(TrainingError) as err:
-            affinity.collect_evaluations(None, tasks, subsets, spec, 0, features=x,
+            affinity.collect_evaluations(tasks, subsets, spec, 0, features=x,
                                          indices=[10, 11, 12, 13])
         assert err.value.subset_index == 12
         assert isinstance(err.value.__cause__, InvalidInputError)

@@ -133,7 +133,7 @@ class TestThetaClosedForm:
                                      seed=3, min_pair_coverage=1)
         subsets = affinity.sample_subsets(plan)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-        evals = affinity.collect_evaluations(None, tasks, subsets, spec, 0,
+        evals = affinity.collect_evaluations(tasks, subsets, spec, 0,
                                              features=feats)
         pipe = affinity.estimate_affinity(evals, 6)
         theory = planted.theta_closed_form(inst, subsets)

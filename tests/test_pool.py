@@ -64,11 +64,11 @@ def raise_training_error():
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_scores_and_layers_match_one_process_bitwise(monkeypatch, data, cpus):
     tasks, x = data
-    log = affinity.collect_evaluations(None, tasks, SUBSETS, SPEC, 5, features=x)
-    models = grouping.train_groups(None, tasks, GROUPS, SPEC, 9, features=x)
+    log = affinity.collect_evaluations(tasks, SUBSETS, SPEC, 5, features=x)
+    models = grouping.train_groups(tasks, GROUPS, SPEC, 9, features=x)
     pools = pooled(monkeypatch, cpus)
-    got_log = affinity.collect_evaluations(None, tasks, SUBSETS, SPEC, 5, features=x)
-    got_models = grouping.train_groups(None, tasks, GROUPS, SPEC, 9, features=x)
+    got_log = affinity.collect_evaluations(tasks, SUBSETS, SPEC, 5, features=x)
+    got_models = grouping.train_groups(tasks, GROUPS, SPEC, 9, features=x)
     assert pools == ([] if cpus == 1 else [cpus, cpus])
     assert multiprocessing.active_children() == []
     assert got_log.scores.tobytes() == log.scores.tobytes()
@@ -87,7 +87,7 @@ def test_worker_error_names_its_subset_after_committing_the_earlier_ones(monkeyp
     fail_on(monkeypatch, SUBSETS[3], raise_training_error)
     committed = []
     with pytest.raises(TrainingError) as err:
-        affinity.collect_evaluations(None, tasks, SUBSETS, SPEC, 5, features=x,
+        affinity.collect_evaluations(tasks, SUBSETS, SPEC, 5, features=x,
                                      indices=range(20, 27),
                                      commit=lambda idx, _: committed.extend(idx.tolist()))
     assert pools == [2]
@@ -102,7 +102,7 @@ def test_worker_error_names_its_group(monkeypatch, data):
     pools = pooled(monkeypatch, 3)
     fail_on(monkeypatch, GROUPS.groups[1], raise_training_error)
     with pytest.raises(TrainingError) as err:
-        grouping.train_groups(None, tasks, GROUPS, SPEC, 9, features=x)
+        grouping.train_groups(tasks, GROUPS, SPEC, 9, features=x)
     assert pools == [3]
     assert err.value.group_index == 1 and err.value.subset_index is None
     assert multiprocessing.active_children() == []
@@ -113,7 +113,7 @@ def test_a_killed_worker_fails_the_run_instead_of_hanging(monkeypatch, data):
     pools = pooled(monkeypatch, 2)
     fail_on(monkeypatch, SUBSETS[1], lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(TrainingError) as err:
-        affinity.collect_evaluations(None, tasks, SUBSETS, SPEC, 5, features=x)
+        affinity.collect_evaluations(tasks, SUBSETS, SPEC, 5, features=x)
     assert pools == [2]
     assert err.value.subset_index == 1
     assert "a training worker died (exit code -9)" in str(err.value)
@@ -124,8 +124,8 @@ def test_no_pool_unless_blas_was_pinned(monkeypatch, data):
     tasks, x = data
     pools = pooled(monkeypatch, 3)
     monkeypatch.setattr(learners, "ONE_BLAS_THREAD", False)
-    affinity.collect_evaluations(None, tasks, SUBSETS, SPEC, 5, features=x)
-    grouping.train_groups(None, tasks, GROUPS, SPEC, 9, features=x)
+    affinity.collect_evaluations(tasks, SUBSETS, SPEC, 5, features=x)
+    grouping.train_groups(tasks, GROUPS, SPEC, 9, features=x)
     assert pools == []
 
 
@@ -135,7 +135,7 @@ def test_linear_learner_never_pools(monkeypatch, data):
     singletons = grouping.TaskGrouping(groups=[[0], [1], [2], [3]],
                                        assignments=np.repeat(np.arange(4), 2), budget=4)
     linear = learners.LearnerSpec(kind="closed-form-linear")
-    assert len(grouping.train_groups(None, tasks, singletons, linear, 9, features=x)) == 4
+    assert len(grouping.train_groups(tasks, singletons, linear, 9, features=x)) == 4
     assert pools == []
 
 
