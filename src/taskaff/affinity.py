@@ -345,9 +345,17 @@ def load_affinity(aff_dir) -> AffinityMatrix:
 
 def _check_fingerprint(aff_dir, fingerprint, advice) -> None:
     """Refuse the log in ``aff_dir`` unless its fingerprint.json agrees with
-    ``fingerprint`` on every key of it."""
+    ``fingerprint`` on every key of it; the refusal names each key that
+    differs, and inside an object each of its keys that differs."""
     stored = read_json_object(os.path.join(aff_dir, "fingerprint.json"))
-    differs = sorted(k for k in fingerprint if stored.get(k) != fingerprint[k])
+    differs = []
+    for key, value in sorted(fingerprint.items()):
+        old = stored.get(key)
+        if isinstance(value, dict) and isinstance(old, dict):
+            differs += [f"{key} {sub}" for sub in sorted(value.keys() | old.keys())
+                        if old.get(sub) != value.get(sub)]
+        elif old != value:
+            differs.append(key)
     if differs:
         raise TaskAffError(f"{aff_dir} holds an affinity log whose {', '.join(differs)} "
                            f"differ from this run; {advice}")

@@ -276,23 +276,28 @@ def cmd_split(args) -> int:
     return EX_OK
 
 
-def _affinity_fingerprint(dataset, spec, holdout):
+def _affinity_fingerprint(dataset, meta, spec, holdout):
     """What the scores of an affinity log depend on, as it round-trips through
     JSON: the learner, the holdout fraction and the dataset.
 
     The dataset enters by the bytes of its meta.json and taskset.json, not
-    by its path, so a moved dataset still resumes.
+    by its path, so a moved dataset still resumes. A community dataset also
+    enters by the bytes of the edge list and feature CSV that its meta.json
+    names, keyed by that role ("edges", "features").
     """
-    files = [os.path.join(dataset, n) for n in ("meta.json", "taskset.json")]
+    files = {n: os.path.join(dataset, n) for n in ("meta.json", "taskset.json")}
+    files = {n: p for n, p in files.items() if os.path.exists(p)}
+    if meta["kind"] == "community":
+        files.update((role, meta[role]) for role in ("edges", "features") if meta.get(role))
     return json.loads(json.dumps({
         "learner": asdict(spec), "holdout_frac": holdout,
-        "dataset": {os.path.basename(p): _sha256(p) for p in files if os.path.exists(p)},
+        "dataset": {role: _sha256(p) for role, p in files.items()},
     }))
 
 
 def cmd_affinity(args) -> int:
     dataset = _require(args.dataset, "dir")
-    t = _read_meta(dataset)[1]
+    meta, t = _read_meta(dataset)
     spec = _learner_spec(args)
     coverage = args.min_pair_coverage
     plan = aff_mod.SamplingPlan(
@@ -301,7 +306,7 @@ def cmd_affinity(args) -> int:
     )
     try:
         aff_mod.run_log(args.out, plan, spec,
-                        _affinity_fingerprint(dataset, spec, args.holdout_frac),
+                        _affinity_fingerprint(dataset, meta, spec, args.holdout_frac),
                         lambda: _load_dataset(dataset, args.holdout_frac), args.seed)
     except TrainingError as exc:
         print(f"affinity: training failed, log retained for resume: {exc}", file=sys.stderr)
@@ -368,11 +373,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict_nt(args) -> int:
     dataset, aff_dir = _require(args.dataset, "dir"), _require(args.affinity_dir, "dir")
-    _read_meta(dataset)  # a malformed meta.json is named as such, not as a mismatch
+    tr_mod.check_settings(args.l2, args.logistic_epochs, args.logistic_lr)
+    meta = _read_meta(dataset)[0]  # a malformed meta.json is named as such, not as a mismatch
     spec = _learner_spec(args)
     # The single-task references f_i({i}) trained here are compared with the
     # log's f_i(S), so both must come from one learner and one dataset.
-    evals, aff = aff_mod.open_log(aff_dir, _affinity_fingerprint(dataset, spec, args.holdout_frac))
+    evals, aff = aff_mod.open_log(aff_dir,
+                                  _affinity_fingerprint(dataset, meta, spec, args.holdout_frac))
     tasks, features = _load_dataset(dataset, args.holdout_frac)
     t = tasks.num_tasks
     train_subsets = set(map(tuple, evals.subsets.tolist()))
@@ -398,12 +405,14 @@ def cmd_predict_nt(args) -> int:
                                              features=features)
     train_ex = tr_mod.build_examples(evals, stl, aff)
     held_ex = tr_mod.build_examples(held_evals, stl, aff)
-    models = tr_mod.fit_all(train_ex, l2=args.l2, epochs=args.logistic_epochs,
+    models = tr_mod.fit_all(train_ex, t, l2=args.l2, epochs=args.logistic_epochs,
                             lr=args.logistic_lr, seed=args.seed)
     macro, detail = tr_mod.evaluate_f1(models, held_ex)
     os.makedirs(args.out, exist_ok=True)
     report = {
         "macro_f1": macro,
+        "constant_macro_f1": detail["constant"],
+        "heldout_nt_rate": detail["nt_rate"],
         "per_task_f1": {str(k): v for k, v in detail["per_task"].items()},
         "excluded_tasks": detail["excluded"],
         "num_train_examples": evals.subsets.size,

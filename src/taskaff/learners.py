@@ -469,62 +469,3 @@ def _score(raw, y, metric, count=None):
         pc = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
         return np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc), axis=-1)
     return _f1(y == 1, probs >= 0.5)
-
-
-def _flatten(layers):
-    return np.concatenate([a.ravel() for layer in layers for a in layer])
-
-
-def _unflatten(vec, layers):
-    out, k = [], 0
-    for layer in layers:
-        pair = []
-        for a in layer:
-            pair.append(vec[k:k + a.size].reshape(a.shape))
-            k += a.size
-        out.append(pair)
-    return out
-
-
-def gradient_check(spec: LearnerSpec, features, masks, labels, seed: int = 0,
-                   num_params: int = 120, step: float = 1e-5,
-                   zero_weights: bool = False) -> float:
-    """Max relative error of analytic vs. central finite-difference gradients.
-
-    Builds MLP parameters for a toy instance (``masks``/``labels`` are
-    per-task node-index arrays and full label vectors), perturbs at least
-    ``num_params`` random parameter coordinates, and compares. With
-    ``zero_weights`` all weights are zeroed and biases set to 0.1, a smooth
-    point of the loss surface.
-    """
-    if spec.kind != "shared-encoder-mlp":
-        raise InvalidInputError("gradient_check applies to the mlp kind only")
-    features = np.asarray(features, dtype=float)
-    rng = np.random.default_rng(seed)
-    layers = _init_params(rng, features.shape[1], spec, len(masks))
-    if zero_weights:
-        for layer in layers:
-            layer[0][...] = 0.0
-            layer[1][...] = 0.1
-    batch = _batch(features, masks, labels)
-    loss_kind = spec.train_loss_kind()
-
-    _, grads = _forward_backward(layers, batch, loss_kind)
-    analytic = _flatten(grads)
-    theta = _flatten(layers)
-
-    def loss_at(vec):
-        return _forward_backward(_unflatten(vec, layers), batch, loss_kind)[0]
-
-    count = min(num_params, theta.size)
-    coords = rng.choice(theta.size, size=count, replace=False)
-    max_rel = 0.0
-    for c in coords:
-        plus = theta.copy()
-        plus[c] += step
-        minus = theta.copy()
-        minus[c] -= step
-        fd = (loss_at(plus) - loss_at(minus)) / (2.0 * step)
-        denom = max(abs(analytic[c]), abs(fd), 1e-8)
-        max_rel = max(max_rel, abs(analytic[c] - fd) / denom)
-    return max_rel

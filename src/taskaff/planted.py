@@ -94,20 +94,9 @@ class PlantedInstance:
             min_between = min(min_between, float(dist[~same].min(initial=np.inf)))
         return max_within, min_between
 
-    @cached_property
-    def sigma_tilde(self) -> np.ndarray:
-        """m x m hat matrix of the design restricted to the observed rows."""
-        return _projection(self.observed_design)
-
 
 def _projection(design: np.ndarray) -> np.ndarray:
     return design @ np.linalg.pinv(design.T @ design, rcond=PINV_RCOND) @ design.T
-
-
-def _random_diffusion(rng, n: int) -> np.ndarray:
-    """P = I + 0.5 * sym-normalized adjacency of a random graph; eigenvalues in
-    [0.5, 1.5], so P is always full rank."""
-    return _diffusion(*_random_graph(rng, n))
 
 
 def _random_graph(rng, n: int):
@@ -127,9 +116,11 @@ def _random_graph(rng, n: int):
 
 
 def _diffusion(adj: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """A principal block of P (all of it, or P[o,o]) from that block of the
-    adjacency and its rows' inverse-sqrt degrees: the same elementwise steps
-    either way, so P[o,o] is bitwise the block of P. Scaled in place."""
+    """A principal block of P = I + 0.5 * sym-normalized adjacency (all of it,
+    or P[o,o]; eigenvalues in [0.5, 1.5], so P is always full rank) from that
+    block of the adjacency and its rows' inverse-sqrt degrees: the same
+    elementwise steps either way, so P[o,o] is bitwise the block of P. Scaled
+    in place."""
     p = adj.astype(float)
     p *= inv_sqrt[:, None]
     p *= inv_sqrt[None, :]
@@ -207,11 +198,11 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
 def theta_closed_form(inst: PlantedInstance, subsets) -> AffinityMatrix:
     """Loss-oriented affinity matrix from the closed-form learner, no training.
 
-    theta[i, j] averages (1/m) * || sigma_tilde @ (mean of subset labels)
-    - y_i ||^2 over the given subsets containing both tasks: the negated
-    linear learner's score on the theory view (holdout 0), from the shared
-    kernel learners.closed_form_scores. Every pair must be covered; theory
-    mode does not impute.
+    theta[i, j] averages (1/m) * || H @ (mean of subset labels) - y_i ||^2,
+    H the hat matrix of the observed design, over the given subsets
+    containing both tasks: the negated linear learner's score on the theory
+    view (holdout 0), from the shared kernel learners.closed_form_scores.
+    Every pair must be covered; theory mode does not impute.
     """
     t = inst.config.num_tasks
     rows = subset_array(list(subsets), t)

@@ -3,7 +3,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from taskaff import graphs, planted
+from taskaff import graphs, learners, planted
 from taskaff.affinity import EvalLog
 from taskaff.tasks import TaskSet
 
@@ -29,6 +29,75 @@ def records(log):
     return [Eval(tuple(s), dict(zip(s, sc)), log.metric, seed)
             for s, sc, seed in zip(log.subsets.tolist(), log.scores.tolist(),
                                    log.seeds.tolist())]
+
+
+def sigma_tilde(inst):
+    """m x m hat matrix of a planted instance's design restricted to its
+    observed rows: the projection of the closed-form theory."""
+    return planted._projection(inst.observed_design)
+
+
+def random_diffusion(rng, n):
+    """The diffusion P that planted.generate draws from ``rng``, as one matrix."""
+    return planted._diffusion(*planted._random_graph(rng, n))
+
+
+def _flatten(layers):
+    return np.concatenate([a.ravel() for layer in layers for a in layer])
+
+
+def _unflatten(vec, layers):
+    out, k = [], 0
+    for layer in layers:
+        pair = []
+        for a in layer:
+            pair.append(vec[k:k + a.size].reshape(a.shape))
+            k += a.size
+        out.append(pair)
+    return out
+
+
+def gradient_check(spec, features, masks, labels, seed=0, num_params=120, step=1e-5,
+                   zero_weights=False):
+    """Max relative error of analytic vs. central finite-difference gradients
+    of the MLP learner.
+
+    Builds MLP parameters for a toy instance (``masks``/``labels`` are
+    per-task node-index arrays and full label vectors), perturbs at least
+    ``num_params`` random parameter coordinates, and compares. With
+    ``zero_weights`` all weights are zeroed and biases set to 0.1, a smooth
+    point of the loss surface.
+    """
+    assert spec.kind == "shared-encoder-mlp"
+    features = np.asarray(features, dtype=float)
+    rng = np.random.default_rng(seed)
+    layers = learners._init_params(rng, features.shape[1], spec, len(masks))
+    if zero_weights:
+        for layer in layers:
+            layer[0][...] = 0.0
+            layer[1][...] = 0.1
+    batch = learners._batch(features, masks, labels)
+    loss_kind = spec.train_loss_kind()
+
+    _, grads = learners._forward_backward(layers, batch, loss_kind)
+    analytic = _flatten(grads)
+    theta = _flatten(layers)
+
+    def loss_at(vec):
+        return learners._forward_backward(_unflatten(vec, layers), batch, loss_kind)[0]
+
+    count = min(num_params, theta.size)
+    coords = rng.choice(theta.size, size=count, replace=False)
+    max_rel = 0.0
+    for c in coords:
+        plus = theta.copy()
+        plus[c] += step
+        minus = theta.copy()
+        minus[c] -= step
+        fd = (loss_at(plus) - loss_at(minus)) / (2.0 * step)
+        denom = max(abs(analytic[c]), abs(fd), 1e-8)
+        max_rel = max(max_rel, abs(analytic[c] - fd) / denom)
+    return max_rel
 
 
 def pytest_terminal_summary(terminalreporter):

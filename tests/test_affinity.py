@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from taskaff import affinity, learners, planted
 from taskaff.errors import CoverageError, InvalidInputError, ParseError, TaskAffError
-from tests.conftest import make_eval, make_log, records
+from tests.conftest import make_eval, make_log, records, sigma_tilde
 
 
 class TestSampleSubsets:
@@ -140,10 +140,11 @@ class TestCollectEvaluations:
                                              features=feats)
         rows = inst.observed_rows
         y_obs = inst.labels[:, rows]
+        sig = sigma_tilde(inst)
         for ev in records(evals):
             ybar = y_obs[list(ev.subset)].mean(axis=0)
             for i in ev.subset:
-                oracle = -np.sum((inst.sigma_tilde @ ybar - y_obs[i]) ** 2) / rows.size
+                oracle = -np.sum((sig @ ybar - y_obs[i]) ** 2) / rows.size
                 assert ev.scores[i] == pytest.approx(oracle, rel=1e-9)
 
 

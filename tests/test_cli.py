@@ -599,6 +599,45 @@ class TestPredictNt:
         assert len(err) == 1 and err[0].startswith("taskaff: all 5 held-out draws ")
         assert str(aff_dir) in err[0]
 
+    def test_constant_baseline_and_nt_rate_match_the_predictions(self, tmp_path, pipeline):
+        # recounted from the labels of heldout_predictions.csv: always predicting
+        # negative transfer scores F1 2p / (2p + negatives) on each task with a
+        # positive, and the rate counts every held-out row
+        _, inst_dir, aff_dir = pipeline
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", aff_dir,
+                    "--heldout-subsets", "80", "--seed", "6", "--out", str(out)]) == 0
+        labels = {}
+        with open(out / "heldout_predictions.csv", "r", encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                labels.setdefault(int(row["target"]), []).append(row["label"] == "1")
+        rep = read_json(out / "transfer_f1.json")
+        scored = {tid: ls for tid, ls in labels.items() if any(ls)}
+        assert sorted(set(labels) - set(scored)) == rep["excluded_tasks"]
+        constant = [2 * sum(ls) / (len(ls) + sum(ls)) for ls in scored.values()]
+        assert rep["constant_macro_f1"] == pytest.approx(sum(constant) / len(constant),
+                                                         rel=1e-12)
+        rows = [label for ls in labels.values() for label in ls]
+        assert rep["heldout_nt_rate"] == sum(rows) / len(rows)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--logistic-epochs", "0"), ("--logistic-epochs", "-3"), ("--logistic-lr", "-1"),
+        ("--logistic-lr", "0"), ("--logistic-lr", "nan"), ("--logistic-lr", "inf"),
+        ("--l2", "-5"), ("--l2", "nan"), ("--l2", "inf")])
+    def test_logistic_settings_that_cannot_fit_exit_2_before_training(
+            self, tmp_path, pipeline, capsys, monkeypatch, flag, value):
+        # before the refusal, epochs 0 and a negative step size exited 0 with
+        # an untrained or ascended predictor, and l2 -5 exited 3 after 569 epochs
+        _, inst_dir, aff_dir = pipeline
+        monkeypatch.setattr(cli.aff_mod, "collect_evaluations", no_training)
+        capsys.readouterr()
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", aff_dir,
+                    "--heldout-subsets", "40", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: logistic settings need "), err
+        assert not (out / "transfer_f1.json").exists() and not out.exists()
+
     def test_directory_without_affinity_log_exit_66(self, tmp_path, pipeline, capsys):
         # a cluster output directory holds no fingerprint.json
         _, inst_dir, aff_dir = pipeline
@@ -1020,6 +1059,84 @@ class TestInterruptedLog:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"taskaff: line 5: malformed row '3' in {copy / 'evals.csv'}"]
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
+@pytest.fixture
+def featured_community(tmp_path, community_dataset):
+    """A community dataset split from its own copy of the edge list and a
+    feature CSV, and a complete MLP affinity run on it."""
+    _, edges, cmty = community_dataset
+    inputs = {"edges": tmp_path / "edges.txt", "features": tmp_path / "features.csv"}
+    shutil.copy(edges, inputs["edges"])
+    rows = graphs.load_edge_list(edges).num_nodes
+    np.savetxt(inputs["features"], np.random.default_rng(4).random((rows, 3)), delimiter=",")
+    ds, aff = tmp_path / "ds", tmp_path / "aff"
+    assert run(["split", "--edges", str(inputs["edges"]), "--communities", cmty,
+                "--features", str(inputs["features"]), "--top-k", "4",
+                "--train-pos-frac", "0.3", "--train-neg-frac", "0.3", "--val-frac", "0.2",
+                "--seed", "1", "--out", str(ds)]) == 0
+    assert run(["affinity", "--dataset", str(ds), "--out", str(aff)] + MLP_AFFINITY) == 0
+    return inputs, str(ds), aff
+
+
+def _reverse_lines(path):
+    path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
+
+
+class TestStaleInputs:
+    """The scores of a community affinity log were trained on the edge list
+    and feature CSV that its dataset's meta.json names. Once either changes
+    at its path, the log is refused before any training."""
+
+    def test_fingerprint_hashes_the_inputs_by_role(self, featured_community, pipeline):
+        inputs, _, aff = featured_community
+        dataset = read_json(aff / "fingerprint.json")["dataset"]
+        assert sorted(dataset) == ["edges", "features", "meta.json", "taskset.json"]
+        assert dataset["features"] == cli._sha256(inputs["features"])
+        # a planted dataset has no external input
+        assert list(read_json(Path(pipeline[2], "fingerprint.json"))["dataset"]) == ["meta.json"]
+
+    @pytest.mark.parametrize("role", ["features", "edges"])
+    def test_resume_after_an_input_changed_exit_2(self, featured_community, capsys, role):
+        # A cut run resumed after the input was rewritten at the same path (its
+        # rows reversed). Earlier versions resumed and appended scores trained
+        # on the new input to the old ones (exit 0).
+        inputs, ds, aff = featured_community
+        idx = aff / "completed.idx"
+        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:6]))
+        _reverse_lines(inputs[role])
+        before = {p.name: p.read_bytes() for p in aff.iterdir()}
+        capsys.readouterr()
+        assert run(["affinity", "--dataset", ds, "--out", str(aff)] + MLP_AFFINITY) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: {aff} holds an affinity log whose dataset {role} differ from this run; "
+            "remove it or choose another directory"]
+        assert {p.name: p.read_bytes() for p in aff.iterdir()} == before  # nothing trained
+
+    @pytest.mark.parametrize("role", ["features", "edges"])
+    def test_predict_nt_after_an_input_changed_exit_2_before_training(
+            self, tmp_path, featured_community, capsys, monkeypatch, role):
+        # 4 subsets log 3 of the 6 pairs and all 4 tasks, which leaves held-out
+        # pairs to score on: with the input unchanged, predict-nt exits 0, and
+        # earlier versions exited 0 after the change too.
+        inputs, ds, _ = featured_community
+        aff = tmp_path / "aff4"
+        learner = MLP_AFFINITY[4:]
+        assert run(["affinity", "--dataset", ds, "--alpha", "2", "--num-subsets", "4",
+                    "--min-pair-coverage", "0", "--out", str(aff)] + learner) == 0
+        _reverse_lines(inputs[role])
+        monkeypatch.setattr(cli.aff_mod, "collect_evaluations", no_training)
+        capsys.readouterr()
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", ds, "--affinity-dir", str(aff),
+                    "--heldout-subsets", "20", "--out", str(out)] + learner) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"whose dataset {role} differ from this run" in err[0]
+        assert not out.exists()
 
 
 class TestPooledMlp:

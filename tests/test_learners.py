@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from taskaff import affinity, learners, planted
 from taskaff.errors import InvalidInputError, TrainingError
 from taskaff.tasks import TaskSet
+from tests.conftest import gradient_check, sigma_tilde
 
 
 def toy_binary_tasks(rng, n=20, d=3, num_tasks=2, separable=True):
@@ -332,8 +333,9 @@ class TestEvaluate:
         m = rows.size
         y_obs = inst.labels[:, rows]
         ybar = y_obs[list(subset)].mean(axis=0)
+        sig = sigma_tilde(inst)
         for tid in subset:
-            expected = -np.sum((inst.sigma_tilde @ ybar - y_obs[tid]) ** 2) / m
+            expected = -np.sum((sig @ ybar - y_obs[tid]) ** 2) / m
             got = learners.evaluate(model, tasks, tid, "val", "negative-mse")
             assert got == pytest.approx(expected, rel=1e-9)
 
@@ -350,7 +352,7 @@ class TestEvaluate:
         inst = small_instance
         rows = inst.observed_rows
         y_obs = inst.labels[:, rows]
-        sig = inst.sigma_tilde
+        sig = sigma_tilde(inst)
         for subset in [(0, 1, 2), (1, 3, 5), (0, 4)]:
             ybar = y_obs[list(subset)].mean(axis=0)
             for i in subset:
@@ -371,7 +373,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(10)
         x, masks, labels = self._toy(rng)
         spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=4)
-        err = learners.gradient_check(spec, x, masks, labels, seed=0,
+        err = gradient_check(spec, x, masks, labels, seed=0,
                                       zero_weights=True)
         assert err < 1e-6
 
@@ -380,7 +382,7 @@ class TestGradientCheck:
         x, masks, labels = self._toy(rng)
         spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=6,
                                     hidden_layers=2)
-        err = learners.gradient_check(spec, x, masks, labels, seed=1)
+        err = gradient_check(spec, x, masks, labels, seed=1)
         assert err < 1e-4
 
     def test_no_hidden_layer_matches_logistic_gradient(self):
@@ -405,7 +407,7 @@ class TestGradientCheck:
         labels = [rng.standard_normal(10) for _ in range(2)]
         spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=5,
                                     metric="negative-mse")
-        err = learners.gradient_check(spec, x, masks, labels, seed=2)
+        err = gradient_check(spec, x, masks, labels, seed=2)
         assert err < 1e-4
 
 

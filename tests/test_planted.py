@@ -12,6 +12,7 @@ from taskaff.errors import (
     InvalidInputError,
     ParseError,
 )
+from tests.conftest import random_diffusion, sigma_tilde
 
 
 def quick_cfg(**kw):
@@ -83,7 +84,7 @@ class TestGenerate:
     def test_projection_idempotence(self, small_instance):
         inst = small_instance
         assert np.abs(inst.sigma @ inst.sigma - inst.sigma).max() < 1e-8
-        st = inst.sigma_tilde
+        st = sigma_tilde(inst)
         assert np.abs(st @ st - st).max() < 1e-8
 
     def test_impossible_targets_raise(self):
@@ -118,10 +119,11 @@ class TestThetaClosedForm:
         rows = inst.observed_rows
         m = rows.size
         eye = np.eye(m)
+        sig = sigma_tilde(inst)
         for i in range(6):
             y = inst.labels[i][rows]
-            fitted = inst.sigma_tilde @ y
-            expected = np.sum(((eye - inst.sigma_tilde) @ y) ** 2) / m
+            fitted = sig @ y
+            expected = np.sum(((eye - sig) @ y) ** 2) / m
             got = np.sum((fitted - y) ** 2) / m
             assert got == pytest.approx(expected, abs=1e-10)
 
@@ -146,6 +148,7 @@ class TestThetaClosedForm:
         # with no perturbation or noise, within-group residual differences vanish
         cfg = quick_cfg(num_nodes=50, observed=50, within_sep=0.0, noise_std=0.0)
         inst = planted.generate(cfg)
+        sig = sigma_tilde(inst)
         theta = planted.population_theta(inst, 3)
         for i in range(6):
             for j in range(6):
@@ -159,7 +162,7 @@ class TestThetaClosedForm:
                     for s in same_subsets:
                         rows = inst.observed_rows
                         ybar = inst.labels[list(s)][:, rows].mean(axis=0)
-                        val = np.sum((inst.sigma_tilde @ ybar
+                        val = np.sum((sig @ ybar
                                       - inst.labels[i][rows]) ** 2) / rows.size
                         assert val < 1e-16
 
@@ -174,7 +177,7 @@ def _theta_by_subset_loop(inst, subsets):
     rows = inst.observed_rows
     t, m = inst.config.num_tasks, rows.size
     y_obs = inst.labels[:, rows]
-    projected = y_obs @ inst.sigma_tilde.T
+    projected = y_obs @ sigma_tilde(inst).T
     values = {}
     counts = np.zeros((t, t), dtype=np.int64)
     for subset in subsets:
@@ -365,7 +368,7 @@ class TestPersistence:
         np.testing.assert_allclose(loaded.labels, small_instance.labels, rtol=1e-15)
         np.testing.assert_array_equal(loaded.observed_rows, small_instance.observed_rows)
         np.testing.assert_array_equal(loaded.group_of, small_instance.group_of)
-        np.testing.assert_allclose(loaded.sigma_tilde, small_instance.sigma_tilde,
+        np.testing.assert_allclose(sigma_tilde(loaded), sigma_tilde(small_instance),
                                    atol=1e-10)
 
     def test_diffusion_roundtrip_exact(self, tmp_path, small_instance):
@@ -434,7 +437,7 @@ def test_designs_are_p_x_and_its_observed_block():
     inst = planted.generate(cfg)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((cfg.num_nodes, cfg.feature_dim))
-    p = planted._random_diffusion(rng, cfg.num_nodes)
+    p = random_diffusion(rng, cfg.num_nodes)
     rows = np.sort(rng.choice(cfg.num_nodes, size=cfg.observed, replace=False))
     assert np.array_equal(inst.observed_rows, rows)
     assert np.array_equal(inst.design, p @ x)
@@ -475,7 +478,7 @@ def test_generate_across_row_blocks_is_bitwise_the_dense_draw(seed, monkeypatch)
     rows = np.sort(rng.choice(n, size=m, replace=False))
     replay = np.random.default_rng(seed)
     replay.standard_normal((n, d))
-    assert _same_bits(planted._random_diffusion(replay, n), p)
+    assert _same_bits(random_diffusion(replay, n), p)
     assert _same_bits(inst.observed_rows, rows)
     assert _same_bits(inst.design, p @ x)
     assert _same_bits(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])

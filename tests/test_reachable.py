@@ -12,9 +12,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # name -> why it may stay unreached from src/ and bench/
-ALLOWED = {
-    "gradient_check": "finite-difference oracle of the acceptance suite",
-}
+ALLOWED = {}
 
 
 def _names(node):
