@@ -82,24 +82,17 @@ class AffinityMatrix:
 
 @dataclass
 class EvalLog:
-    """Scores f_i(S) of n trained subsets of one size alpha, as arrays.
-
-    ``scores[k, p]`` is the score of task ``subsets[k, p]`` on subset k's
-    model, trained with seed ``seeds[k]``; all scores share one ``metric``.
-    """
+    """Scores f_i(S) of n trained subsets of one size alpha, as arrays:
+    ``scores[k, p]`` is the score of task ``subsets[k, p]`` on subset k's model."""
 
     subsets: np.ndarray
     scores: np.ndarray
-    seeds: np.ndarray
-    metric: str | None
 
     def __post_init__(self):
         self.subsets = _rows(self.subsets)
         self.scores = np.asarray(self.scores, dtype=float)
-        self.seeds = np.asarray(self.seeds, dtype=np.int64)
-        if (self.subsets.ndim != 2 or self.scores.shape != self.subsets.shape
-                or self.seeds.shape != self.subsets.shape[:1]):
-            raise InvalidInputError("evaluation log needs n x alpha subsets and scores, n seeds")
+        if self.subsets.ndim != 2 or self.scores.shape != self.subsets.shape:
+            raise InvalidInputError("evaluation log needs n x alpha subsets and scores")
 
     def __len__(self) -> int:
         return self.subsets.shape[0]
@@ -173,7 +166,6 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
     """
     rows = subset_array(subsets, tasks.num_tasks)
     indices = np.arange(len(rows)) if indices is None else np.asarray(indices, dtype=np.int64)
-    seeds = base_seed ^ indices
     if spec.kind == "closed-form-linear":
         try:
             scores = closed_form_scores(features, tasks, rows, spec.ridge, spec.metric)
@@ -181,12 +173,13 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
             k = getattr(exc, "subset_index", None)
             raise TrainingError(f"subset training failed: {exc}",
                                 subset_index=None if k is None else int(indices[k])) from exc
-        log = EvalLog(rows, scores, seeds, spec.metric)
+        log = EvalLog(rows, scores)
         if commit is not None:
             commit(indices, log)
         return log
+    seeds = [base_seed ^ k for k in indices.tolist()]  # Python ints: a seed may pass 2**63
     scores, members = np.empty(rows.shape), rows.tolist()
-    models = train_models(tasks, members, spec, seeds.tolist(), features)
+    models = train_models(tasks, members, spec, seeds, features)
     with closing(models):
         for k, subset in enumerate(members):
             try:
@@ -198,9 +191,8 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
                 raise TrainingError(f"subset training failed: {exc}",
                                     subset_index=int(indices[k])) from exc
             if commit is not None:
-                commit(indices[k:k + 1], EvalLog(rows[k:k + 1], scores[k:k + 1],
-                                                 seeds[k:k + 1], spec.metric))
-    return EvalLog(rows, scores, seeds, spec.metric)
+                commit(indices[k:k + 1], EvalLog(rows[k:k + 1], scores[k:k + 1]))
+    return EvalLog(rows, scores)
 
 
 def _regroup(subsets, scores, num_tasks, prefixes):
@@ -262,29 +254,30 @@ def convergence_trace(log: EvalLog, full: AffinityMatrix, checkpoints):
     return [float(np.max(np.abs(theta - full.theta))) for theta in thetas]
 
 
-def save_eval_log(log: EvalLog, csv_path, indices=None, append: bool = False) -> None:
-    """Persist the log as CSV score rows tagged ``indices[k]`` (default k);
-    ``append`` adds the rows to an existing CSV instead of writing one with a
-    header."""
+def save_eval_log(log: EvalLog, csv_path, metric: str, base_seed: int, indices=None,
+                  append: bool = False) -> None:
+    """Persist the log as CSV score rows of subset ``indices[k]`` (default k),
+    each tagged with the run's ``metric`` and that subset's seed, base_seed
+    XOR its index; ``append`` adds the rows to an existing CSV instead of
+    writing one with a header."""
     indices = range(len(log)) if indices is None else indices
     with open(csv_path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if not append:
             writer.writerow(["subset_index", "task_id", "score", "metric", "seed"])
-        for k, subset, scores, seed in zip(indices, log.subsets.tolist(),
-                                           log.scores.tolist(), log.seeds.tolist()):
-            writer.writerows([int(k), tid, repr(score), log.metric, seed]
+        for k, subset, scores in zip(indices, log.subsets.tolist(), log.scores.tolist()):
+            writer.writerows([int(k), tid, repr(score), metric, base_seed ^ int(k)]
                              for tid, score in zip(subset, scores))
 
 
-def load_eval_log(csv_path, subsets, indices=None) -> EvalLog:
+def load_eval_log(csv_path, subsets, metric: str, indices=None) -> EvalLog:
     """Read the rows a saved log holds for ``subsets`` (its n x alpha
     subsets), or only for those at ``indices``; rows of other subsets are
     skipped, and an empty ``indices`` reads no file.
 
     A malformed last line is the tail of an interrupted append and is
-    skipped; a malformed row anywhere else, or a non-finite score on any
-    line, raises ParseError.
+    skipped; a malformed row anywhere else, or a non-finite score or a
+    metric other than ``metric`` on any line, raises ParseError.
     """
     subsets = _rows(subsets)
     indices = np.arange(len(subsets)) if indices is None else np.asarray(indices, dtype=np.int64)
@@ -294,25 +287,23 @@ def load_eval_log(csv_path, subsets, indices=None) -> EvalLog:
             lines = list(csv.reader(fh))
         for number, line in enumerate(lines[1:], 2):
             try:
-                k, tid, score, metric, seed = line
-                rows[int(k), int(tid)] = float(score), metric, int(seed)
-                if math.isfinite(float(score)):
+                k, tid, score, tag, seed = line
+                value, _ = float(score), int(seed)  # a seed is base_seed ^ k, so only parsed
+                rows[int(k), int(tid)] = value
+                if tag != metric:
+                    raise ParseError(f"{csv_path} holds {tag} scores, not {metric}", number)
+                if math.isfinite(value):
                     continue
             except ValueError:
                 if number == len(lines):
                     continue  # the cut tail of an interrupted append
             raise ParseError(f"malformed row {','.join(line)!r} in {csv_path}", number)
     try:
-        cells = [[rows[k, tid] for tid in members]
-                 for k, members in zip(indices.tolist(), kept.tolist())]
+        scores = [[rows[k, tid] for tid in members]
+                  for k, members in zip(indices.tolist(), kept.tolist())]
     except KeyError as exc:
         raise InvalidInputError(f"evaluation log holds no row for (subset, task) {exc}") from None
-    metrics = {cell[1] for row in cells for cell in row}
-    if len(metrics) > 1:
-        raise InvalidInputError(f"evaluation log mixes metrics: {sorted(metrics)}")
-    scores = np.array([[cell[0] for cell in row] for row in cells]).reshape(kept.shape)
-    return EvalLog(kept, scores, [row[0][2] for row in cells],
-                   metrics.pop() if metrics else None)
+    return EvalLog(kept, np.array(scores).reshape(kept.shape))
 
 
 def save_affinity(aff: AffinityMatrix, aff_dir) -> None:
@@ -377,10 +368,11 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
             base_seed: int):
     """Bring the log in ``aff_dir`` up to ``plan``, write its theta files and
     return (log, theta). A fresh directory samples the plan; any other must
-    hold ``fingerprint`` plus the plan, and the plan's subsets. Subsets not in
-    completed.idx train on ``load_dataset()``, called only if one is pending,
-    and each batch is appended to evals.csv, then to completed.idx, so a
-    stopped run resumes to the log an uninterrupted one writes."""
+    hold ``fingerprint`` plus the plan, the plan's subsets and ``spec.metric``
+    scores. Subsets not in completed.idx train on ``load_dataset()``, called
+    only if one is pending, and each batch is appended to evals.csv, then to
+    completed.idx, so a stopped run resumes to the log an uninterrupted one
+    writes."""
     evals_path, subsets_path, idx_path, fp_path = (os.path.join(aff_dir, name) for name in (
         EVALS, SUBSETS, "completed.idx", "fingerprint.json"))
     fingerprint = dict(fingerprint, plan=asdict(plan))
@@ -398,15 +390,13 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
                 done = sorted({int(line) for line in fh if line.strip()})
                 if done and (done[0] < 0 or done[-1] >= len(subsets)):
                     raise IndexError(f"a subset index lies outside 0..{len(subsets) - 1}")
-    log = load_eval_log(evals_path, subsets, done)
+    log = load_eval_log(evals_path, subsets, spec.metric, done)
     pending = np.setdiff1d(np.arange(len(subsets)), done)
     if pending.size:  # a complete log is rescored without reading the dataset
         tasks, features = load_dataset()
         if tasks.num_tasks != plan.num_tasks:
             raise InvalidInputError(f"the dataset holds {tasks.num_tasks} tasks, but the "
                                     f"plan samples from {plan.num_tasks}")
-        if log.metric not in (None, spec.metric):
-            raise ParseError(f"{evals_path} holds {log.metric} scores, not {spec.metric}")
         mixed = mixed_train_masks(tasks, subsets) if spec.kind == "closed-form-linear" else []
         if len(mixed):  # no subset can train, so nothing is written
             raise InvalidInputError("closed-form-linear requires identical train masks across "
@@ -418,21 +408,20 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
             with open(subsets_path, "w", encoding="utf-8") as fh:
                 json.dump(subsets.tolist(), fh)
         # Keep only committed rows, so appended batches extend a clean log.
-        save_eval_log(log, evals_path, indices=done)
+        save_eval_log(log, evals_path, spec.metric, base_seed, indices=done)
         with open(idx_path, "w", encoding="utf-8") as fh:
             fh.writelines(f"{k}\n" for k in done)
 
         def commit(indices, batch):
-            save_eval_log(batch, evals_path, indices=indices, append=True)
+            save_eval_log(batch, evals_path, spec.metric, base_seed, indices=indices, append=True)
             with open(idx_path, "a", encoding="utf-8") as fh:
                 fh.writelines(f"{k}\n" for k in indices)
 
         new = collect_evaluations(tasks, subsets[pending], spec, base_seed,
                                   features=features, indices=pending, commit=commit)
-        scores, seeds = np.empty(subsets.shape), np.empty(len(subsets), dtype=np.int64)
-        scores[done], seeds[done] = log.scores, log.seeds
-        scores[pending], seeds[pending] = new.scores, new.seeds
-        log = EvalLog(subsets, scores, seeds, new.metric)
+        scores = np.empty(subsets.shape)
+        scores[done], scores[pending] = log.scores, new.scores
+        log = EvalLog(subsets, scores)
     aff = estimate_affinity(log, plan.num_tasks)
     save_affinity(aff, aff_dir)
     checkpoints = sorted({max(1, len(log) * q // 4) for q in range(1, 5)})
@@ -443,10 +432,11 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
     return log, aff
 
 
-def open_log(aff_dir, fingerprint):
+def open_log(aff_dir, fingerprint, metric: str):
     """(log, theta) of the finished affinity run in ``aff_dir``, refused unless
-    its fingerprint.json agrees with ``fingerprint`` on every key of it."""
+    its fingerprint.json agrees with ``fingerprint`` on every key of it and
+    its evals.csv holds ``metric`` scores."""
     _check_fingerprint(aff_dir, fingerprint, "pass those of that run")
     aff = load_affinity(aff_dir)
     subsets = _load_subsets(os.path.join(aff_dir, SUBSETS), aff.num_tasks)
-    return load_eval_log(os.path.join(aff_dir, EVALS), subsets), aff
+    return load_eval_log(os.path.join(aff_dir, EVALS), subsets, metric), aff

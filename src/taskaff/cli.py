@@ -344,7 +344,7 @@ def cmd_cluster(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
     tasks, features = _load_dataset(dataset, args.holdout_frac)
-    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"))
+    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"), tasks.num_tasks)
     spec = _learner_spec(args)
     models = grp_mod.train_groups(tasks, grp, spec, args.seed, features=features)
     per_task, objective = grp_mod.evaluate_grouping(models, tasks, spec.metric)
@@ -379,7 +379,8 @@ def cmd_predict_nt(args) -> int:
     # The single-task references f_i({i}) trained here are compared with the
     # log's f_i(S), so both must come from one learner and one dataset.
     evals, aff = aff_mod.open_log(aff_dir,
-                                  _affinity_fingerprint(dataset, meta, spec, args.holdout_frac))
+                                  _affinity_fingerprint(dataset, meta, spec, args.holdout_frac),
+                                  spec.metric)
     tasks, features = _load_dataset(dataset, args.holdout_frac)
     t = tasks.num_tasks
     train_subsets = set(map(tuple, evals.subsets.tolist()))
@@ -399,12 +400,11 @@ def cmd_predict_nt(args) -> int:
     stl_evals = aff_mod.collect_evaluations(tasks, [(i,) for i in range(t)], spec,
                                             base_seed=args.seed ^ STL_SEED_SALT,
                                             features=features)
-    stl = dict(enumerate(stl_evals.scores[:, 0].tolist()))
     held_evals = aff_mod.collect_evaluations(tasks, held, spec,
                                              base_seed=args.seed ^ HELDOUT_SEED_SALT,
                                              features=features)
-    train_ex = tr_mod.build_examples(evals, stl, aff)
-    held_ex = tr_mod.build_examples(held_evals, stl, aff)
+    train_ex = tr_mod.build_examples(evals, stl_evals.scores[:, 0], aff)
+    held_ex = tr_mod.build_examples(held_evals, stl_evals.scores[:, 0], aff)
     models = tr_mod.fit_all(train_ex, t, l2=args.l2, epochs=args.logistic_epochs,
                             lr=args.logistic_lr, seed=args.seed)
     macro, detail = tr_mod.evaluate_f1(models, held_ex)
@@ -463,7 +463,7 @@ def cmd_verify_theory(args) -> int:
 def cmd_ppr_sim(args) -> int:
     dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
     g, tasks = _load_graph_and_tasks(dataset, _read_meta(dataset, "community")[0])
-    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"))
+    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"), tasks.num_tasks)
     within, between = ppr_group_similarity(g, tasks, grp, teleport=args.teleport)
     os.makedirs(args.out, exist_ok=True)
     report = {"within_mean": within, "between_mean": between, "teleport": args.teleport}
@@ -480,8 +480,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
+    def seed(text):  # numpy's generators take no negative seed
+        value = int(text)
+        if value < 0:
+            raise ValueError(f"negative seed {value}")
+        return value
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="global seed")
+    common.add_argument("--seed", type=seed, default=0, help="global seed, an integer >= 0")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--config", help="JSON object of defaults keyed by flag name; flags win")
 

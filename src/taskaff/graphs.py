@@ -404,15 +404,11 @@ def ppr_group_similarity(g: Graph, tasks, grouping, teleport: float = 0.15):
     Each task's PPR vector is seeded at its positively-labeled training
     nodes. A pair of tasks counts as "within" when the two tasks share at
     least one group; every unordered pair is counted once. A side with no
-    pairs is returned as None. A group naming a task id outside 0..T-1
-    raises InvalidInputError.
+    pairs is returned as None. Groups name task ids in 0..T-1, as
+    grouping.load_grouping checks those of a file.
     """
     groups = getattr(grouping, "groups", grouping)
     num_tasks = tasks.num_tasks
-    for members in groups:  # before any PPR vector; a negative id would index from the end
-        ids = sorted(set(map(int, members)))
-        if ids and not 0 <= ids[0] <= ids[-1] < num_tasks:
-            raise InvalidInputError(f"task id out of range in subset {ids}")
     pt = _transposed_walk(g)
     vectors = []
     for i in range(num_tasks):

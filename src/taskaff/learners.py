@@ -85,7 +85,6 @@ class MtlModel:
 
     kind: str
     subset: tuple
-    seed: int
     features: np.ndarray = field(repr=False)
     weights: np.ndarray | None = None
     layers: list | None = None
@@ -346,7 +345,7 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
         z = features[base]
         labels = [tasks.labels[tid][base] for tid in subset]
         w = fit_closed_form(z, labels, spec.ridge)
-        return MtlModel("closed-form-linear", subset, seed, features, weights=w)
+        return MtlModel("closed-form-linear", subset, features, weights=w)
 
     rng = np.random.default_rng(seed)
     batch = _batch(features, [tasks.train_mask[tid] for tid in subset],
@@ -368,7 +367,7 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
         for layer, (gw, gb) in zip(layers, grads):
             layer[0] -= lr * gw
             layer[1] -= lr * gb
-    return MtlModel("shared-encoder-mlp", subset, seed, features, layers=layers,
+    return MtlModel("shared-encoder-mlp", subset, features, layers=layers,
                     monotone_loss=monotone)
 
 

@@ -25,12 +25,10 @@ DECISION_THRESHOLD = 0.5
 
 @dataclass
 class LogisticModel:
-    """Per-task logistic regression over theta's T columns; degenerate when
-    one class was absent."""
+    """Per-task logistic regression over theta's T columns."""
 
     weights: np.ndarray
     bias: float
-    degenerate: bool = False
 
     def predict_proba(self, cols, values) -> np.ndarray:
         """Probabilities of the rows that hold ``values`` at ``cols`` (n x alpha)."""
@@ -40,19 +38,18 @@ class LogisticModel:
 def build_examples(log, stl_scores, aff: AffinityMatrix):
     """Examples ``{i: (cols, values, y)}`` in ascending task order, one row per
     membership of task i in the evaluation log, in log order: its subset S in
-    cols and theta's row i at S in values. ``stl_scores`` maps each task to
-    its singleton reference f_i({i}); y[q] is 1 exactly when f_i(S) < f_i({i})
-    (performance orientation; ties count as non-negative transfer). Each
-    task's arrays are slices of one array sorted by task.
+    cols and theta's row i at S in values. ``stl_scores`` holds each task's
+    singleton reference f_i({i}) at index i; y[q] is 1 exactly when
+    f_i(S) < f_i({i}) (performance orientation; ties count as non-negative
+    transfer). Each task's arrays are slices of one array sorted by task.
     """
+    stl = np.asarray(stl_scores, dtype=float)
+    if stl.shape != (aff.num_tasks,):
+        raise InvalidInputError(f"single-task references must be {aff.num_tasks} scores, "
+                                f"one per task, not an array of shape {stl.shape}")
     alpha = log.subsets.shape[1]
     targets = log.subsets.ravel()
     tids = np.unique(targets).tolist()
-    missing = [i for i in tids if i not in stl_scores]
-    if missing:
-        raise InvalidInputError(f"missing single-task reference score for task {missing[0]}")
-    stl = np.zeros(aff.num_tasks)
-    stl[tids] = [stl_scores[i] for i in tids]
     order = np.argsort(targets, kind="stable")
     ranked = targets[order]
     y = (log.scores.ravel()[order] < stl[ranked]).astype(int)
@@ -72,14 +69,14 @@ def check_settings(l2, epochs, lr) -> None:
 def fit_all(examples, num_tasks: int, l2: float = DEFAULT_L2, epochs: int = 2000,
             lr: float = 0.5, seed: int = 0):
     """One logistic model per target task, over ``num_tasks`` weights each. A
-    task with one class gets a constant predictor flagged degenerate. The
-    others descend their L2-regularized mean log loss from N(0, 0.01) weights
-    drawn with seed ^ task, all at once: one (tasks x T) weight array whose
-    gradient is one bincount over the keys task * T + column."""
+    task with one class gets a constant predictor. The others descend their
+    L2-regularized mean log loss from N(0, 0.01) weights drawn with
+    seed ^ task, all at once: one (tasks x T) weight array whose gradient is
+    one bincount over the keys task * T + column."""
     check_settings(l2, epochs, lr)
     if not all(len(y) for _, _, y in examples.values()):
         raise InvalidInputError("at least one example is required")
-    models = {tid: LogisticModel(np.zeros(num_tasks), 50.0 if y[0] == 1 else -50.0, True)
+    models = {tid: LogisticModel(np.zeros(num_tasks), 50.0 if y[0] == 1 else -50.0)
               for tid, (_, _, y) in examples.items() if np.min(y) == np.max(y)}
     fit = sorted(set(examples) - set(models))
     if not fit:

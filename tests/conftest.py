@@ -10,25 +10,23 @@ from taskaff.tasks import TaskSet
 ACCEPTANCE_RESULTS = []
 
 # One subset's scores, keyed by task: the per-subset view oracles iterate.
-Eval = namedtuple("Eval", "subset scores metric seed")
+Eval = namedtuple("Eval", "subset scores")
 
 
-def make_eval(subset, scores, metric="negative-mse", seed=0):
-    return Eval(tuple(subset), scores, metric, seed)
+def make_eval(subset, scores):
+    return Eval(tuple(subset), scores)
 
 
 def make_log(evals):
-    """EvalLog holding the given per-subset records (one shared metric)."""
+    """EvalLog holding the given per-subset records."""
     return EvalLog([ev.subset for ev in evals],
-                   [[ev.scores[i] for i in ev.subset] for ev in evals],
-                   [ev.seed for ev in evals], evals[0].metric)
+                   [[ev.scores[i] for i in ev.subset] for ev in evals])
 
 
 def records(log):
     """Per-subset records of an EvalLog, for oracles that loop over subsets."""
-    return [Eval(tuple(s), dict(zip(s, sc)), log.metric, seed)
-            for s, sc, seed in zip(log.subsets.tolist(), log.scores.tolist(),
-                                   log.seeds.tolist())]
+    return [Eval(tuple(s), dict(zip(s, sc)))
+            for s, sc in zip(log.subsets.tolist(), log.scores.tolist())]
 
 
 def sigma_tilde(inst):

@@ -152,10 +152,9 @@ def test_negative_transfer_prediction_f1():
                                               base_seed=504, features=feats)
     stl_evals = affinity.collect_evaluations(tasks, [(i,) for i in range(t)],
                                              spec, base_seed=505, features=feats)
-    stl = {i: stl_evals.scores[i, 0] for i in range(t)}
     aff = affinity.estimate_affinity(train_evals, t)
-    train_ex = transfer.build_examples(train_evals, stl, aff)
-    held_ex = transfer.build_examples(held_evals, stl, aff)
+    train_ex = transfer.build_examples(train_evals, stl_evals.scores[:, 0], aff)
+    held_ex = transfer.build_examples(held_evals, stl_evals.scores[:, 0], aff)
     models = transfer.fit_all(train_ex, t, epochs=1500, lr=0.5, seed=506)
     macro, detail = transfer.evaluate_f1(models, held_ex)
     elapsed = time.monotonic() - start
@@ -269,8 +268,7 @@ def test_unit_oracles():
     plan = affinity.SamplingPlan(num_tasks=7, subset_size=3, num_subsets=60,
                                  seed=704)
     subsets = affinity.sample_subsets(plan)
-    evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s}, seed=k)
-             for k, s in enumerate(subsets)]
+    evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s}) for s in subsets]
     aff = affinity.estimate_affinity(make_log(evals), 7)
     buckets = {}
     for ev in evals:

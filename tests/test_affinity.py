@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import shutil
@@ -121,6 +122,20 @@ class TestCollectEvaluations:
         expected = learners.evaluate(model, tasks, 3, "val", "negative-mse")
         assert evals.scores[0, 0] == pytest.approx(expected, rel=1e-12)
 
+    def test_mlp_subset_k_trains_with_base_seed_xor_k(self, small_instance):
+        # a base seed past 2**63 is a valid numpy seed; int64 XOR overflowed on it
+        tasks, feats = planted.to_task_set(small_instance)
+        spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=4, epochs=5,
+                                    metric="negative-mse")
+        base = 2**64 + 5
+        evals = affinity.collect_evaluations(tasks, [(0, 1), (2, 4)], spec, base_seed=base,
+                                             features=feats, indices=[3, 8])
+        for row, (k, subset) in enumerate(((3, (0, 1)), (8, (2, 4)))):
+            model = learners.train_subset(None, tasks, subset, spec, seed=base ^ k,
+                                          features=feats)
+            assert evals.scores[row].tolist() == [
+                learners.evaluate(model, tasks, i, "val", "negative-mse") for i in subset]
+
     def test_identical_subsets_identical_scores(self, small_instance):
         tasks, feats = planted.to_task_set(small_instance)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
@@ -221,14 +236,16 @@ class TestEstimateAffinity:
         np.testing.assert_array_equal(aff_p.theta[np.ix_(perm, perm)], aff.theta)
 
     def test_mixed_metrics_rejected(self, tmp_path):
-        # one EvalLog holds one metric, so a mix can only arrive from a file
+        # a log is read as the run's metric, so a row of another is refused
         csv_path = tmp_path / "evals.csv"
-        affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2}, metric="f1")]),
-                               csv_path)
         affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2})]), csv_path,
-                               indices=[1], append=True)
-        with pytest.raises(InvalidInputError):
-            affinity.load_eval_log(csv_path, [[0, 1], [0, 1]])
+                               "f1", 0)
+        affinity.save_eval_log(make_log([make_eval((0, 1), {0: 0.1, 1: 0.2})]), csv_path,
+                               "negative-mse", 0, indices=[1], append=True)
+        for metric, line in (("f1", 4), ("negative-mse", 2)):
+            with pytest.raises(ParseError) as info:
+                affinity.load_eval_log(csv_path, [[0, 1], [0, 1]], metric)
+            assert info.value.line_number == line
 
     def test_task_id_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -283,7 +300,7 @@ class TestConvergenceTrace:
         full = affinity.estimate_affinity(log, 8).theta
         checkpoints = [1, 7, 40, 41, 150, 299]
         expected = [float(np.max(np.abs(affinity.estimate_affinity(affinity.EvalLog(
-            log.subsets[:c], log.scores[:c], log.seeds[:c], log.metric), 8).theta - full)))
+            log.subsets[:c], log.scores[:c]), 8).theta - full)))
             for c in checkpoints]
         assert affinity.convergence_trace(
             log, affinity.estimate_affinity(log, 8), checkpoints) == expected
@@ -376,63 +393,76 @@ class TestLogPersistence:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         plan = affinity.SamplingPlan(num_tasks=5, subset_size=3, num_subsets=12, seed=1)
-        evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s}, seed=k)
-                 for k, s in enumerate(affinity.sample_subsets(plan))]
-        affinity.save_eval_log(make_log(evals), tmp_path / "evals.csv")
+        evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s})
+                 for s in affinity.sample_subsets(plan)]
+        affinity.save_eval_log(make_log(evals), tmp_path / "evals.csv", "negative-mse", 0)
         loaded = records(affinity.load_eval_log(tmp_path / "evals.csv",
-                                                [ev.subset for ev in evals]))
+                                                [ev.subset for ev in evals], "negative-mse"))
         assert len(loaded) == len(evals)
         for a, b in zip(evals, loaded):
             assert a.subset == b.subset
             assert a.scores == b.scores  # repr round-trips float64 exactly
-            assert a.seed == b.seed
+
+    def test_seed_and_metric_columns_come_from_the_run(self, tmp_path):
+        # subset k's rows carry the run's metric and base_seed ^ k, its
+        # appended rows included
+        log = make_log([make_eval((0, 1), {0: 0.5, 1: 0.25}),
+                        make_eval((1, 2), {1: -1.5, 2: 3.0})])
+        csv_path = tmp_path / "evals.csv"
+        affinity.save_eval_log(log, csv_path, "f1", 2**40 + 5)
+        affinity.save_eval_log(log, csv_path, "f1", 2**40 + 5, indices=[6, 3], append=True)
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["subset_index", "task_id", "score", "metric", "seed"]
+        assert [(k, metric, seed) for k, _, _, metric, seed in rows[1:]] == [
+            (str(k), "f1", str((2**40 + 5) ^ k)) for k in (0, 0, 1, 1, 6, 6, 3, 3)]
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         subsets = np.sort(np.array([rng.choice(40, size=4, replace=False)
                                     for _ in range(30)]), axis=1)
         scores = rng.standard_normal((30, 4)) * 10.0 ** rng.integers(-300, 300, (30, 4))
-        log = affinity.EvalLog(subsets, scores, rng.integers(0, 2**62, 30), "f1")
+        log = affinity.EvalLog(subsets, scores)
         csv_path = tmp_path / "evals.csv"
-        affinity.save_eval_log(log, csv_path)
-        loaded = affinity.load_eval_log(csv_path, log.subsets)
+        affinity.save_eval_log(log, csv_path, "f1", int(rng.integers(0, 2**62)))
+        loaded = affinity.load_eval_log(csv_path, log.subsets, "f1")
         np.testing.assert_array_equal(loaded.subsets, log.subsets)
         np.testing.assert_array_equal(loaded.scores.view(np.int64), log.scores.view(np.int64))
-        np.testing.assert_array_equal(loaded.seeds, log.seeds)
-        assert loaded.metric == "f1"
 
     def test_partial_load_and_append(self, tmp_path):
-        evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}, seed=7),
-                 make_eval((1, 2), {1: -1.5, 2: 3.0}, seed=8),
-                 make_eval((0, 2), {0: 0.125, 2: 2.0}, seed=9)]
+        evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}),
+                 make_eval((1, 2), {1: -1.5, 2: 3.0}),
+                 make_eval((0, 2), {0: 0.125, 2: 2.0})]
         csv_path, subsets = tmp_path / "evals.csv", [[0, 1], [1, 2], [0, 2]]
-        affinity.save_eval_log(make_log(evals[:1]), csv_path)
-        affinity.save_eval_log(make_log(evals[2:]), csv_path, indices=[2], append=True)
-        part = records(affinity.load_eval_log(csv_path, subsets, indices=[2, 0]))
+        affinity.save_eval_log(make_log(evals[:1]), csv_path, "negative-mse", 7)
+        affinity.save_eval_log(make_log(evals[2:]), csv_path, "negative-mse", 7, indices=[2],
+                               append=True)
+        part = records(affinity.load_eval_log(csv_path, subsets, "negative-mse",
+                                              indices=[2, 0]))
         assert part == [evals[2], evals[0]]
         with pytest.raises(InvalidInputError):  # subset 1 has no rows
-            affinity.load_eval_log(csv_path, subsets)
-        empty = affinity.load_eval_log(tmp_path / "absent.csv", subsets, indices=[])
+            affinity.load_eval_log(csv_path, subsets, "negative-mse")
+        empty = affinity.load_eval_log(tmp_path / "absent.csv", subsets, "negative-mse",
+                                       indices=[])
         assert len(empty) == 0 and empty.subsets.shape == (0, 2)
 
     def test_cut_last_line_skipped_inner_one_refused(self, tmp_path):
-        evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}, seed=7),
-                 make_eval((1, 2), {1: -1.5, 2: 3.0}, seed=8)]
+        evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}),
+                 make_eval((1, 2), {1: -1.5, 2: 3.0})]
         csv_path, subsets = tmp_path / "evals.csv", [[0, 1], [1, 2]]
-        affinity.save_eval_log(make_log(evals), csv_path)
+        affinity.save_eval_log(make_log(evals), csv_path, "negative-mse", 7)
         with open(csv_path, "a", encoding="utf-8", newline="") as fh:
             fh.write("2,0,0.12")  # an append cut short
-        assert records(affinity.load_eval_log(csv_path, subsets)) == evals
+        assert records(affinity.load_eval_log(csv_path, subsets, "negative-mse")) == evals
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         csv_path.write_text("\n".join(lines[:2] + ["1,1,0.5,negative-mse,x"] + lines[2:]))
         with pytest.raises(ParseError) as info:
-            affinity.load_eval_log(csv_path, subsets)
+            affinity.load_eval_log(csv_path, subsets, "negative-mse")
         assert info.value.line_number == 3
 
     def test_ragged_log_rejected(self):
         with pytest.raises(InvalidInputError):
-            affinity.EvalLog([(0, 1), (0, 1, 2)], [[0.0, 0.0], [0.0, 0.0, 0.0]], [0, 1],
-                             "negative-mse")
+            affinity.EvalLog([(0, 1), (0, 1, 2)], [[0.0, 0.0], [0.0, 0.0, 0.0]])
         tasks = planted.to_task_set(planted.generate(planted.PlantedConfig(
             num_tasks=4, num_groups=2, feature_dim=3, num_nodes=30, observed=20)))[0]
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
@@ -478,8 +508,6 @@ class TestRunLog:
     def assert_same_log(self, got, want):
         np.testing.assert_array_equal(got.subsets, want.subsets)
         np.testing.assert_array_equal(got.scores.view(np.int64), want.scores.view(np.int64))
-        np.testing.assert_array_equal(got.seeds, want.seeds)
-        assert got.metric == want.metric
 
     @pytest.mark.parametrize("learner", sorted(SPECS))
     def test_every_rerun_returns_the_fresh_log(self, tmp_path, dataset, learner):
@@ -515,7 +543,7 @@ class TestRunLog:
                                   self.FINGERPRINT, no_load, 9)
         self.assert_same_log(log, fresh)
         assert {p.name: p.read_bytes() for p in fresh_dir.iterdir()} == files
-        opened, opened_aff = affinity.open_log(fresh_dir, {"learner": "l"})
+        opened, opened_aff = affinity.open_log(fresh_dir, {"learner": "l"}, "negative-mse")
         self.assert_same_log(opened, fresh)
         np.testing.assert_array_equal(opened_aff.theta, aff.theta)
 
@@ -533,4 +561,4 @@ class TestRunLog:
     def test_other_fingerprint_refused(self, tmp_path, dataset):
         self.run(tmp_path, "linear", dataset, [])
         with pytest.raises(TaskAffError, match="learner differ from this run; pass those of that run"):
-            affinity.open_log(tmp_path, {"learner": "other"})
+            affinity.open_log(tmp_path, {"learner": "other"}, "negative-mse")

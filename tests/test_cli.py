@@ -291,6 +291,30 @@ class TestClusterEvaluate:
         assert report["objective"] >= report["baseline_objective"]
         assert len(report["per_task_scores"]) == 12
 
+    @pytest.mark.parametrize("group", [[2, 99], [-1, 0]])
+    def test_evaluate_task_id_out_of_range_exit_2_before_any_training(
+            self, tmp_path, pipeline, monkeypatch, capsys, group):
+        # T = 12: id 99 is past the last task, and -1 would index the last one;
+        # before the check, group [0, 1] trained before the refusal
+        _, inst_dir, _ = pipeline
+        gdir = tmp_path / "grp"
+        gdir.mkdir()
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[0, 1], group], assignments=np.zeros(24, dtype=np.int64), budget=2),
+            gdir / "grouping.json")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a group was trained before the ids were checked")
+
+        monkeypatch.setattr(cli.learners, "train_subset", no_training)
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--dataset", inst_dir, "--grouping-dir", str(gdir),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: task id out of range in subset {group}"]
+        assert not out.exists()
+
 
 def _as_p_triplets(arrays):
     """Rewrite instance.npz's arrays as the format that stored X and P's triplets."""
@@ -1061,6 +1085,68 @@ class TestInterruptedLog:
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
 
+class TestEvalLogFile:
+    """evals.csv tags each row with the run's metric and its subset's seed,
+    base seed XOR subset index; every read refuses a row of another metric."""
+
+    @staticmethod
+    def columns(aff_dir):
+        with open(Path(aff_dir, "evals.csv"), "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        return {(metric, int(seed) ^ int(k)) for k, _, _, metric, seed in rows}
+
+    @pytest.mark.parametrize("log", ["linear", "mlp"])
+    def test_fresh_and_resumed_runs_write_the_run_seed_and_metric(
+            self, tmp_path, pipeline, community_affinity, log):
+        # both runs use --seed 2; the MLP run its default metric
+        if log == "linear":
+            dataset, aff_dir = pipeline[1:]
+            argv, metric = AFFINITY, "negative-mse"
+        else:
+            (dataset, aff_dir), argv = community_affinity, MLP_AFFINITY
+            metric = "negative-cross-entropy"
+        assert self.columns(aff_dir) == {(metric, 2)}
+        resumed = tmp_path / "resumed"
+        shutil.copytree(aff_dir, resumed)
+        idx = resumed / "completed.idx"
+        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:5]))
+        assert run(["affinity", "--dataset", dataset, *argv, "--out", str(resumed)]) == 0
+        assert self.columns(resumed) == {(metric, 2)}
+        assert (resumed / "evals.csv").read_bytes() == Path(aff_dir, "evals.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", ["every", "one"])
+    @pytest.mark.parametrize("command", ["predict-nt", "complete-rerun", "resume"])
+    def test_another_metric_exit_2_with_one_line(self, tmp_path, pipeline, monkeypatch,
+                                                 capsys, command, rows):
+        # before the check, a log relabelled in every row passed predict-nt and
+        # a complete rerun with exit 0
+        _, inst_dir, aff_dir = pipeline
+        copy = tmp_path / "aff"
+        shutil.copytree(aff_dir, copy)
+        evals = copy / "evals.csv"
+        lines = evals.read_bytes().split(b"\r\n")
+        first = 2 if rows == "every" else 7
+        for k in range(first - 1, len(lines) if rows == "every" else first):
+            lines[k] = lines[k].replace(b",negative-mse,", b",f1,")
+        evals.write_bytes(b"\r\n".join(lines))
+        if command == "resume":
+            idx = copy / "completed.idx"
+            idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:40]))
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        monkeypatch.setattr(cli, "_load_dataset", no_training)
+        argv = {"predict-nt": ["predict-nt", "--dataset", inst_dir, "--affinity-dir", str(copy),
+                               "--heldout-subsets", "40"],
+                "complete-rerun": ["affinity", "--dataset", inst_dir, *AFFINITY],
+                "resume": ["affinity", "--dataset", inst_dir, *AFFINITY]}[command]
+        out = tmp_path / "nt" if command == "predict-nt" else copy
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: line {first}: {evals} holds f1 scores, not negative-mse"]
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+        assert not (tmp_path / "nt").exists()
+
+
 def no_training(*args, **kwargs):
     raise AssertionError("a model was trained")
 
@@ -1549,3 +1635,37 @@ class TestPathArguments:
                         "file": f"taskaff: expected a file, not the directory {bad}",
                         "dir": f"taskaff: expected a directory, not the file {bad}"}[want]]
         assert not (tmp_path / "out").exists() and afile.read_text() == "x\n"
+
+
+class TestSeedArgument:
+    """--seed takes an integer >= 0, as numpy's generators do: a negative one
+    is refused when the arguments are parsed, before any path is read."""
+
+    @pytest.mark.parametrize("command", sorted(PATH_FLAGS))
+    def test_negative_seed_exit_64_before_any_work(self, tmp_path, capsys, command):
+        # the path flags name nothing: with a valid seed they would exit 66
+        paths = [x for flag in PATH_FLAGS[command] for x in (flag, str(tmp_path / "nope"))]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([command, *paths, "--seed", "-1", "--out", str(out)]) == 64
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == (f"taskaff {command}: error: argument --seed: "
+                           "invalid seed value: '-1'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(PATH_FLAGS))
+    def test_negative_seed_in_config_exit_2(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": -1}')
+        paths = [x for flag in PATH_FLAGS[command] for x in (flag, str(tmp_path / "nope"))]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([command, *paths, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: {cfg_path}: invalid value -1 for seed"]
+        assert not out.exists()
+
+    def test_zero_and_large_seeds_parse(self):
+        for seed in ("0", str(2**64)):
+            args = cli.build_parser().parse_args(["generate", "--seed", seed, "--out", "o"])
+            assert args.seed == int(seed)

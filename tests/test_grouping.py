@@ -284,7 +284,7 @@ class TestGroupingPersistence:
                                     assignments=np.array([0, 1, 0, 1, 0, 1, 0, 1]),
                                     budget=2)
         grouping.save_grouping(grp, tmp_path / "g.json")
-        loaded = grouping.load_grouping(tmp_path / "g.json")
+        loaded = grouping.load_grouping(tmp_path / "g.json", 4)
         assert loaded.groups == grp.groups
         np.testing.assert_array_equal(loaded.assignments, grp.assignments)
         assert loaded.budget == grp.budget
@@ -297,6 +297,16 @@ class TestGroupingPersistence:
         path = tmp_path / "g.json"
         path.write_text('{"assignments": [0, 1, 1, 0], "budget": 2, "groups": [[0, 1], [1]], '
                         '"objective": null, "per_task_scores": null}')
-        loaded = grouping.load_grouping(path)
+        loaded = grouping.load_grouping(path, 2)
         assert loaded.groups == [[0, 1], [1]] and loaded.budget == 2
         np.testing.assert_array_equal(loaded.assignments, [0, 1, 1, 0])
+
+    @pytest.mark.parametrize("group", [[3, 1], [0, -1]])
+    def test_task_id_outside_the_tasks_refused(self, tmp_path, group):
+        # T = 3: id 3 is past the last task, and -1 would index the last one
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[0, 2], group], assignments=np.zeros(6, dtype=np.int64), budget=2),
+            tmp_path / "g.json")
+        with pytest.raises(InvalidInputError,
+                           match=rf"^task id out of range in subset \{sorted(group)}$"):
+            grouping.load_grouping(tmp_path / "g.json", 3)

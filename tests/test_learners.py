@@ -308,7 +308,7 @@ class TestEvaluate:
         y[::2] = 1.0
         ts = TaskSet(10, (y,), (np.arange(2),), (np.arange(2, 10),), (np.array([]),))
         feats = np.stack([2.0 * y - 1.0], axis=1)  # +1 on positives, -1 else
-        model = learners.MtlModel(kind="closed-form-linear", subset=(0,), seed=0,
+        model = learners.MtlModel(kind="closed-form-linear", subset=(0,),
                                   features=feats, weights=np.array([5.0]))
         assert learners.evaluate(model, ts, 0, "val", "f1") == 1.0
 
@@ -317,7 +317,7 @@ class TestEvaluate:
         y[:6] = 1.0
         ts = TaskSet(12, (y,), (np.arange(4),), (np.arange(4, 12),), (np.array([]),))
         model = learners.MtlModel(
-            kind="shared-encoder-mlp", subset=(0,), seed=0,
+            kind="shared-encoder-mlp", subset=(0,),
             features=np.ones((12, 2)), layers=[[np.zeros((2, 1)), np.zeros(1)]],
         )
         got = learners.evaluate(model, ts, 0, "val", "negative-cross-entropy")
@@ -342,7 +342,7 @@ class TestEvaluate:
     def test_empty_mask_rejected(self):
         y = np.zeros(5)
         ts = TaskSet(5, (y,), (np.arange(2),), (np.array([2]),), (np.array([], dtype=int),))
-        model = learners.MtlModel(kind="closed-form-linear", subset=(0,), seed=0,
+        model = learners.MtlModel(kind="closed-form-linear", subset=(0,),
                                   features=np.ones((5, 1)), weights=np.zeros(1))
         with pytest.raises(InvalidInputError):
             learners.evaluate(model, ts, 0, "test", "negative-mse")

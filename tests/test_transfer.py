@@ -48,7 +48,7 @@ class TestBuildExamples:
     def test_tie_is_non_negative_transfer(self):
         aff = simple_aff()
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.3})]
-        stl = {0: 0.5, 1: 0.4}
+        stl = [0.5, 0.4, 0.0, 0.0]
         ex = transfer.build_examples(make_log(evals), stl, aff)
         assert ex[0][2][0] == 0  # tie
         assert ex[1][2][0] == 1  # 0.3 < 0.4
@@ -56,13 +56,13 @@ class TestBuildExamples:
     def test_singleton_always_label_zero(self):
         aff = simple_aff()
         evals = [make_eval((2,), {2: -1.0})]
-        ex = transfer.build_examples(make_log(evals), {2: -1.0}, aff)
+        ex = transfer.build_examples(make_log(evals), [0.0, 0.0, -1.0, 0.0], aff)
         assert ex[2][2][0] == 0
 
     def test_features_masked_to_subset(self):
         aff = simple_aff(t=5)
         evals = [make_eval((1, 3), {1: 0.2, 3: 0.9})]
-        ex = transfer.build_examples(make_log(evals), {1: 0.0, 3: 0.0}, aff)
+        ex = transfer.build_examples(make_log(evals), np.zeros(5), aff)
         cols, values = ex[1][0][0], ex[1][1][0]
         assert cols.tolist() == [1, 3]
         assert values[0] == aff.theta[1, 1]
@@ -72,17 +72,16 @@ class TestBuildExamples:
         assert outside.predict_proba(ex[1][0], ex[1][1])[0] == 0.5
 
     def test_missing_stl_score(self):
+        # T = 4 references but 3 scores: the last task's is missing
         aff = simple_aff()
         with pytest.raises(InvalidInputError):
-            transfer.build_examples(make_log([make_eval((0, 1), {0: 0.1, 1: 0.1})]), {0: 0.0}, aff)
+            transfer.build_examples(make_log([make_eval((0, 1), {0: 0.1, 1: 0.1})]),
+                                    [0.0, 0.0, 0.0], aff)
 
     @staticmethod
     def loop_examples(log, stl_scores, aff):
         """build_examples as one dense T-vector per membership, in log order:
         {i: (subsets, the vectors at their subset's columns, labels, vectors)}."""
-        missing = sorted(set(log.subsets.ravel().tolist()) - set(stl_scores))
-        if missing:
-            raise InvalidInputError(f"missing single-task reference score for task {missing[0]}")
         by_task = {}
         for members, scores in zip(log.subsets.tolist(), log.scores.tolist()):
             for i, score in zip(members, scores):
@@ -101,7 +100,7 @@ class TestBuildExamples:
                    for _ in range(30)]
         # scores on a coarse grid, so some tie their reference
         evals = [make_eval(s, {i: float(rng.integers(-2, 3)) for i in s}) for s in subsets]
-        stl = {i: float(rng.integers(-2, 3)) for i in range(t)}
+        stl = [float(rng.integers(-2, 3)) for _ in range(t)]
         log = make_log(evals)
         got = transfer.build_examples(log, stl, aff)
         want = self.loop_examples(log, stl, aff)
@@ -115,15 +114,17 @@ class TestBuildExamples:
             # scattered back, the compact rows are the dense masked rows
             assert np.array_equal(dense(got[tid][0], got[tid][1], t), want[tid][3])
 
-    def test_missing_stl_names_the_smallest_missing_task(self):
+    def test_stl_of_wrong_shape_refused(self):
+        # the references are one score per task of theta, T = 6
         aff = simple_aff(t=6)
         log = make_log([make_eval((1, 4), {1: 0.0, 4: 0.0}),
                         make_eval((0, 5), {0: 0.0, 5: 0.0}),
                         make_eval((2, 3), {2: 0.0, 3: 0.0})])
-        stl = {1: 0.0, 4: 0.0, 0: 0.0, 2: 0.0}  # 5 is logged before 3, both missing
-        for build in (transfer.build_examples, self.loop_examples):
-            with pytest.raises(InvalidInputError, match="for task 3$"):
-                build(log, stl, aff)
+        for stl, shape in ((np.zeros(5), "(5,)"), (np.zeros(7), "(7,)"),
+                           (np.zeros((6, 1)), "(6, 1)"), (0.0, "()")):
+            with pytest.raises(InvalidInputError, match="must be 6 scores") as info:
+                transfer.build_examples(log, stl, aff)
+            assert str(info.value).endswith(f"an array of shape {shape}")
 
     def test_label_counts_match_recount(self):
         rng = np.random.default_rng(1)
@@ -133,7 +134,7 @@ class TestBuildExamples:
         subsets = affinity.sample_subsets(plan)
         evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s})
                  for s in subsets]
-        stl = {i: float(rng.standard_normal()) for i in range(t)}
+        stl = [float(rng.standard_normal()) for _ in range(t)]
         ex = transfer.build_examples(make_log(evals), stl, aff)
         # independent recount straight off the log
         expected = sum(1 for ev in evals for i in ev.subset
@@ -162,7 +163,6 @@ class TestFitLogistic:
 
     def test_single_class_degenerate(self):
         model = transfer.fit_all(one_task([[0.5], [1.5]], [1, 1]), 1)[0]
-        assert model.degenerate
         assert model.predict_proba(np.array([[0]]), np.array([[123.0]]))[0] >= 0.5
 
     def test_matches_second_opinion_optimizer(self):
@@ -216,7 +216,7 @@ class TestFitAllMatchesPerTaskLoop:
                "two-class": medians}[regime]
         aff = affinity.AffinityMatrix(rng.standard_normal((self.T, self.T)),
                                       np.ones((self.T, self.T), dtype=np.int64), "performance")
-        return transfer.build_examples(log, stl, aff)
+        return transfer.build_examples(log, [stl[i] for i in range(self.T)], aff)
 
     @pytest.mark.parametrize("regime", ["single-class", "mixed", "two-class"])
     def test_weights_biases_and_probabilities(self, regime):
@@ -231,7 +231,7 @@ class TestFitAllMatchesPerTaskLoop:
         assert list(got) == list(want) == sorted(ex)
         for tid, (w, b, degenerate) in want.items():
             model = got[tid]
-            assert model.degenerate is degenerate and (tid in two_class) is not degenerate
+            assert (tid in two_class) is not degenerate
             assert type(model.bias) is float
             np.testing.assert_allclose(model.weights, w, rtol=1e-12, atol=0)
             np.testing.assert_allclose(model.bias, b, rtol=1e-12, atol=0)
@@ -314,7 +314,7 @@ class TestPersistence:
     def test_examples_csv(self, tmp_path):
         aff = simple_aff()
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.2})]
-        ex = transfer.build_examples(make_log(evals), {0: 0.6, 1: 0.1}, aff)
+        ex = transfer.build_examples(make_log(evals), [0.6, 0.1, 0.0, 0.0], aff)
         models = transfer.fit_all(ex, aff.num_tasks, epochs=10)
         path = tmp_path / "examples.csv"
         transfer.save_examples(ex, path, models=models)
