@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (CoverageError, InvalidInputError, ParseError, TaskAffError,
                      TrainingError, int_ids, read_json_object, reading)
 from .graphs import _load_matrix
-from .learners import (LearnerSpec, closed_form_scores, evaluate, mixed_train_masks,
+from .learners import (LearnerSpec, check_shared_masks, closed_form_scores, evaluate,
                        train_models)
 from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 
@@ -161,19 +161,13 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
     Subset k has log index ``indices[k]`` (default k) and seed base_seed XOR
     that index. The linear learner scores all subsets in one batch, the MLP
     one at a time, in log order (learners.train_models, which may train them
-    on a pool); ``commit(indices, log)`` receives each finished batch.
-    Failures are re-raised as TrainingError tagged with the log index.
+    on a pool); ``commit(indices, log)`` receives each finished batch. An MLP
+    failure is re-raised as TrainingError tagged with the subset's log index.
     """
     rows = subset_array(subsets, tasks.num_tasks)
     indices = np.arange(len(rows)) if indices is None else np.asarray(indices, dtype=np.int64)
     if spec.kind == "closed-form-linear":
-        try:
-            scores = closed_form_scores(features, tasks, rows, spec.ridge, spec.metric)
-        except TaskAffError as exc:
-            k = getattr(exc, "subset_index", None)
-            raise TrainingError(f"subset training failed: {exc}",
-                                subset_index=None if k is None else int(indices[k])) from exc
-        log = EvalLog(rows, scores)
+        log = EvalLog(rows, closed_form_scores(features, tasks, rows, spec.ridge, spec.metric))
         if commit is not None:
             commit(indices, log)
         return log
@@ -397,10 +391,8 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
         if tasks.num_tasks != plan.num_tasks:
             raise InvalidInputError(f"the dataset holds {tasks.num_tasks} tasks, but the "
                                     f"plan samples from {plan.num_tasks}")
-        mixed = mixed_train_masks(tasks, subsets) if spec.kind == "closed-form-linear" else []
-        if len(mixed):  # no subset can train, so nothing is written
-            raise InvalidInputError("closed-form-linear requires identical train masks across "
-                                    f"the subset, subset {mixed[0]}")
+        if spec.kind == "closed-form-linear":  # no subset could train, so nothing is written
+            check_shared_masks(tasks)
         if fresh:
             os.makedirs(aff_dir, exist_ok=True)
             with open(fp_path, "w", encoding="utf-8") as fh:

@@ -237,15 +237,18 @@ def save_grouping(grouping: TaskGrouping, path) -> None:
 
 
 def load_grouping(path, num_tasks: int) -> TaskGrouping:
-    """Read a grouping.json of tasks 0..num_tasks-1; a group naming another id
-    raises InvalidInputError before any group is used (a negative id would
-    index from the end). Keys other than groups, assignments and budget (an
-    older file's always-null objective and per_task_scores) are ignored."""
+    """Read a grouping.json of tasks 0..num_tasks-1; an empty group or one
+    naming another id raises InvalidInputError before any group is used (a
+    negative id would index from the end). Keys other than groups,
+    assignments and budget (an older file's always-null objective and
+    per_task_scores) are ignored."""
     with open(path, "r", encoding="utf-8") as fh, reading(path):
         payload = json.load(fh)
         groups = [list(map(int, int_ids(grp))) for grp in payload["groups"]]
-        for ids in map(sorted, groups):
-            if ids and not 0 <= ids[0] <= ids[-1] < num_tasks:
+        for k, ids in enumerate(map(sorted, groups)):
+            if not ids:
+                raise InvalidInputError(f"{path}: group {k} is empty")
+            if not 0 <= ids[0] <= ids[-1] < num_tasks:
                 raise InvalidInputError(f"task id out of range in subset {ids}")
         return TaskGrouping(groups=groups, assignments=int_ids(payload["assignments"]),
                             budget=payload["budget"])

@@ -138,30 +138,27 @@ def _normal_solve(z, y, ridge):
     return np.linalg.pinv(gram, rcond=PINV_RCOND) @ rhs
 
 
-def _mask_ids(masks):
-    """Index of each task's node mask among the distinct masks."""
-    seen = {}
-    return np.array([seen.setdefault(np.asarray(m, dtype=np.int64).tobytes(), len(seen))
-                     for m in masks], dtype=np.int64)
-
-
-def mixed_train_masks(tasks, subsets) -> np.ndarray:
-    """Rows of an n x alpha subset array whose members' train masks differ."""
-    train_id = _mask_ids(tasks.train_mask)
-    return np.flatnonzero((train_id[subsets] != train_id[subsets[:, :1]]).any(axis=1))
+def check_shared_masks(tasks) -> None:
+    """Refuse a task set unless every task shares one train mask and one val
+    mask: the closed-form linear learner fits one weight vector on the shared
+    train rows and scores every task on the shared val rows."""
+    for masks in (tasks.train_mask, tasks.val_mask):
+        if not all(np.array_equal(m, masks[0]) for m in masks[1:]):
+            raise InvalidInputError("closed-form-linear needs one train mask and one val "
+                                    "mask shared by every task; use --learner mlp")
 
 
 def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
                        metric: str = "negative-mse") -> np.ndarray:
     """evaluate()'s val score [k, p] of task subsets[k, p] under the model
-    train_subset fits to subset k, for an n x alpha array of valid task ids.
+    train_subset fits to subset k, for an n x alpha array of valid task ids
+    of a task set that check_shared_masks accepts.
 
     The fit is linear in the mean label: subset k's val outputs are the mean
     of its members' rows of P = (Z_val W)^T, with W = (Z^T Z + ridge*I)^+ Z^T Y
-    solved once per distinct train mask. P and the labels are task-major, so
-    a subset gathers contiguous rows; residuals are formed directly, a chunk
-    of subsets at a time with temporaries of about _CHUNK_BYTES. A subset
-    mixing train masks raises InvalidInputError naming its row.
+    solved once for the used tasks. P and the labels are task-major, so a
+    subset gathers contiguous rows; residuals are formed directly, a chunk
+    of subsets at a time with temporaries of about _CHUNK_BYTES.
 
     Under negative-mse a residual p - y_i splits into its part in the span of
     Z_val, where every row of P lies, and the part of y_i orthogonal to that
@@ -173,40 +170,29 @@ def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
     would lose the small ones.
     """
     features, subsets = np.asarray(features, dtype=float), np.asarray(subsets, dtype=np.int64)
-    train_id, val_id = _mask_ids(tasks.train_mask), _mask_ids(tasks.val_mask)
-    mixed = mixed_train_masks(tasks, subsets)
-    if mixed.size:
-        raise InvalidInputError("closed-form-linear requires identical train masks across "
-                                "the subset", subset_index=int(mixed[0]))
+    check_shared_masks(tasks)
     used = np.unique(subsets)
+    train, rows = tasks.train_mask[0], tasks.val_mask[0]
+    if rows.size == 0:
+        raise InvalidInputError(f"task {used[0]} has an empty val mask")
     weights = np.zeros((features.shape[1], tasks.num_tasks))
-    for group in np.unique(train_id[used]):
-        members = used[train_id[used] == group]
-        rows = tasks.train_mask[members[0]]
-        y = np.stack([tasks.labels[i][rows] for i in members], axis=1)
-        weights[:, members] = _normal_solve(features[rows], y, ridge)
+    y = np.stack([tasks.labels[i][train] for i in used], axis=1)
+    weights[:, used] = _normal_solve(features[train], y, ridge)
+    design = features[rows]
+    fitted = (design @ weights).T
+    labels = np.stack([np.asarray(y, dtype=float)[rows] for y in tasks.labels])
+    if metric == "negative-mse":
+        basis = np.linalg.qr(design)[0]
+        coords = labels @ basis
+        off_span = np.linalg.norm(labels - coords @ basis.T, axis=1)
+        fitted = np.column_stack([fitted @ basis, np.zeros(len(fitted))])
+        labels = np.column_stack([coords, off_span])
     scores = np.empty(subsets.shape)
-    for group in np.unique(val_id[used]):
-        first = int(used[val_id[used] == group][0])
-        rows = tasks.val_mask[first]
-        if rows.size == 0:
-            raise InvalidInputError(f"task {first} has an empty val mask")
-        design = features[rows]
-        fitted = (design @ weights).T
-        labels = np.stack([np.asarray(y, dtype=float)[rows] for y in tasks.labels])
-        if metric == "negative-mse":
-            basis = np.linalg.qr(design)[0]
-            coords = labels @ basis
-            off_span = np.linalg.norm(labels - coords @ basis.T, axis=1)
-            fitted = np.column_stack([fitted @ basis, np.zeros(len(fitted))])
-            labels = np.column_stack([coords, off_span])
-        in_group = val_id[subsets] == group
-        ks = np.flatnonzero(in_group.any(axis=1))
-        step = max(1, _CHUNK_BYTES // (8 * subsets.shape[1] * labels.shape[1]))
-        for k in (ks[lo:lo + step] for lo in range(0, ks.size, step)):
-            part = _score(fitted[subsets[k]].mean(axis=1)[:, None, :], labels[subsets[k]],
-                          metric, rows.size)
-            scores[k] = np.where(in_group[k], part, scores[k])
+    step = max(1, _CHUNK_BYTES // (8 * subsets.shape[1] * labels.shape[1]))
+    for lo in range(0, len(subsets), step):
+        chunk = subsets[lo:lo + step]
+        scores[lo:lo + step] = _score(fitted[chunk].mean(axis=1)[:, None, :], labels[chunk],
+                                      metric, rows.size)
     return scores
 
 
@@ -338,10 +324,8 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     subset = _canonical_subset(subset, tasks.num_tasks)
 
     if spec.kind == "closed-form-linear":
-        if mixed_train_masks(tasks, np.array([subset])).size:
-            raise InvalidInputError(
-                "closed-form-linear requires identical train masks across the subset")
-        base = tasks.train_mask[subset[0]]
+        check_shared_masks(tasks)
+        base = tasks.train_mask[0]
         z = features[base]
         labels = [tasks.labels[tid][base] for tid in subset]
         w = fit_closed_form(z, labels, spec.ridge)

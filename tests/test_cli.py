@@ -315,6 +315,24 @@ class TestClusterEvaluate:
             f"taskaff: task id out of range in subset {group}"]
         assert not out.exists()
 
+    def test_evaluate_empty_group_exit_2_before_any_training(self, tmp_path, pipeline,
+                                                             monkeypatch, capsys):
+        # before the check, group [0, 1] trained and the refusal named neither
+        # the file nor the group
+        _, inst_dir, _ = pipeline
+        gdir, out = tmp_path / "grp", tmp_path / "eval"
+        gdir.mkdir()
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[0, 1], [], list(range(2, 12))], assignments=np.zeros(24, dtype=np.int64),
+            budget=3), gdir / "grouping.json")
+        monkeypatch.setattr(cli.learners, "train_subset", no_training)
+        capsys.readouterr()
+        assert run(["evaluate", "--dataset", inst_dir, "--grouping-dir", str(gdir),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: {gdir / 'grouping.json'}: group 1 is empty"]
+        assert not out.exists()
+
 
 def _as_p_triplets(arrays):
     """Rewrite instance.npz's arrays as the format that stored X and P's triplets."""
@@ -920,8 +938,46 @@ class TestSplitAndPprSim:
         assert run(["affinity", "--dataset", ds, "--alpha", "2", "--num-subsets", "6",
                     "--learner", "linear", "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["taskaff: closed-form-linear requires identical train masks across "
-                       "the subset, subset 0"]
+        assert err == ["taskaff: closed-form-linear needs one train mask and one val mask "
+                       "shared by every task; use --learner mlp"]
+        assert not out.exists()
+
+    def test_linear_evaluate_on_community_exit_2_before_any_fit(
+            self, tmp_path, community_affinity, monkeypatch, capsys):
+        # before the check, the singleton group [0] was fit before [1, 2, 3] was refused
+        ds, _ = community_affinity
+        gdir, out = tmp_path / "grp", tmp_path / "eval"
+        gdir.mkdir()
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[0], [1, 2, 3]], assignments=np.zeros(8, dtype=np.int64), budget=2),
+            gdir / "grouping.json")
+        monkeypatch.setattr(cli.learners, "fit_closed_form", no_training)
+        capsys.readouterr()
+        assert run(["evaluate", "--dataset", ds, "--grouping-dir", str(gdir),
+                    "--learner", "linear", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "taskaff: closed-form-linear needs one train mask and one val mask shared by "
+            "every task; use --learner mlp"]
+        assert not out.exists()
+
+    def test_ppr_sim_empty_group_exit_2_without_output(self, tmp_path, community_dataset,
+                                                       monkeypatch, capsys):
+        # before the check, ppr-sim exited 0 on this grouping
+        _, edges, cmty = community_dataset
+        ds = str(tmp_path / "ds")
+        assert run(["split", "--edges", edges, "--communities", cmty, "--top-k", "4",
+                    "--seed", "1", "--out", ds]) == 0
+        gdir, out = tmp_path / "grp", tmp_path / "ppr"
+        gdir.mkdir()
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[0, 1, 2, 3], []], assignments=np.zeros(8, dtype=np.int64), budget=2),
+            gdir / "grouping.json")
+        monkeypatch.setattr(cli.learners, "train_subset", no_training)
+        capsys.readouterr()
+        assert run(["ppr-sim", "--dataset", ds, "--grouping-dir", str(gdir),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: {gdir / 'grouping.json'}: group 1 is empty"]
         assert not out.exists()
 
     def test_mlp_affinity_pipeline_on_community(self, tmp_path, community_dataset):

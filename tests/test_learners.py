@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskaff import affinity, learners, planted
-from taskaff.errors import InvalidInputError, TrainingError
+from taskaff.errors import InvalidInputError
 from taskaff.tasks import TaskSet
 from tests.conftest import gradient_check, sigma_tilde
 
@@ -461,7 +461,7 @@ def _shared_mask_tasks(rng, masks, n=90, d=6, t=7):
 class TestClosedFormScores:
     """The batched linear kernel against one fit_closed_form + evaluate per subset."""
 
-    @pytest.mark.parametrize("masks", ["aliased", "holdout", "per-task-val"])
+    @pytest.mark.parametrize("masks", ["aliased", "holdout"])
     @pytest.mark.parametrize("metric", learners.METRICS)
     @pytest.mark.parametrize("ridge", [0.0, 0.3])
     def test_matches_per_subset_fit(self, masks, metric, ridge):
@@ -509,21 +509,30 @@ class TestClosedFormScores:
             want = [learners.evaluate(model, tasks, i, "val", "negative-mse") for i in subset]
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0)
 
-    def test_mixed_train_masks_name_the_subset(self):
+    @pytest.mark.parametrize("call", ["check_shared_masks", "closed_form_scores",
+                                      "train_subset", "collect_evaluations"])
+    @pytest.mark.parametrize("masks", ["train", "per-task-val"])
+    def test_masks_not_shared_by_every_task_refused(self, masks, call):
+        # one task's train mask differs, or every task has its own val mask;
+        # the set is refused even for subsets whose members share their masks
         rng = np.random.default_rng(41)
-        tasks, x = _shared_mask_tasks(rng, "holdout")
-        other = tasks.train_mask[0][:-1]
-        tasks = TaskSet(tasks.num_nodes, tasks.labels,
-                        tasks.train_mask[:2] + (other,) + tasks.train_mask[3:],
-                        tasks.val_mask, tasks.test_mask)
-        subsets = [(0, 1), (0, 3), (1, 2), (2, 4)]
-        with pytest.raises(InvalidInputError) as err:
-            learners.closed_form_scores(x, tasks, subsets)
-        assert err.value.subset_index == 2
+        if masks == "train":
+            tasks, x = _shared_mask_tasks(rng, "holdout")
+            other = tasks.train_mask[0][:-1]
+            tasks = TaskSet(tasks.num_nodes, tasks.labels,
+                            tasks.train_mask[:2] + (other,) + tasks.train_mask[3:],
+                            tasks.val_mask, tasks.test_mask)
+        else:
+            tasks, x = _shared_mask_tasks(rng, masks)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
-        with pytest.raises(TrainingError) as err:
-            affinity.collect_evaluations(tasks, subsets, spec, 0, features=x,
-                                         indices=[10, 11, 12, 13])
-        assert err.value.subset_index == 12
-        assert isinstance(err.value.__cause__, InvalidInputError)
-        assert "identical train masks" in str(err.value)
+        calls = {
+            "check_shared_masks": lambda: learners.check_shared_masks(tasks),
+            "closed_form_scores": lambda: learners.closed_form_scores(x, tasks, [(0, 1), (3, 4)]),
+            "train_subset": lambda: learners.train_subset(None, tasks, (0, 1), spec, 0,
+                                                          features=x),
+            "collect_evaluations": lambda: affinity.collect_evaluations(tasks, [(0, 1)], spec,
+                                                                        0, features=x),
+        }
+        with pytest.raises(InvalidInputError, match="^closed-form-linear needs one train mask "
+                           "and one val mask shared by every task; use --learner mlp$"):
+            calls[call]()

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,9 @@ def test_no_pool_unless_blas_was_pinned(monkeypatch, data):
 
 def test_linear_learner_never_pools(monkeypatch, data):
     tasks, x = data
+    t = tasks.num_tasks  # the linear learner needs one train and val mask for every task
+    tasks = replace(tasks, train_mask=(tasks.train_mask[0],) * t,
+                    val_mask=(tasks.val_mask[0],) * t, test_mask=(tasks.test_mask[0],) * t)
     pools = pooled(monkeypatch, 3)
     singletons = grouping.TaskGrouping(groups=[[0], [1], [2], [3]],
                                        assignments=np.repeat(np.arange(4), 2), budget=4)
