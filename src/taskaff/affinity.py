@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (CoverageError, InvalidInputError, ParseError, TaskAffError,
-                     TrainingError, int_ids, read_json_object, reading)
+from .errors import (InvalidInputError, ParseError, TaskAffError, TrainingError, int_ids,
+                     read_json_object, reading)
 from .graphs import _load_matrix
 from .learners import (LearnerSpec, check_shared_masks, closed_form_scores, evaluate,
                        train_models)
@@ -116,13 +116,22 @@ def subset_array(subsets, num_tasks: int) -> np.ndarray:
     return rows
 
 
+def uncovered_pairs(short: np.ndarray) -> str:
+    """'N pairs uncovered, first (i, j)' for the pairs i < j that a T x T
+    boolean matrix marks, or '' when it marks none."""
+    pairs = np.argwhere(np.triu(short, k=1))
+    if not len(pairs):
+        return ""
+    return f"{len(pairs)} pairs uncovered, first ({pairs[0, 0]}, {pairs[0, 1]})"
+
+
 def sample_subsets(plan: SamplingPlan):
     """Draw i.i.d. uniform size-alpha subsets of {0..T-1}.
 
     Deterministic under plan.seed; repeats are allowed. When
     min_pair_coverage > 0, extra subsets are appended past num_subsets until
     every pair co-occurs that often, or a cap of 10x num_subsets aborts with
-    a CoverageError listing the uncovered pairs.
+    a TaskAffError naming how many pairs are uncovered and the first.
     """
     rng = np.random.default_rng(plan.seed)
     t, alpha = plan.num_tasks, plan.subset_size
@@ -137,20 +146,17 @@ def sample_subsets(plan: SamplingPlan):
         cover = np.bincount(keys.ravel(), minlength=t * t).reshape(t, t)
         cap = COVERAGE_CAP_FACTOR * plan.num_subsets
 
-        def uncovered():
-            return np.argwhere(np.triu(cover < plan.min_pair_coverage, k=1))
+        def gap():
+            return uncovered_pairs(cover < plan.min_pair_coverage)
 
-        while len(uncovered()) and len(subsets) < cap:
+        while gap() and len(subsets) < cap:
             s = draw()
             subsets.append(s)
             idx = np.array(s)
             cover[np.ix_(idx, idx)] += 1
-        missing = uncovered()
-        if len(missing):
-            raise CoverageError(
-                f"pair coverage {plan.min_pair_coverage} unreachable within "
-                f"{cap} subsets", uncovered=[(int(i), int(j)) for i, j in missing],
-            )
+        if missing := gap():
+            raise TaskAffError(f"pair coverage {plan.min_pair_coverage} unreachable within "
+                               f"{cap} subsets: {missing}")
     return subsets
 
 
@@ -180,10 +186,9 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
                 model = next(models)
                 scores[k] = [evaluate(model, tasks, i, "val", spec.metric) for i in subset]
             except TrainingError as exc:
-                raise TrainingError(str(exc), subset_index=int(indices[k])) from exc
+                raise TrainingError(f"{exc}, subset {indices[k]}") from exc
             except TaskAffError as exc:
-                raise TrainingError(f"subset training failed: {exc}",
-                                    subset_index=int(indices[k])) from exc
+                raise TrainingError(f"subset training failed: {exc}, subset {indices[k]}") from exc
             if commit is not None:
                 commit(indices[k:k + 1], EvalLog(rows[k:k + 1], scores[k:k + 1]))
     return EvalLog(rows, scores)
@@ -285,13 +290,13 @@ def load_eval_log(csv_path, subsets, metric: str, indices=None) -> EvalLog:
                 value, _ = float(score), int(seed)  # a seed is base_seed ^ k, so only parsed
                 rows[int(k), int(tid)] = value
                 if tag != metric:
-                    raise ParseError(f"{csv_path} holds {tag} scores, not {metric}", number)
+                    raise ParseError(f"line {number}: {csv_path} holds {tag} scores, not {metric}")
                 if math.isfinite(value):
                     continue
             except ValueError:
                 if number == len(lines):
                     continue  # the cut tail of an interrupted append
-            raise ParseError(f"malformed row {','.join(line)!r} in {csv_path}", number)
+            raise ParseError(f"line {number}: malformed row {','.join(line)!r} in {csv_path}")
     try:
         scores = [[rows[k, tid] for tid in members]
                   for k, members in zip(indices.tolist(), kept.tolist())]

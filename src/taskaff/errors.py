@@ -1,4 +1,10 @@
-"""Exception types shared across the package, and its checks of read artifacts."""
+"""Exception types shared across the package, and its checks of read artifacts.
+
+Four classes, none with attributes of its own: everything an error knows is
+in its message. The command line exits 2 on a TaskAffError and on its
+subclasses InvalidInputError (a bad argument) and ParseError (a malformed
+file), and 3 on a TrainingError.
+"""
 
 import json
 from contextlib import contextmanager
@@ -18,9 +24,9 @@ class InvalidInputError(TaskAffError):
 class ParseError(TaskAffError):
     """An input file could not be parsed."""
 
-    def __init__(self, message, line_number=None):
-        super().__init__(message if line_number is None else f"line {line_number}: {message}")
-        self.line_number = line_number
+
+class TrainingError(TaskAffError):
+    """Model training failed (non-finite loss or a propagated failure)."""
 
 
 @contextmanager
@@ -45,63 +51,3 @@ def int_ids(value) -> np.ndarray:
     if ids.size and ids.dtype.kind not in "iu":
         raise TypeError(f"ids must be integers, not {ids.dtype} values")
     return ids.astype(np.int64, copy=False)
-
-
-class ShortfallError(InvalidInputError):
-    """Fewer items are available than were requested."""
-
-    def __init__(self, message, available):
-        super().__init__(f"{message} (available: {available})")
-        self.available = available
-
-
-class ConvergenceError(TaskAffError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual: {residual:g})")
-        self.residual = residual
-
-
-class TrainingError(TaskAffError):
-    """Model training failed (non-finite loss or a propagated failure)."""
-
-    def __init__(self, message, epoch=None, subset_index=None, group_index=None):
-        parts = [message]
-        if epoch is not None:
-            parts.append(f"epoch {epoch}")
-        if subset_index is not None:
-            parts.append(f"subset {subset_index}")
-        if group_index is not None:
-            parts.append(f"group {group_index}")
-        super().__init__(", ".join(parts))
-        self.epoch = epoch
-        self.subset_index = subset_index
-        self.group_index = group_index
-
-
-class CoverageError(TaskAffError):
-    """A required pair or task is not covered by the available data/models."""
-
-    def __init__(self, message, uncovered=None):
-        super().__init__(message)
-        self.uncovered = uncovered
-
-
-class DegenerateInputError(InvalidInputError):
-    """Input is formally valid but carries no usable signal (e.g. constant matrix)."""
-
-
-class GenerationError(TaskAffError):
-    """Synthetic instance generation could not satisfy its separation targets."""
-
-    def __init__(self, message, achieved_within, achieved_between):
-        super().__init__(
-            f"{message} (achieved within={achieved_within:g}, between={achieved_between:g})"
-        )
-        self.achieved_within = achieved_within
-        self.achieved_between = achieved_between
-
-
-class EmptyDomainError(TaskAffError):
-    """A statistic has an empty domain (PPR similarity over fewer than two tasks)."""

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    EmptyDomainError,
-    InvalidInputError,
-    ParseError,
-)
+from .errors import InvalidInputError, ParseError, TaskAffError
 
 log = logging.getLogger(__name__)
 
@@ -80,15 +75,6 @@ class Graph:
             )
         if self.orig_ids is None:
             object.__setattr__(self, "orig_ids", np.arange(self.num_nodes))
-
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges (each stored twice in indices)."""
-        return self.indices.size // 2
-
-    @property
-    def feature_dim(self) -> int:
-        return self.node_features.shape[1]
 
     def id_map(self) -> dict:
         """Map from original external id to internal contiguous id."""
@@ -164,11 +150,11 @@ def _scan_id_pairs(text) -> np.ndarray:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"expected two node ids, got {line!r}", lineno)
+            raise ParseError(f"line {lineno}: expected two node ids, got {line!r}")
         try:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", lineno) from None
+            raise ParseError(f"line {lineno}: non-integer node id in {line!r}") from None
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -294,7 +280,7 @@ def _ppr_propagate(pt, s: np.ndarray, teleport: float,
     block. Column j is frozen after the first step whose L1 change
     ||R_{k+1} - R_k||_1 is below ``tol[j]``. A column with ``tol[j] <= 0`` is
     returned as given; callers pass 0 only for all-zero columns, whose fixed
-    point is zero. Raises ConvergenceError with the largest remaining L1
+    point is zero. Raises TaskAffError with the largest remaining L1
     change if a column is still moving after PPR_MAX_ITER steps.
     """
     r = s.copy()
@@ -302,8 +288,8 @@ def _ppr_propagate(pt, s: np.ndarray, teleport: float,
     steps = 0
     while active.size:
         if steps == PPR_MAX_ITER:
-            raise ConvergenceError("PPR propagation did not converge",
-                                   float(residual.max()))
+            raise TaskAffError("PPR propagation did not converge "
+                               f"(residual: {float(residual.max()):g})")
         cur = r[:, active]
         nxt = teleport * s[:, active] + (1.0 - teleport) * (pt @ cur)
         residual = np.abs(nxt - cur).sum(axis=0)
@@ -340,7 +326,7 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
     time with ``np.bincount``, which adds each row's terms in the order of
     ``_operator_entries``, in O(nnz) temporaries. The ``ppr`` kind is
     applied by sparse fixed-point iteration (see ``_ppr_hop``) in
-    O(nnz + N*d) memory and raises ConvergenceError if a hop does not
+    O(nnz + N*d) memory and raises TaskAffError if a hop does not
     converge within PPR_MAX_ITER steps.
     """
     if hops < 0:
@@ -369,7 +355,7 @@ def personalized_pagerank(g: Graph, seeds, teleport: float,
     """Power-iterate r = teleport*s + (1-teleport)*P^T r to a fixed point.
 
     ``s`` is uniform over the seed set. The iteration stops at the first
-    step whose L1 change is below ``tol``. Raises ConvergenceError with the
+    step whose L1 change is below ``tol``. Raises TaskAffError with the
     last L1 residual if the iteration cap is hit.
     """
     return _seeded_ppr(g, _transposed_walk(g), seeds, teleport, tol)
@@ -430,7 +416,7 @@ def ppr_group_similarity(g: Graph, tasks, grouping, teleport: float = 0.15):
             else:
                 between.append(sim)
     if not within and not between:
-        raise EmptyDomainError("no task pairs to compare")
+        raise TaskAffError("no task pairs to compare")
     within_mean = float(np.mean(within)) if within else None
     between_mean = float(np.mean(between)) if between else None
     return within_mean, between_mean

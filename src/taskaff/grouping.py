@@ -16,8 +16,7 @@ from math import comb
 import numpy as np
 
 from .affinity import AffinityMatrix
-from .errors import (CoverageError, DegenerateInputError, InvalidInputError, TrainingError,
-                     int_ids, reading)
+from .errors import InvalidInputError, TaskAffError, TrainingError, int_ids, reading
 from .learners import LearnerSpec, evaluate, train_models
 from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 
@@ -40,7 +39,7 @@ def minmax_rescale(matrix: np.ndarray) -> np.ndarray:
     """Affine rescale of all entries to [0, 1]; errors on a constant matrix."""
     lo, hi = float(matrix.min()), float(matrix.max())
     if hi == lo:
-        raise DegenerateInputError("matrix is constant; no contrast to cluster on")
+        raise InvalidInputError("matrix is constant; no contrast to cluster on")
     return (matrix - lo) / (hi - lo)
 
 
@@ -177,7 +176,7 @@ def train_groups(tasks, grouping: TaskGrouping, spec: LearnerSpec, seed: int, fe
             try:
                 models.append(next(trained))
             except TrainingError as exc:
-                raise TrainingError(str(exc), group_index=gi) from exc
+                raise TrainingError(f"{exc}, group {gi}") from exc
     return models
 
 
@@ -186,7 +185,7 @@ def evaluate_grouping(models, tasks, metric: str):
 
     The linear kind shares its weight vector, so every model scores every
     task; the mlp kind only scores tasks for which it has a head. A task
-    covered by no model raises CoverageError.
+    covered by no model raises TaskAffError.
     """
     if not models:
         raise InvalidInputError("at least one model is required")
@@ -197,8 +196,7 @@ def evaluate_grouping(models, tasks, metric: str):
             if m.kind == "closed-form-linear" or i in m.subset
         ]
         if not candidates:
-            raise CoverageError(f"task {i} is covered by no deployed model",
-                                uncovered=[i])
+            raise TaskAffError(f"task {i} is covered by no deployed model")
         per_task.append(max(evaluate(m, tasks, i, "test", metric) for m in candidates))
     return per_task, float(sum(per_task))
 

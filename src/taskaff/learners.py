@@ -342,7 +342,7 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     for epoch in range(spec.epochs):
         loss, grads = _forward_backward(layers, batch, loss_kind)
         if not np.isfinite(loss):
-            raise TrainingError("training loss became non-finite", epoch=epoch)
+            raise TrainingError(f"training loss became non-finite, epoch {epoch}")
         if monotone and loss > prev_loss + 1e-12:
             monotone = False
             log.warning("training loss increased at epoch %d (lr=%g); flagged, "

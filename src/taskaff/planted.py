@@ -20,8 +20,8 @@ from math import comb
 
 import numpy as np
 
-from .affinity import AffinityMatrix, _regroup, subset_array
-from .errors import CoverageError, GenerationError, InvalidInputError, ParseError, int_ids, reading
+from .affinity import AffinityMatrix, _regroup, subset_array, uncovered_pairs
+from .errors import InvalidInputError, ParseError, TaskAffError, int_ids, reading
 from .learners import PINV_RCOND, closed_form_scores
 from .tasks import TaskSet
 
@@ -189,10 +189,8 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
             return inst
         achieved = (max_within, min_between)
         del inst  # and its N x N sigma, before the next draw forms P
-    raise GenerationError(
-        f"separation targets unreachable in {MAX_GENERATION_RETRIES} tries",
-        achieved_within=achieved[0], achieved_between=achieved[1],
-    )
+    raise TaskAffError(f"separation targets unreachable in {MAX_GENERATION_RETRIES} tries "
+                       f"(achieved within={achieved[0]:g}, between={achieved[1]:g})")
 
 
 def theta_closed_form(inst: PlantedInstance, subsets) -> AffinityMatrix:
@@ -209,11 +207,9 @@ def theta_closed_form(inst: PlantedInstance, subsets) -> AffinityMatrix:
     tasks, features = to_task_set(inst)
     losses = -closed_form_scores(features, tasks, rows, metric="negative-mse")
     (theta, counts), = _regroup(rows, losses, t, [len(rows)])
-    missing = [(int(i), int(j)) for i, j in np.argwhere(counts == 0)]
-    if missing:
-        raise CoverageError(
-            f"{len(missing)} task pair(s) never co-sampled", uncovered=missing
-        )
+    gap = uncovered_pairs(counts == 0)
+    if gap:
+        raise TaskAffError(f"task pairs never co-sampled: {gap}")
     return AffinityMatrix(theta, counts, orientation="loss")
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, ShortfallError, int_ids, reading
+from .errors import InvalidInputError, ParseError, int_ids, reading
 from .graphs import Graph
 
 log = logging.getLogger(__name__)
@@ -83,7 +83,7 @@ def load_communities(path, g: Graph, top_k: int):
     One community per line, whitespace-separated member ids. Ids are
     remapped through the graph's id map; members absent from the graph are
     dropped (a warning reports how many). Raises ParseError on a non-integer
-    id and ShortfallError when fewer than top_k communities remain.
+    id and InvalidInputError when fewer than top_k communities remain.
     """
     id_map = g.id_map()
     communities = []
@@ -96,7 +96,7 @@ def load_communities(path, g: Graph, top_k: int):
             try:
                 found = [id_map.get(int(tok)) for tok in line.split()]
             except ValueError:
-                raise ParseError(f"non-integer member id in {line!r}", lineno) from None
+                raise ParseError(f"line {lineno}: non-integer member id in {line!r}") from None
             members = [m for m in found if m is not None]
             dropped += len(found) - len(members)
             if members:
@@ -104,7 +104,8 @@ def load_communities(path, g: Graph, top_k: int):
     if dropped:
         log.warning("dropped %d community member(s) absent from the graph", dropped)
     if len(communities) < top_k:
-        raise ShortfallError(f"requested top {top_k} communities", len(communities))
+        raise InvalidInputError(f"requested top {top_k} communities "
+                                f"(available: {len(communities)})")
     communities.sort(key=lambda c: -c.size)
     return communities[:top_k]
 
@@ -176,7 +177,9 @@ def save_task_set(tasks: TaskSet, path) -> None:
 
 
 def load_task_set(path) -> TaskSet:
-    """Read a taskset.json; a test mask is every node in neither train nor val."""
+    """Read a taskset.json; a test mask is every node in neither train nor val.
+    A task whose train or val mask is empty is a ParseError: no model could
+    train or be scored on it."""
     with open(path, "r", encoding="utf-8") as fh, reading(path):
         payload = json.load(fh)
         n = payload["num_nodes"]
@@ -190,5 +193,8 @@ def load_task_set(path) -> TaskSet:
             labels.append(y)
             trains.append(int_ids(rec["train"]))
             vals.append(int_ids(rec["val"]))
+            for kind, mask in (("train", trains[-1]), ("val", vals[-1])):
+                if not mask.size:
+                    raise ParseError(f"{path}: task {k} has an empty {kind} mask")
             tests.append(_outside(n, trains[-1], vals[-1]))
         return TaskSet(n, tuple(labels), tuple(trains), tuple(vals), tuple(tests))

@@ -96,7 +96,7 @@ def fit_all(examples, num_tasks: int, l2: float = DEFAULT_L2, epochs: int = 2000
         finite = np.isfinite(w).all(axis=1) & np.isfinite(b)
         if not finite.all():
             raise TrainingError(f"logistic parameters of task {fit[np.argmin(finite)]} "
-                                "became non-finite", epoch=epoch)
+                                f"became non-finite, epoch {epoch}")
     models.update((tid, LogisticModel(w[k], float(b[k]))) for k, tid in enumerate(fit))
     return dict(sorted(models.items()))
 

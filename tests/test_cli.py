@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import re
 import shutil
 from pathlib import Path
 
@@ -237,6 +238,22 @@ class TestAffinity:
                     "--seed", argv["seed"], "--out", out]) == 2
         after = {n: Path(out, n).read_bytes() for n in os.listdir(out)}
         assert after == before
+
+    @pytest.mark.parametrize("argv", [["affinity", "--min-pair-coverage", "1"],
+                                      ["verify-theory"]], ids=["affinity", "verify-theory"])
+    def test_unreachable_coverage_exit_2_naming_a_pair(self, tmp_path, pipeline, capsys,
+                                                       argv):
+        # the 10x cap allows 10 draws of 2 of 12 tasks: at most 10 of 66 pairs covered
+        _, inst_dir, _ = pipeline
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(argv + ["--dataset", inst_dir, "--alpha", "2", "--num-subsets", "1",
+                           "--seed", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.fullmatch(
+            r"taskaff: pair coverage 1 unreachable within 10 subsets: (5[6-9]|6[0-5]) pairs "
+            r"uncovered, first \(\d+, \d+\)", err[0]), err
+        assert not out.exists()
 
 
 class TestClusterEvaluate:
@@ -1408,6 +1425,17 @@ class TestMalformedArtifacts:
         return (copy / "taskset.json", ["affinity", "--dataset", str(copy)] + MLP_AFFINITY,
                 "ids must be integers")
 
+    def task_set_empty_train(self, tmp_path, pipeline, community_affinity, community_dataset):
+        # before the check, affinity exited 3 after writing a log that could never resume
+        ds, _ = community_affinity
+        copy = tmp_path / "ds"
+        shutil.copytree(ds, copy)
+        payload = read_json(copy / "taskset.json")
+        payload["tasks"][2]["train"] = []
+        (copy / "taskset.json").write_text(json.dumps(payload))
+        return (copy / "taskset.json", ["affinity", "--dataset", str(copy)] + MLP_AFFINITY,
+                ": task 2 has an empty train mask")
+
     def task_set_float_train(self, tmp_path, pipeline, community_affinity, community_dataset):
         return self._task_set_first_id(tmp_path, community_affinity, "train", lambda i: i + 0.5)
 
@@ -1512,6 +1540,7 @@ class TestMalformedArtifacts:
                                       "planted_meta", "features", "features_nan",
                                       "features_inf", "grouping_float_id",
                                       "task_set_float_train", "task_set_string_positive",
+                                      "task_set_empty_train",
                                       "planted_meta_float_row", "community_meta_no_edges",
                                       "community_meta_no_edges_ppr_sim",
                                       "community_meta_string_hops", "community_meta_bool_hops",

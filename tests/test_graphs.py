@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taskaff import graphs
-from taskaff.errors import (
-    ConvergenceError,
-    InvalidInputError,
-    ParseError,
-)
+from taskaff.errors import InvalidInputError, ParseError, TaskAffError
 from tests.conftest import block_task_set, save_edge_list, two_block_graph
+
+
+def residual(err) -> float:
+    """The residual that the refusal of a PPR iteration at its cap names."""
+    text = re.fullmatch(r"PPR propagation did not converge \(residual: (.+)\)", str(err.value))
+    return float(text.group(1))
 
 
 def adjacency(g):
@@ -71,16 +74,15 @@ class TestLoadEdgeList:
     def test_two_edge_path(self, tmp_path):
         g = graphs.load_edge_list(write(tmp_path, "0 1\n1 2\n"))
         assert g.num_nodes == 3
-        assert g.num_edges == 2
+        assert g.indices.size == 2 * 2
 
     def test_comment_only_file_is_invalid(self, tmp_path):
         with pytest.raises(InvalidInputError):
             graphs.load_edge_list(write(tmp_path, "# comment\n# another\n"))
 
     def test_malformed_line_reports_number(self, tmp_path):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match="^line 2: "):
             graphs.load_edge_list(write(tmp_path, "0 1\n0 1 2\n"))
-        assert err.value.line_number == 2
 
     def test_non_integer_id(self, tmp_path):
         with pytest.raises(ParseError):
@@ -105,7 +107,7 @@ class TestLoadEdgeList:
 
     def test_duplicate_edges_deduplicated(self, tmp_path):
         g = graphs.load_edge_list(write(tmp_path, "0 1\n1 0\n0 1\n"))
-        assert g.num_edges == 1
+        assert g.indices.size == 2 * 1
 
     def test_idmap_persisted(self, tmp_path):
         import json
@@ -146,11 +148,11 @@ def old_load_edge_list(path):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ParseError(f"expected two node ids, got {line!r}", lineno)
+                raise ParseError(f"line {lineno}: expected two node ids, got {line!r}")
             try:
                 u_raw, v_raw = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"non-integer node id in {line!r}", lineno) from None
+                raise ParseError(f"line {lineno}: non-integer node id in {line!r}") from None
             u = remap.setdefault(u_raw, len(remap))
             v = remap.setdefault(v_raw, len(remap))
             if u == v:
@@ -251,9 +253,8 @@ class TestLoadEdgeListMatchesLineLoop:
         ("0 1\n1 2 # comment\n2 3\n", 2),
     ])
     def test_parse_error_line_numbers(self, tmp_path, text, lineno):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=f"^line {lineno}: "):
             graphs.load_edge_list(write(tmp_path, text))
-        assert err.value.line_number == lineno
 
 
 class TestDiffuseFeatures:
@@ -316,9 +317,9 @@ class TestDiffuseFeatures:
         rng = np.random.default_rng(0)
         g = graphs.build_graph(edges, features=rng.standard_normal((40, 2)))
         op = graphs.DiffusionOperator("ppr", teleport=0.001)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(TaskAffError) as err:
             graphs.diffuse_features(g, op, hops=1)
-        assert err.value.residual > 0
+        assert residual(err) > 0
 
     def test_ppr_teleport_one_is_identity(self):
         rng = np.random.default_rng(5)
@@ -417,9 +418,9 @@ class TestPersonalizedPagerank:
     def test_nonconvergence_raises(self):
         edges = [(i, (i + 1) % 40) for i in range(40)]
         g = graphs.build_graph(edges)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(TaskAffError) as err:
             graphs.personalized_pagerank(g, [0], teleport=0.001, tol=1e-15)
-        assert err.value.residual > 0
+        assert residual(err) > 0
 
     def test_empty_seed_rejected(self):
         g = graphs.build_graph([(0, 1)])

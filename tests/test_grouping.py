@@ -6,11 +6,7 @@ import pytest
 
 from taskaff import affinity, grouping, learners, planted
 from taskaff.affinity import AffinityMatrix
-from taskaff.errors import (
-    CoverageError,
-    DegenerateInputError,
-    InvalidInputError,
-)
+from taskaff.errors import InvalidInputError, TaskAffError
 
 
 def perf_aff(theta):
@@ -58,7 +54,7 @@ class TestBuildClusterMatrix:
         assert np.array_equal(full, full.T)
 
     def test_constant_theta_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InvalidInputError, match="^matrix is constant"):
             grouping.build_cluster_matrix(perf_aff(np.full((3, 3), 0.5)))
 
     def test_loss_orientation_rejected(self):
@@ -246,7 +242,7 @@ class TestTrainAndEvaluateGroups:
         spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=4,
                                     epochs=10, learning_rate=0.1)
         model = learners.train_subset(None, ts, [0, 1], spec, seed=0, features=x)
-        with pytest.raises(CoverageError):
+        with pytest.raises(TaskAffError, match="^task 2 is covered by no deployed model$"):
             grouping.evaluate_grouping([model], ts, "negative-cross-entropy")
 
     def test_grouped_beats_naive_on_planted(self, holdout_setup):

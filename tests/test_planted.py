@@ -1,17 +1,13 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from taskaff import affinity, grouping, learners, planted
-from taskaff.errors import (
-    CoverageError,
-    GenerationError,
-    InvalidInputError,
-    ParseError,
-)
+from taskaff.errors import InvalidInputError, ParseError, TaskAffError
 from tests.conftest import random_diffusion, sigma_tilde
 
 
@@ -90,9 +86,11 @@ class TestGenerate:
     def test_impossible_targets_raise(self):
         # bound so tight that clipping always destroys the separations
         cfg = quick_cfg(between_sep=50.0, label_bound=0.05, noise_std=0.0)
-        with pytest.raises(GenerationError) as err:
+        with pytest.raises(TaskAffError) as err:
             planted.generate(cfg)
-        assert err.value.achieved_between < 50.0
+        achieved = re.fullmatch(r"separation targets unreachable in \d+ tries "
+                                r"\(achieved within=(.+), between=(.+)\)", str(err.value))
+        assert float(achieved.group(2)) < 50.0
 
     def test_groups_cover_tasks_evenly(self):
         inst = planted.generate(quick_cfg(num_tasks=7, num_groups=3,
@@ -114,7 +112,7 @@ class TestThetaClosedForm:
         inst = small_instance
         subsets = [(i,) for i in range(6)]
         # pairs are uncovered, so aggregate by hand through the public API
-        with pytest.raises(CoverageError):
+        with pytest.raises(TaskAffError, match="never co-sampled"):
             planted.theta_closed_form(inst, subsets)
         rows = inst.observed_rows
         m = rows.size
@@ -167,7 +165,10 @@ class TestThetaClosedForm:
                         assert val < 1e-16
 
     def test_uncovered_pair_raises(self, small_instance):
-        with pytest.raises(CoverageError):
+        # of the 15 pairs i < j of 6 tasks, (0, 1), (0, 2), (1, 2), (0, 3) and
+        # (1, 3) are covered; the diagonal is not a pair
+        with pytest.raises(TaskAffError, match=r"^task pairs never co-sampled: 10 pairs "
+                                               r"uncovered, first \(0, 4\)$"):
             planted.theta_closed_form(small_instance, [(0, 1, 2), (0, 1, 3)])
 
 
@@ -521,7 +522,7 @@ def test_generate_retry_frees_the_failed_draw(monkeypatch):
     monkeypatch.setattr(planted, "MAX_GENERATION_RETRIES", 2)
     tracemalloc.start()
     try:
-        with pytest.raises(GenerationError):
+        with pytest.raises(TaskAffError, match="^separation targets unreachable"):
             planted.generate(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

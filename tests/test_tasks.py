@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskaff import graphs, tasks
-from taskaff.errors import InvalidInputError, ParseError, ShortfallError
+from taskaff.errors import InvalidInputError, ParseError
 from tests.conftest import two_block_graph
 
 
@@ -27,9 +28,9 @@ class TestLoadCommunities:
         g = ring_graph(5)
         path = tmp_path / "cmty.txt"
         path.write_text("0 1 2\n3 4\n")
-        with pytest.raises(ShortfallError) as err:
+        with pytest.raises(InvalidInputError,
+                           match=r"^requested top 5 communities \(available: 2\)$"):
             tasks.load_communities(path, g, top_k=5)
-        assert err.value.available == 2
 
     def test_sizes_sorted_non_increasing(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -171,6 +172,23 @@ class TestPersistence:
         payload["tasks"][0]["positives"].append(node)
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="task 0 has a positive node id outside 0..29"):
+            tasks.load_task_set(path)
+
+    @pytest.mark.parametrize("kind", ["train", "val"])
+    def test_empty_mask_refused(self, tmp_path, kind):
+        # no model trains on an empty train mask or is scored on an empty val mask
+        import json
+
+        g = two_block_graph(np.random.default_rng(2), n_per=15)
+        comm = [np.arange(8), np.arange(15, 26), np.arange(4, 12)]
+        ts = tasks.make_splits(comm, g, tasks.SplitPolicy(0.2, 0.2, 0.25, seed=4))
+        path = tmp_path / "taskset.json"
+        tasks.save_task_set(ts, path)
+        payload = json.loads(path.read_text())
+        payload["tasks"][2][kind] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: task 2 has an empty "
+                                             f"{kind} mask$"):
             tasks.load_task_set(path)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def fit_logistic(x, y, l2=transfer.DEFAULT_L2, epochs=2000, lr=0.5, seed=0):
         w -= lr * (x.T @ (p - y) / x.shape[0] + l2 * w)
         b -= lr * float(np.mean(p - y))
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):
-            raise TrainingError("logistic parameters became non-finite", epoch=epoch)
+            raise TrainingError(f"logistic parameters became non-finite, epoch {epoch}")
     return w, b, False
 
 
@@ -249,7 +251,8 @@ class TestFitAllMatchesPerTaskLoop:
                 fit_loop(ex, self.T)
             with pytest.raises(TrainingError, match="of task 4 became non-finite") as got:
                 transfer.fit_all(ex, self.T)
-        assert want.value.epoch is not None and got.value.epoch == want.value.epoch
+        epoch = re.search(r", epoch \d+$", str(want.value)).group()
+        assert str(got.value).endswith(epoch)
 
     @pytest.mark.parametrize("setting", [{"epochs": 0}, {"lr": -1.0}, {"lr": 0.0},
                                          {"lr": np.inf}, {"lr": np.nan}, {"l2": -5.0},
