@@ -142,8 +142,8 @@ def sample_subsets(plan: SamplingPlan):
     subsets = [draw() for _ in range(plan.num_subsets)]
     if plan.min_pair_coverage > 0:
         rows = np.array(subsets, dtype=np.int64)
-        keys = rows[:, :, None] * t + rows[:, None, :]
-        cover = np.bincount(keys.ravel(), minlength=t * t).reshape(t, t)
+        cover = sum(np.bincount(rows[:, p] * t + rows[:, q], minlength=t * t)
+                    for p in range(alpha) for q in range(alpha)).reshape(t, t)
         cap = COVERAGE_CAP_FACTOR * plan.num_subsets
 
         def gap():
@@ -195,29 +195,35 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
 
 
 def _regroup(subsets, scores, num_tasks, prefixes):
-    """(theta, counts) of each prefix length c: exact fsum means of f_i per pair.
+    """[(theta, counts)] of each prefix length c: exact fsum means of f_i per pair.
 
-    A stable sort on the pair keys i*T + j makes each pair's values one slice
-    of a float64 array in subset order, so the first c subsets' values open
-    the slice. Only one slice at a time becomes Python floats; fsum is
-    correctly rounded, so theta does not depend on how the values are held.
+    One target task i at a time: its subsets in log order, and its score in
+    each. A stable sort on their members j makes the values of each pair
+    (i, j) one slice in subset order, so the first c subsets' values open the
+    slice, and temporaries stay O(n * alpha). fsum is correctly rounded, so
+    theta does not depend on how the values are grouped.
     """
-    alpha = subsets.shape[1]
-    if subsets[:, 0].min() < 0 or subsets[:, -1].max() >= num_tasks:
-        raise InvalidInputError(f"a logged subset holds task ids outside 0..{num_tasks - 1}")
-    keys = (subsets[:, :, None] * num_tasks + subsets[:, None, :]).ravel()
-    order = np.argsort(keys, kind="stable")
-    order //= alpha  # key k = (subset, i, j) scores f_i = scores.ravel()[k // alpha]
-    values = scores.ravel()[order]
-    del order
-    full = np.bincount(keys, minlength=num_tasks**2)
-    starts = np.cumsum(full) - full
-    for c in prefixes:
-        counts = np.bincount(keys[:c * alpha * alpha], minlength=num_tasks**2)
-        pairs, theta = np.flatnonzero(counts), np.zeros(num_tasks**2)
-        theta[pairs] = [math.fsum(values[s:s + k].tolist()) / k
-                        for s, k in zip(starts[pairs].tolist(), counts[pairs].tolist())]
-        yield theta.reshape(num_tasks, num_tasks), counts.reshape(num_tasks, num_tasks)
+    alpha, t = subsets.shape[1], num_tasks
+    if subsets[:, 0].min() < 0 or subsets[:, -1].max() >= t:
+        raise InvalidInputError(f"a logged subset holds task ids outside 0..{t - 1}")
+    thetas = np.zeros((len(prefixes), t, t))
+    counts = np.zeros((len(prefixes), t, t), dtype=np.int64)
+    order = np.argsort(subsets.ravel(), kind="stable")  # task by task, each in log order
+    ends = np.cumsum(np.bincount(subsets.ravel(), minlength=t)).tolist()
+    for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        held = order[lo:hi] // alpha  # the subsets that hold i, ascending
+        members = subsets[held].ravel()
+        by_partner = np.argsort(members, kind="stable")
+        values = scores.ravel()[order[lo:hi]][by_partner // alpha]  # f_i, pair by pair
+        full = np.bincount(members, minlength=t)
+        starts = np.cumsum(full) - full
+        for row, c in enumerate(prefixes):
+            cnt = np.bincount(members[:np.searchsorted(held, c) * alpha], minlength=t)
+            pairs = np.flatnonzero(cnt)
+            thetas[row, i, pairs] = [math.fsum(values[s:s + k].tolist()) / k
+                                     for s, k in zip(starts[pairs].tolist(), cnt[pairs].tolist())]
+            counts[row, i] = cnt
+    return list(zip(thetas, counts))
 
 
 def _imputed(theta, counts, scores) -> AffinityMatrix:

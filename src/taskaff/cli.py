@@ -344,8 +344,13 @@ def cmd_cluster(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
     tasks, features = _load_dataset(dataset, args.holdout_frac)
-    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"), tasks.num_tasks)
+    grp_path = os.path.join(grouping_dir, "grouping.json")
+    grp = grp_mod.load_grouping(grp_path, tasks.num_tasks)
     spec = _learner_spec(args)
+    missing = sorted(set(range(tasks.num_tasks)).difference(*grp.groups))
+    if missing and spec.kind != "closed-form-linear":  # a linear model scores every task
+        raise TaskAffError(f"{grp_path}: task {missing[0]} is in no group, and an MLP "
+                           "scores only its group's tasks")
     models = grp_mod.train_groups(tasks, grp, spec, args.seed, features=features)
     per_task, objective = grp_mod.evaluate_grouping(models, tasks, spec.metric)
     report = {
@@ -367,7 +372,7 @@ def cmd_evaluate(args) -> int:
                     {"dataset": os.path.abspath(dataset), "seed": args.seed,
                      "holdout_frac": args.holdout_frac, "learner": asdict(spec),
                      "with_baseline": bool(args.with_baseline)},
-                    [os.path.join(grouping_dir, "grouping.json")], [out_path])
+                    [grp_path], [out_path])
     return EX_OK
 
 

@@ -31,7 +31,7 @@ METRICS = ("negative-cross-entropy", "negative-mse", "f1")
 
 _PROB_EPS = 1e-12
 # Bound on one float temporary of closed_form_scores' chunked scoring (bytes).
-_CHUNK_BYTES = 4 * 2**20
+_CHUNK_BYTES = 2**20
 
 # Whether this process pinned its BLAS to one thread before numpy loaded;
 # taskaff.cli sets it once, when it is imported. Only then does train_models

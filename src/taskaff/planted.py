@@ -22,7 +22,7 @@ import numpy as np
 
 from .affinity import AffinityMatrix, _regroup, subset_array, uncovered_pairs
 from .errors import InvalidInputError, ParseError, TaskAffError, int_ids, reading
-from .learners import PINV_RCOND, closed_form_scores
+from .learners import closed_form_scores
 from .tasks import TaskSet
 
 MAX_GENERATION_RETRIES = 100
@@ -66,7 +66,7 @@ class PlantedConfig:
 @dataclass
 class PlantedInstance:
     """One generated instance as the designs of its two hat matrices, P X (N x d) and
-    P[o,o] X[o] (m x d, o the observed rows); the projections are formed on first use."""
+    P[o,o] X[o] (m x d, o the observed rows); no N x N matrix is ever formed."""
 
     config: PlantedConfig
     design: np.ndarray = field(repr=False)
@@ -76,16 +76,13 @@ class PlantedInstance:
     group_of: np.ndarray
 
     @cached_property
-    def sigma(self) -> np.ndarray:
-        """N x N hat matrix of the full diffused design."""
-        return _projection(self.design)
-
-    @cached_property
     def separations(self) -> tuple:
         """(max within-group, min cross-group) projected pair distance."""
+        # The hat matrix of the design is Q Q^T, Q its reduced QR basis, and
         # sigma (y_i - y_j) = sigma y_i - sigma y_j: project each task once, then
         # difference the rows (a Gram expansion would cancel catastrophically).
-        projected = self.labels @ self.sigma.T
+        basis = np.linalg.qr(self.design)[0]
+        projected = (self.labels @ basis) @ basis.T
         max_within, min_between = 0.0, np.inf
         for i in range(self.labels.shape[0] - 1):
             dist = np.linalg.norm(projected[i + 1:] - projected[i], axis=1)
@@ -95,38 +92,40 @@ class PlantedInstance:
         return max_within, min_between
 
 
-def _projection(design: np.ndarray) -> np.ndarray:
-    return design @ np.linalg.pinv(design.T @ design, rcond=PINV_RCOND) @ design.T
-
-
 def _random_graph(rng, n: int):
-    """(bool symmetric adjacency, inverse-sqrt degrees) of G(n, 2 log n / n).
+    """(rows, cols, inverse-sqrt degrees) of G(n, 2 log n / n): rows and cols
+    are the adjacency's nonzero entries, both directions of each edge, in
+    row-major order.
 
     The upper triangle is drawn DRAW_ROWS rows at a time: the same numbers, in
     the same order, as one (n, n) draw, without its N x N float temporary.
     """
     p_edge = min(1.0, 2.0 * math.log(max(n, 2)) / n)
-    adj = np.empty((n, n), dtype=bool)
+    upper = []
     for start in range(0, n, DRAW_ROWS):
         block = rng.random((min(DRAW_ROWS, n - start), n)) < p_edge
-        adj[start:start + DRAW_ROWS] = np.triu(block, k=start + 1)
-    adj |= adj.T
-    deg = adj.sum(axis=1, dtype=float)
-    return adj, np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+        i, j = np.nonzero(np.triu(block, k=start + 1))
+        upper.append((i + start) * n + j)
+    upper = np.concatenate(upper)  # keys i * n + j of the edges i < j
+    rows, cols = np.divmod(np.sort(np.concatenate([upper, upper % n * n + upper // n])), n)
+    deg = np.bincount(rows, minlength=n).astype(float)
+    return rows, cols, np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
 
 
-def _diffusion(adj: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """A principal block of P = I + 0.5 * sym-normalized adjacency (all of it,
-    or P[o,o]; eigenvalues in [0.5, 1.5], so P is always full rank) from that
-    block of the adjacency and its rows' inverse-sqrt degrees: the same
-    elementwise steps either way, so P[o,o] is bitwise the block of P. Scaled
-    in place."""
-    p = adj.astype(float)
-    p *= inv_sqrt[:, None]
-    p *= inv_sqrt[None, :]
-    p *= 0.5
-    p[np.diag_indices(len(p))] += 1.0
-    return p
+def _diffuse(rows, cols, inv_sqrt, x):
+    """P x for P = I + 0.5 * D^-1/2 A D^-1/2 (eigenvalues in [0.5, 1.5], so P
+    is always full rank), as x + 0.5 * D^-1/2 (A (D^-1/2 x)): one np.bincount
+    per column of x sums each row's neighbours in the order of the nonzero
+    entries (rows, cols) of A. ``inv_sqrt`` holds the rows' inverse-sqrt
+    degrees, so a principal block of A with its rows' degrees gives that
+    block of P times the rows of x."""
+    scaled = inv_sqrt[:, None] * x
+    px = np.empty_like(x)
+    for k in range(x.shape[1]):
+        px[:, k] = np.bincount(rows, weights=scaled[cols, k], minlength=len(x))
+    px *= 0.5 * inv_sqrt[:, None]
+    px += x
+    return px
 
 
 def generate(cfg: PlantedConfig) -> PlantedInstance:
@@ -139,9 +138,9 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
     the projection, so it never disturbs the separations; labels are clipped
     to the configured sup-norm bound and the separations re-verified.
 
-    Memory: the graph is held as a bool adjacency drawn in row blocks; the
-    float P exists only for the one ``P @ X`` product, and P[o,o] is formed
-    afterwards from the adjacency, so one N x N float array is alive at a time.
+    Memory: the graph is held as its edge list, and P X and P[o,o] X[o] are
+    neighbour sums over it, so no array grows with N^2; the largest temporary
+    is one DRAW_ROWS x N block of the adjacency draw.
     """
     if cfg.num_groups > cfg.feature_dim:
         raise InvalidInputError(
@@ -157,13 +156,15 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
     achieved = (np.inf, 0.0)
     for _ in range(MAX_GENERATION_RETRIES):
         x = rng.standard_normal((n, d))
-        adj, inv_sqrt = _random_graph(rng, n)
+        src, dst, inv_sqrt = _random_graph(rng, n)
         rows = np.sort(rng.choice(n, size=m, replace=False))
-        design = _diffusion(adj, inv_sqrt) @ x
-        observed_design = _diffusion(adj[np.ix_(rows, rows)], inv_sqrt[rows]) @ x[rows]
-        del adj  # before the separation check forms the N x N hat matrix
+        design = _diffuse(src, dst, inv_sqrt, x)
+        at = np.full(n, -1)
+        at[rows] = np.arange(m)  # position in the observed block, -1 outside it
+        inside = (at[src] >= 0) & (at[dst] >= 0)
+        observed_design = _diffuse(at[src[inside]], at[dst[inside]], inv_sqrt[rows], x[rows])
 
-        basis, _ = np.linalg.qr(design)  # N x d orthonormal basis of col(sigma)
+        basis, _ = np.linalg.qr(design)  # N x d orthonormal basis of col(design)
         dirs, _ = np.linalg.qr(rng.standard_normal((d, d)))
         rho = (cfg.between_sep + cfg.within_sep) / math.sqrt(2.0)
         centroids = (basis @ dirs[:, :cfg.num_groups]) * rho
@@ -188,7 +189,6 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
         if within_ok and between_ok:
             return inst
         achieved = (max_within, min_between)
-        del inst  # and its N x N sigma, before the next draw forms P
     raise TaskAffError(f"separation targets unreachable in {MAX_GENERATION_RETRIES} tries "
                        f"(achieved within={achieved[0]:g}, between={achieved[1]:g})")
 

@@ -1,3 +1,4 @@
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -29,15 +30,53 @@ def records(log):
             for s, sc in zip(log.subsets.tolist(), log.scores.tolist())]
 
 
+def projection(design):
+    """Hat matrix of a design, through the pseudo-inverse of its Gram matrix."""
+    return design @ np.linalg.pinv(design.T @ design, rcond=learners.PINV_RCOND) @ design.T
+
+
+def sigma(inst):
+    """N x N hat matrix of a planted instance's full diffused design."""
+    return projection(inst.design)
+
+
+def all_pairs_regroup(subsets, scores, num_tasks, prefixes):
+    """(theta, counts) of each prefix length c, from one stable sort of every
+    (subset, i, j) key i*T + j of the log: exact fsum means of f_i per pair.
+    Holds n * alpha^2 keys, sort positions and values at once."""
+    alpha = subsets.shape[1]
+    keys = (subsets[:, :, None] * num_tasks + subsets[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    order //= alpha  # key k = (subset, i, j) scores f_i = scores.ravel()[k // alpha]
+    values = scores.ravel()[order]
+    full = np.bincount(keys, minlength=num_tasks**2)
+    starts = np.cumsum(full) - full
+    for c in prefixes:
+        counts = np.bincount(keys[:c * alpha * alpha], minlength=num_tasks**2)
+        pairs, theta = np.flatnonzero(counts), np.zeros(num_tasks**2)
+        theta[pairs] = [math.fsum(values[s:s + k].tolist()) / k
+                        for s, k in zip(starts[pairs].tolist(), counts[pairs].tolist())]
+        yield theta.reshape(num_tasks, num_tasks), counts.reshape(num_tasks, num_tasks)
+
+
 def sigma_tilde(inst):
     """m x m hat matrix of a planted instance's design restricted to its
     observed rows: the projection of the closed-form theory."""
-    return planted._projection(inst.observed_design)
+    return projection(inst.observed_design)
 
 
 def random_diffusion(rng, n):
-    """The diffusion P that planted.generate draws from ``rng``, as one matrix."""
-    return planted._diffusion(*planted._random_graph(rng, n))
+    """The diffusion P = I + 0.5 * sym-normalized adjacency that
+    planted.generate draws from ``rng``, as one dense matrix scaled
+    elementwise."""
+    rows, cols, inv_sqrt = planted._random_graph(rng, n)
+    p = np.zeros((n, n))
+    p[rows, cols] = 1.0
+    p *= inv_sqrt[:, None]
+    p *= inv_sqrt[None, :]
+    p *= 0.5
+    p[np.diag_indices(n)] += 1.0
+    return p
 
 
 def _flatten(layers):

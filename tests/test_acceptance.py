@@ -14,7 +14,7 @@ import numpy as np
 
 from taskaff import affinity, graphs, grouping, learners, planted, transfer
 from tests.conftest import (ACCEPTANCE_RESULTS, block_task_set, gradient_check, make_eval,
-                            make_log, sigma_tilde, two_block_graph)
+                            make_log, sigma, sigma_tilde, two_block_graph)
 
 
 def report(name, ok, detail=""):
@@ -225,8 +225,8 @@ def test_unit_oracles():
                                 between_sep=3.0, label_bound=2.0, noise_std=0.2,
                                 seed=701)
     inst = planted.generate(cfg)
-    sig = sigma_tilde(inst)
-    idem = max(float(np.abs(inst.sigma @ inst.sigma - inst.sigma).max()),
+    full, sig = sigma(inst), sigma_tilde(inst)
+    idem = max(float(np.abs(full @ full - full).max()),
                float(np.abs(sig @ sig - sig).max()))
     ok_idem = idem < 1e-8
 

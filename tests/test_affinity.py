@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from taskaff import affinity, learners, planted
 from taskaff.errors import InvalidInputError, ParseError, TaskAffError
-from tests.conftest import make_eval, make_log, records, sigma_tilde
+from tests.conftest import all_pairs_regroup, make_eval, make_log, records, sigma_tilde
 
 
 class TestSampleSubsets:
@@ -340,6 +340,24 @@ class TestRegroup:
                 expected_counts[i, j] = len(vals)
             assert theta.tobytes() == expected.tobytes(), c
             assert np.array_equal(counts, expected_counts), c
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_the_all_pairs_version(self, seed):
+        # task 11 is never sampled; scores span 16 orders of magnitude, so a
+        # sum in any other grouping than fsum's would show
+        rng = np.random.default_rng(seed)
+        t, alpha, n = 12, 5, 300
+        subsets = affinity.subset_array(affinity.sample_subsets(affinity.SamplingPlan(
+            num_tasks=t - 1, subset_size=alpha, num_subsets=n, seed=seed)), t)
+        scores = rng.standard_normal((n, alpha)) * 10.0 ** rng.integers(-8, 8, (n, alpha))
+        prefixes = [1, 3, 40, 151, 299, 300]
+        got = affinity._regroup(subsets, scores, t, prefixes)
+        want = list(all_pairs_regroup(subsets, scores, t, prefixes))
+        assert len(got) == len(want) == len(prefixes)
+        for c, new, old in zip(prefixes, got, want):
+            for a, b in zip(new, old):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), c
+        assert not got[-1][1][t - 1].any() and not got[-1][1][:, t - 1].any()
 
     def test_memory_bounded_at_paper_scale(self):
         # verify-theory's log: 8,000 subsets of 10 at T = 100, 800,000 pair

@@ -977,6 +977,28 @@ class TestSplitAndPprSim:
             "every task; use --learner mlp"]
         assert not out.exists()
 
+    def test_mlp_evaluate_uncovered_task_exit_2_before_any_training(
+            self, tmp_path, community_affinity, monkeypatch, capsys):
+        # before the check, both groups trained and the refusal, "task 3 is
+        # covered by no deployed model", did not name the file; ppr-sim still
+        # reads such a grouping
+        ds, _ = community_affinity
+        gdir, out = tmp_path / "grp", tmp_path / "eval"
+        gdir.mkdir()
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[0, 1], [2]], assignments=np.zeros(8, dtype=np.int64), budget=2),
+            gdir / "grouping.json")
+        monkeypatch.setattr(cli.learners, "train_subset", no_training)
+        capsys.readouterr()
+        assert run(["evaluate", "--dataset", ds, "--grouping-dir", str(gdir),
+                    "--learner", "mlp", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: {gdir / 'grouping.json'}: task 3 is in no group, and an MLP scores "
+            "only its group's tasks"]
+        assert not out.exists()
+        assert run(["ppr-sim", "--dataset", ds, "--grouping-dir", str(gdir),
+                    "--out", str(tmp_path / "ppr")]) == 0
+
     def test_ppr_sim_empty_group_exit_2_without_output(self, tmp_path, community_dataset,
                                                        monkeypatch, capsys):
         # before the check, ppr-sim exited 0 on this grouping

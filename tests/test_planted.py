@@ -8,7 +8,7 @@ import pytest
 
 from taskaff import affinity, grouping, learners, planted
 from taskaff.errors import InvalidInputError, ParseError, TaskAffError
-from tests.conftest import random_diffusion, sigma_tilde
+from tests.conftest import random_diffusion, sigma, sigma_tilde
 
 
 def quick_cfg(**kw):
@@ -22,15 +22,17 @@ def quick_cfg(**kw):
 class TestGenerate:
     def test_single_group_all_within(self):
         inst = planted.generate(quick_cfg(num_groups=1, within_sep=0.4))
+        sig = sigma(inst)
         for i, j in itertools.combinations(range(6), 2):
-            d = np.linalg.norm(inst.sigma @ (inst.labels[i] - inst.labels[j]))
+            d = np.linalg.norm(sig @ (inst.labels[i] - inst.labels[j]))
             assert d <= 0.4 + 1e-9
 
     def test_zero_within_sep_identical_projections(self):
         inst = planted.generate(quick_cfg(within_sep=0.0, noise_std=0.05))
+        sig = sigma(inst)
         for i, j in itertools.combinations(range(6), 2):
             if inst.group_of[i] == inst.group_of[j]:
-                d = np.linalg.norm(inst.sigma @ (inst.labels[i] - inst.labels[j]))
+                d = np.linalg.norm(sig @ (inst.labels[i] - inst.labels[j]))
                 assert d <= 1e-9
 
     def test_separation_assumption_holds_at_scale(self):
@@ -39,9 +41,10 @@ class TestGenerate:
                                     between_sep=6.0, label_bound=2.0,
                                     noise_std=0.2, seed=1)
         inst = planted.generate(cfg)
+        sig = sigma(inst)
         # direct norm verification of both separation bounds
         for i, j in itertools.combinations(range(20), 2):
-            d = np.linalg.norm(inst.sigma @ (inst.labels[i] - inst.labels[j]))
+            d = np.linalg.norm(sig @ (inst.labels[i] - inst.labels[j]))
             if inst.group_of[i] == inst.group_of[j]:
                 assert d <= 0.5 + 1e-9
             else:
@@ -51,10 +54,11 @@ class TestGenerate:
     def test_separations_match_pairwise_loop(self, groups):
         inst = planted.generate(quick_cfg(num_tasks=9, num_groups=groups,
                                           within_sep=0.3, seed=groups))
+        sig = sigma(inst)
         # the per-pair projection loop the vectorized version replaced
         max_within, min_between = 0.0, np.inf
         for i, j in itertools.combinations(range(9), 2):
-            d = float(np.linalg.norm(inst.sigma @ (inst.labels[i] - inst.labels[j])))
+            d = float(np.linalg.norm(sig @ (inst.labels[i] - inst.labels[j])))
             if inst.group_of[i] == inst.group_of[j]:
                 max_within = max(max_within, d)
             else:
@@ -79,7 +83,8 @@ class TestGenerate:
 
     def test_projection_idempotence(self, small_instance):
         inst = small_instance
-        assert np.abs(inst.sigma @ inst.sigma - inst.sigma).max() < 1e-8
+        sig = sigma(inst)
+        assert np.abs(sig @ sig - sig).max() < 1e-8
         st = sigma_tilde(inst)
         assert np.abs(st @ st - st).max() < 1e-8
 
@@ -216,9 +221,10 @@ class TestSharedKernelTheory:
         with pytest.raises(InvalidInputError):
             planted.theta_closed_form(small_instance, [(0, 1, 2), (3, 4)])
 
-    def test_memory_bounded_at_paper_scale(self):
-        # T=100, m=1500, 8,000 subsets of 10: unchunked scoring would hold
-        # 8000 x 10 x 1500 doubles (960 MB) at once
+    @pytest.fixture(scope="class")
+    def paper_scale_peak(self):
+        """Traced peak of theta_closed_form at T=100, m=1500 and 8,000 subsets
+        of 10 with pair coverage 1, verify-theory's plan on the benchmark."""
         import tracemalloc
         rng = np.random.default_rng(3)
         cfg = planted.PlantedConfig(num_tasks=100, num_groups=10, feature_dim=20,
@@ -238,7 +244,17 @@ class TestSharedKernelTheory:
         finally:
             tracemalloc.stop()
         print(f"peak {peak / 2**20:.1f} MiB")
-        assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        return peak
+
+    def test_memory_bounded_at_paper_scale(self, paper_scale_peak):
+        # unchunked scoring would hold 8000 x 10 x 1500 doubles (960 MB) at once
+        assert paper_scale_peak < 96 * 2**20, f"peak {paper_scale_peak / 2**20:.1f} MiB"
+
+    def test_aggregation_holds_no_pair_value_array(self, paper_scale_peak):
+        # the 800,000 (subset, i, j) entries of the log, as an int64 key array, its
+        # sort order and a float64 value array, take 18.3 MiB; the scores and the
+        # subsets themselves take 1.2 MiB
+        assert paper_scale_peak < 12 * 2**20, f"peak {paper_scale_peak / 2**20:.1f} MiB"
 
 
 class TestPopulationTheta:
@@ -441,8 +457,8 @@ def test_designs_are_p_x_and_its_observed_block():
     p = random_diffusion(rng, cfg.num_nodes)
     rows = np.sort(rng.choice(cfg.num_nodes, size=cfg.observed, replace=False))
     assert np.array_equal(inst.observed_rows, rows)
-    assert np.array_equal(inst.design, p @ x)
-    assert np.array_equal(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])
+    assert _near(inst.design, p @ x)
+    assert _near(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])
 
 
 def _dense_diffusion(rng, n):
@@ -463,6 +479,12 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _near(a, b):
+    # generate sums each row's neighbours, where a dense product P @ X runs
+    # a GEMM: the two round differently, within 1e-13 of the largest entry
+    return a.shape == b.shape and np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_generate_across_row_blocks_is_bitwise_the_dense_draw(seed, monkeypatch):
     # N = 600 holds two full blocks of DRAW_ROWS = 256 and a partial one; both
@@ -481,8 +503,8 @@ def test_generate_across_row_blocks_is_bitwise_the_dense_draw(seed, monkeypatch)
     replay.standard_normal((n, d))
     assert _same_bits(random_diffusion(replay, n), p)
     assert _same_bits(inst.observed_rows, rows)
-    assert _same_bits(inst.design, p @ x)
-    assert _same_bits(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])
+    assert _near(inst.design, p @ x)
+    assert _near(inst.observed_design, p[np.ix_(rows, rows)] @ x[rows])
     # one block spanning every row is the dense draw; the rest of the stream
     # (labels) and the separations follow it bit for bit
     monkeypatch.setattr(planted, "DRAW_ROWS", n)
@@ -490,13 +512,15 @@ def test_generate_across_row_blocks_is_bitwise_the_dense_draw(seed, monkeypatch)
     for name in ("design", "observed_design", "observed_rows", "labels", "group_of"):
         assert _same_bits(getattr(inst, name), getattr(dense, name)), name
     assert inst.separations == dense.separations
-    assert inst.separations == dataclasses.replace(
-        inst, design=p @ x, observed_design=p[np.ix_(rows, rows)] @ x[rows]).separations
+    assert inst.separations == pytest.approx(dataclasses.replace(
+        inst, design=p @ x, observed_design=p[np.ix_(rows, rows)] @ x[rows]).separations,
+        rel=1e-13, abs=0)
 
 
 def test_generate_memory_bounded_at_paper_scale():
-    # the benchmark's instance, N = 2,000: a full-size (N, N) uniform draw or a
-    # float P[o,o] gathered while P is alive does not fit under 1.35 N x N doubles
+    # the benchmark's instance, N = 2,000: one float N x N array (the diffusion
+    # P, its hat matrix or a full-size uniform draw) does not fit under 0.5 N x N
+    # doubles
     import tracemalloc
     n = 2000
     cfg = planted.PlantedConfig(num_tasks=100, num_groups=10, feature_dim=20, num_nodes=n,
@@ -508,7 +532,7 @@ def test_generate_memory_bounded_at_paper_scale():
     finally:
         tracemalloc.stop()
     print(f"peak {peak / 2**20:.1f} MiB = {peak / (n * n * 8):.2f} N^2 doubles")
-    assert peak < 1.35 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 0.5 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_generate_retry_frees_the_failed_draw(monkeypatch):
