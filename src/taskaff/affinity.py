@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (InvalidInputError, ParseError, TaskAffError, TrainingError, int_ids,
-                     read_json_object, reading)
+from .errors import InvalidInputError, ParseError, TaskAffError, int_ids, read_json_object, reading
 from .graphs import _load_matrix
 from .learners import (LearnerSpec, check_shared_masks, closed_form_scores, evaluate,
                        train_models)
@@ -168,7 +167,7 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
     that index. The linear learner scores all subsets in one batch, the MLP
     one at a time, in log order (learners.train_models, which may train them
     on a pool); ``commit(indices, log)`` receives each finished batch. An MLP
-    failure is re-raised as TrainingError tagged with the subset's log index.
+    TrainingError names the subset's log index ("…, subset 23").
     """
     rows = subset_array(subsets, tasks.num_tasks)
     indices = np.arange(len(rows)) if indices is None else np.asarray(indices, dtype=np.int64)
@@ -179,16 +178,11 @@ def collect_evaluations(tasks, subsets, spec: LearnerSpec, base_seed: int, featu
         return log
     seeds = [base_seed ^ k for k in indices.tolist()]  # Python ints: a seed may pass 2**63
     scores, members = np.empty(rows.shape), rows.tolist()
-    models = train_models(tasks, members, spec, seeds, features)
+    models = train_models(tasks, members, spec, seeds, features,
+                          [f"subset {k}" for k in indices.tolist()])
     with closing(models):
-        for k, subset in enumerate(members):
-            try:
-                model = next(models)
-                scores[k] = [evaluate(model, tasks, i, "val", spec.metric) for i in subset]
-            except TrainingError as exc:
-                raise TrainingError(f"{exc}, subset {indices[k]}") from exc
-            except TaskAffError as exc:
-                raise TrainingError(f"subset training failed: {exc}, subset {indices[k]}") from exc
+        for k, (subset, model) in enumerate(zip(members, models)):
+            scores[k] = [evaluate(model, tasks, i, "val", spec.metric) for i in subset]
             if commit is not None:
                 commit(indices[k:k + 1], EvalLog(rows[k:k + 1], scores[k:k + 1]))
     return EvalLog(rows, scores)

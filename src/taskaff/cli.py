@@ -224,12 +224,10 @@ def _load_dataset(dataset_dir, holdout_frac):
 
 def _learner_spec(args) -> LearnerSpec:
     aliases = {"linear": "closed-form-linear", "mlp": "shared-encoder-mlp"}
-    kind = aliases.get(args.learner, args.learner)
-    metric = "negative-mse" if kind == "closed-form-linear" else "negative-cross-entropy"
-    return LearnerSpec(kind=kind, hidden_width=args.hidden_width,
-                       hidden_layers=args.hidden_layers, learning_rate=args.learning_rate,
-                       epochs=args.epochs, ridge=args.ridge,
-                       metric=metric if args.metric is None else args.metric)
+    return LearnerSpec(kind=aliases.get(args.learner, args.learner),
+                       hidden_width=args.hidden_width, hidden_layers=args.hidden_layers,
+                       learning_rate=args.learning_rate, epochs=args.epochs, ridge=args.ridge,
+                       metric=args.metric)
 
 
 def cmd_generate(args) -> int:

@@ -14,7 +14,7 @@ import io
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,11 +68,9 @@ class Graph:
     orig_ids: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.node_features.shape[0] != self.num_nodes:
-            raise InvalidInputError(
-                f"feature matrix has {self.node_features.shape[0]} rows, "
-                f"expected {self.num_nodes}"
-            )
+        if self.node_features.ndim != 2 or self.node_features.shape[0] != self.num_nodes:
+            raise InvalidInputError(f"features must be a {self.num_nodes}-row matrix, got "
+                                    f"shape {self.node_features.shape}")
         if self.orig_ids is None:
             object.__setattr__(self, "orig_ids", np.arange(self.num_nodes))
 
@@ -85,13 +83,7 @@ class Graph:
 
     def with_features(self, features: np.ndarray) -> "Graph":
         """Return a copy of this graph carrying the given feature matrix."""
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[0] != self.num_nodes:
-            raise InvalidInputError(
-                f"features must be a {self.num_nodes}-row matrix, got shape "
-                f"{features.shape}"
-            )
-        return Graph(self.num_nodes, self.indptr, self.indices, features, self.orig_ids)
+        return replace(self, node_features=np.asarray(features, dtype=float))
 
 
 def build_graph(edges, num_nodes=None, features=None, orig_ids=None) -> Graph:
@@ -236,6 +228,18 @@ def _inverse(values: np.ndarray) -> np.ndarray:
     return np.divide(1.0, values, out=np.zeros_like(values), where=values > 0)
 
 
+def _edge_sum(rows, cols, weights, x) -> np.ndarray:
+    """Row i sums weights[e] * x[cols[e]] over the entries e with rows[e] == i
+    (weight 1 when ``weights`` is None) in entry order, one np.bincount per
+    column of x: the diffusion kernel of diffuse_features and planted.generate."""
+    out = np.empty_like(x)
+    for k in range(x.shape[1]):
+        xk = x[cols, k]
+        out[:, k] = np.bincount(rows, weights=xk if weights is None else weights * xk,
+                                minlength=len(x))
+    return out
+
+
 def _operator_entries(g: Graph, kind: str):
     """(rows, cols, weights) of the row- or symmetric-normalized operator,
     each row in the order scipy's CSR products ``diags(1/deg) @ A`` (+ I on
@@ -322,12 +326,11 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
 
     Hop 0 equals the raw feature matrix exactly; block order follows hop
     index, so the hops=h output is a column-prefix of the hops=h+1 output.
-    The row- and symmetric-normalized kinds are applied one column at a
-    time with ``np.bincount``, which adds each row's terms in the order of
-    ``_operator_entries``, in O(nnz) temporaries. The ``ppr`` kind is
-    applied by sparse fixed-point iteration (see ``_ppr_hop``) in
-    O(nnz + N*d) memory and raises TaskAffError if a hop does not
-    converge within PPR_MAX_ITER steps.
+    The row- and symmetric-normalized kinds are applied by ``_edge_sum``,
+    which adds each row's terms in the order of ``_operator_entries``, in
+    O(nnz) temporaries. The ``ppr`` kind is applied by sparse fixed-point
+    iteration (see ``_ppr_hop``) in O(nnz + N*d) memory and raises
+    TaskAffError if a hop does not converge within PPR_MAX_ITER steps.
     """
     if hops < 0:
         raise InvalidInputError("hops must be >= 0")
@@ -341,11 +344,7 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
     else:
         rows, cols, weights = _operator_entries(g, op.kind)
         for _ in range(hops):
-            nxt = np.empty_like(cur)
-            for k in range(cur.shape[1]):
-                nxt[:, k] = np.bincount(rows, weights=weights * cur[cols, k],
-                                        minlength=g.num_nodes)
-            cur = nxt
+            cur = _edge_sum(rows, cols, weights, cur)
             blocks.append(cur)
     return np.hstack(blocks)
 

@@ -9,14 +9,13 @@ groups as an auxiliary source while keeping exactly one home group.
 from __future__ import annotations
 
 import json
-from contextlib import closing
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .affinity import AffinityMatrix
-from .errors import InvalidInputError, TaskAffError, TrainingError, int_ids, reading
+from .errors import InvalidInputError, TaskAffError, int_ids, reading
 from .learners import LearnerSpec, evaluate, train_models
 from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 
@@ -168,16 +167,11 @@ def derive_groups(labels, num_tasks: int, budget: int) -> TaskGrouping:
 
 def train_groups(tasks, grouping: TaskGrouping, spec: LearnerSpec, seed: int, features):
     """Train one multitask model per group, seeded by base seed XOR index
-    (learners.train_models, in group order)."""
-    seeds = [seed ^ gi for gi in range(len(grouping.groups))]
-    models = []
-    with closing(train_models(tasks, grouping.groups, spec, seeds, features)) as trained:
-        for gi in range(len(seeds)):
-            try:
-                models.append(next(trained))
-            except TrainingError as exc:
-                raise TrainingError(f"{exc}, group {gi}") from exc
-    return models
+    (learners.train_models, in group order); a TrainingError names the group
+    ("…, group 1")."""
+    indices = range(len(grouping.groups))
+    return list(train_models(tasks, grouping.groups, spec, [seed ^ gi for gi in indices],
+                             features, [f"group {gi}" for gi in indices]))
 
 
 def evaluate_grouping(models, tasks, metric: str):

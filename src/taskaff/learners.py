@@ -52,9 +52,12 @@ class LearnerSpec:
     learning_rate: float = 0.05
     epochs: int = 500
     ridge: float = 0.0
-    metric: str = "negative-cross-entropy"
+    metric: str | None = None  # None: negative-mse for the linear kind, else cross-entropy
 
     def __post_init__(self):
+        if self.metric is None:
+            object.__setattr__(self, "metric", "negative-mse" if self.kind == "closed-form-linear"
+                               else "negative-cross-entropy")
         if self.kind not in LEARNER_KINDS:
             raise InvalidInputError(f"unknown learner kind {self.kind!r}")
         if self.metric not in METRICS:
@@ -370,9 +373,10 @@ def _train_job(job):
     return replace(model, features=None)  # the parent holds the features
 
 
-def train_models(tasks, subsets, spec: LearnerSpec, seeds, features):
+def train_models(tasks, subsets, spec: LearnerSpec, seeds, features, names):
     """Yield train_subset(None, tasks, subsets[k], spec, seeds[k], features)
-    for each k in order.
+    for each k in order; a TrainingError of job k is raised with
+    ", <names[k]>" appended (names like "subset 23" or "group 1").
 
     MLP subsets train on a fork pool of one worker per available CPU (at most
     one per subset) when ONE_BLAS_THREAD holds, otherwise one after another in
@@ -384,21 +388,25 @@ def train_models(tasks, subsets, spec: LearnerSpec, seeds, features):
     """
     jobs = list(zip(subsets, seeds))
     workers = min(len(jobs), len(os.sched_getaffinity(0))) if ONE_BLAS_THREAD else 1
-    if spec.kind != "shared-encoder-mlp" or workers < 2:
-        for subset, seed in jobs:
-            yield train_subset(None, tasks, subset, spec, seed, features=features)
-        return
-    x = np.asarray(features, dtype=float)
-    ctx = multiprocessing.get_context("fork")
-    others = set(ctx.active_children())
-    pool = ctx.Pool(workers, _init_worker, (tasks, spec, features))
-    procs = set(ctx.active_children()) - others
+    pool = None
+    if spec.kind == "shared-encoder-mlp" and workers > 1:
+        x = np.asarray(features, dtype=float)
+        ctx = multiprocessing.get_context("fork")
+        others = set(ctx.active_children())
+        pool = ctx.Pool(workers, _init_worker, (tasks, spec, features))
+        procs = set(ctx.active_children()) - others
     try:
-        results = pool.imap(_train_job, jobs)
-        for _ in jobs:
-            yield replace(_next_result(results, procs), features=x)
+        results = None if pool is None else pool.imap(_train_job, jobs)
+        for (subset, seed), name in zip(jobs, names):
+            try:
+                model = (train_subset(None, tasks, subset, spec, seed, features=features)
+                         if pool is None else replace(_next_result(results, procs), features=x))
+            except TrainingError as exc:
+                raise TrainingError(f"{exc}, {name}") from exc
+            yield model
     finally:
-        pool.terminate()  # also joins the workers
+        if pool is not None:
+            pool.terminate()  # also joins the workers
 
 
 def _next_result(results, procs):

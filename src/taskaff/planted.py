@@ -22,6 +22,7 @@ import numpy as np
 
 from .affinity import AffinityMatrix, _regroup, subset_array, uncovered_pairs
 from .errors import InvalidInputError, ParseError, TaskAffError, int_ids, reading
+from .graphs import _edge_sum, _inverse, build_graph
 from .learners import closed_form_scores
 from .tasks import TaskSet
 
@@ -95,7 +96,7 @@ class PlantedInstance:
 def _random_graph(rng, n: int):
     """(rows, cols, inverse-sqrt degrees) of G(n, 2 log n / n): rows and cols
     are the adjacency's nonzero entries, both directions of each edge, in
-    row-major order.
+    row-major order (build_graph's CSR entries).
 
     The upper triangle is drawn DRAW_ROWS rows at a time: the same numbers, in
     the same order, as one (n, n) draw, without its N x N float temporary.
@@ -105,27 +106,10 @@ def _random_graph(rng, n: int):
     for start in range(0, n, DRAW_ROWS):
         block = rng.random((min(DRAW_ROWS, n - start), n)) < p_edge
         i, j = np.nonzero(np.triu(block, k=start + 1))
-        upper.append((i + start) * n + j)
-    upper = np.concatenate(upper)  # keys i * n + j of the edges i < j
-    rows, cols = np.divmod(np.sort(np.concatenate([upper, upper % n * n + upper // n])), n)
-    deg = np.bincount(rows, minlength=n).astype(float)
-    return rows, cols, np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-
-
-def _diffuse(rows, cols, inv_sqrt, x):
-    """P x for P = I + 0.5 * D^-1/2 A D^-1/2 (eigenvalues in [0.5, 1.5], so P
-    is always full rank), as x + 0.5 * D^-1/2 (A (D^-1/2 x)): one np.bincount
-    per column of x sums each row's neighbours in the order of the nonzero
-    entries (rows, cols) of A. ``inv_sqrt`` holds the rows' inverse-sqrt
-    degrees, so a principal block of A with its rows' degrees gives that
-    block of P times the rows of x."""
-    scaled = inv_sqrt[:, None] * x
-    px = np.empty_like(x)
-    for k in range(x.shape[1]):
-        px[:, k] = np.bincount(rows, weights=scaled[cols, k], minlength=len(x))
-    px *= 0.5 * inv_sqrt[:, None]
-    px += x
-    return px
+        upper.append(np.column_stack([i + start, j]))
+    g = build_graph(np.concatenate(upper), num_nodes=n)
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    return rows, g.indices, _inverse(np.sqrt(g.degrees()))
 
 
 def generate(cfg: PlantedConfig) -> PlantedInstance:
@@ -140,7 +124,9 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
 
     Memory: the graph is held as its edge list, and P X and P[o,o] X[o] are
     neighbour sums over it, so no array grows with N^2; the largest temporary
-    is one DRAW_ROWS x N block of the adjacency draw.
+    is one DRAW_ROWS x N block of the adjacency draw. P = I + 0.5 D^-1/2 A
+    D^-1/2 (full rank: eigenvalues in [0.5, 1.5]) is applied as x + 0.5 D^-1/2
+    (A (D^-1/2 x)) by graphs._edge_sum, and P[o,o] with the full degrees.
     """
     if cfg.num_groups > cfg.feature_dim:
         raise InvalidInputError(
@@ -158,11 +144,13 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
         x = rng.standard_normal((n, d))
         src, dst, inv_sqrt = _random_graph(rng, n)
         rows = np.sort(rng.choice(n, size=m, replace=False))
-        design = _diffuse(src, dst, inv_sqrt, x)
         at = np.full(n, -1)
         at[rows] = np.arange(m)  # position in the observed block, -1 outside it
         inside = (at[src] >= 0) & (at[dst] >= 0)
-        observed_design = _diffuse(at[src[inside]], at[dst[inside]], inv_sqrt[rows], x[rows])
+        s, xo = inv_sqrt[:, None], x[rows]
+        design = x + 0.5 * s * _edge_sum(src, dst, None, s * x)
+        observed_design = xo + 0.5 * s[rows] * _edge_sum(at[src[inside]], at[dst[inside]],
+                                                         None, s[rows] * xo)
 
         basis, _ = np.linalg.qr(design)  # N x d orthonormal basis of col(design)
         dirs, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -271,7 +259,8 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0):
     with aliased masks), matching the theory where training loss and
     evaluation coincide. A positive fraction carves validation and test
     shares out of the observed rows into a regular TaskSet (masks shared
-    across tasks, so the closed-form learner stays applicable).
+    across tasks, so the closed-form learner stays applicable); a fraction
+    that leaves no training row raises InvalidInputError.
 
     Returns (tasks, features) where features[observed_rows] is the
     observed design and other rows are zero.
@@ -288,6 +277,9 @@ def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0):
     if holdout_frac > 0.0:
         perm = np.random.default_rng([inst.config.seed, 0]).permutation(rows.size)
         n_hold = math.ceil(holdout_frac * rows.size)
+        if rows.size <= 2 * n_hold:
+            raise InvalidInputError(f"holdout_frac {holdout_frac} holds out all {rows.size} "
+                                    "observed rows, leaving none to train on")
         val, test, train = (np.sort(rows[part]) for part in (
             perm[:n_hold], perm[n_hold:2 * n_hold], perm[2 * n_hold:]))
     tasks = TaskSet(num_nodes=n, labels=labels, train_mask=(train,) * t, val_mask=(val,) * t,

@@ -351,6 +351,33 @@ class TestClusterEvaluate:
         assert not out.exists()
 
 
+class TestHoldoutWithoutTrainingRows:
+    # 3 observed rows at --holdout-frac 0.4: 2 val rows and 1 test row. The
+    # linear learner used to fit on no rows and exit 0, and the MLP to exit 3
+    # and leave a log that failed again on every resume.
+    @pytest.mark.parametrize("argv", [
+        ["affinity", "--alpha", "2", "--num-subsets", "10"],
+        ["affinity", "--alpha", "2", "--num-subsets", "10", "--learner", "mlp", "--epochs", "5"],
+        ["evaluate", "--grouping-dir", "GROUPS"],
+    ])
+    def test_exit_2_with_one_line_and_no_output(self, tmp_path, capsys, argv):
+        inst, gdir, out = tmp_path / "inst", tmp_path / "grp", tmp_path / "out"
+        assert run(["generate", "--tasks", "4", "--groups", "2", "--dim", "2", "--nodes", "12",
+                    "--observed", "3", "--within-sep", "0.1", "--between-sep", "1",
+                    "--seed", "1", "--out", str(inst)]) == 0
+        gdir.mkdir()
+        grouping.save_grouping(grouping.TaskGrouping(
+            groups=[[0, 1], [2, 3]], assignments=np.array([0, 0, 1, 1] * 2), budget=2),
+            gdir / "grouping.json")
+        capsys.readouterr()
+        argv = [str(gdir) if a == "GROUPS" else a for a in argv]
+        assert run(argv + ["--dataset", str(inst), "--holdout-frac", "0.4",
+                           "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "taskaff: holdout_frac 0.4 holds out all 3 observed rows, leaving none to train on"]
+        assert not out.exists()
+
+
 def _as_p_triplets(arrays):
     """Rewrite instance.npz's arrays as the format that stored X and P's triplets."""
     n, d = arrays.pop("design").shape

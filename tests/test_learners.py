@@ -474,6 +474,16 @@ class TestClosedFormScores:
             want = [learners.evaluate(model, tasks, i, "val", metric) for i in subset]
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0)
 
+    def test_bare_linear_spec_scores_negative_mse(self, small_instance):
+        # planted labels are real-valued, so a log loss against them means nothing
+        spec = learners.LearnerSpec(kind="closed-form-linear")
+        assert spec.metric == learners.LearnerSpec().metric == "negative-mse"
+        assert learners.LearnerSpec(kind="shared-encoder-mlp").metric == "negative-cross-entropy"
+        tasks, feats = planted.to_task_set(small_instance, holdout_frac=0.25)
+        got = affinity.collect_evaluations(tasks, [(0, 1, 2)], spec, 0, features=feats)
+        want = learners.closed_form_scores(feats, tasks, [[0, 1, 2]], metric="negative-mse")
+        assert got.scores.tobytes() == want.tobytes()
+
     def test_planted_holdout_matches_per_subset_fit(self, small_instance):
         # real-valued labels, and the holdout split the pipeline uses
         for holdout in (0.0, 0.25):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -515,6 +516,25 @@ def test_generate_across_row_blocks_is_bitwise_the_dense_draw(seed, monkeypatch)
     assert inst.separations == pytest.approx(dataclasses.replace(
         inst, design=p @ x, observed_design=p[np.ix_(rows, rows)] @ x[rows]).separations,
         rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("kw, design, observed_design", [
+    ({}, "33be8ef2f21d61a2def7b91766537eb6375eb743bd9212f88e75469c6b640781",
+     "b87e98278d4325ea0844e179c83a4a2cb33d95da7d4c3a614fbb95d643164c40"),
+    (dict(num_tasks=8, feature_dim=6, num_nodes=600, observed=450, within_sep=0.3,
+          between_sep=5.0, label_bound=2.0, noise_std=0.25, seed=1),
+     "ca05e073bb840465294eb6b46acd542491d20b13e78ecb5e42fc2f5d72c9a78d",
+     "db305e804b28c5c8828ed55109c1b9d0396a65fba5e24722e66b774f65db3723"),
+])
+def test_generate_designs_keep_their_bytes(kw, design, observed_design):
+    # Both designs come from the random stream, sqrt, division and in-order
+    # neighbour sums, with no LAPACK call, so their bytes do not depend on
+    # the BLAS build; both configs are accepted on their first draw, so no QR
+    # decides a retry. N = 600 spans three DRAW_ROWS blocks. The labels go
+    # through QR and are not pinned.
+    inst = planted.generate(quick_cfg(**kw))
+    assert [hashlib.sha256(a.tobytes()).hexdigest()
+            for a in (inst.design, inst.observed_design)] == [design, observed_design]
 
 
 def test_generate_memory_bounded_at_paper_scale():

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package is reached.
+"""Every public top-level function and class of the package is reached, and
+every name a package module imports is used.
 
 A definition counts as reached when some code in src/ or bench/, outside
 the definition itself, names it: as an identifier (a call, an attribute,
@@ -44,3 +45,22 @@ def test_every_public_definition_is_named_outside_itself():
                  and all(p == path and node.lineno <= line <= node.end_lineno
                          for p, line in uses.get(node.name, []))]
     assert unreached == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # An import on a line marked "# noqa" is exempt: bench/tracing.py wraps
+    # train_subset in each module that imports it so.
+    unused = []
+    for path in sorted((ROOT / "src" / "taskaff").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(source), source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.stem}:{alias.lineno} {name}")
+    assert unused == []
