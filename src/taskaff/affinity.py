@@ -55,19 +55,11 @@ class SamplingPlan:
 
 @dataclass
 class AffinityMatrix:
-    """T x T affinity scores with co-occurrence counts.
-
-    orientation is "performance" (higher = more affinity) for pipeline
-    metrics and "loss" for the closed-form theory scores.
-    """
+    """T x T affinity scores with co-occurrence counts; theta is oriented as
+    the scores it averages (evaluate()'s, higher is better, in the pipeline)."""
 
     theta: np.ndarray
     counts: np.ndarray
-    orientation: str
-
-    def __post_init__(self):
-        if self.orientation not in ("performance", "loss"):
-            raise InvalidInputError(f"unknown orientation {self.orientation!r}")
 
     @property
     def num_tasks(self) -> int:
@@ -222,10 +214,11 @@ def _regroup(subsets, scores, num_tasks, prefixes):
 
 def _imputed(theta, counts, scores) -> AffinityMatrix:
     """Fill never co-sampled pairs from the row's diagonal, or the global mean."""
-    global_mean = math.fsum(scores.ravel().tolist()) / scores.size
-    fallback = np.where(np.diag(counts) > 0, np.diag(theta), global_mean)
+    fallback, unsampled = np.diag(theta).copy(), np.diag(counts) == 0
+    if unsampled.any():  # summed only when needed: a log may hold millions of scores
+        fallback[unsampled] = math.fsum(scores.ravel().tolist()) / scores.size
     theta = np.where(counts == 0, fallback[:, None], theta)
-    return AffinityMatrix(theta, counts, orientation="performance")
+    return AffinityMatrix(theta, counts)
 
 
 def estimate_affinity(log: EvalLog, num_tasks: int) -> AffinityMatrix:
@@ -310,8 +303,7 @@ def save_affinity(aff: AffinityMatrix, aff_dir) -> None:
     np.savetxt(os.path.join(aff_dir, THETA), aff.theta, delimiter=",", fmt="%.17g")
     np.savetxt(os.path.join(aff_dir, COUNTS), aff.counts, delimiter=",", fmt="%d")
     with open(os.path.join(aff_dir, SIDECAR), "w", encoding="utf-8") as fh:
-        json.dump({"orientation": aff.orientation,
-                   "imputed": np.argwhere(aff.imputed).tolist()}, fh, sort_keys=True)
+        json.dump({"imputed": np.argwhere(aff.imputed).tolist()}, fh, sort_keys=True)
 
 
 def load_affinity(aff_dir) -> AffinityMatrix:
@@ -326,7 +318,7 @@ def load_affinity(aff_dir) -> AffinityMatrix:
     counts = _load_matrix(counts_path, t, t, dtype=np.int64)
     with open(sidecar_path, "r", encoding="utf-8") as fh, reading(sidecar_path):
         sidecar = json.load(fh)
-        aff = AffinityMatrix(theta, counts, sidecar["orientation"])
+        aff = AffinityMatrix(theta, counts)
         if sidecar["imputed"] != np.argwhere(aff.imputed).tolist():
             raise ParseError(f"{sidecar_path}: its imputed pairs are not the zero counts "
                              f"of {counts_path}")

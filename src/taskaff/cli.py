@@ -53,6 +53,7 @@ from . import planted as pl_mod
 from . import transfer as tr_mod
 from .errors import ParseError, TaskAffError, TrainingError, read_json_object
 from .graphs import (
+    PPR_TELEPORT,
     DiffusionOperator,
     diffuse_features,
     load_edge_list,
@@ -467,7 +468,7 @@ def cmd_ppr_sim(args) -> int:
     dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
     g, tasks = _load_graph_and_tasks(dataset, _read_meta(dataset, "community")[0])
     grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"), tasks.num_tasks)
-    within, between = ppr_group_similarity(g, tasks, grp, teleport=args.teleport)
+    within, between = ppr_group_similarity(g, tasks, grp.groups, teleport=args.teleport)
     os.makedirs(args.out, exist_ok=True)
     report = {"within_mean": within, "between_mean": between, "teleport": args.teleport}
     out_path = os.path.join(args.out, "ppr_similarity.json")
@@ -570,7 +571,7 @@ def build_parser() -> _Parser:
     p = command("ppr-sim", cmd_ppr_sim, "within vs between group PPR cosine similarity")
     p.add_argument("--dataset", required=True, help="community dataset directory")
     p.add_argument("--grouping-dir", required=True, help="output of cluster")
-    p.add_argument("--teleport", type=float, default=0.15, help="PPR teleport probability")
+    p.add_argument("--teleport", type=float, default=PPR_TELEPORT, help="PPR teleport probability")
     return parser
 
 

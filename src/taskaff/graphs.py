@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 
 PPR_MAX_ITER = 1000
 PPR_DEFAULT_TOL = 1e-10
+# Restart probability of the ppr diffusion kind, and ppr-sim's default.
+PPR_TELEPORT = 0.15
 # Relative L1 error bound at which a PPR diffusion hop stops. It sits a
 # few decades above the iteration's rounding floor, so a hop converges and
 # still matches a dense solve to rounding level.
@@ -34,20 +36,14 @@ OPERATOR_KINDS = ("row-normalized", "symmetric-normalized", "ppr")
 
 @dataclass(frozen=True)
 class DiffusionOperator:
-    """Configuration of a graph diffusion operator.
-
-    kind: one of ``row-normalized``, ``symmetric-normalized``, ``ppr``.
-    teleport: restart probability, used by the ``ppr`` kind only.
-    """
+    """Configuration of a graph diffusion operator: its kind, one of
+    ``row-normalized``, ``symmetric-normalized`` or ``ppr`` (restart PPR_TELEPORT)."""
 
     kind: str = "row-normalized"
-    teleport: float = 0.15
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise InvalidInputError(f"unknown operator kind {self.kind!r}")
-        if not 0.0 < self.teleport <= 1.0:
-            raise InvalidInputError("teleport must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -86,9 +82,9 @@ class Graph:
         return replace(self, node_features=np.asarray(features, dtype=float))
 
 
-def build_graph(edges, num_nodes=None, features=None, orig_ids=None) -> Graph:
-    """Construct a Graph from (u, v) pairs with internal ids: an iterable of
-    pairs or an (E, 2) integer array.
+def build_graph(edges, num_nodes=None, orig_ids=None) -> Graph:
+    """Construct a featureless Graph (see Graph.with_features) from (u, v)
+    pairs with internal ids: an iterable of pairs or an (E, 2) integer array.
 
     Duplicate edges and self-loops are dropped. When ``num_nodes`` is None it
     is inferred as max id + 1.
@@ -110,10 +106,8 @@ def build_graph(edges, num_nodes=None, features=None, orig_ids=None) -> Graph:
     # The index width scipy's CSR constructor would pick.
     index = np.int32 if max(cols.size, num_nodes) <= np.iinfo(np.int32).max else np.int64
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_nodes))])
-    if features is None:
-        features = np.zeros((num_nodes, 0))
     return Graph(num_nodes, indptr.astype(index), cols.astype(index),
-                 np.asarray(features, dtype=float), orig_ids)
+                 np.zeros((num_nodes, 0)), orig_ids)
 
 
 def _has_inline_comment(text) -> bool:
@@ -304,21 +298,18 @@ def _ppr_propagate(pt, s: np.ndarray, teleport: float,
     return r
 
 
-def _ppr_hop(pt, x: np.ndarray, teleport: float) -> np.ndarray:
-    """One PPR diffusion hop: teleport * (I - (1-teleport) P^T)^{-1} x.
+def _ppr_hop(pt, x: np.ndarray) -> np.ndarray:
+    """One PPR diffusion hop: c * (I - (1-c) P^T)^{-1} x, c = PPR_TELEPORT.
 
     Column i of that operator is the PPR vector of a walk restarted at node
     i, so output row j sums the features of every node i weighted by the
     PPR mass that i's walk leaves at j (column sums are 1, row sums are
-    not). Since (1-teleport) P^T contracts the L1 norm by 1-teleport, a
-    column stops once its a-posteriori error bound
-    (1-teleport)/teleport * ||R_{k+1} - R_k||_1 falls below
+    not). Since (1-c) P^T contracts the L1 norm by 1-c, a column stops once
+    its a-posteriori error bound (1-c)/c * ||R_{k+1} - R_k||_1 falls below
     PPR_DIFFUSION_RTOL * ||x_col||_1.
     """
-    if teleport == 1.0:
-        return x
-    tol = np.abs(x).sum(axis=0) * (PPR_DIFFUSION_RTOL * teleport / (1.0 - teleport))
-    return _ppr_propagate(pt, x, teleport, tol)
+    c = PPR_TELEPORT
+    return _ppr_propagate(pt, x, c, np.abs(x).sum(axis=0) * (PPR_DIFFUSION_RTOL * c / (1.0 - c)))
 
 
 def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
@@ -339,7 +330,7 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
     if op.kind == "ppr":
         pt = _transposed_walk(g)
         for _ in range(hops):
-            cur = _ppr_hop(pt, cur, op.teleport)
+            cur = _ppr_hop(pt, cur)
             blocks.append(cur)
     else:
         rows, cols, weights = _operator_entries(g, op.kind)
@@ -383,16 +374,15 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def ppr_group_similarity(g: Graph, tasks, grouping, teleport: float = 0.15):
+def ppr_group_similarity(g: Graph, tasks, groups, teleport: float = PPR_TELEPORT):
     """Mean pairwise PPR cosine similarity within vs. between task groups.
 
     Each task's PPR vector is seeded at its positively-labeled training
     nodes. A pair of tasks counts as "within" when the two tasks share at
     least one group; every unordered pair is counted once. A side with no
-    pairs is returned as None. Groups name task ids in 0..T-1, as
-    grouping.load_grouping checks those of a file.
+    pairs is returned as None. ``groups`` is a list of groups of task ids
+    in 0..T-1, as grouping.load_grouping checks those of a file.
     """
-    groups = getattr(grouping, "groups", grouping)
     num_tasks = tasks.num_tasks
     pt = _transposed_walk(g)
     vectors = []

@@ -43,12 +43,8 @@ def minmax_rescale(matrix: np.ndarray) -> np.ndarray:
 
 
 def build_cluster_matrix(aff: AffinityMatrix) -> np.ndarray:
-    """The 2T x 2T block form [[a1, theta], [theta^T, 0]] of a performance-oriented
-    theta rescaled to [0, 1], where a1 is the symmetrized rescaled theta."""
-    if aff.orientation != "performance":
-        raise InvalidInputError(
-            "cluster matrix needs performance orientation; flip loss scores first"
-        )
+    """The 2T x 2T block form [[a1, theta], [theta^T, 0]] of theta (higher is
+    better) rescaled to [0, 1], where a1 is the symmetrized rescaled theta."""
     scaled = minmax_rescale(aff.theta)
     a1 = (scaled + scaled.T) / 2.0
     t = aff.num_tasks

@@ -67,8 +67,11 @@ class LearnerSpec:
                 raise InvalidInputError("hidden_width must be >= 1 for the mlp kind")
             if self.hidden_layers < 0:
                 raise InvalidInputError("hidden_layers must be >= 0")
-        if self.ridge < 0:
-            raise InvalidInputError("ridge must be >= 0")
+        if not 0 <= self.ridge < np.inf:
+            raise InvalidInputError(f"ridge must lie in [0, inf), got {self.ridge}")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidInputError("learning_rate must lie in (0, inf), "
+                                    f"got {self.learning_rate}")
         if self.epochs < 1:
             raise InvalidInputError("epochs must be >= 1")
 
@@ -142,13 +145,16 @@ def _normal_solve(z, y, ridge):
 
 
 def check_shared_masks(tasks) -> None:
-    """Refuse a task set unless every task shares one train mask and one val
-    mask: the closed-form linear learner fits one weight vector on the shared
-    train rows and scores every task on the shared val rows."""
-    for masks in (tasks.train_mask, tasks.val_mask):
+    """Refuse a task set unless every task shares one nonempty train mask and
+    one nonempty val mask: the closed-form linear learner fits one weight
+    vector on the shared train rows and scores every task on the val rows."""
+    for name, masks in (("train", tasks.train_mask), ("val", tasks.val_mask)):
         if not all(np.array_equal(m, masks[0]) for m in masks[1:]):
             raise InvalidInputError("closed-form-linear needs one train mask and one val "
                                     "mask shared by every task; use --learner mlp")
+        if masks and not masks[0].size:
+            raise InvalidInputError(f"closed-form-linear needs a nonempty {name} mask, "
+                                    "and the one every task shares is empty")
 
 
 def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
@@ -176,8 +182,6 @@ def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
     check_shared_masks(tasks)
     used = np.unique(subsets)
     train, rows = tasks.train_mask[0], tasks.val_mask[0]
-    if rows.size == 0:
-        raise InvalidInputError(f"task {used[0]} has an empty val mask")
     weights = np.zeros((features.shape[1], tasks.num_tasks))
     y = np.stack([tasks.labels[i][train] for i in used], axis=1)
     weights[:, used] = _normal_solve(features[train], y, ridge)

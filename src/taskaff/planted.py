@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .affinity import AffinityMatrix, _regroup, subset_array, uncovered_pairs
+from .affinity import AffinityMatrix, EvalLog, estimate_affinity, subset_array, uncovered_pairs
 from .errors import InvalidInputError, ParseError, TaskAffError, int_ids, reading
 from .graphs import _edge_sum, _inverse, build_graph
 from .learners import closed_form_scores
@@ -56,12 +56,13 @@ class PlantedConfig:
             raise InvalidInputError("observed must be <= num_nodes")
         if self.observed < 1:
             raise InvalidInputError("observed must be >= 1")
-        if not 0.0 <= self.within_sep < self.between_sep:
-            raise InvalidInputError("need 0 <= within_sep < between_sep")
-        if self.label_bound <= 0:
-            raise InvalidInputError("label_bound must be positive")
-        if self.noise_std < 0:
-            raise InvalidInputError("noise_std must be >= 0")
+        if not 0.0 <= self.within_sep < self.between_sep < np.inf:
+            raise InvalidInputError("need 0 <= within_sep < between_sep < inf, got "
+                                    f"{self.within_sep} and {self.between_sep}")
+        if not 0 < self.label_bound < np.inf:
+            raise InvalidInputError(f"label_bound must lie in (0, inf), got {self.label_bound}")
+        if not 0 <= self.noise_std < np.inf:
+            raise InvalidInputError(f"noise_std must lie in [0, inf), got {self.noise_std}")
 
 
 @dataclass
@@ -182,23 +183,21 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
 
 
 def theta_closed_form(inst: PlantedInstance, subsets) -> AffinityMatrix:
-    """Loss-oriented affinity matrix from the closed-form learner, no training.
+    """Affinity matrix of losses from the closed-form learner, no training.
 
     theta[i, j] averages (1/m) * || H @ (mean of subset labels) - y_i ||^2,
     H the hat matrix of the observed design, over the given subsets
     containing both tasks: the negated linear learner's score on the theory
-    view (holdout 0), from the shared kernel learners.closed_form_scores.
-    Every pair must be covered; theory mode does not impute.
+    view (holdout 0), from the kernel learners.closed_form_scores, averaged
+    by estimate_affinity. Every pair must be covered; theory mode does not impute.
     """
     t = inst.config.num_tasks
     rows = subset_array(list(subsets), t)
     tasks, features = to_task_set(inst)
-    losses = -closed_form_scores(features, tasks, rows, metric="negative-mse")
-    (theta, counts), = _regroup(rows, losses, t, [len(rows)])
-    gap = uncovered_pairs(counts == 0)
-    if gap:
+    aff = estimate_affinity(EvalLog(rows, -closed_form_scores(features, tasks, rows)), t)
+    if gap := uncovered_pairs(aff.imputed):
         raise TaskAffError(f"task pairs never co-sampled: {gap}")
-    return AffinityMatrix(theta, counts, orientation="loss")
+    return aff
 
 
 def population_theta(inst: PlantedInstance, alpha: int) -> AffinityMatrix:
@@ -224,15 +223,14 @@ class BlockStructureReport:
 
 
 def verify_block_structure(aff: AffinityMatrix, group_of) -> BlockStructureReport:
-    """Check that cross-group losses exceed within-group losses row by row.
+    """Check that cross-group losses exceed within-group losses row by row;
+    ``aff`` holds losses, as theta_closed_form returns them.
 
     For each task i the row gap is (min over cross-group j' of theta[i, j'])
     minus (max over same-group j != i of theta[i, j]); the global gap is the
     minimum over rows and the check passes iff it is positive. Rows whose
     group has no other member are reported as NaN and skipped.
     """
-    if aff.orientation != "loss":
-        raise InvalidInputError("block structure is defined on loss-oriented scores")
     group_of = np.asarray(group_of)
     if np.unique(group_of).size < 2:
         raise InvalidInputError("block structure needs at least two groups")
@@ -309,9 +307,10 @@ def save_instance(inst: PlantedInstance, out_dir) -> None:
 def load_instance(in_dir) -> PlantedInstance:
     """Rebuild an instance from disk.
 
-    A malformed meta.json or instance.npz, a missing array, or one typed or
-    shaped otherwise than meta.json says raises ParseError; a directory in an
-    earlier format (CSV files, or P as triplets in instance.npz) does not load.
+    A malformed meta.json or instance.npz, a missing array, one typed or
+    shaped otherwise than meta.json says, or one holding a non-finite value
+    raises ParseError; a directory in an earlier format (CSV files, or P as
+    triplets in instance.npz) does not load.
     """
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh, reading(meta_path):
@@ -339,4 +338,6 @@ def load_instance(in_dir) -> PlantedInstance:
         if a[name].dtype != np.float64 or a[name].shape != shape:
             raise ParseError(f"{path}: {name} is {a[name].dtype} of shape {a[name].shape}, "
                              f"expected float64 of shape {shape}")
+        if not np.isfinite(a[name]).all():
+            raise ParseError(f"{path}: {name} holds a non-finite value")
     return PlantedInstance(config=cfg, observed_rows=observed_rows, group_of=group_of, **a)

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 import math
 import shutil
 
@@ -499,7 +500,12 @@ class TestLogPersistence:
         np.testing.assert_allclose(loaded.theta, aff.theta, rtol=1e-15)
         np.testing.assert_array_equal(loaded.counts, aff.counts)
         np.testing.assert_array_equal(loaded.imputed, aff.imputed)
-        assert loaded.orientation == aff.orientation
+        sidecar = tmp_path / "affinity.json"
+        assert json.loads(sidecar.read_text()) == {"imputed": np.argwhere(aff.imputed).tolist()}
+        # an older affinity.json also holds an "orientation" key, which is ignored
+        sidecar.write_text(json.dumps({"imputed": np.argwhere(aff.imputed).tolist(),
+                                       "orientation": "performance"}))
+        np.testing.assert_array_equal(affinity.load_affinity(tmp_path).theta, loaded.theta)
 
 
 class TestRunLog:

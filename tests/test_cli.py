@@ -113,6 +113,41 @@ class TestGenerate:
         assert err == ["taskaff: out of memory: Unable to allocate 30.0 GiB for an array"]
 
 
+class TestSettingsThatCannotTrain:
+    """A learner or planted setting under which nothing could train, or no
+    instance could be drawn, exits 2 with one line before any --out."""
+
+    @pytest.mark.parametrize("flags,fragment", [
+        (["--ridge", "nan"], "ridge must lie in [0, inf), got nan"),
+        (["--ridge", "inf"], "ridge must lie in [0, inf), got inf"),
+        (["--learner", "mlp", "--learning-rate", "nan"],
+         "learning_rate must lie in (0, inf), got nan"),
+        (["--learner", "mlp", "--learning-rate", "0"],
+         "learning_rate must lie in (0, inf), got 0.0"),
+    ], ids=["ridge-nan", "ridge-inf", "learning-rate-nan", "learning-rate-0"])
+    def test_affinity_refuses_learner(self, tmp_path, pipeline, capsys, flags, fragment):
+        _, inst_dir, _ = pipeline
+        out = tmp_path / "aff"
+        capsys.readouterr()
+        assert run(["affinity", "--dataset", inst_dir, *AFFINITY, *flags,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"taskaff: {fragment}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,fragment", [
+        (["--label-bound", "nan"], "label_bound must lie in (0, inf), got nan"),
+        (["--noise-std", "nan"], "noise_std must lie in [0, inf), got nan"),
+        (["--between-sep", "inf"], "need 0 <= within_sep < between_sep < inf, got 0.3 and inf"),
+        (["--within-sep", "nan"], "need 0 <= within_sep < between_sep < inf, got nan and 5.0"),
+    ], ids=["label-bound-nan", "noise-std-nan", "between-sep-inf", "within-sep-nan"])
+    def test_generate_refuses_non_finite(self, tmp_path, capsys, flags, fragment):
+        out = tmp_path / "inst"
+        capsys.readouterr()
+        assert run(GEN + flags + ["--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"taskaff: {fragment}"]
+        assert not out.exists()
+
+
 class TestAffinity:
     def test_single_subset_log(self, tmp_path, pipeline):
         _, inst_dir, _ = pipeline
@@ -273,18 +308,6 @@ class TestClusterEvaluate:
         assert run(["cluster", "--affinity-dir", str(tmp_path / "nope"),
                     "--budget", "2", "--seed", "0",
                     "--out", str(tmp_path / "c")]) == 66
-
-    def test_loss_oriented_affinity_refused(self, tmp_path, pipeline, capsys):
-        # no command writes a loss-oriented affinity.json; cluster does not flip one
-        _, _, aff_dir = pipeline
-        copy = tmp_path / "aff"
-        shutil.copytree(aff_dir, copy)
-        (copy / "affinity.json").write_text('{"imputed": [], "orientation": "loss"}')
-        capsys.readouterr()
-        assert run(["cluster", "--affinity-dir", str(copy), "--budget", "3",
-                    "--out", str(tmp_path / "c")]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "needs performance orientation" in err[0]
 
     def test_full_pipeline_recovers_planted_groups(self, tmp_path, pipeline):
         _, inst_dir, aff_dir = pipeline
@@ -1514,6 +1537,29 @@ class TestMalformedArtifacts:
         return (copy / "meta.json", ["verify-theory", "--dataset", str(copy), "--alpha", "4",
                                      "--num-subsets", "150"], "ids must be integers")
 
+    def _planted_npz(self, tmp_path, pipeline, name, command):
+        """A copy of the planted instance whose ``name`` array holds one NaN,
+        read by ``command``; before the check, affinity wrote an all-NaN theta."""
+        _, inst_dir, _ = pipeline
+        copy = tmp_path / "inst"
+        shutil.copytree(inst_dir, copy)
+        arrays = npz_arrays(copy / "instance.npz")
+        arrays[name][0, 1] = np.nan
+        np.savez(copy / "instance.npz", **arrays)
+        extra = {"affinity": AFFINITY, "verify-theory": ["--alpha", "4", "--num-subsets", "150"]}
+        return (copy / "instance.npz", [command, "--dataset", str(copy), *extra[command]],
+                f"{name} holds a non-finite value")
+
+    def planted_nan_labels(self, tmp_path, pipeline, community_affinity, community_dataset):
+        return self._planted_npz(tmp_path, pipeline, "labels", "affinity")
+
+    def planted_nan_design(self, tmp_path, pipeline, community_affinity, community_dataset):
+        return self._planted_npz(tmp_path, pipeline, "design", "verify-theory")
+
+    def planted_nan_observed_design(self, tmp_path, pipeline, community_affinity,
+                                    community_dataset):
+        return self._planted_npz(tmp_path, pipeline, "observed_design", "affinity")
+
     def _features(self, tmp_path, community_dataset, row_7):
         """A split of the community graph whose feature CSV has ``row_7`` as row 7."""
         _, edges, cmty = community_dataset
@@ -1590,7 +1636,9 @@ class TestMalformedArtifacts:
                                       "features_inf", "grouping_float_id",
                                       "task_set_float_train", "task_set_string_positive",
                                       "task_set_empty_train",
-                                      "planted_meta_float_row", "community_meta_no_edges",
+                                      "planted_meta_float_row", "planted_nan_labels",
+                                      "planted_nan_design", "planted_nan_observed_design",
+                                      "community_meta_no_edges",
                                       "community_meta_no_edges_ppr_sim",
                                       "community_meta_string_hops", "community_meta_bool_hops",
                                       "community_meta_negative_hops",

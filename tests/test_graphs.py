@@ -61,7 +61,7 @@ def small_graphs(draw, isolated):
         pairs += [(i, (i + 1) % n) for i in range(n)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, draw(st.integers(1, 4))))
-    return graphs.build_graph(pairs, num_nodes=n, features=x)
+    return graphs.build_graph(pairs, num_nodes=n).with_features(x)
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -259,12 +259,12 @@ class TestLoadEdgeListMatchesLineLoop:
 
 class TestDiffuseFeatures:
     def test_zero_hops_is_identity(self):
-        g = graphs.build_graph([(0, 1), (1, 2)], features=np.arange(6.0).reshape(3, 2))
+        g = graphs.build_graph([(0, 1), (1, 2)]).with_features(np.arange(6.0).reshape(3, 2))
         out = graphs.diffuse_features(g, graphs.DiffusionOperator(), hops=0)
         np.testing.assert_array_equal(out, g.node_features)
 
     def test_two_node_path_swaps(self):
-        g = graphs.build_graph([(0, 1)], features=np.array([[1.0], [0.0]]))
+        g = graphs.build_graph([(0, 1)]).with_features(np.array([[1.0], [0.0]]))
         out = graphs.diffuse_features(g, graphs.DiffusionOperator("row-normalized"), hops=1)
         np.testing.assert_allclose(out[:, 1], [0.0, 1.0])
 
@@ -277,7 +277,7 @@ class TestDiffuseFeatures:
         out = graphs.diffuse_features(g, op, hops=2)
         if kind == "ppr":
             walk = scipy_operator(g, "row-normalized").toarray()
-            a = op.teleport
+            a = graphs.PPR_TELEPORT
             p = a * np.linalg.solve(np.eye(10) - (1 - a) * walk.T, np.eye(10))
         else:
             p = scipy_operator(g, kind).toarray()
@@ -312,23 +312,15 @@ class TestDiffuseFeatures:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_ppr_nonconvergence_raises(self):
+    def test_ppr_nonconvergence_raises(self, monkeypatch):
         edges = [(i, (i + 1) % 40) for i in range(40)]
         rng = np.random.default_rng(0)
-        g = graphs.build_graph(edges, features=rng.standard_normal((40, 2)))
-        op = graphs.DiffusionOperator("ppr", teleport=0.001)
+        g = graphs.build_graph(edges).with_features(rng.standard_normal((40, 2)))
+        monkeypatch.setattr(graphs, "PPR_TELEPORT", 0.001)
+        op = graphs.DiffusionOperator("ppr")
         with pytest.raises(TaskAffError) as err:
             graphs.diffuse_features(g, op, hops=1)
         assert residual(err) > 0
-
-    def test_ppr_teleport_one_is_identity(self):
-        rng = np.random.default_rng(5)
-        g = two_block_graph(rng, n_per=6, p_in=0.5, p_out=0.2)
-        x = rng.standard_normal((12, 3))
-        g = g.with_features(x)
-        out = graphs.diffuse_features(g, graphs.DiffusionOperator("ppr", teleport=1.0),
-                                      hops=2)
-        np.testing.assert_array_equal(out, np.hstack([x, x, x]))
 
     def test_ppr_zero_column_stays_zero(self):
         rng = np.random.default_rng(6)
@@ -348,8 +340,8 @@ class TestDiffuseFeatures:
         n, d = 3000, 16
         chords = zip(range(n), rng.integers(0, n, size=n).tolist())
         ring = [(i, (i + 1) % n) for i in range(n)]
-        g = graphs.build_graph(ring + list(chords), num_nodes=n,
-                               features=rng.standard_normal((n, d)))
+        g = graphs.build_graph(ring + list(chords), num_nodes=n).with_features(
+            rng.standard_normal((n, d)))
         op = graphs.DiffusionOperator("ppr")
         tracemalloc.start()
         try:
@@ -371,7 +363,7 @@ class TestDiffuseFeatures:
 
     def test_row_normalized_rows_sum_to_one_with_isolated(self):
         # node 3 isolated: self-loop row keeps the operator stochastic
-        g = graphs.build_graph([(0, 1), (1, 2)], num_nodes=4, features=np.ones((4, 1)))
+        g = graphs.build_graph([(0, 1), (1, 2)], num_nodes=4).with_features(np.ones((4, 1)))
         out = graphs.diffuse_features(g, graphs.DiffusionOperator("row-normalized"), 1)
         np.testing.assert_allclose(out[:, 1], 1.0)
 

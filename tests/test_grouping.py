@@ -12,7 +12,7 @@ from taskaff.errors import InvalidInputError, TaskAffError
 def perf_aff(theta):
     theta = np.asarray(theta, dtype=float)
     counts = np.ones_like(theta, dtype=np.int64)
-    return AffinityMatrix(theta, counts, "performance")
+    return AffinityMatrix(theta, counts)
 
 
 def block_matrix(sizes, within=1.0, between=0.0, rng=None, noise=0.0):
@@ -56,11 +56,6 @@ class TestBuildClusterMatrix:
     def test_constant_theta_degenerate(self):
         with pytest.raises(InvalidInputError, match="^matrix is constant"):
             grouping.build_cluster_matrix(perf_aff(np.full((3, 3), 0.5)))
-
-    def test_loss_orientation_rejected(self):
-        aff = AffinityMatrix(np.eye(2), np.ones((2, 2), dtype=np.int64), "loss")
-        with pytest.raises(InvalidInputError):
-            grouping.build_cluster_matrix(aff)
 
 
 class TestSpectralCluster:
@@ -168,7 +163,7 @@ class TestDeriveGroups:
     def test_planted_partition_recovered(self, small_instance):
         inst = small_instance
         pop = planted.population_theta(inst, 3)
-        aff = AffinityMatrix(-pop.theta, pop.counts, "performance")
+        aff = AffinityMatrix(-pop.theta, pop.counts)
         cm = grouping.build_cluster_matrix(aff)
         labels = grouping.spectral_cluster(cm, 2, seed=5)
         grp = grouping.derive_groups(labels, 6, 2)

@@ -545,3 +545,25 @@ class TestClosedFormScores:
         with pytest.raises(InvalidInputError, match="^closed-form-linear needs one train mask "
                            "and one val mask shared by every task; use --learner mlp$"):
             calls[call]()
+
+    @pytest.mark.parametrize("call", ["check_shared_masks", "closed_form_scores",
+                                      "train_subset"])
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_shared_mask_refused(self, empty, call):
+        # two tasks share an empty train mask (with val rows [0 1 2]), or an
+        # empty val mask; a fit on no rows is the zero weight vector
+        x = np.arange(12.0).reshape(6, 2)
+        none, rows = np.array([], dtype=np.int64), np.array([0, 1, 2])
+        train, val = (none, rows) if empty == "train" else (rows, none)
+        tasks = TaskSet(6, (np.ones(6), np.arange(6.0)), (train,) * 2, (val,) * 2,
+                        (np.array([4, 5]),) * 2)
+        spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
+        calls = {
+            "check_shared_masks": lambda: learners.check_shared_masks(tasks),
+            "closed_form_scores": lambda: learners.closed_form_scores(x, tasks, [(0, 1)]),
+            "train_subset": lambda: learners.train_subset(None, tasks, (0, 1), spec, 0,
+                                                          features=x),
+        }
+        with pytest.raises(InvalidInputError, match=f"^closed-form-linear needs a nonempty "
+                           f"{empty} mask, and the one every task shares is empty$"):
+            calls[call]()

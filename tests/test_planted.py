@@ -303,22 +303,15 @@ class TestVerifyBlockStructure:
         theta = np.full((4, 4), 0.9)
         theta[:2, :2] = 0.1
         theta[2:, 2:] = 0.1
-        aff = affinity.AffinityMatrix(theta, np.ones((4, 4), dtype=np.int64), "loss")
+        aff = affinity.AffinityMatrix(theta, np.ones((4, 4), dtype=np.int64))
         rep = planted.verify_block_structure(aff, [0, 0, 1, 1])
         assert rep.global_gap == pytest.approx(0.8)
         assert rep.passed
 
     def test_single_group_rejected(self):
-        aff = affinity.AffinityMatrix(np.eye(3), np.ones((3, 3), dtype=np.int64),
-                                      "loss")
+        aff = affinity.AffinityMatrix(np.eye(3), np.ones((3, 3), dtype=np.int64))
         with pytest.raises(InvalidInputError):
             planted.verify_block_structure(aff, [0, 0, 0])
-
-    def test_performance_orientation_rejected(self, small_instance):
-        pop = planted.population_theta(small_instance, 3)
-        flipped = affinity.AffinityMatrix(-pop.theta, pop.counts, "performance")
-        with pytest.raises(InvalidInputError):
-            planted.verify_block_structure(flipped, small_instance.group_of)
 
     def test_gap_positive_over_seeds(self):
         hits = 0

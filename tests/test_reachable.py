@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package is reached, and
+"""Every public top-level function and class of the package is reached,
+every defaulted parameter of a public top-level function is passed, and
 every name a package module imports is used.
 
 A definition counts as reached when some code in src/ or bench/, outside
@@ -14,6 +15,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # name -> why it may stay unreached from src/ and bench/
 ALLOWED = {}
+
+# function.parameter -> why no call in src/ or bench/ need pass it
+UNPASSED_ALLOWED = {
+    "personalized_pagerank.tol": "bench/tracing.LAYERS names the function; ROADMAP "
+                                 "direction 4 deletes it",
+}
 
 
 def _names(node):
@@ -45,6 +52,44 @@ def test_every_public_definition_is_named_outside_itself():
                  and all(p == path and node.lineno <= line <= node.end_lineno
                          for p, line in uses.get(node.name, []))]
     assert unreached == []
+
+
+def _defaulted_parameters(func):
+    """(name, position or None) of each parameter of ``func`` with a default;
+    a keyword-only parameter has no position."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    return ([(arg.arg, k) for k, arg in enumerate(positional) if k >= first]
+            + [(arg.arg, None) for arg, default in zip(func.args.kwonlyargs,
+                                                       func.args.kw_defaults)
+               if default is not None])
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default that no caller overrides is a knob nobody turns: it belongs in
+    # the function's body, or as a module constant. A call passes a parameter
+    # by keyword, by a positional argument at its place, or possibly by
+    # unpacking (*args, **kwargs). An allowed entry must still be unpassed.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in
+             sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))]
+    functions = [node for path in sorted((ROOT / "src" / "taskaff").glob("*.py"))
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    unpassed = {f"{func.name}.{arg}": k for func in functions
+                for arg, k in _defaulted_parameters(func)}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(kw.arg is None for kw in node.keywords))
+        keywords = {kw.arg for kw in node.keywords}
+        for key, k in list(unpassed.items()):
+            function, _, arg = key.partition(".")
+            if function == name and (unpacks or arg in keywords
+                                     or (k is not None and len(node.args) > k)):
+                del unpassed[key]
+    assert sorted(unpassed) == sorted(UNPASSED_ALLOWED)
 
 
 def test_no_module_imports_a_name_it_never_uses():

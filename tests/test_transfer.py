@@ -12,8 +12,7 @@ from tests.conftest import make_eval, make_log
 def simple_aff(t=4):
     rng = np.random.default_rng(0)
     theta = rng.random((t, t))
-    return affinity.AffinityMatrix(theta, np.ones((t, t), dtype=np.int64),
-                                   "performance")
+    return affinity.AffinityMatrix(theta, np.ones((t, t), dtype=np.int64))
 
 
 def dense(cols, values, t):
@@ -217,7 +216,7 @@ class TestFitAllMatchesPerTaskLoop:
                          for i in range(self.T)},
                "two-class": medians}[regime]
         aff = affinity.AffinityMatrix(rng.standard_normal((self.T, self.T)),
-                                      np.ones((self.T, self.T), dtype=np.int64), "performance")
+                                      np.ones((self.T, self.T), dtype=np.int64))
         return transfer.build_examples(log, [stl[i] for i in range(self.T)], aff)
 
     @pytest.mark.parametrize("regime", ["single-class", "mixed", "two-class"])
