@@ -26,8 +26,8 @@ from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here
 
 COVERAGE_CAP_FACTOR = 10
 
-# The files of an affinity directory that a run's manifest hashes; its resume
-# state, completed.idx and fingerprint.json, lies beside them.
+# The files of an affinity directory that a run's manifest hashes; evals.csv is
+# also its resume state, and fingerprint.json lies beside them.
 ARTIFACTS = EVALS, SUBSETS, THETA, COUNTS, SIDECAR, CONVERGENCE = (
     "evals.csv", "subsets.json", "theta.csv", "counts.csv", "affinity.json", "convergence.csv")
 
@@ -74,7 +74,8 @@ class AffinityMatrix:
 @dataclass
 class EvalLog:
     """Scores f_i(S) of n trained subsets of one size alpha, as arrays:
-    ``scores[k, p]`` is the score of task ``subsets[k, p]`` on subset k's model."""
+    ``scores[k, p]`` is the score of task ``subsets[k, p]`` on subset k's model.
+    A NaN score, the mark of a row that load_eval_log did not find, is refused."""
 
     subsets: np.ndarray
     scores: np.ndarray
@@ -84,6 +85,10 @@ class EvalLog:
         self.scores = np.asarray(self.scores, dtype=float)
         if self.subsets.ndim != 2 or self.scores.shape != self.subsets.shape:
             raise InvalidInputError("evaluation log needs n x alpha subsets and scores")
+        if (missing := np.argwhere(np.isnan(self.scores))).size:
+            k, p = missing[0].tolist()
+            raise InvalidInputError("evaluation log holds no row for (subset, task) "
+                                    f"({k}, {self.subsets[k, p]})")
 
     def __len__(self) -> int:
         return self.subsets.shape[0]
@@ -234,16 +239,17 @@ def estimate_affinity(log: EvalLog, num_tasks: int) -> AffinityMatrix:
     return _imputed(theta, counts, log.scores)
 
 
-def convergence_trace(log: EvalLog, full: AffinityMatrix, checkpoints):
-    """Max-entry |theta(prefix) - full.theta| per prefix size; full = estimate_affinity(log)."""
+def convergence_trace(log: EvalLog, num_tasks: int, checkpoints):
+    """(estimate_affinity(log), the max-entry |theta(prefix) - theta| per
+    prefix size in ``checkpoints``), from one regroup of the log."""
     checkpoints = list(checkpoints)
-    if any(b <= a for a, b in zip([0] + checkpoints, checkpoints + [len(log) + 1])):
+    if not len(log) or any(b <= a for a, b in zip([0] + checkpoints, checkpoints + [len(log) + 1])):
         raise InvalidInputError(f"checkpoints must ascend strictly within 1..{len(log)}")
-    shorter = [c for c in checkpoints if c < len(log)]
-    thetas = [_imputed(theta, counts, log.scores[:c]).theta for c, (theta, counts) in zip(
-        shorter, _regroup(log.subsets, log.scores, full.num_tasks, shorter))]
-    thetas += [full.theta] * (len(checkpoints) - len(shorter))
-    return [float(np.max(np.abs(theta - full.theta))) for theta in thetas]
+    prefixes = sorted({*checkpoints, len(log)})
+    affs = {c: _imputed(theta, counts, log.scores[:c]) for c, (theta, counts) in zip(
+        prefixes, _regroup(log.subsets, log.scores, num_tasks, prefixes))}
+    return affs[len(log)], [float(np.max(np.abs(affs[c].theta - affs[len(log)].theta)))
+                            for c in checkpoints]
 
 
 def save_eval_log(log: EvalLog, csv_path, metric: str, base_seed: int, indices=None,
@@ -262,40 +268,33 @@ def save_eval_log(log: EvalLog, csv_path, metric: str, base_seed: int, indices=N
                              for tid, score in zip(subset, scores))
 
 
-def load_eval_log(csv_path, subsets, metric: str, indices=None) -> EvalLog:
-    """Read the rows a saved log holds for ``subsets`` (its n x alpha
-    subsets), or only for those at ``indices``; rows of other subsets are
-    skipped, and an empty ``indices`` reads no file.
+def load_eval_log(csv_path, subsets, metric: str) -> np.ndarray:
+    """The scores a saved log holds for ``subsets`` (its n x alpha subsets),
+    as an n x alpha array with NaN where the file has no row; rows of other
+    subsets are skipped.
 
     A malformed last line is the tail of an interrupted append and is
     skipped; a malformed row anywhere else, or a non-finite score or a
     metric other than ``metric`` on any line, raises ParseError.
     """
-    subsets = _rows(subsets)
-    indices = np.arange(len(subsets)) if indices is None else np.asarray(indices, dtype=np.int64)
-    kept, rows = subsets[indices], {}
-    if indices.size:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            lines = list(csv.reader(fh))
-        for number, line in enumerate(lines[1:], 2):
-            try:
-                k, tid, score, tag, seed = line
-                value, _ = float(score), int(seed)  # a seed is base_seed ^ k, so only parsed
-                rows[int(k), int(tid)] = value
-                if tag != metric:
-                    raise ParseError(f"line {number}: {csv_path} holds {tag} scores, not {metric}")
-                if math.isfinite(value):
-                    continue
-            except ValueError:
-                if number == len(lines):
-                    continue  # the cut tail of an interrupted append
-            raise ParseError(f"line {number}: malformed row {','.join(line)!r} in {csv_path}")
-    try:
-        scores = [[rows[k, tid] for tid in members]
-                  for k, members in zip(indices.tolist(), kept.tolist())]
-    except KeyError as exc:
-        raise InvalidInputError(f"evaluation log holds no row for (subset, task) {exc}") from None
-    return EvalLog(kept, np.array(scores).reshape(kept.shape))
+    subsets, rows = _rows(subsets), {}
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        lines = list(csv.reader(fh))
+    for number, line in enumerate(lines[1:], 2):
+        try:
+            k, tid, score, tag, seed = line
+            value, _ = float(score), int(seed)  # a seed is base_seed ^ k, so only parsed
+            rows[int(k), int(tid)] = value
+            if tag != metric:
+                raise ParseError(f"line {number}: {csv_path} holds {tag} scores, not {metric}")
+            if math.isfinite(value):
+                continue
+        except ValueError:
+            if number == len(lines):
+                continue  # the cut tail of an interrupted append
+        raise ParseError(f"line {number}: malformed row {','.join(line)!r} in {csv_path}")
+    return np.array([[rows.get((k, tid), np.nan) for tid in members]
+                     for k, members in enumerate(subsets.tolist())]).reshape(subsets.shape)
 
 
 def save_affinity(aff: AffinityMatrix, aff_dir) -> None:
@@ -360,14 +359,14 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
     """Bring the log in ``aff_dir`` up to ``plan``, write its theta files and
     return (log, theta). A fresh directory samples the plan; any other must
     hold ``fingerprint`` plus the plan, the plan's subsets and ``spec.metric``
-    scores. Subsets not in completed.idx train on ``load_dataset()``, called
-    only if one is pending, and each batch is appended to evals.csv, then to
-    completed.idx, so a stopped run resumes to the log an uninterrupted one
-    writes."""
-    evals_path, subsets_path, idx_path, fp_path = (os.path.join(aff_dir, name) for name in (
-        EVALS, SUBSETS, "completed.idx", "fingerprint.json"))
+    scores. Subsets without a row in evals.csv for each member train on
+    ``load_dataset()``, called only if one is pending: evals.csv is rewritten
+    with the finished subsets' rows, then each batch is appended, so a
+    stopped run resumes to the log an uninterrupted one writes."""
+    evals_path, subsets_path, fp_path = (os.path.join(aff_dir, name) for name in (
+        EVALS, SUBSETS, "fingerprint.json"))
     fingerprint = dict(fingerprint, plan=asdict(plan))
-    fresh, done = not os.path.exists(subsets_path), []
+    fresh = not os.path.exists(subsets_path)
     if fresh:
         subsets = subset_array(sample_subsets(plan), plan.num_tasks)
     else:
@@ -376,13 +375,9 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
         if len(subsets) < plan.num_subsets or subsets.shape[1] != plan.subset_size:
             raise TaskAffError(f"{subsets_path} does not match the requested plan; "
                                "remove the output directory to start fresh")
-        if os.path.exists(idx_path):
-            with open(idx_path, "r", encoding="utf-8") as fh, reading(idx_path):
-                done = sorted({int(line) for line in fh if line.strip()})
-                if done and (done[0] < 0 or done[-1] >= len(subsets)):
-                    raise IndexError(f"a subset index lies outside 0..{len(subsets) - 1}")
-    log = load_eval_log(evals_path, subsets, spec.metric, done)
-    pending = np.setdiff1d(np.arange(len(subsets)), done)
+    scores = (np.full(subsets.shape, np.nan) if fresh or not os.path.exists(evals_path)
+              else load_eval_log(evals_path, subsets, spec.metric))
+    pending = np.flatnonzero(np.isnan(scores).any(axis=1))
     if pending.size:  # a complete log is rescored without reading the dataset
         tasks, features = load_dataset()
         if tasks.num_tasks != plan.num_tasks:
@@ -396,25 +391,20 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
                 fh.write(json.dumps(fingerprint, sort_keys=True, indent=1) + "\n")
             with open(subsets_path, "w", encoding="utf-8") as fh:
                 json.dump(subsets.tolist(), fh)
-        # Keep only committed rows, so appended batches extend a clean log.
-        save_eval_log(log, evals_path, spec.metric, base_seed, indices=done)
-        with open(idx_path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{k}\n" for k in done)
+        done = np.setdiff1d(np.arange(len(subsets)), pending)
+        save_eval_log(EvalLog(subsets[done], scores[done]), evals_path, spec.metric, base_seed,
+                      indices=done)
 
         def commit(indices, batch):
             save_eval_log(batch, evals_path, spec.metric, base_seed, indices=indices, append=True)
-            with open(idx_path, "a", encoding="utf-8") as fh:
-                fh.writelines(f"{k}\n" for k in indices)
 
-        new = collect_evaluations(tasks, subsets[pending], spec, base_seed,
-                                  features=features, indices=pending, commit=commit)
-        scores = np.empty(subsets.shape)
-        scores[done], scores[pending] = log.scores, new.scores
-        log = EvalLog(subsets, scores)
-    aff = estimate_affinity(log, plan.num_tasks)
-    save_affinity(aff, aff_dir)
+        scores[pending] = collect_evaluations(tasks, subsets[pending], spec, base_seed,
+                                              features=features, indices=pending,
+                                              commit=commit).scores
+    log = EvalLog(subsets, scores)
     checkpoints = sorted({max(1, len(log) * q // 4) for q in range(1, 5)})
-    trace = convergence_trace(log, aff, checkpoints)
+    aff, trace = convergence_trace(log, plan.num_tasks, checkpoints)
+    save_affinity(aff, aff_dir)
     with open(os.path.join(aff_dir, CONVERGENCE), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([("prefix", "max_abs_deviation"),
                                   *zip(checkpoints, map(repr, trace))])
@@ -428,4 +418,4 @@ def open_log(aff_dir, fingerprint, metric: str):
     _check_fingerprint(aff_dir, fingerprint, "pass those of that run")
     aff = load_affinity(aff_dir)
     subsets = _load_subsets(os.path.join(aff_dir, SUBSETS), aff.num_tasks)
-    return load_eval_log(os.path.join(aff_dir, EVALS), subsets, metric), aff
+    return EvalLog(subsets, load_eval_log(os.path.join(aff_dir, EVALS), subsets, metric)), aff

@@ -130,13 +130,13 @@ def fit_closed_form(features, labels, ridge: float = 0.0) -> np.ndarray:
         stack.append(y)
     if not stack:
         raise InvalidInputError("at least one label vector is required")
-    if ridge < 0:
-        raise InvalidInputError("ridge must be >= 0")
     return _normal_solve(z, np.mean(stack, axis=0), ridge)
 
 
 def _normal_solve(z, y, ridge):
     """(Z^T Z + ridge*I)^+ Z^T y for a label vector or an m x k label matrix."""
+    if not 0 <= ridge < np.inf:
+        raise InvalidInputError(f"ridge must lie in [0, inf), got {ridge}")
     gram = z.T @ z
     rhs = z.T @ y
     if ridge > 0:

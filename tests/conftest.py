@@ -1,5 +1,6 @@
 import math
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ def records(log):
     """Per-subset records of an EvalLog, for oracles that loop over subsets."""
     return [Eval(tuple(s), dict(zip(s, sc)))
             for s, sc in zip(log.subsets.tolist(), log.scores.tolist())]
+
+
+def cut_evals(aff_dir, done, rows=1, tail=""):
+    """Cut the evals.csv of ``aff_dir`` to what a run killed while it wrote
+    subset ``done`` leaves: the rows of subsets 0..done-1, the first ``rows``
+    rows of subset ``done`` and an unterminated ``tail``."""
+    path = Path(aff_dir, "evals.csv")
+    lines = path.read_bytes().splitlines(keepends=True)
+    whole = 1 + sum(int(line.split(b",")[0]) < done for line in lines[1:])
+    path.write_bytes(b"".join(lines[:whole + rows]) + tail.encode())
 
 
 def projection(design):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from taskaff import affinity, learners, planted
 from taskaff.errors import InvalidInputError, ParseError, TaskAffError
-from tests.conftest import all_pairs_regroup, make_eval, make_log, records, sigma_tilde
+from tests.conftest import (all_pairs_regroup, cut_evals, make_eval, make_log, records,
+                            sigma_tilde)
 
 
 class TestSampleSubsets:
@@ -266,17 +267,13 @@ class TestConvergenceTrace:
     def test_full_prefix_distance_zero(self):
         rng = np.random.default_rng(0)
         evals = self._random_evals(rng)
-        trace = affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5),
-                                           [len(evals)])
-        assert trace == [0.0]
+        assert affinity.convergence_trace(evals, 5, [len(evals)])[1] == [0.0]
 
     def test_constant_scores_zero_everywhere(self):
         plan = affinity.SamplingPlan(num_tasks=5, subset_size=3, num_subsets=30, seed=2)
         evals = make_log([make_eval(s, {i: 0.75 for i in s})
                           for s in affinity.sample_subsets(plan)])
-        trace = affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5),
-                                           [5, 15, 30])
-        assert trace == [0.0, 0.0, 0.0]
+        assert affinity.convergence_trace(evals, 5, [5, 15, 30])[1] == [0.0, 0.0, 0.0]
 
     def test_distance_shrinks_with_prefix_monte_carlo(self, small_instance):
         # deterministic learner: larger prefixes approximate the full-log
@@ -291,31 +288,38 @@ class TestConvergenceTrace:
             subsets = affinity.sample_subsets(plan)
             evals = affinity.collect_evaluations(tasks, subsets, spec, seed,
                                                  features=feats)
-            d_small, d_big = affinity.convergence_trace(
-                evals, affinity.estimate_affinity(evals, 6), [12, 60])
+            d_small, d_big = affinity.convergence_trace(evals, 6, [12, 60])[1]
             hits += d_big < d_small
         assert hits >= 8
 
-    def test_matches_prefix_estimates(self):
-        # the trace reads prefixes off one sorted regroup; each must equal an
-        # estimate_affinity of the prefix log itself, bit for bit
+    @pytest.mark.parametrize("last", [299, 300])
+    def test_matches_prefix_estimates_from_one_regroup(self, monkeypatch, last):
+        # the trace reads prefixes off one regroup, the whole log's included;
+        # theta and each prefix must equal an estimate_affinity of that log
+        # itself, bit for bit
         rng = np.random.default_rng(7)
         log = self._random_evals(rng, t=8, alpha=3, n=300)
-        full = affinity.estimate_affinity(log, 8).theta
-        checkpoints = [1, 7, 40, 41, 150, 299]
+        full = affinity.estimate_affinity(log, 8)
+        checkpoints = [1, 7, 40, 41, 150, last]
         expected = [float(np.max(np.abs(affinity.estimate_affinity(affinity.EvalLog(
-            log.subsets[:c], log.scores[:c]), 8).theta - full)))
+            log.subsets[:c], log.scores[:c]), 8).theta - full.theta)))
             for c in checkpoints]
-        assert affinity.convergence_trace(
-            log, affinity.estimate_affinity(log, 8), checkpoints) == expected
+        calls, regroup = [], affinity._regroup
+        monkeypatch.setattr(affinity, "_regroup", lambda *a: calls.append(a[3]) or regroup(*a))
+        aff, trace = affinity.convergence_trace(log, 8, checkpoints)
+        assert trace == expected
+        assert calls == [sorted({*checkpoints, 300})]
+        np.testing.assert_array_equal(aff.theta.view(np.int64), full.theta.view(np.int64))
+        np.testing.assert_array_equal(aff.counts, full.counts)
 
     def test_checkpoint_validation(self):
         rng = np.random.default_rng(1)
         evals = self._random_evals(rng, n=10)
+        for checkpoints in ([4, 4], [4, 99], [0]):
+            with pytest.raises(InvalidInputError):
+                affinity.convergence_trace(evals, 5, checkpoints)
         with pytest.raises(InvalidInputError):
-            affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5), [4, 4])
-        with pytest.raises(InvalidInputError):
-            affinity.convergence_trace(evals, affinity.estimate_affinity(evals, 5), [4, 99])
+            affinity.convergence_trace(affinity.EvalLog(np.empty((0, 3)), np.empty((0, 3))), 5, [])
 
 
 class TestRegroup:
@@ -418,8 +422,9 @@ class TestLogPersistence:
         evals = [make_eval(s, {i: float(rng.standard_normal()) for i in s})
                  for s in affinity.sample_subsets(plan)]
         affinity.save_eval_log(make_log(evals), tmp_path / "evals.csv", "negative-mse", 0)
-        loaded = records(affinity.load_eval_log(tmp_path / "evals.csv",
-                                                [ev.subset for ev in evals], "negative-mse"))
+        subsets = [ev.subset for ev in evals]
+        loaded = records(affinity.EvalLog(subsets, affinity.load_eval_log(
+            tmp_path / "evals.csv", subsets, "negative-mse")))
         assert len(loaded) == len(evals)
         for a, b in zip(evals, loaded):
             assert a.subset == b.subset
@@ -448,10 +453,11 @@ class TestLogPersistence:
         csv_path = tmp_path / "evals.csv"
         affinity.save_eval_log(log, csv_path, "f1", int(rng.integers(0, 2**62)))
         loaded = affinity.load_eval_log(csv_path, log.subsets, "f1")
-        np.testing.assert_array_equal(loaded.subsets, log.subsets)
-        np.testing.assert_array_equal(loaded.scores.view(np.int64), log.scores.view(np.int64))
+        np.testing.assert_array_equal(loaded.view(np.int64), log.scores.view(np.int64))
 
-    def test_partial_load_and_append(self, tmp_path):
+    def test_missing_rows_read_as_nan_and_refused_by_the_log(self, tmp_path):
+        # subset 1 has no rows, subset 2 one of its two: NaN marks each gap,
+        # and an EvalLog refuses the first
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}),
                  make_eval((1, 2), {1: -1.5, 2: 3.0}),
                  make_eval((0, 2), {0: 0.125, 2: 2.0})]
@@ -459,14 +465,15 @@ class TestLogPersistence:
         affinity.save_eval_log(make_log(evals[:1]), csv_path, "negative-mse", 7)
         affinity.save_eval_log(make_log(evals[2:]), csv_path, "negative-mse", 7, indices=[2],
                                append=True)
-        part = records(affinity.load_eval_log(csv_path, subsets, "negative-mse",
-                                              indices=[2, 0]))
-        assert part == [evals[2], evals[0]]
-        with pytest.raises(InvalidInputError):  # subset 1 has no rows
-            affinity.load_eval_log(csv_path, subsets, "negative-mse")
-        empty = affinity.load_eval_log(tmp_path / "absent.csv", subsets, "negative-mse",
-                                       indices=[])
-        assert len(empty) == 0 and empty.subsets.shape == (0, 2)
+        with open(csv_path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("5,0,1.0,negative-mse,2\r\n")  # a subset the log does not hold
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        csv_path.write_bytes(b"".join(lines[:4] + lines[5:]))  # subset 2's task 2
+        scores = affinity.load_eval_log(csv_path, subsets, "negative-mse")
+        np.testing.assert_array_equal(scores, [[0.5, 0.25], [np.nan, np.nan], [0.125, np.nan]])
+        with pytest.raises(InvalidInputError,
+                           match=r"^evaluation log holds no row for \(subset, task\) \(1, 1\)$"):
+            affinity.EvalLog(subsets, scores)
 
     def test_cut_last_line_skipped_inner_one_refused(self, tmp_path):
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.25}),
@@ -475,7 +482,8 @@ class TestLogPersistence:
         affinity.save_eval_log(make_log(evals), csv_path, "negative-mse", 7)
         with open(csv_path, "a", encoding="utf-8", newline="") as fh:
             fh.write("2,0,0.12")  # an append cut short
-        assert records(affinity.load_eval_log(csv_path, subsets, "negative-mse")) == evals
+        assert records(affinity.EvalLog(subsets, affinity.load_eval_log(
+            csv_path, subsets, "negative-mse"))) == evals
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         csv_path.write_text("\n".join(lines[:2] + ["1,1,0.5,negative-mse,x"] + lines[2:]))
         with pytest.raises(ParseError, match="^line 3: malformed row "):
@@ -547,20 +555,27 @@ class TestRunLog:
         assert loads == [fresh_dir]
         files = {p.name: p.read_bytes() for p in fresh_dir.iterdir()}
 
-        def stopped(name, committed, tail=""):
+        # Earlier versions also listed the done subsets in completed.idx and
+        # rewrote evals.csv before it; a kill between the two left that file
+        # whole behind a cut evals.csv, and they refused every resume of it.
+        # A directory of theirs holds completed.idx, here cut to 5 lines.
+        # evals.csv alone is the resume state, so both resume, and the stale
+        # file is left as it is.
+        whole, first5 = ("".join(f"{k}\n" for k in range(n)) for n in (len(fresh), 5))
+        for name, committed, tail, idx in (("cut-mid-subset", 5, "", None),
+                                           ("cut-row", 7, "7,1,-0.4", None),
+                                           ("wedged", 5, "", whole),
+                                           ("older-version", len(fresh), "", first5)):
             copy = tmp_path / name
             shutil.copytree(fresh_dir, copy)
-            idx = copy / "completed.idx"
-            idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:committed]))
-            with open(copy / "evals.csv", "a", encoding="utf-8", newline="") as fh:
-                fh.write(tail)
-            return copy
-
-        for copy in (stopped("cut-idx", 5), stopped("cut-row", 7, "7,1,-0.4")):
+            cut_evals(copy, committed, 2, tail)
+            if idx is not None:
+                (copy / "completed.idx").write_text(idx)
             loads.clear()
             self.assert_same_log(self.run(copy, learner, dataset, loads)[0], fresh)
-            assert loads == [copy]
-            assert {p.name: p.read_bytes() for p in copy.iterdir()} == files
+            assert loads == ([] if committed == len(fresh) else [copy])
+            assert {p.name: p.read_bytes() for p in copy.iterdir()} == (
+                files if idx is None else {**files, "completed.idx": idx.encode()})
 
         def no_load():
             raise AssertionError("a complete log needs no dataset")

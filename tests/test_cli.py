@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from taskaff import cli, graphs, grouping
-from tests.conftest import save_edge_list, two_block_graph
+from tests.conftest import cut_evals, save_edge_list, two_block_graph
 from tests.test_pool import fail_on, pooled, raise_training_error
 
 
@@ -207,8 +207,7 @@ class TestAffinity:
         _, inst_dir, aff_dir = pipeline
         resumed = tmp_path / "resumed"
         shutil.copytree(aff_dir, resumed)
-        idx = resumed / "completed.idx"
-        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:40]))
+        cut_evals(resumed, 40)
         loads = []
         real = cli._load_dataset
         monkeypatch.setattr(cli, "_load_dataset", lambda *a: loads.append(a) or real(*a))
@@ -228,18 +227,13 @@ class TestAffinity:
 
         resumed = str(tmp_path / "resumed")
         shutil.copytree(aff_dir, resumed)
-        # simulate a kill after 40 completed subsets
-        idx = os.path.join(resumed, "completed.idx")
-        with open(idx) as fh:
-            kept = fh.read().splitlines()[:40]
-        with open(idx, "w") as fh:
-            fh.write("\n".join(kept) + "\n")
+        cut_evals(resumed, 40, 2)  # a kill while subset 40's rows were written
         os.remove(os.path.join(resumed, "theta.csv"))
         assert run(["affinity", "--dataset", inst_dir, "--alpha", "4",
                     "--num-subsets", "120", "--learner", "linear",
                     "--metric", "negative-mse", "--seed", "2",
                     "--out", resumed]) == 0
-        for name in ("evals.csv", "subsets.json", "completed.idx", "theta.csv",
+        for name in ("evals.csv", "subsets.json", "theta.csv",
                      "counts.csv", "affinity.json", "convergence.csv",
                      "manifest.json"):
             assert (tmp_path / "resumed" / name).read_bytes() == \
@@ -1193,28 +1187,39 @@ def community_affinity(tmp_path_factory, community_dataset):
 
 
 class TestInterruptedLog:
-    """An affinity run stopped during an append: completed.idx lists the
-    subsets committed before it, evals.csv may end in a cut row."""
+    """An affinity run stopped during an append: evals.csv holds the rows of
+    the subsets committed before it, part of the next one's and may end in a
+    cut row."""
 
-    def interrupted_copy(self, tmp_path, aff_dir, committed):
-        import shutil
-
+    def interrupted_copy(self, tmp_path, aff_dir, committed, tail=""):
         copy = tmp_path / "aff"
         shutil.copytree(aff_dir, copy)
-        idx = copy / "completed.idx"
-        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:committed]))
+        cut_evals(copy, committed, 1, tail)
         (copy / "theta.csv").unlink()
         return copy
 
-    @pytest.mark.parametrize("tail", ["3", "3\r\n", "7,1,-0.6", "7,1,-0.6931,negative-cr"])
+    @pytest.mark.parametrize("tail", [pytest.param("", id="no-tail"), "3", "3\r\n", "7,1,-0.6",
+                                      "7,1,-0.6931,negative-cr"])
     def test_cut_last_row_is_dropped_on_resume(self, tmp_path, community_affinity, tail):
         ds, aff_dir = community_affinity
-        copy = self.interrupted_copy(tmp_path, aff_dir, 5)
-        with open(copy / "evals.csv", "a", encoding="utf-8", newline="") as fh:
-            fh.write(tail)
+        copy = self.interrupted_copy(tmp_path, aff_dir, 5, tail)
         assert run(["affinity", "--dataset", ds, "--out", str(copy)] + MLP_AFFINITY) == 0
-        for name in ("evals.csv", "completed.idx", "theta.csv", "counts.csv"):
+        for name in ("evals.csv", "theta.csv", "counts.csv", "manifest.json"):
             assert (copy / name).read_bytes() == Path(aff_dir, name).read_bytes(), name
+
+    def test_predict_nt_on_a_cut_log_exit_2(self, tmp_path, community_affinity, capsys):
+        # predict-nt reads only a finished log; subset 5 holds one of its rows
+        ds, aff_dir = community_affinity
+        copy = self.interrupted_copy(tmp_path, aff_dir, 5)
+        shutil.copy(Path(aff_dir, "theta.csv"), copy / "theta.csv")
+        task = read_json(copy / "subsets.json")[5][1]
+        capsys.readouterr()
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", ds, "--affinity-dir", str(copy),
+                    "--heldout-subsets", "20", "--out", str(out)] + MLP_AFFINITY[4:]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: evaluation log holds no row for (subset, task) (5, {task})"]
+        assert not out.exists()
 
     def test_malformed_inner_row_exit_2(self, tmp_path, community_affinity, capsys):
         ds, aff_dir = community_affinity
@@ -1253,8 +1258,7 @@ class TestEvalLogFile:
         assert self.columns(aff_dir) == {(metric, 2)}
         resumed = tmp_path / "resumed"
         shutil.copytree(aff_dir, resumed)
-        idx = resumed / "completed.idx"
-        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:5]))
+        cut_evals(resumed, 5)
         assert run(["affinity", "--dataset", dataset, *argv, "--out", str(resumed)]) == 0
         assert self.columns(resumed) == {(metric, 2)}
         assert (resumed / "evals.csv").read_bytes() == Path(aff_dir, "evals.csv").read_bytes()
@@ -1275,8 +1279,7 @@ class TestEvalLogFile:
             lines[k] = lines[k].replace(b",negative-mse,", b",f1,")
         evals.write_bytes(b"\r\n".join(lines))
         if command == "resume":
-            idx = copy / "completed.idx"
-            idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:40]))
+            cut_evals(copy, 40)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         monkeypatch.setattr(cli, "_load_dataset", no_training)
         argv = {"predict-nt": ["predict-nt", "--dataset", inst_dir, "--affinity-dir", str(copy),
@@ -1337,8 +1340,7 @@ class TestStaleInputs:
         # rows reversed). Earlier versions resumed and appended scores trained
         # on the new input to the old ones (exit 0).
         inputs, ds, aff = featured_community
-        idx = aff / "completed.idx"
-        idx.write_text("".join(idx.read_text().splitlines(keepends=True)[:6]))
+        cut_evals(aff, 6)
         _reverse_lines(inputs[role])
         before = {p.name: p.read_bytes() for p in aff.iterdir()}
         capsys.readouterr()
@@ -1399,9 +1401,10 @@ class TestPooledMlp:
             "affinity: training failed, log retained for resume: training loss became "
             f"non-finite, epoch 3, subset {first}\n")
         assert multiprocessing.active_children() == []
-        assert (out / "completed.idx").read_text() == "".join(f"{k}\n" for k in range(first))
+        clean = Path(aff_dir, "evals.csv").read_bytes().splitlines(keepends=True)
+        assert (out / "evals.csv").read_bytes() == b"".join(clean[:1 + 2 * first])  # alpha 2
         assert run(argv) == 0
-        for name in ("evals.csv", "completed.idx", "theta.csv", "counts.csv", "manifest.json"):
+        for name in ("evals.csv", "theta.csv", "counts.csv", "manifest.json"):
             assert (out / name).read_bytes() == Path(aff_dir, name).read_bytes(), name
 
     def test_evaluate_matches_one_process_and_names_a_failed_group(
@@ -1703,9 +1706,6 @@ class TestMalformedAffinityDir:
     command that reads it with one `taskaff:` line naming the file (exit 2)."""
 
     @pytest.mark.parametrize("name,edit,command", [
-        ("completed.idx", lambda lines: lines + ["x\n"], "affinity"),
-        ("completed.idx", lambda lines: lines + ["100000\n"], "affinity"),
-        ("completed.idx", lambda lines: lines + ["-1\n"], "affinity"),
         ("fingerprint.json", lambda lines: ["{"], "affinity"),
         ("fingerprint.json", lambda lines: ["{"], "predict-nt"),
         ("subsets.json", lambda lines: ["[[1,2"], "affinity"),
@@ -1728,7 +1728,7 @@ class TestMalformedAffinityDir:
         ("subsets.json", _edit_subsets(_repeat_first_id), "predict-nt"),
         ("subsets.json", _edit_subsets(_reverse_first_row), "affinity"),
         ("subsets.json", _edit_subsets(_reverse_first_row), "predict-nt"),
-    ], ids=["idx-x", "idx-past-end", "idx-negative", "fingerprint-affinity",
+    ], ids=["fingerprint-affinity",
             "fingerprint-predict-nt", "subsets-affinity", "subsets-predict-nt", "theta-x",
             "theta-row-deleted", "counts-row-deleted", "theta-nan", "theta-inf",
             "subsets-float-affinity", "subsets-float-predict-nt", "evals-inf-affinity",

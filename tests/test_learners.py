@@ -78,6 +78,18 @@ class TestFitClosedForm:
         w1 = learners.fit_closed_form(z, [y], ridge=100.0)
         assert np.linalg.norm(w1) < np.linalg.norm(w0)
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_ridge_outside_zero_to_inf_refused_by_both_kernels(self, ridge):
+        # earlier versions fit nan as ridge 0 and inf as NaN weights, and
+        # closed_form_scores scored -1 as ridge 0
+        rng = np.random.default_rng(5)
+        tasks, x = _shared_mask_tasks(rng, "holdout")
+        message = rf"^ridge must lie in \[0, inf\), got {ridge}$"
+        with pytest.raises(InvalidInputError, match=message):
+            learners.fit_closed_form(x, [tasks.labels[0]], ridge=ridge)
+        with pytest.raises(InvalidInputError, match=message):
+            learners.closed_form_scores(x, tasks, np.array([[0, 1]]), ridge)
+
 
 class TestTrainSubset:
     def test_singleton_equals_single_task_fit(self, small_instance):
