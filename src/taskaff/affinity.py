@@ -354,15 +354,15 @@ def _load_subsets(path, num_tasks) -> np.ndarray:
         return rows
 
 
-def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_dataset,
-            base_seed: int):
+def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_dataset):
     """Bring the log in ``aff_dir`` up to ``plan``, write its theta files and
     return (log, theta). A fresh directory samples the plan; any other must
     hold ``fingerprint`` plus the plan, the plan's subsets and ``spec.metric``
     scores. Subsets without a row in evals.csv for each member train on
-    ``load_dataset()``, called only if one is pending: evals.csv is rewritten
-    with the finished subsets' rows, then each batch is appended, so a
-    stopped run resumes to the log an uninterrupted one writes."""
+    ``load_dataset()`` with base seed ``plan.seed``, called only if one is
+    pending: evals.csv is rewritten with the finished subsets' rows, then
+    each batch is appended, so a stopped run resumes to the log an
+    uninterrupted one writes."""
     evals_path, subsets_path, fp_path = (os.path.join(aff_dir, name) for name in (
         EVALS, SUBSETS, "fingerprint.json"))
     fingerprint = dict(fingerprint, plan=asdict(plan))
@@ -392,13 +392,13 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
             with open(subsets_path, "w", encoding="utf-8") as fh:
                 json.dump(subsets.tolist(), fh)
         done = np.setdiff1d(np.arange(len(subsets)), pending)
-        save_eval_log(EvalLog(subsets[done], scores[done]), evals_path, spec.metric, base_seed,
+        save_eval_log(EvalLog(subsets[done], scores[done]), evals_path, spec.metric, plan.seed,
                       indices=done)
 
         def commit(indices, batch):
-            save_eval_log(batch, evals_path, spec.metric, base_seed, indices=indices, append=True)
+            save_eval_log(batch, evals_path, spec.metric, plan.seed, indices=indices, append=True)
 
-        scores[pending] = collect_evaluations(tasks, subsets[pending], spec, base_seed,
+        scores[pending] = collect_evaluations(tasks, subsets[pending], spec, plan.seed,
                                               features=features, indices=pending,
                                               commit=commit).scores
     log = EvalLog(subsets, scores)
@@ -414,8 +414,14 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
 def open_log(aff_dir, fingerprint, metric: str):
     """(log, theta) of the finished affinity run in ``aff_dir``, refused unless
     its fingerprint.json agrees with ``fingerprint`` on every key of it and
-    its evals.csv holds ``metric`` scores."""
+    its evals.csv holds ``metric`` scores for every member of every subset."""
     _check_fingerprint(aff_dir, fingerprint, "pass those of that run")
     aff = load_affinity(aff_dir)
     subsets = _load_subsets(os.path.join(aff_dir, SUBSETS), aff.num_tasks)
-    return EvalLog(subsets, load_eval_log(os.path.join(aff_dir, EVALS), subsets, metric)), aff
+    evals_path = os.path.join(aff_dir, EVALS)
+    scores = load_eval_log(evals_path, subsets, metric)
+    if (missing := np.argwhere(np.isnan(scores))).size:
+        k, p = missing[0].tolist()
+        raise TaskAffError(f"{evals_path} holds no row for task {subsets[k, p]} of subset {k}; "
+                           "rerun affinity with the same flags to finish the log")
+    return EvalLog(subsets, scores), aff

@@ -306,7 +306,7 @@ def cmd_affinity(args) -> int:
     try:
         aff_mod.run_log(args.out, plan, spec,
                         _affinity_fingerprint(dataset, meta, spec, args.holdout_frac),
-                        lambda: _load_dataset(dataset, args.holdout_frac), args.seed)
+                        lambda: _load_dataset(dataset, args.holdout_frac))
     except TrainingError as exc:
         print(f"affinity: training failed, log retained for resume: {exc}", file=sys.stderr)
         return EX_TRAINING
@@ -329,10 +329,9 @@ def cmd_cluster(args) -> int:
     else:
         labels = grp_mod.spectral_cluster(grp_mod.build_cluster_matrix(aff), args.budget,
                                           seed=args.seed)
-    grp = grp_mod.derive_groups(labels, t, args.budget)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "grouping.json")
-    grp_mod.save_grouping(grp, out_path)
+    grp_mod.save_grouping(grp_mod.derive_groups(labels, t), labels, args.budget, out_path)
     _write_manifest(args.out, "cluster",
                     {"budget": args.budget, "seed": args.seed,
                      "affinity_dir": os.path.abspath(args.affinity_dir)},
@@ -344,24 +343,22 @@ def cmd_evaluate(args) -> int:
     dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
     tasks, features = _load_dataset(dataset, args.holdout_frac)
     grp_path = os.path.join(grouping_dir, "grouping.json")
-    grp = grp_mod.load_grouping(grp_path, tasks.num_tasks)
+    groups = grp_mod.load_grouping(grp_path, tasks.num_tasks)
     spec = _learner_spec(args)
-    missing = sorted(set(range(tasks.num_tasks)).difference(*grp.groups))
+    missing = sorted(set(range(tasks.num_tasks)).difference(*groups))
     if missing and spec.kind != "closed-form-linear":  # a linear model scores every task
         raise TaskAffError(f"{grp_path}: task {missing[0]} is in no group, and an MLP "
                            "scores only its group's tasks")
-    models = grp_mod.train_groups(tasks, grp, spec, args.seed, features=features)
+    models = grp_mod.train_groups(tasks, groups, spec, args.seed, features=features)
     per_task, objective = grp_mod.evaluate_grouping(models, tasks, spec.metric)
     report = {
-        "groups": [list(map(int, g)) for g in grp.groups],
+        "groups": groups,
         "objective": objective,
         "per_task_scores": per_task,
     }
     if args.with_baseline:
-        t = tasks.num_tasks
-        one_group = grp_mod.derive_groups(np.zeros(2 * t, dtype=np.int64), t, 1)
-        naive_models = grp_mod.train_groups(tasks, one_group, spec, args.seed,
-                                            features=features)
+        naive_models = grp_mod.train_groups(tasks, [list(range(tasks.num_tasks))], spec,
+                                            args.seed, features=features)
         _, naive_obj = grp_mod.evaluate_grouping(naive_models, tasks, spec.metric)
         report["baseline_objective"] = naive_obj
     os.makedirs(args.out, exist_ok=True)
@@ -449,26 +446,26 @@ def cmd_verify_theory(args) -> int:
                                     seed=args.seed, min_pair_coverage=1)
         theta = pl_mod.theta_closed_form(inst, aff_mod.sample_subsets(plan))
         mode = {"exhaustive": False, "alpha": alpha, "num_subsets": n, "seed": args.seed}
-    report = pl_mod.verify_block_structure(theta, inst.group_of)
+    gaps, global_gap = pl_mod.verify_block_structure(theta, inst.group_of)
     os.makedirs(args.out, exist_ok=True)
     payload = {
-        "per_row_gaps": [None if math.isnan(v) else v for v in report.per_row_gaps],
-        "global_gap": report.global_gap,
-        "pass": bool(report.passed),
+        "per_row_gaps": [None if math.isnan(v) else v for v in gaps],
+        "global_gap": global_gap,
+        "pass": global_gap > 0,
         "config": dict(mode, dataset=os.path.abspath(dataset)),
     }
     out_path = os.path.join(args.out, "verify.json")
     _write_json(out_path, payload)
     _write_manifest(args.out, "verify-theory", payload["config"],
                     [os.path.join(dataset, "meta.json")], [out_path])
-    return EX_OK if report.passed else EX_DOMAIN
+    return EX_OK if payload["pass"] else EX_DOMAIN
 
 
 def cmd_ppr_sim(args) -> int:
     dataset, grouping_dir = _require(args.dataset, "dir"), _require(args.grouping_dir, "dir")
     g, tasks = _load_graph_and_tasks(dataset, _read_meta(dataset, "community")[0])
-    grp = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"), tasks.num_tasks)
-    within, between = ppr_group_similarity(g, tasks, grp.groups, teleport=args.teleport)
+    groups = grp_mod.load_grouping(os.path.join(grouping_dir, "grouping.json"), tasks.num_tasks)
+    within, between = ppr_group_similarity(g, tasks, groups, teleport=args.teleport)
     os.makedirs(args.out, exist_ok=True)
     report = {"within_mean": within, "between_mean": between, "teleport": args.teleport}
     out_path = os.path.join(args.out, "ppr_similarity.json")
@@ -557,7 +554,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="dataset of the affinity run")
     p.add_argument("--affinity-dir", required=True, help="output of affinity")
     p.add_argument("--heldout-subsets", type=int, default=250, help="subsets to score on")
-    p.add_argument("--l2", type=float, default=tr_mod.DEFAULT_L2, help="logistic L2 penalty")
+    p.add_argument("--l2", type=float, default=1e-4, help="logistic L2 penalty")
     p.add_argument("--logistic-epochs", type=int, default=1500, help="logistic epochs")
     p.add_argument("--logistic-lr", type=float, default=0.5, help="logistic step size")
 

@@ -9,7 +9,6 @@ groups as an auxiliary source while keeping exactly one home group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -23,15 +22,6 @@ KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
 DEGREE_EPS = 1e-12
-
-
-@dataclass
-class TaskGrouping:
-    """b (possibly overlapping) task groups from one clustering run."""
-
-    groups: list
-    assignments: np.ndarray
-    budget: int
 
 
 def minmax_rescale(matrix: np.ndarray) -> np.ndarray:
@@ -135,8 +125,9 @@ def spectral_cluster(matrix, k: int, seed: int) -> np.ndarray:
     return _kmeans(embed, k, np.random.default_rng(seed))
 
 
-def derive_groups(labels, num_tasks: int, budget: int) -> TaskGrouping:
-    """Merge target and source copies sharing a cluster into task groups.
+def derive_groups(labels, num_tasks: int) -> list:
+    """Merge target and source copies sharing a cluster into task groups,
+    each a sorted list of task ids.
 
     Group g holds every task whose target copy (row i) or source copy
     (row T+i) was labeled g, one group per label that occurs. Each copy puts
@@ -148,25 +139,19 @@ def derive_groups(labels, num_tasks: int, budget: int) -> TaskGrouping:
         raise InvalidInputError(
             f"expected {2 * num_tasks} copy labels, got {labels.shape[0]}"
         )
-    clusters = sorted(set(labels.tolist()))
-    if len(clusters) > budget:
-        raise InvalidInputError(
-            f"clustering produced {len(clusters)} groups, over budget {budget}"
-        )
-    members = {c: set() for c in clusters}
+    members = {c: set() for c in sorted(set(labels.tolist()))}
     for i in range(num_tasks):
         members[labels[i]].add(i)
         members[labels[num_tasks + i]].add(i)
-    groups = [sorted(members[c]) for c in clusters]
-    return TaskGrouping(groups=groups, assignments=labels, budget=budget)
+    return [sorted(ids) for ids in members.values()]
 
 
-def train_groups(tasks, grouping: TaskGrouping, spec: LearnerSpec, seed: int, features):
-    """Train one multitask model per group, seeded by base seed XOR index
-    (learners.train_models, in group order); a TrainingError names the group
-    ("…, group 1")."""
-    indices = range(len(grouping.groups))
-    return list(train_models(tasks, grouping.groups, spec, [seed ^ gi for gi in indices],
+def train_groups(tasks, groups, spec: LearnerSpec, seed: int, features):
+    """Train one multitask model per group of task ids, seeded by base seed
+    XOR index (learners.train_models, in group order); a TrainingError names
+    the group ("…, group 1")."""
+    indices = range(len(groups))
+    return list(train_models(tasks, groups, spec, [seed ^ gi for gi in indices],
                              features, [f"group {gi}" for gi in indices]))
 
 
@@ -214,29 +199,27 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     return (sum_comb - expected) / (max_index - expected)
 
 
-def save_grouping(grouping: TaskGrouping, path) -> None:
+def save_grouping(groups, assignments, budget: int, path) -> None:
+    """Write grouping.json: the groups, the copy labels they came from, the budget."""
     payload = {
-        "groups": [list(map(int, grp)) for grp in grouping.groups],
-        "assignments": grouping.assignments.tolist(),
-        "budget": grouping.budget,
+        "groups": [list(map(int, grp)) for grp in groups],
+        "assignments": np.asarray(assignments).tolist(),
+        "budget": budget,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
 
 
-def load_grouping(path, num_tasks: int) -> TaskGrouping:
-    """Read a grouping.json of tasks 0..num_tasks-1; an empty group or one
-    naming another id raises InvalidInputError before any group is used (a
-    negative id would index from the end). Keys other than groups,
-    assignments and budget (an older file's always-null objective and
-    per_task_scores) are ignored."""
+def load_grouping(path, num_tasks: int) -> list:
+    """The groups of a grouping.json of tasks 0..num_tasks-1; an empty group
+    or one naming another id raises InvalidInputError before any group is
+    used (a negative id would index from the end). Every other key is
+    ignored."""
     with open(path, "r", encoding="utf-8") as fh, reading(path):
-        payload = json.load(fh)
-        groups = [list(map(int, int_ids(grp))) for grp in payload["groups"]]
+        groups = [list(map(int, int_ids(grp))) for grp in json.load(fh)["groups"]]
         for k, ids in enumerate(map(sorted, groups)):
             if not ids:
                 raise InvalidInputError(f"{path}: group {k} is empty")
             if not 0 <= ids[0] <= ids[-1] < num_tasks:
                 raise InvalidInputError(f"task id out of range in subset {ids}")
-        return TaskGrouping(groups=groups, assignments=int_ids(payload["assignments"]),
-                            budget=payload["budget"])
+        return groups

@@ -213,23 +213,14 @@ def population_theta(inst: PlantedInstance, alpha: int) -> AffinityMatrix:
     return theta_closed_form(inst, itertools.combinations(range(t), alpha))
 
 
-@dataclass(frozen=True)
-class BlockStructureReport:
-    """Per-row and global gaps between cross-group and within-group scores."""
-
-    per_row_gaps: np.ndarray
-    global_gap: float
-    passed: bool
-
-
-def verify_block_structure(aff: AffinityMatrix, group_of) -> BlockStructureReport:
-    """Check that cross-group losses exceed within-group losses row by row;
-    ``aff`` holds losses, as theta_closed_form returns them.
+def verify_block_structure(aff: AffinityMatrix, group_of):
+    """(per_row_gaps, global_gap) between cross-group and within-group
+    losses; ``aff`` holds losses, as theta_closed_form returns them.
 
     For each task i the row gap is (min over cross-group j' of theta[i, j'])
     minus (max over same-group j != i of theta[i, j]); the global gap is the
-    minimum over rows and the check passes iff it is positive. Rows whose
-    group has no other member are reported as NaN and skipped.
+    minimum over rows, and the block structure holds iff it is positive.
+    Rows whose group has no other member are NaN and skipped.
     """
     group_of = np.asarray(group_of)
     if np.unique(group_of).size < 2:
@@ -245,9 +236,7 @@ def verify_block_structure(aff: AffinityMatrix, group_of) -> BlockStructureRepor
     valid = gaps[~np.isnan(gaps)]
     if valid.size == 0:
         raise InvalidInputError("no task has a same-group partner")
-    global_gap = float(valid.min())
-    return BlockStructureReport(per_row_gaps=gaps, global_gap=global_gap,
-                                passed=global_gap > 0)
+    return gaps, float(valid.min())
 
 
 def to_task_set(inst: PlantedInstance, holdout_frac: float = 0.0):

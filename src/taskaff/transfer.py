@@ -19,7 +19,6 @@ from .affinity import AffinityMatrix
 from .errors import InvalidInputError, TrainingError
 from .learners import _sigmoid, f1_score
 
-DEFAULT_L2 = 1e-4
 DECISION_THRESHOLD = 0.5
 
 
@@ -66,8 +65,7 @@ def check_settings(l2, epochs, lr) -> None:
                                 f"0 <= l2 < inf, got epochs {epochs}, lr {lr}, l2 {l2}")
 
 
-def fit_all(examples, num_tasks: int, l2: float = DEFAULT_L2, epochs: int = 2000,
-            lr: float = 0.5, seed: int = 0):
+def fit_all(examples, num_tasks: int, l2: float, epochs: int, lr: float, seed: int):
     """One logistic model per target task, over ``num_tasks`` weights each. A
     task with one class gets a constant predictor. The others descend their
     L2-regularized mean log loss from N(0, 0.01) weights drawn with

@@ -537,7 +537,7 @@ class TestRunLog:
             loads.append(aff_dir)
             return dataset
         return affinity.run_log(aff_dir, self.PLAN, self.SPECS[learner], self.FINGERPRINT,
-                                load_dataset, 9)
+                                load_dataset)
 
     def assert_same_log(self, got, want):
         np.testing.assert_array_equal(got.subsets, want.subsets)
@@ -549,7 +549,8 @@ class TestRunLog:
         fresh, aff = self.run(fresh_dir, learner, dataset, loads)
         tasks, features = dataset
         oracle = affinity.collect_evaluations(tasks, affinity.sample_subsets(self.PLAN),
-                                              self.SPECS[learner], 9, features=features)
+                                              self.SPECS[learner], self.PLAN.seed,
+                                              features=features)
         self.assert_same_log(fresh, oracle)
         np.testing.assert_array_equal(aff.theta, affinity.estimate_affinity(oracle, 6).theta)
         assert loads == [fresh_dir]
@@ -581,7 +582,7 @@ class TestRunLog:
             raise AssertionError("a complete log needs no dataset")
 
         log, _ = affinity.run_log(fresh_dir, self.PLAN, self.SPECS[learner],
-                                  self.FINGERPRINT, no_load, 9)
+                                  self.FINGERPRINT, no_load)
         self.assert_same_log(log, fresh)
         assert {p.name: p.read_bytes() for p in fresh_dir.iterdir()} == files
         opened, opened_aff = affinity.open_log(fresh_dir, {"learner": "l"}, "negative-mse")

@@ -325,6 +325,18 @@ class TestClusterEvaluate:
         assert report["objective"] >= report["baseline_objective"]
         assert len(report["per_task_scores"]) == 12
 
+    def test_baseline_is_the_budget_one_grouping(self, tmp_path, pipeline):
+        _, inst_dir, aff_dir = pipeline
+        objectives = []
+        for budget, extra in (("3", ["--with-baseline"]), ("1", [])):
+            clus, ev = str(tmp_path / f"clus{budget}"), str(tmp_path / f"eval{budget}")
+            assert run(["cluster", "--affinity-dir", aff_dir, "--budget", budget,
+                        "--seed", "4", "--out", clus]) == 0
+            assert run(["evaluate", "--dataset", inst_dir, "--grouping-dir", clus,
+                        "--seed", "0", "--out", ev] + extra) == 0
+            objectives.append(read_json(ev + "/evaluation.json"))
+        assert objectives[0]["baseline_objective"] == objectives[1]["objective"]
+
     @pytest.mark.parametrize("group", [[2, 99], [-1, 0]])
     def test_evaluate_task_id_out_of_range_exit_2_before_any_training(
             self, tmp_path, pipeline, monkeypatch, capsys, group):
@@ -333,9 +345,8 @@ class TestClusterEvaluate:
         _, inst_dir, _ = pipeline
         gdir = tmp_path / "grp"
         gdir.mkdir()
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[0, 1], group], assignments=np.zeros(24, dtype=np.int64), budget=2),
-            gdir / "grouping.json")
+        grouping.save_grouping([[0, 1], group], np.zeros(24, dtype=np.int64), 2,
+                               gdir / "grouping.json")
 
         def no_training(*args, **kwargs):
             raise AssertionError("a group was trained before the ids were checked")
@@ -356,9 +367,8 @@ class TestClusterEvaluate:
         _, inst_dir, _ = pipeline
         gdir, out = tmp_path / "grp", tmp_path / "eval"
         gdir.mkdir()
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[0, 1], [], list(range(2, 12))], assignments=np.zeros(24, dtype=np.int64),
-            budget=3), gdir / "grouping.json")
+        grouping.save_grouping([[0, 1], [], list(range(2, 12))], np.zeros(24, dtype=np.int64),
+                               3, gdir / "grouping.json")
         monkeypatch.setattr(cli.learners, "train_subset", no_training)
         capsys.readouterr()
         assert run(["evaluate", "--dataset", inst_dir, "--grouping-dir", str(gdir),
@@ -383,9 +393,8 @@ class TestHoldoutWithoutTrainingRows:
                     "--observed", "3", "--within-sep", "0.1", "--between-sep", "1",
                     "--seed", "1", "--out", str(inst)]) == 0
         gdir.mkdir()
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[0, 1], [2, 3]], assignments=np.array([0, 0, 1, 1] * 2), budget=2),
-            gdir / "grouping.json")
+        grouping.save_grouping([[0, 1], [2, 3]], np.array([0, 0, 1, 1] * 2), 2,
+                               gdir / "grouping.json")
         capsys.readouterr()
         argv = [str(gdir) if a == "GROUPS" else a for a in argv]
         assert run(argv + ["--dataset", str(inst), "--holdout-frac", "0.4",
@@ -413,6 +422,19 @@ class TestVerifyTheory:
         assert rep["pass"] is True
         assert rep["global_gap"] > 0
         assert len(rep["per_row_gaps"]) == 12
+
+    @pytest.mark.parametrize("num_subsets,code", [("30", 2), ("400", 0)])
+    def test_exit_2_exactly_when_the_gap_is_not_positive(self, tmp_path, num_subsets, code):
+        # global gap -0.026 from 30 subsets, +0.019 from 400; verify.json is written either way
+        inst, out = str(tmp_path / "inst"), str(tmp_path / "ver")
+        assert run(["generate", "--tasks", "12", "--groups", "3", "--dim", "8", "--nodes", "150",
+                    "--observed", "120", "--seed", "1", "--out", inst]) == 0
+        assert run(["verify-theory", "--dataset", inst, "--alpha", "4", "--seed", "5",
+                    "--num-subsets", num_subsets, "--out", out]) == code
+        rep = read_json(out + "/verify.json")
+        assert rep["pass"] is (code == 0)
+        assert (rep["global_gap"] > 0) is rep["pass"]
+        assert read_json(out + "/manifest.json")["command"] == "verify-theory"
 
     def test_nan_features_exit_2_without_traceback(self, tmp_path, pipeline, capsys):
         _, inst_dir, _ = pipeline
@@ -908,10 +930,7 @@ class TestSplitAndPprSim:
             groups[block].append(tid)
         gdir = tmp_path / "grp"
         gdir.mkdir()
-        grouping.save_grouping(
-            grouping.TaskGrouping(groups=groups,
-                                  assignments=np.zeros(8, dtype=np.int64), budget=2),
-            gdir / "grouping.json")
+        grouping.save_grouping(groups, np.zeros(8, dtype=np.int64), 2, gdir / "grouping.json")
         out = str(tmp_path / "ppr")
 
         def no_diffusion(*args, **kwargs):
@@ -933,9 +952,8 @@ class TestSplitAndPprSim:
                     "--seed", "1", "--out", ds]) == 0
         gdir = tmp_path / "grp"
         gdir.mkdir()
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[1, 3], group], assignments=np.zeros(4, dtype=np.int64), budget=2),
-            gdir / "grouping.json")
+        grouping.save_grouping([[1, 3], group], np.zeros(4, dtype=np.int64), 2,
+                               gdir / "grouping.json")
 
         def no_ppr(*args, **kwargs):
             raise AssertionError("a PPR vector computed before the ids were checked")
@@ -1009,9 +1027,8 @@ class TestSplitAndPprSim:
         ds, _ = community_affinity
         gdir, out = tmp_path / "grp", tmp_path / "eval"
         gdir.mkdir()
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[0], [1, 2, 3]], assignments=np.zeros(8, dtype=np.int64), budget=2),
-            gdir / "grouping.json")
+        grouping.save_grouping([[0], [1, 2, 3]], np.zeros(8, dtype=np.int64), 2,
+                               gdir / "grouping.json")
         monkeypatch.setattr(cli.learners, "fit_closed_form", no_training)
         capsys.readouterr()
         assert run(["evaluate", "--dataset", ds, "--grouping-dir", str(gdir),
@@ -1029,9 +1046,8 @@ class TestSplitAndPprSim:
         ds, _ = community_affinity
         gdir, out = tmp_path / "grp", tmp_path / "eval"
         gdir.mkdir()
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[0, 1], [2]], assignments=np.zeros(8, dtype=np.int64), budget=2),
-            gdir / "grouping.json")
+        grouping.save_grouping([[0, 1], [2]], np.zeros(8, dtype=np.int64), 2,
+                               gdir / "grouping.json")
         monkeypatch.setattr(cli.learners, "train_subset", no_training)
         capsys.readouterr()
         assert run(["evaluate", "--dataset", ds, "--grouping-dir", str(gdir),
@@ -1052,9 +1068,8 @@ class TestSplitAndPprSim:
                     "--seed", "1", "--out", ds]) == 0
         gdir, out = tmp_path / "grp", tmp_path / "ppr"
         gdir.mkdir()
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[0, 1, 2, 3], []], assignments=np.zeros(8, dtype=np.int64), budget=2),
-            gdir / "grouping.json")
+        grouping.save_grouping([[0, 1, 2, 3], []], np.zeros(8, dtype=np.int64), 2,
+                               gdir / "grouping.json")
         monkeypatch.setattr(cli.learners, "train_subset", no_training)
         capsys.readouterr()
         assert run(["ppr-sim", "--dataset", ds, "--grouping-dir", str(gdir),
@@ -1087,9 +1102,7 @@ class TestSplitAndPprSim:
         _, inst_dir, _ = pipeline
         gdir = tmp_path / "grp"
         gdir.mkdir()
-        grouping.save_grouping(
-            grouping.TaskGrouping(groups=[[0]], assignments=np.zeros(24, dtype=np.int64),
-                                  budget=1), gdir / "grouping.json")
+        grouping.save_grouping([[0]], np.zeros(24, dtype=np.int64), 1, gdir / "grouping.json")
         assert run(["ppr-sim", "--dataset", inst_dir, "--grouping-dir", str(gdir),
                     "--out", str(tmp_path / "p")]) == 2
 
@@ -1218,7 +1231,8 @@ class TestInterruptedLog:
         assert run(["predict-nt", "--dataset", ds, "--affinity-dir", str(copy),
                     "--heldout-subsets", "20", "--out", str(out)] + MLP_AFFINITY[4:]) == 2
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"taskaff: evaluation log holds no row for (subset, task) (5, {task})"]
+            f"taskaff: {copy / 'evals.csv'} holds no row for task {task} of subset 5; rerun "
+            "affinity with the same flags to finish the log"]
         assert not out.exists()
 
     def test_malformed_inner_row_exit_2(self, tmp_path, community_affinity, capsys):
@@ -1445,14 +1459,20 @@ class TestMalformedArtifacts:
     """An artifact a later command reads, edited into a malformed one, stops
     that command with one `taskaff:` line naming the file (exit 2)."""
 
-    def grouping(self, tmp_path, pipeline, community_affinity, community_dataset):
+    def _clustered(self, tmp_path, pipeline):
+        """grouping.json of the planted pipeline, and the evaluate argv that reads it."""
         _, inst_dir, aff_dir = pipeline
         clus = tmp_path / "clus"
         assert run(["cluster", "--affinity-dir", aff_dir, "--budget", "3",
                     "--seed", "4", "--out", str(clus)]) == 0
-        _drop_key(clus / "grouping.json", "assignments")
-        return (clus / "grouping.json", ["evaluate", "--dataset", inst_dir,
-                                         "--grouping-dir", str(clus)], "'assignments'")
+        return clus / "grouping.json", ["evaluate", "--dataset", inst_dir,
+                                        "--grouping-dir", str(clus)]
+
+    def grouping(self, tmp_path, pipeline, community_affinity, community_dataset):
+        # evaluate and ppr-sim read only the groups key
+        path, argv = self._clustered(tmp_path, pipeline)
+        _drop_key(path, "groups")
+        return path, argv, "'groups'"
 
     def affinity(self, tmp_path, pipeline, community_affinity, community_dataset):
         import shutil
@@ -1472,7 +1492,7 @@ class TestMalformedArtifacts:
         return path, argv, "not the zero counts"
 
     def grouping_float_id(self, tmp_path, pipeline, community_affinity, community_dataset):
-        path, argv, _ = self.grouping(tmp_path, pipeline, community_affinity, community_dataset)
+        path, argv = self._clustered(tmp_path, pipeline)
         payload = read_json(path)
         payload["groups"][0][0] += 0.5
         path.write_text(json.dumps(payload))

@@ -118,19 +118,16 @@ class TestSpectralCluster:
 class TestDeriveGroups:
     def test_aligned_copies(self):
         labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
-        grp = grouping.derive_groups(labels, num_tasks=4, budget=2)
-        assert grp.groups == [[0, 1], [2, 3]]
+        assert grouping.derive_groups(labels, num_tasks=4) == [[0, 1], [2, 3]]
 
     def test_source_copies_add_overlap(self):
         # task 0's source copy lands in cluster 1: it joins both groups
         labels = np.array([0, 0, 1, 1, 1, 0, 1, 1])
-        grp = grouping.derive_groups(labels, num_tasks=4, budget=2)
-        assert grp.groups == [[0, 1], [0, 2, 3]]
+        assert grouping.derive_groups(labels, num_tasks=4) == [[0, 1], [0, 2, 3]]
 
     def test_all_targets_one_cluster(self):
         labels = np.array([0, 0, 0, 1, 1, 1])
-        grp = grouping.derive_groups(labels, num_tasks=3, budget=2)
-        assert grp.groups == [[0, 1, 2], [0, 1, 2]]
+        assert grouping.derive_groups(labels, num_tasks=3) == [[0, 1, 2], [0, 1, 2]]
 
     def test_every_task_covered(self):
         rng = np.random.default_rng(4)
@@ -138,9 +135,8 @@ class TestDeriveGroups:
             t = int(rng.integers(3, 9))
             b = int(rng.integers(2, 5))
             labels = rng.integers(0, b, size=2 * t)
-            grp = grouping.derive_groups(labels, t, b)
             covered = set()
-            for g in grp.groups:
+            for g in grouping.derive_groups(labels, t):
                 covered |= set(g)
             assert covered == set(range(t))
 
@@ -151,14 +147,9 @@ class TestDeriveGroups:
         for _ in range(500):
             t, b = int(rng.integers(1, 12)), int(rng.integers(1, 8))
             labels = rng.integers(0, b, size=2 * t)
-            grp = grouping.derive_groups(labels, t, b)
             clusters = sorted(set(labels.tolist()))
-            assert grp.groups == [sorted({i % t for i in np.flatnonzero(labels == c)})
-                                  for c in clusters]
-
-    def test_budget_violation_rejected(self):
-        with pytest.raises(InvalidInputError):
-            grouping.derive_groups(np.array([0, 1, 2, 0]), num_tasks=2, budget=2)
+            assert grouping.derive_groups(labels, t) == [
+                sorted({i % t for i in np.flatnonzero(labels == c)}) for c in clusters]
 
     def test_planted_partition_recovered(self, small_instance):
         inst = small_instance
@@ -166,8 +157,7 @@ class TestDeriveGroups:
         aff = AffinityMatrix(-pop.theta, pop.counts)
         cm = grouping.build_cluster_matrix(aff)
         labels = grouping.spectral_cluster(cm, 2, seed=5)
-        grp = grouping.derive_groups(labels, 6, 2)
-        got = {tuple(sorted(g)) for g in grp.groups}
+        got = {tuple(sorted(g)) for g in grouping.derive_groups(labels, 6)}
         assert got == {(0, 1, 2), (3, 4, 5)}
 
 
@@ -180,9 +170,7 @@ class TestTrainAndEvaluateGroups:
 
     def test_single_group_is_naive_mtl(self, holdout_setup):
         _, tasks, feats, spec = holdout_setup
-        grp = grouping.TaskGrouping(groups=[list(range(6))],
-                                    assignments=np.zeros(12, dtype=np.int64), budget=1)
-        models = grouping.train_groups(tasks, grp, spec, seed=0, features=feats)
+        models = grouping.train_groups(tasks, [list(range(6))], spec, seed=0, features=feats)
         assert len(models) == 1
         direct = learners.train_subset(None, tasks, list(range(6)), spec, seed=0,
                                        features=feats)
@@ -190,9 +178,8 @@ class TestTrainAndEvaluateGroups:
 
     def test_singleton_groups_are_stl(self, holdout_setup):
         _, tasks, feats, spec = holdout_setup
-        grp = grouping.TaskGrouping(groups=[[i] for i in range(6)],
-                                    assignments=np.arange(12) % 6, budget=6)
-        models = grouping.train_groups(tasks, grp, spec, seed=3, features=feats)
+        models = grouping.train_groups(tasks, [[i] for i in range(6)], spec, seed=3,
+                                       features=feats)
         for i, model in enumerate(models):
             stl = learners.train_subset(None, tasks, [i], spec, seed=3 ^ i,
                                         features=feats)
@@ -201,20 +188,17 @@ class TestTrainAndEvaluateGroups:
     def test_group_weights_match_group_mean_fit(self, holdout_setup):
         # per-group W equals the closed-form fit against the group's mean label
         _, tasks, feats, spec = holdout_setup
-        grp = grouping.TaskGrouping(groups=[[0, 1, 2], [3, 4, 5]],
-                                    assignments=np.repeat([0, 1], 6), budget=2)
-        models = grouping.train_groups(tasks, grp, spec, seed=1, features=feats)
+        groups = [[0, 1, 2], [3, 4, 5]]
+        models = grouping.train_groups(tasks, groups, spec, seed=1, features=feats)
         mask = tasks.train_mask[0]
         z = feats[mask]
-        for model, members in zip(models, grp.groups):
+        for model, members in zip(models, groups):
             w = learners.fit_closed_form(z, [tasks.labels[i][mask] for i in members])
             np.testing.assert_allclose(model.weights, w, atol=1e-12)
 
     def test_single_model_objective(self, holdout_setup):
         _, tasks, feats, spec = holdout_setup
-        grp = grouping.TaskGrouping(groups=[list(range(6))],
-                                    assignments=np.zeros(12, dtype=np.int64), budget=1)
-        models = grouping.train_groups(tasks, grp, spec, seed=0, features=feats)
+        models = grouping.train_groups(tasks, [list(range(6))], spec, seed=0, features=feats)
         per_task, objective = grouping.evaluate_grouping(models, tasks, "negative-mse")
         for i, li in enumerate(per_task):
             assert li == learners.evaluate(models[0], tasks, i, "test", "negative-mse")
@@ -222,9 +206,7 @@ class TestTrainAndEvaluateGroups:
 
     def test_duplicate_models_do_not_change_objective(self, holdout_setup):
         _, tasks, feats, spec = holdout_setup
-        grp = grouping.TaskGrouping(groups=[list(range(6))],
-                                    assignments=np.zeros(12, dtype=np.int64), budget=1)
-        models = grouping.train_groups(tasks, grp, spec, seed=0, features=feats)
+        models = grouping.train_groups(tasks, [list(range(6))], spec, seed=0, features=feats)
         _, obj_one = grouping.evaluate_grouping(models, tasks, "negative-mse")
         _, obj_two = grouping.evaluate_grouping(models * 2, tasks, "negative-mse")
         assert obj_one == obj_two
@@ -242,11 +224,8 @@ class TestTrainAndEvaluateGroups:
 
     def test_grouped_beats_naive_on_planted(self, holdout_setup):
         inst, tasks, feats, spec = holdout_setup
-        planted_groups = grouping.TaskGrouping(
-            groups=[[0, 1, 2], [3, 4, 5]],
-            assignments=np.repeat([0, 1], 6), budget=2)
-        naive = grouping.TaskGrouping(groups=[list(range(6))],
-                                      assignments=np.zeros(12, dtype=np.int64), budget=1)
+        planted_groups = [[0, 1, 2], [3, 4, 5]]
+        naive = [list(range(6))]
         m_grp = grouping.train_groups(tasks, planted_groups, spec, 0, features=feats)
         m_nv = grouping.train_groups(tasks, naive, spec, 0, features=feats)
         _, obj_grp = grouping.evaluate_grouping(m_grp, tasks, "negative-mse")
@@ -271,16 +250,11 @@ class TestAdjustedRandIndex:
 
 class TestGroupingPersistence:
     def test_roundtrip(self, tmp_path):
-        grp = grouping.TaskGrouping(groups=[[0, 2], [1, 3]],
-                                    assignments=np.array([0, 1, 0, 1, 0, 1, 0, 1]),
-                                    budget=2)
-        grouping.save_grouping(grp, tmp_path / "g.json")
-        loaded = grouping.load_grouping(tmp_path / "g.json", 4)
-        assert loaded.groups == grp.groups
-        np.testing.assert_array_equal(loaded.assignments, grp.assignments)
-        assert loaded.budget == grp.budget
-        assert json.loads((tmp_path / "g.json").read_text()).keys() == \
-            {"assignments", "budget", "groups"}
+        groups, assignments = [[0, 2], [1, 3]], np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        grouping.save_grouping(groups, assignments, 2, tmp_path / "g.json")
+        assert grouping.load_grouping(tmp_path / "g.json", 4) == groups
+        assert json.loads((tmp_path / "g.json").read_text()) == {
+            "assignments": assignments.tolist(), "budget": 2, "groups": groups}
 
     def test_file_with_null_score_keys_loads(self, tmp_path):
         # grouping.json files written before the objective and per_task_scores
@@ -288,16 +262,18 @@ class TestGroupingPersistence:
         path = tmp_path / "g.json"
         path.write_text('{"assignments": [0, 1, 1, 0], "budget": 2, "groups": [[0, 1], [1]], '
                         '"objective": null, "per_task_scores": null}')
-        loaded = grouping.load_grouping(path, 2)
-        assert loaded.groups == [[0, 1], [1]] and loaded.budget == 2
-        np.testing.assert_array_equal(loaded.assignments, [0, 1, 1, 0])
+        assert grouping.load_grouping(path, 2) == [[0, 1], [1]]
+
+    def test_file_of_groups_alone_loads(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"groups": [[0, 1], [1]]}')
+        assert grouping.load_grouping(path, 2) == [[0, 1], [1]]
 
     @pytest.mark.parametrize("group", [[3, 1], [0, -1]])
     def test_task_id_outside_the_tasks_refused(self, tmp_path, group):
         # T = 3: id 3 is past the last task, and -1 would index the last one
-        grouping.save_grouping(grouping.TaskGrouping(
-            groups=[[0, 2], group], assignments=np.zeros(6, dtype=np.int64), budget=2),
-            tmp_path / "g.json")
+        grouping.save_grouping([[0, 2], group], np.zeros(6, dtype=np.int64), 2,
+                               tmp_path / "g.json")
         with pytest.raises(InvalidInputError,
                            match=rf"^task id out of range in subset \{sorted(group)}$"):
             grouping.load_grouping(tmp_path / "g.json", 3)

@@ -20,8 +20,7 @@ from tests.conftest import block_task_set, two_block_graph
 SPEC = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=8, epochs=40,
                             learning_rate=0.2)
 SUBSETS = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2), (0, 3), (0, 1)]
-GROUPS = grouping.TaskGrouping(groups=[[0, 1], [2, 3], [1, 2]],
-                               assignments=np.array([0, 0, 1, 1, 2, 2, 0, 1]), budget=3)
+GROUPS = [[0, 1], [2, 3], [1, 2]]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -103,7 +102,7 @@ def test_worker_error_names_its_subset_after_committing_the_earlier_ones(monkeyp
 def test_worker_error_names_its_group(monkeypatch, data, cpus):
     tasks, x = data
     pools = pooled(monkeypatch, cpus)
-    fail_on(monkeypatch, GROUPS.groups[1], raise_training_error)
+    fail_on(monkeypatch, GROUPS[1], raise_training_error)
     with pytest.raises(TrainingError) as err:
         grouping.train_groups(tasks, GROUPS, SPEC, 9, features=x)
     assert pools == ([] if cpus == 1 else [3])
@@ -137,8 +136,7 @@ def test_linear_learner_never_pools(monkeypatch, data):
     tasks = replace(tasks, train_mask=(tasks.train_mask[0],) * t,
                     val_mask=(tasks.val_mask[0],) * t, test_mask=(tasks.test_mask[0],) * t)
     pools = pooled(monkeypatch, 3)
-    singletons = grouping.TaskGrouping(groups=[[0], [1], [2], [3]],
-                                       assignments=np.repeat(np.arange(4), 2), budget=4)
+    singletons = [[0], [1], [2], [3]]
     linear = learners.LearnerSpec(kind="closed-form-linear")
     assert len(grouping.train_groups(tasks, singletons, linear, 9, features=x)) == 4
     assert pools == []

@@ -22,7 +22,13 @@ def dense(cols, values, t):
     return x
 
 
-def fit_logistic(x, y, l2=transfer.DEFAULT_L2, epochs=2000, lr=0.5, seed=0):
+def fit(examples, num_tasks, **settings):
+    """transfer.fit_all with fit_logistic's settings where ``settings`` names none."""
+    return transfer.fit_all(examples, num_tasks,
+                            **{"l2": 1e-4, "epochs": 2000, "lr": 0.5, "seed": 0, **settings})
+
+
+def fit_logistic(x, y, l2=1e-4, epochs=2000, lr=0.5, seed=0):
     """One task's fit on dense rows, one gradient-descent loop per task: the
     oracle of the batched fit_all. Returns (weights, bias, degenerate)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -163,7 +169,7 @@ class TestFitLogistic:
         assert abs(boundary) < 0.4
 
     def test_single_class_degenerate(self):
-        model = transfer.fit_all(one_task([[0.5], [1.5]], [1, 1]), 1)[0]
+        model = fit(one_task([[0.5], [1.5]], [1, 1]), 1)[0]
         assert model.predict_proba(np.array([[0]]), np.array([[123.0]]))[0] >= 0.5
 
     def test_matches_second_opinion_optimizer(self):
@@ -191,8 +197,8 @@ class TestFitLogistic:
         rng = np.random.default_rng(4)
         v = rng.standard_normal(30)
         ex = one_task(v[:, None], (v > 0).astype(int))
-        a = transfer.fit_all(ex, 1, seed=7)[0]
-        b = transfer.fit_all(ex, 1, seed=7)[0]
+        a = fit(ex, 1, seed=7)[0]
+        b = fit(ex, 1, seed=7)[0]
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
@@ -249,7 +255,7 @@ class TestFitAllMatchesPerTaskLoop:
             with pytest.raises(TrainingError) as want:
                 fit_loop(ex, self.T)
             with pytest.raises(TrainingError, match="of task 4 became non-finite") as got:
-                transfer.fit_all(ex, self.T)
+                fit(ex, self.T)
         epoch = re.search(r", epoch \d+$", str(want.value)).group()
         assert str(got.value).endswith(epoch)
 
@@ -258,7 +264,7 @@ class TestFitAllMatchesPerTaskLoop:
                                          {"l2": np.inf}, {"l2": np.nan}])
     def test_settings_that_cannot_fit_refused(self, setting):
         with pytest.raises(InvalidInputError, match="^logistic settings need"):
-            transfer.fit_all(self.examples("single-class"), self.T, **setting)
+            fit(self.examples("single-class"), self.T, **setting)
 
 
 class TestEvaluateF1:
@@ -317,7 +323,7 @@ class TestPersistence:
         aff = simple_aff()
         evals = [make_eval((0, 1), {0: 0.5, 1: 0.2})]
         ex = transfer.build_examples(make_log(evals), [0.6, 0.1, 0.0, 0.0], aff)
-        models = transfer.fit_all(ex, aff.num_tasks, epochs=10)
+        models = fit(ex, aff.num_tasks, epochs=10)
         path = tmp_path / "examples.csv"
         transfer.save_examples(ex, path, models=models)
         lines = path.read_text().strip().splitlines()
