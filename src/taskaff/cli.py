@@ -53,6 +53,7 @@ from . import planted as pl_mod
 from . import transfer as tr_mod
 from .errors import ParseError, TaskAffError, TrainingError, read_json_object
 from .graphs import (
+    OPERATOR_KINDS,
     PPR_TELEPORT,
     DiffusionOperator,
     diffuse_features,
@@ -78,23 +79,6 @@ _NOINPUT = {FileNotFoundError: "missing expected input:",
 
 STL_SEED_SALT = 0x5EED
 HELDOUT_SEED_SALT = 7919
-
-
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to sys.stderr as it is at that moment, so a swapped
-    stream (a caller's redirect, a test's capture) receives it."""
-
-    def __init__(self):
-        logging.Handler.__init__(self, logging.WARNING)
-        self.setFormatter(logging.Formatter("taskaff %(levelname)s %(name)s: %(message)s"))
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-# The package's one warning handler; main() attaches it once per process.
-_LOG_HANDLER = _StderrHandler()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,8 +162,8 @@ def _require(path, kind):
 def _read_meta(dataset_dir, kind=None):
     """(meta.json, T) of a dataset directory; refused unless its kind is
     planted or community (and ``kind``, if given), it records T, and a
-    community one names its edge list, a feature CSV or null, and any hop
-    count as an integer >= 0."""
+    community one names its edge list, a feature CSV or null, a diffusion
+    operator kind and a hop count as an integer >= 0."""
     path = os.path.join(dataset_dir, "meta.json")
     meta = read_json_object(path)
     if meta.get("kind") not in ("planted", "community"):
@@ -191,12 +175,13 @@ def _read_meta(dataset_dir, kind=None):
     t = recorded.get("num_tasks") if isinstance(recorded, dict) else None
     if type(t) is not int:
         raise ParseError(f"{path} records no task count")
-    hops = meta.get("hops", 0)
+    hops = meta.get("hops")
     if meta["kind"] == "community" and not (
             isinstance(meta.get("edges"), str) and type(hops) is int and hops >= 0
-            and isinstance(meta.get("features"), (str, type(None)))):
-        raise ParseError(f"{path}: edges must be a string, features a string or null "
-                         "and hops, if given, an integer >= 0")
+            and isinstance(meta.get("features"), (str, type(None)))
+            and meta.get("op") in OPERATOR_KINDS):
+        raise ParseError(f"{path}: edges must be a string, features a string or null, "
+                         f"op one of {', '.join(OPERATOR_KINDS)} and hops an integer >= 0")
     return meta, t
 
 
@@ -219,8 +204,7 @@ def _load_dataset(dataset_dir, holdout_frac):
         deg = g.degrees()
         scale = deg.max() if deg.max() > 0 else 1.0
         g = g.with_features(np.stack([deg / scale, np.ones(g.num_nodes)], axis=1))
-    op = DiffusionOperator(kind=meta.get("op", "row-normalized"))
-    return tasks, diffuse_features(g, op, meta.get("hops", 2))
+    return tasks, diffuse_features(g, DiffusionOperator(kind=meta["op"]), meta["hops"])
 
 
 def _learner_spec(args) -> LearnerSpec:
@@ -324,6 +308,9 @@ def cmd_affinity(args) -> int:
 def cmd_cluster(args) -> int:
     aff = aff_mod.load_affinity(_require(args.affinity_dir, "dir"))
     t = aff.num_tasks
+    if not 1 <= args.budget <= t:
+        raise TaskAffError(f"--budget must lie in [1, {t}], the number of tasks, "
+                           f"got {args.budget}")
     if args.budget == 1:  # both copies of every task in cluster 0
         labels = np.zeros(2 * t, dtype=np.int64)
     else:
@@ -573,9 +560,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("taskaff %(levelname)s %(name)s: %(message)s"))
     package_log = logging.getLogger("taskaff")
-    if _LOG_HANDLER not in package_log.handlers:
-        package_log.addHandler(_LOG_HANDLER)
+    package_log.addHandler(handler)
     try:
         args = build_parser().parse_args(argv)
         if os.path.exists(args.out):
@@ -596,6 +585,8 @@ def main(argv=None) -> int:
         what = "out of memory" if isinstance(exc, MemoryError) else "linear algebra failed"
         print(f"taskaff: {what}: {exc}", file=sys.stderr)
         return EX_DOMAIN
+    finally:
+        package_log.removeHandler(handler)
 
 
 def main_entry() -> None:

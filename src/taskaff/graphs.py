@@ -340,31 +340,27 @@ def diffuse_features(g: Graph, op: DiffusionOperator, hops: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def personalized_pagerank(g: Graph, seeds, teleport: float,
-                          tol: float = PPR_DEFAULT_TOL) -> np.ndarray:
+def personalized_pagerank(walk, seeds, teleport: float, tol: float) -> np.ndarray:
     """Power-iterate r = teleport*s + (1-teleport)*P^T r to a fixed point.
 
-    ``s`` is uniform over the seed set. The iteration stops at the first
-    step whose L1 change is below ``tol``. Raises TaskAffError with the
-    last L1 residual if the iteration cap is hit.
+    ``walk`` is P^T, the _transposed_walk of the graph, which the caller
+    builds once for all its seed sets; ``s`` is uniform over the seed set.
+    The iteration stops at the first step whose L1 change is below ``tol``.
+    Raises TaskAffError with the last L1 residual if the iteration cap is hit.
     """
-    return _seeded_ppr(g, _transposed_walk(g), seeds, teleport, tol)
-
-
-def _seeded_ppr(g: Graph, pt, seeds, teleport: float, tol: float) -> np.ndarray:
-    # ``pt`` is _transposed_walk(g), built once by the caller.
+    num_nodes = walk.shape[0]
     seeds = np.asarray(sorted(set(int(s) for s in seeds)), dtype=np.int64)
     if seeds.size == 0:
         raise InvalidInputError("seed set must be nonempty")
-    if seeds.min() < 0 or seeds.max() >= g.num_nodes:
+    if seeds.min() < 0 or seeds.max() >= num_nodes:
         raise InvalidInputError("seed id out of range")
     if not 0.0 < teleport <= 1.0:
         raise InvalidInputError("teleport must lie in (0, 1]")
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
-    s = np.zeros(g.num_nodes)
+    s = np.zeros(num_nodes)
     s[seeds] = 1.0 / seeds.size
-    return _ppr_propagate(pt, s[:, None], teleport, np.array([tol]))[:, 0]
+    return _ppr_propagate(walk, s[:, None], teleport, np.array([tol]))[:, 0]
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -384,14 +380,14 @@ def ppr_group_similarity(g: Graph, tasks, groups, teleport: float = PPR_TELEPORT
     in 0..T-1, as grouping.load_grouping checks those of a file.
     """
     num_tasks = tasks.num_tasks
-    pt = _transposed_walk(g)
+    walk = _transposed_walk(g)
     vectors = []
     for i in range(num_tasks):
         mask = tasks.train_mask[i]
         seeds = mask[tasks.labels[i][mask] == 1]
         if seeds.size == 0:
             raise InvalidInputError(f"task {i} has no positive training nodes")
-        vectors.append(_seeded_ppr(g, pt, seeds, teleport, PPR_DEFAULT_TOL))
+        vectors.append(personalized_pagerank(walk, seeds, teleport, PPR_DEFAULT_TOL))
     member_groups = [set() for _ in range(num_tasks)]
     for gi, members in enumerate(groups):
         for t in members:

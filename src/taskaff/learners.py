@@ -108,37 +108,17 @@ class MtlModel:
         return _hidden(self.layers, x)[-1] @ np.ascontiguousarray(w[:, k]) + float(b[k])
 
 
-def fit_closed_form(features, labels, ridge: float = 0.0) -> np.ndarray:
-    """Least-squares fit of one weight vector against the mean label.
+def fit_closed_form(design, labels, ridge: float) -> np.ndarray:
+    """Least-squares fit (Z^T Z + ridge*I)^+ Z^T Y of a label vector or an
+    m x k label matrix Y against the (already diffused) design matrix Z.
 
-    Solves (Z^T Z + ridge*I)^+ Z^T ybar where Z is the (already diffused)
-    design matrix and ybar the mean of the given label vectors. With
-    ridge=0 the Moore-Penrose pseudo-inverse is used, truncating singular
-    values below PINV_RCOND relative to the largest.
+    With ridge=0 the Moore-Penrose pseudo-inverse is used, truncating
+    singular values below PINV_RCOND relative to the largest.
     """
-    z = np.asarray(features, dtype=float)
-    if z.ndim != 2:
-        raise InvalidInputError("features must be a 2-D matrix")
-    m = z.shape[0]
-    stack = []
-    for y in labels:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (m,):
-            raise InvalidInputError(
-                f"label vector shape {y.shape} does not match {m} feature rows"
-            )
-        stack.append(y)
-    if not stack:
-        raise InvalidInputError("at least one label vector is required")
-    return _normal_solve(z, np.mean(stack, axis=0), ridge)
-
-
-def _normal_solve(z, y, ridge):
-    """(Z^T Z + ridge*I)^+ Z^T y for a label vector or an m x k label matrix."""
     if not 0 <= ridge < np.inf:
         raise InvalidInputError(f"ridge must lie in [0, inf), got {ridge}")
-    gram = z.T @ z
-    rhs = z.T @ y
+    gram = design.T @ design
+    rhs = design.T @ labels
     if ridge > 0:
         return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
     return np.linalg.pinv(gram, rcond=PINV_RCOND) @ rhs
@@ -184,7 +164,7 @@ def closed_form_scores(features, tasks, subsets, ridge: float = 0.0,
     train, rows = tasks.train_mask[0], tasks.val_mask[0]
     weights = np.zeros((features.shape[1], tasks.num_tasks))
     y = np.stack([tasks.labels[i][train] for i in used], axis=1)
-    weights[:, used] = _normal_solve(features[train], y, ridge)
+    weights[:, used] = fit_closed_form(features[train], y, ridge)
     design = features[rows]
     fitted = (design @ weights).T
     labels = np.stack([np.asarray(y, dtype=float)[rows] for y in tasks.labels])
@@ -333,9 +313,8 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     if spec.kind == "closed-form-linear":
         check_shared_masks(tasks)
         base = tasks.train_mask[0]
-        z = features[base]
-        labels = [tasks.labels[tid][base] for tid in subset]
-        w = fit_closed_form(z, labels, spec.ridge)
+        labels = np.mean([tasks.labels[tid][base] for tid in subset], axis=0)
+        w = fit_closed_form(features[base], labels, spec.ridge)
         return MtlModel("closed-form-linear", subset, features, weights=w)
 
     rng = np.random.default_rng(seed)

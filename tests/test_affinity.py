@@ -142,6 +142,22 @@ class TestCollectEvaluations:
             assert evals.scores[row].tolist() == [
                 learners.evaluate(model, tasks, i, "val", "negative-mse") for i in subset]
 
+    def test_linear_subsets_solve_through_fit_closed_form_once(self, small_instance,
+                                                               monkeypatch):
+        # one solve for every used task, through the function the bench traces
+        tasks, feats = planted.to_task_set(small_instance)
+        spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
+        solve, designs = learners.fit_closed_form, []
+
+        def spy(design, *args):
+            designs.append(design)
+            return solve(design, *args)
+
+        monkeypatch.setattr(learners, "fit_closed_form", spy)
+        affinity.collect_evaluations(tasks, [(0, 1), (2, 4), (1, 5)], spec, base_seed=0,
+                                     features=feats)
+        assert len(designs) == 1
+
     def test_identical_subsets_identical_scores(self, small_instance):
         tasks, feats = planted.to_task_set(small_instance)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import multiprocessing
 import re
 import shutil
@@ -293,6 +294,25 @@ class TestClusterEvaluate:
                     "--seed", "0", "--out", out]) == 0
         grp = read_json(out + "/grouping.json")
         assert grp["groups"] == [list(range(12))]
+
+    @pytest.mark.parametrize("budget", [0, 13, 24])
+    def test_budget_outside_one_to_t_exit_2_before_clustering(self, tmp_path, pipeline,
+                                                              monkeypatch, capsys, budget):
+        # T = 12; spectral clustering of the doubled 2T x 2T matrix took any
+        # budget up to 2T and wrote groups holding a task twice above T
+        _, _, aff_dir = pipeline
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("theta was clustered before the budget was checked")
+
+        monkeypatch.setattr(cli.grp_mod, "spectral_cluster", no_clustering)
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert run(["cluster", "--affinity-dir", aff_dir, "--budget", str(budget),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"taskaff: --budget must lie in [1, 12], the number of tasks, got {budget}"]
+        assert not out.exists()
 
     def test_default_budget_is_twenty(self):
         args = cli.build_parser().parse_args(["cluster", "--affinity-dir", "x", "--out", "y"])
@@ -845,6 +865,13 @@ class TestSplitAndPprSim:
             assert err == [f"taskaff WARNING taskaff.graphs: dropped 1 self-loop(s) "
                            f"while loading {looped}"]
 
+    def test_main_removes_its_warning_handler(self, tmp_path):
+        # a run that returns and one that fails leave the logger as they found it
+        assert run(GEN + ["--seed", "1", "--out", str(tmp_path / "inst")]) == 0
+        assert run(["cluster", "--affinity-dir", str(tmp_path / "no"), "--out",
+                    str(tmp_path / "c")]) == 66
+        assert logging.getLogger("taskaff").handlers == []
+
     @pytest.mark.parametrize("flag", ["--edges", "--communities", "--features", "--config"])
     def test_directory_given_as_input_file_exit_66(self, tmp_path, community_dataset, capsys,
                                                    flag):
@@ -942,6 +969,34 @@ class TestSplitAndPprSim:
         rep = read_json(out + "/ppr_similarity.json")
         assert rep["within_mean"] > rep["between_mean"]
 
+    def test_ppr_sim_solves_one_ppr_per_task_on_one_walk(self, tmp_path, community_dataset,
+                                                          monkeypatch):
+        _, edges, cmty = community_dataset
+        ds = str(tmp_path / "ds")
+        assert run(["split", "--edges", edges, "--communities", cmty, "--top-k", "4",
+                    "--seed", "1", "--out", ds]) == 0
+        gdir = tmp_path / "grp"
+        gdir.mkdir()
+        grouping.save_grouping([[0, 1], [2, 3]], np.zeros(8, dtype=np.int64), 2,
+                               gdir / "grouping.json")
+        build, solve = graphs._transposed_walk, graphs.personalized_pagerank
+        walks, solved_on = [], []
+
+        def spy_build(g):
+            walks.append(build(g))
+            return walks[-1]
+
+        def spy_solve(walk, *args):
+            solved_on.append(walk)
+            return solve(walk, *args)
+
+        monkeypatch.setattr(graphs, "_transposed_walk", spy_build)
+        monkeypatch.setattr(graphs, "personalized_pagerank", spy_solve)
+        assert run(["ppr-sim", "--dataset", ds, "--grouping-dir", str(gdir),
+                    "--out", str(tmp_path / "ppr")]) == 0
+        assert len(walks) == 1
+        assert len(solved_on) == 4 and all(walk is walks[0] for walk in solved_on)
+
     @pytest.mark.parametrize("group", [[2, 4], [-1, 0]])
     def test_ppr_sim_task_id_out_of_range_exit_2_before_any_ppr(
             self, tmp_path, community_dataset, monkeypatch, capsys, group):
@@ -958,7 +1013,7 @@ class TestSplitAndPprSim:
         def no_ppr(*args, **kwargs):
             raise AssertionError("a PPR vector computed before the ids were checked")
 
-        monkeypatch.setattr(graphs, "_seeded_ppr", no_ppr)
+        monkeypatch.setattr(graphs, "personalized_pagerank", no_ppr)
         capsys.readouterr()
         out = tmp_path / "ppr"
         assert run(["ppr-sim", "--dataset", ds, "--grouping-dir", str(gdir),
@@ -1645,6 +1700,15 @@ class TestMalformedArtifacts:
                                      community_dataset):
         return self._community_meta(tmp_path, community_affinity, "hops", -1, "affinity")
 
+    # split writes both; a dataset without them was diffused with defaults
+    # that no file recorded
+    def community_meta_no_op(self, tmp_path, pipeline, community_affinity, community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "op", None, "affinity")
+
+    def community_meta_no_hops(self, tmp_path, pipeline, community_affinity,
+                               community_dataset):
+        return self._community_meta(tmp_path, community_affinity, "hops", None, "affinity")
+
     def community_meta_int_edges(self, tmp_path, pipeline, community_affinity,
                                  community_dataset):
         return self._community_meta(tmp_path, community_affinity, "edges", 0, "ppr-sim")
@@ -1665,6 +1729,7 @@ class TestMalformedArtifacts:
                                       "community_meta_no_edges_ppr_sim",
                                       "community_meta_string_hops", "community_meta_bool_hops",
                                       "community_meta_negative_hops",
+                                      "community_meta_no_op", "community_meta_no_hops",
                                       "community_meta_int_edges",
                                       "community_meta_list_features"])
     def test_exit_2_with_one_line(self, tmp_path, pipeline, community_affinity,

@@ -17,6 +17,11 @@ def residual(err) -> float:
     return float(text.group(1))
 
 
+def ppr(g, seeds, teleport, tol=graphs.PPR_DEFAULT_TOL):
+    """personalized_pagerank of ``g``'s walk, the one the caller builds."""
+    return graphs.personalized_pagerank(graphs._transposed_walk(g), seeds, teleport, tol)
+
+
 def adjacency(g):
     """The graph's 0/1 adjacency as a scipy CSR matrix, from its indptr and
     indices."""
@@ -371,12 +376,12 @@ class TestDiffuseFeatures:
 class TestPersonalizedPagerank:
     def test_isolated_seed_keeps_mass(self):
         g = graphs.build_graph([(0, 1)], num_nodes=3)
-        r = graphs.personalized_pagerank(g, [2], teleport=0.2)
+        r = ppr(g, [2], teleport=0.2)
         assert r[2] == pytest.approx(1.0, abs=1e-9)
 
     def test_teleport_one_returns_seed_distribution(self):
         g = graphs.build_graph([(0, 1), (1, 2), (2, 3)])
-        r = graphs.personalized_pagerank(g, [0, 2], teleport=1.0)
+        r = ppr(g, [0, 2], teleport=1.0)
         np.testing.assert_allclose(r, [0.5, 0.0, 0.5, 0.0])
 
     def test_bitwise_equal_to_reference_power_loop(self):
@@ -393,14 +398,14 @@ class TestPersonalizedPagerank:
             r = r_next
             if residual < 1e-10:
                 break
-        out = graphs.personalized_pagerank(g, seeds, teleport=0.15)
+        out = ppr(g, seeds, teleport=0.15)
         assert out.tobytes() == r.tobytes()
 
     def test_cycle_matches_dense_solve(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
         g = graphs.build_graph(edges)
         alpha = 0.15
-        r = graphs.personalized_pagerank(g, [0], teleport=alpha, tol=1e-12)
+        r = ppr(g, [0], teleport=alpha, tol=1e-12)
         p = scipy_operator(g, "row-normalized").toarray()
         s = np.zeros(5)
         s[0] = 1.0
@@ -411,13 +416,13 @@ class TestPersonalizedPagerank:
         edges = [(i, (i + 1) % 40) for i in range(40)]
         g = graphs.build_graph(edges)
         with pytest.raises(TaskAffError) as err:
-            graphs.personalized_pagerank(g, [0], teleport=0.001, tol=1e-15)
+            ppr(g, [0], teleport=0.001, tol=1e-15)
         assert residual(err) > 0
 
     def test_empty_seed_rejected(self):
         g = graphs.build_graph([(0, 1)])
         with pytest.raises(InvalidInputError):
-            graphs.personalized_pagerank(g, [], teleport=0.2)
+            ppr(g, [], teleport=0.2)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), teleport=st.floats(0.05, 1.0))
@@ -425,7 +430,7 @@ class TestPersonalizedPagerank:
         rng = np.random.default_rng(seed)
         g = two_block_graph(rng, n_per=8, p_in=0.5, p_out=0.1)
         seeds = rng.choice(16, size=3, replace=False)
-        r = graphs.personalized_pagerank(g, seeds, teleport=teleport, tol=1e-10)
+        r = ppr(g, seeds, teleport=teleport, tol=1e-10)
         assert r.min() >= -1e-12
         assert abs(r.sum() - 1.0) < 1e-8
 
@@ -465,7 +470,7 @@ class TestPprGroupSimilarity:
         vecs = []
         for i in range(4):
             seeds = ts.train_mask[i][ts.labels[i][ts.train_mask[i]] == 1]
-            vecs.append(graphs.personalized_pagerank(g, seeds, 0.15))
+            vecs.append(ppr(g, seeds, 0.15))
         cos = lambda u, v: float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
         expect_within = np.mean([cos(vecs[0], vecs[1]), cos(vecs[2], vecs[3])])
         expect_between = np.mean([cos(vecs[i], vecs[j])

@@ -34,24 +34,16 @@ class TestFitClosedForm:
         rng = np.random.default_rng(0)
         z = rng.standard_normal((5, 5))
         y = rng.standard_normal(5)
-        w = learners.fit_closed_form(z, [y], ridge=0.0)
+        w = learners.fit_closed_form(z, y, ridge=0.0)
         assert np.linalg.norm(z @ w - y) < 1e-8
-
-    def test_identical_labels_match_single_fit(self):
-        rng = np.random.default_rng(1)
-        z = rng.standard_normal((30, 4))
-        y = rng.standard_normal(30)
-        w_single = learners.fit_closed_form(z, [y])
-        w_triple = learners.fit_closed_form(z, [y, y.copy(), y.copy()])
-        np.testing.assert_allclose(w_triple, w_single, atol=1e-12)
 
     def test_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((40, 5))
         ys = [rng.standard_normal(40) for _ in range(2)]
-        w_cf = learners.fit_closed_form(z, ys)
-        # plain gradient descent on || Z w - ybar ||^2 / m
         ybar = np.mean(ys, axis=0)
+        w_cf = learners.fit_closed_form(z, ybar, 0.0)
+        # plain gradient descent on || Z w - ybar ||^2 / m
         w = np.zeros(5)
         lr = 0.9 / np.linalg.eigvalsh(z.T @ z / 40).max()
         for _ in range(20_000):
@@ -62,20 +54,16 @@ class TestFitClosedForm:
         rng = np.random.default_rng(3)
         z = rng.standard_normal((25, 4))
         ys = [rng.standard_normal(25) for _ in range(3)]
-        w = learners.fit_closed_form(z, ys)
+        w = learners.fit_closed_form(z, np.mean(ys, axis=0), 0.0)
         residual = z @ w - np.mean(ys, axis=0)
         assert np.abs(z.T @ residual).max() < 1e-8
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            learners.fit_closed_form(np.zeros((4, 2)), [np.zeros(5)])
 
     def test_ridge_shrinks(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((30, 3))
         y = rng.standard_normal(30)
-        w0 = learners.fit_closed_form(z, [y], ridge=0.0)
-        w1 = learners.fit_closed_form(z, [y], ridge=100.0)
+        w0 = learners.fit_closed_form(z, y, ridge=0.0)
+        w1 = learners.fit_closed_form(z, y, ridge=100.0)
         assert np.linalg.norm(w1) < np.linalg.norm(w0)
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
@@ -86,7 +74,7 @@ class TestFitClosedForm:
         tasks, x = _shared_mask_tasks(rng, "holdout")
         message = rf"^ridge must lie in \[0, inf\), got {ridge}$"
         with pytest.raises(InvalidInputError, match=message):
-            learners.fit_closed_form(x, [tasks.labels[0]], ridge=ridge)
+            learners.fit_closed_form(x, tasks.labels[0], ridge=ridge)
         with pytest.raises(InvalidInputError, match=message):
             learners.closed_form_scores(x, tasks, np.array([[0, 1]]), ridge)
 
@@ -97,7 +85,7 @@ class TestTrainSubset:
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
         model = learners.train_subset(None, tasks, [2], spec, seed=0, features=feats)
         mask = tasks.train_mask[2]
-        w = learners.fit_closed_form(feats[mask], [tasks.labels[2][mask]])
+        w = learners.fit_closed_form(feats[mask], tasks.labels[2][mask], 0.0)
         np.testing.assert_allclose(model.weights, w, atol=1e-12)
 
     def test_mlp_deterministic_bit_identical(self):

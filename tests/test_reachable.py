@@ -17,10 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALLOWED = {}
 
 # function.parameter -> why no call in src/ or bench/ need pass it
-UNPASSED_ALLOWED = {
-    "personalized_pagerank.tol": "bench/tracing.LAYERS names the function; ROADMAP "
-                                 "direction 4 deletes it",
-}
+UNPASSED_ALLOWED = {}
 
 
 def _names(node):
