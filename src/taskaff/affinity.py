@@ -55,8 +55,7 @@ class SamplingPlan:
 
 @dataclass
 class AffinityMatrix:
-    """T x T affinity scores with co-occurrence counts; theta is oriented as
-    the scores it averages (evaluate()'s, higher is better, in the pipeline)."""
+    """T x T affinity scores (evaluate()'s, higher is better) with co-occurrence counts."""
 
     theta: np.ndarray
     counts: np.ndarray

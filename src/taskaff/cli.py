@@ -308,14 +308,14 @@ def cmd_affinity(args) -> int:
 def cmd_cluster(args) -> int:
     aff = aff_mod.load_affinity(_require(args.affinity_dir, "dir"))
     t = aff.num_tasks
+    if args.budget is None:
+        raise TaskAffError(f"--budget, the number of task groups in 1..{t}, is required "
+                           "here or in --config")
     if not 1 <= args.budget <= t:
         raise TaskAffError(f"--budget must lie in [1, {t}], the number of tasks, "
                            f"got {args.budget}")
-    if args.budget == 1:  # both copies of every task in cluster 0
-        labels = np.zeros(2 * t, dtype=np.int64)
-    else:
-        labels = grp_mod.spectral_cluster(grp_mod.build_cluster_matrix(aff), args.budget,
-                                          seed=args.seed)
+    labels = grp_mod.spectral_cluster(grp_mod.build_cluster_matrix(aff), args.budget,
+                                      seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "grouping.json")
     grp_mod.save_grouping(grp_mod.derive_groups(labels, t), labels, args.budget, out_path)
@@ -528,7 +528,7 @@ def build_parser() -> _Parser:
 
     p = command("cluster", cmd_cluster, "spectral clustering of theta into groups")
     p.add_argument("--affinity-dir", required=True, help="output of affinity")
-    p.add_argument("--budget", type=int, default=20, help="number of task groups")
+    p.add_argument("--budget", type=int, help="number of task groups; required here or in --config")
 
     p = command("evaluate", cmd_evaluate, "train per-group models, report the objective",
                 learner)

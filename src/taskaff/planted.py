@@ -20,10 +20,10 @@ from math import comb
 
 import numpy as np
 
-from .affinity import AffinityMatrix, EvalLog, estimate_affinity, subset_array, uncovered_pairs
+from .affinity import AffinityMatrix, collect_evaluations, estimate_affinity, uncovered_pairs
 from .errors import InvalidInputError, ParseError, TaskAffError, int_ids, reading
 from .graphs import _edge_sum, _inverse, build_graph
-from .learners import closed_form_scores
+from .learners import LearnerSpec
 from .tasks import TaskSet
 
 MAX_GENERATION_RETRIES = 100
@@ -183,18 +183,17 @@ def generate(cfg: PlantedConfig) -> PlantedInstance:
 
 
 def theta_closed_form(inst: PlantedInstance, subsets) -> AffinityMatrix:
-    """Affinity matrix of losses from the closed-form learner, no training.
+    """Affinity matrix of the closed-form learner's scores, no training.
 
-    theta[i, j] averages (1/m) * || H @ (mean of subset labels) - y_i ||^2,
+    theta[i, j] averages -(1/m) * || H @ (mean of subset labels) - y_i ||^2,
     H the hat matrix of the observed design, over the given subsets
-    containing both tasks: the negated linear learner's score on the theory
-    view (holdout 0), from the kernel learners.closed_form_scores, averaged
-    by estimate_affinity. Every pair must be covered; theory mode does not impute.
+    containing both tasks: the pipeline's linear-learner theta on the theory
+    view (holdout 0), through affinity.collect_evaluations and
+    estimate_affinity. Every pair must be covered; theory mode does not impute.
     """
-    t = inst.config.num_tasks
-    rows = subset_array(list(subsets), t)
     tasks, features = to_task_set(inst)
-    aff = estimate_affinity(EvalLog(rows, -closed_form_scores(features, tasks, rows)), t)
+    aff = estimate_affinity(collect_evaluations(tasks, list(subsets), LearnerSpec(), 0, features),
+                            inst.config.num_tasks)
     if gap := uncovered_pairs(aff.imputed):
         raise TaskAffError(f"task pairs never co-sampled: {gap}")
     return aff
@@ -214,11 +213,10 @@ def population_theta(inst: PlantedInstance, alpha: int) -> AffinityMatrix:
 
 
 def verify_block_structure(aff: AffinityMatrix, group_of):
-    """(per_row_gaps, global_gap) between cross-group and within-group
-    losses; ``aff`` holds losses, as theta_closed_form returns them.
+    """(per_row_gaps, global_gap) between within-group and cross-group scores.
 
-    For each task i the row gap is (min over cross-group j' of theta[i, j'])
-    minus (max over same-group j != i of theta[i, j]); the global gap is the
+    For each task i the row gap is (min over same-group j != i of theta[i, j])
+    minus (max over cross-group j' of theta[i, j']); the global gap is the
     minimum over rows, and the block structure holds iff it is positive.
     Rows whose group has no other member are NaN and skipped.
     """
@@ -232,7 +230,7 @@ def verify_block_structure(aff: AffinityMatrix, group_of):
         other = group_of != group_of[i]
         if not same.any():
             continue
-        gaps[i] = float(aff.theta[i, other].min() - aff.theta[i, same].max())
+        gaps[i] = float(aff.theta[i, same].min() - aff.theta[i, other].max())
     valid = gaps[~np.isnan(gaps)]
     if valid.size == 0:
         raise InvalidInputError("no task has a same-group partner")

@@ -419,7 +419,7 @@ class TestProbes:
 class TestExhaustiveMatchesPopulation:
     def test_pipeline_theta_equals_population_average(self, small_instance):
         # exhaustive sampling + closed-form learner reproduces the exact
-        # population affinity (negated: pipeline is performance-oriented)
+        # population affinity
         inst = small_instance
         tasks, feats = planted.to_task_set(inst)
         spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
@@ -428,7 +428,7 @@ class TestExhaustiveMatchesPopulation:
                                              features=feats)
         aff = affinity.estimate_affinity(evals, 6)
         pop = planted.population_theta(inst, 3)
-        np.testing.assert_allclose(-aff.theta, pop.theta, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(aff.theta, pop.theta, rtol=1e-12, atol=1e-15)
 
 
 class TestLogPersistence:

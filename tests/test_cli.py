@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskaff import cli, graphs, grouping
+from taskaff import affinity, cli, graphs, grouping, planted
 from tests.conftest import cut_evals, save_edge_list, two_block_graph
 from tests.test_pool import fail_on, pooled, raise_training_error
 
@@ -314,9 +314,43 @@ class TestClusterEvaluate:
             f"taskaff: --budget must lie in [1, 12], the number of tasks, got {budget}"]
         assert not out.exists()
 
-    def test_default_budget_is_twenty(self):
-        args = cli.build_parser().parse_args(["cluster", "--affinity-dir", "x", "--out", "y"])
-        assert args.budget == 20
+    @pytest.mark.parametrize("config", [None, {"seed": 3}])
+    def test_unset_budget_exit_2_before_clustering(self, tmp_path, pipeline, monkeypatch,
+                                                   capsys, config):
+        # --budget defaulted to 20, which the 1..T bound refuses on this T = 12 log
+        _, _, aff_dir = pipeline
+        argv = ["cluster", "--affinity-dir", aff_dir]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("theta was clustered without a budget")
+
+        monkeypatch.setattr(cli.grp_mod, "spectral_cluster", no_clustering)
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "taskaff: --budget, the number of task groups in 1..12, is required here or in "
+            "--config"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["1", "3"])
+    def test_constant_theta_exit_2_at_every_budget(self, tmp_path, pipeline, capsys, budget):
+        # --budget 1 used to skip clustering and group a constant theta as one group
+        _, _, aff_dir = pipeline
+        copy, out = tmp_path / "aff", tmp_path / "c"
+        shutil.copytree(aff_dir, copy)
+        aff = affinity.load_affinity(copy)
+        affinity.save_affinity(affinity.AffinityMatrix(np.full((12, 12), -0.5), aff.counts),
+                               copy)
+        capsys.readouterr()
+        assert run(["cluster", "--affinity-dir", str(copy), "--budget", budget,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "taskaff: matrix is constant; no contrast to cluster on"]
+        assert not out.exists()
 
     def test_missing_upstream_exit_66(self, tmp_path):
         assert run(["cluster", "--affinity-dir", str(tmp_path / "nope"),
@@ -455,6 +489,22 @@ class TestVerifyTheory:
         assert rep["pass"] is (code == 0)
         assert (rep["global_gap"] > 0) is rep["pass"]
         assert read_json(out + "/manifest.json")["command"] == "verify-theory"
+
+    def test_gaps_of_the_pipeline_theta_are_those_of_verify_json(self, tmp_path):
+        # affinity at holdout 0 samples verify-theory's 400 subsets; the gaps of
+        # its theta.csv read -0.0689 while verify.json read +0.0188, from negated scores
+        inst, aff, out = (str(tmp_path / name) for name in ("inst", "aff", "ver"))
+        plan = ["--alpha", "4", "--num-subsets", "400", "--seed", "5"]
+        assert run(["generate", "--tasks", "12", "--groups", "3", "--dim", "8", "--nodes", "150",
+                    "--observed", "120", "--seed", "1", "--out", inst]) == 0
+        assert run(["affinity", "--dataset", inst, *plan, "--learner", "linear",
+                    "--holdout-frac", "0", "--out", aff]) == 0
+        assert run(["verify-theory", "--dataset", inst, *plan, "--out", out]) == 0
+        gaps, global_gap = planted.verify_block_structure(
+            affinity.load_affinity(aff), read_json(inst + "/meta.json")["group_of"])
+        rep = read_json(out + "/verify.json")
+        assert global_gap == rep["global_gap"] > 0
+        assert gaps.tolist() == rep["per_row_gaps"]
 
     def test_nan_features_exit_2_without_traceback(self, tmp_path, pipeline, capsys):
         _, inst_dir, _ = pipeline

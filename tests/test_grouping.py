@@ -154,8 +154,7 @@ class TestDeriveGroups:
     def test_planted_partition_recovered(self, small_instance):
         inst = small_instance
         pop = planted.population_theta(inst, 3)
-        aff = AffinityMatrix(-pop.theta, pop.counts)
-        cm = grouping.build_cluster_matrix(aff)
+        cm = grouping.build_cluster_matrix(pop)
         labels = grouping.spectral_cluster(cm, 2, seed=5)
         got = {tuple(sorted(g)) for g in grouping.derive_groups(labels, 6)}
         assert got == {(0, 1, 2), (3, 4, 5)}

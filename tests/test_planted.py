@@ -143,9 +143,26 @@ class TestThetaClosedForm:
                                              features=feats)
         pipe = affinity.estimate_affinity(evals, 6)
         theory = planted.theta_closed_form(inst, subsets)
-        rel = np.abs(-pipe.theta - theory.theta) / np.abs(theory.theta)
+        rel = np.abs(pipe.theta - theory.theta) / np.abs(theory.theta)
         assert rel.max() < 1e-8
         np.testing.assert_array_equal(pipe.counts, theory.counts)
+
+    @pytest.mark.parametrize("alpha", [3, 4])
+    def test_is_the_pipeline_theta_on_the_theory_view(self, small_instance, alpha):
+        # the theory collects and aggregates the pipeline's own scores, bit for
+        # bit, from a sampled list and from the population's subset iterator
+        tasks, feats = planted.to_task_set(small_instance)
+        spec = learners.LearnerSpec(kind="closed-form-linear", metric="negative-mse")
+        plan = affinity.SamplingPlan(num_tasks=6, subset_size=alpha, num_subsets=40,
+                                     seed=alpha, min_pair_coverage=1)
+        sampled = affinity.sample_subsets(plan)
+        population = list(itertools.combinations(range(6), alpha))
+        for subsets, theory in [(sampled, planted.theta_closed_form(small_instance, sampled)),
+                                (population, planted.population_theta(small_instance, alpha))]:
+            pipe = affinity.estimate_affinity(
+                affinity.collect_evaluations(tasks, subsets, spec, 0, feats), 6)
+            np.testing.assert_array_equal(theory.theta, pipe.theta)
+            np.testing.assert_array_equal(theory.counts, pipe.counts)
 
     def test_in_subspace_labels_zero_within_theta(self):
         # observe every node so the restricted projector equals the full one;
@@ -179,8 +196,8 @@ class TestThetaClosedForm:
 
 
 def _theta_by_subset_loop(inst, subsets):
-    """The theory before the shared kernel: per-subset sigma_tilde losses
-    regrouped into a dict of lists and averaged with math.fsum."""
+    """The theory before the shared kernel: per-subset sigma_tilde scores (the
+    negated losses) regrouped into a dict of lists and averaged with math.fsum."""
     rows = inst.observed_rows
     t, m = inst.config.num_tasks, rows.size
     y_obs = inst.labels[:, rows]
@@ -191,9 +208,9 @@ def _theta_by_subset_loop(inst, subsets):
         members = list(subset)
         fitted = projected[members].mean(axis=0)
         for i in members:
-            loss = float(np.sum((fitted - y_obs[i]) ** 2)) / m
+            score = -float(np.sum((fitted - y_obs[i]) ** 2)) / m
             for j in members:
-                values.setdefault((i, j), []).append(loss)
+                values.setdefault((i, j), []).append(score)
                 counts[i, j] += 1
     theta = np.zeros((t, t))
     for (i, j), vals in values.items():
@@ -300,9 +317,9 @@ class TestPopulationTheta:
 
 class TestVerifyBlockStructure:
     def test_exact_two_block_gap(self):
-        theta = np.full((4, 4), 0.9)
-        theta[:2, :2] = 0.1
-        theta[2:, 2:] = 0.1
+        theta = np.full((4, 4), 0.1)
+        theta[:2, :2] = 0.9
+        theta[2:, 2:] = 0.9
         aff = affinity.AffinityMatrix(theta, np.ones((4, 4), dtype=np.int64))
         gaps, global_gap = planted.verify_block_structure(aff, [0, 0, 1, 1])
         np.testing.assert_allclose(gaps, 0.8)
@@ -348,7 +365,7 @@ class TestVerifyBlockStructure:
     def test_spectral_recovery_from_population(self, small_instance):
         inst = small_instance
         pop = planted.population_theta(inst, 3)
-        sim = grouping.minmax_rescale(-pop.theta)
+        sim = grouping.minmax_rescale(pop.theta)
         labels = grouping.spectral_cluster(sim, 2, seed=9)
         assert grouping.adjusted_rand_index(labels, inst.group_of) == 1.0
 
