@@ -361,7 +361,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict_nt(args) -> int:
     dataset, aff_dir = _require(args.dataset, "dir"), _require(args.affinity_dir, "dir")
-    tr_mod.check_settings(args.l2, args.logistic_epochs, args.logistic_lr)
+    if not (np.isfinite(args.l2) and args.l2 > 0 and args.heldout_subsets >= 1):
+        raise TaskAffError("predict-nt needs 0 < --l2 < inf and --heldout-subsets >= 1")
     meta = _read_meta(dataset)[0]  # a malformed meta.json is named as such, not as a mismatch
     spec = _learner_spec(args)
     # The single-task references f_i({i}) trained here are compared with the
@@ -393,8 +394,7 @@ def cmd_predict_nt(args) -> int:
                                              features=features)
     train_ex = tr_mod.build_examples(evals, stl_evals.scores[:, 0], aff)
     held_ex = tr_mod.build_examples(held_evals, stl_evals.scores[:, 0], aff)
-    models = tr_mod.fit_all(train_ex, t, l2=args.l2, epochs=args.logistic_epochs,
-                            lr=args.logistic_lr, seed=args.seed)
+    models = tr_mod.fit_all(train_ex, t, l2=args.l2)
     macro, detail = tr_mod.evaluate_f1(models, held_ex)
     os.makedirs(args.out, exist_ok=True)
     report = {
@@ -413,8 +413,7 @@ def cmd_predict_nt(args) -> int:
     _write_manifest(args.out, "predict-nt",
                     {"dataset": os.path.abspath(dataset), "seed": args.seed,
                      "holdout_frac": args.holdout_frac, "learner": asdict(spec),
-                     "heldout_subsets": held_plan.num_subsets, "l2": args.l2,
-                     "logistic_epochs": args.logistic_epochs, "logistic_lr": args.logistic_lr},
+                     "heldout_subsets": held_plan.num_subsets, "l2": args.l2},
                     [os.path.join(aff_dir, aff_mod.EVALS)], [out_path, ex_path])
     return EX_OK
 
@@ -542,8 +541,6 @@ def build_parser() -> _Parser:
     p.add_argument("--affinity-dir", required=True, help="output of affinity")
     p.add_argument("--heldout-subsets", type=int, default=250, help="subsets to score on")
     p.add_argument("--l2", type=float, default=1e-4, help="logistic L2 penalty")
-    p.add_argument("--logistic-epochs", type=int, default=1500, help="logistic epochs")
-    p.add_argument("--logistic-lr", type=float, default=0.5, help="logistic step size")
 
     p = command("verify-theory", cmd_verify_theory,
                 "closed-form block-structure check; exits 2 when the gap check fails")

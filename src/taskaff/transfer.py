@@ -20,6 +20,7 @@ from .errors import InvalidInputError, TrainingError
 from .learners import _sigmoid, f1_score
 
 DECISION_THRESHOLD = 0.5
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 100  # fit_all's largest final step, and its step cap
 
 
 @dataclass
@@ -58,22 +59,13 @@ def build_examples(log, stl_scores, aff: AffinityMatrix):
     return dict(zip(tids, zip(*(np.split(a, stops) for a in (cols, values, y)))))
 
 
-def check_settings(l2, epochs, lr) -> None:
-    """Refuse logistic settings under which gradient descent cannot fit."""
-    if not (epochs >= 1 and np.isfinite(lr) and lr > 0 and np.isfinite(l2) and l2 >= 0):
-        raise InvalidInputError("logistic settings need epochs >= 1, 0 < lr < inf and "
-                                f"0 <= l2 < inf, got epochs {epochs}, lr {lr}, l2 {l2}")
-
-
-def fit_all(examples, num_tasks: int, l2: float, epochs: int, lr: float, seed: int):
+def fit_all(examples, num_tasks: int, l2: float):
     """One logistic model per target task, over ``num_tasks`` weights each. A
-    task with one class gets a constant predictor. The others descend their
-    L2-regularized mean log loss from N(0, 0.01) weights drawn with
-    seed ^ task, all at once: one (tasks x T) weight array whose gradient is
-    one bincount over the keys task * T + column."""
-    check_settings(l2, epochs, lr)
-    if not all(len(y) for _, _, y in examples.values()):
-        raise InvalidInputError("at least one example is required")
+    task with one class gets a constant predictor. The others minimize their
+    mean log loss plus l2/2 times their squared weights by Newton's method, all
+    at once, halving a task's step while its objective rises."""
+    if not (np.isfinite(l2) and l2 > 0 and all(len(y) for _, _, y in examples.values())):
+        raise InvalidInputError(f"fit_all needs 0 < l2 < inf and examples of each task, got {l2}")
     models = {tid: LogisticModel(np.zeros(num_tasks), 50.0 if y[0] == 1 else -50.0)
               for tid, (_, _, y) in examples.items() if np.min(y) == np.max(y)}
     fit = sorted(set(examples) - set(models))
@@ -82,21 +74,31 @@ def fit_all(examples, num_tasks: int, l2: float, epochs: int, lr: float, seed: i
     cols, values, y = (np.concatenate([examples[tid][k] for tid in fit]) for k in range(3))
     count = np.array([len(examples[tid][2]) for tid in fit])
     task = np.repeat(np.arange(len(fit)), count)
-    keys = (task[:, None] * num_tasks + cols).ravel()
-    w = np.stack([np.random.default_rng(seed ^ tid).normal(0.0, 0.01, num_tasks) for tid in fit])
-    b = np.zeros(len(fit))
-    for epoch in range(epochs):
-        resid = _sigmoid(np.sum(w.ravel()[keys].reshape(values.shape) * values, axis=1)
-                         + b[task]) - y
-        grad_w = np.bincount(keys, weights=(values * resid[:, None]).ravel(), minlength=w.size)
-        w -= lr * (grad_w.reshape(w.shape) / count[:, None] + l2 * w)
-        b -= lr * (np.bincount(task, weights=resid) / count)
-        finite = np.isfinite(w).all(axis=1) & np.isfinite(b)
-        if not finite.all():
-            raise TrainingError(f"logistic parameters of task {fit[np.argmin(finite)]} "
-                                f"became non-finite, epoch {epoch}")
-    models.update((tid, LogisticModel(w[k], float(b[k]))) for k, tid in enumerate(fit))
-    return dict(sorted(models.items()))
+    d = num_tasks + 1  # column T is the bias, 1 in every row: each task's keys end at (T, T)
+    keys = task[:, None] * d + np.column_stack([cols, np.full(len(y), num_tasks)])
+    x = np.column_stack([values, np.ones(len(y))])
+    pairs = (keys[:, :, None] * d + keys[:, None, :] % d).ravel()  # task * d^2 + row * d + col
+    penalty = np.append(np.full(num_tasks, l2), 0.0)
+    params, obj, logits = np.zeros((len(fit), d)), np.log(2.0), np.zeros(len(y))
+    for _ in range(NEWTON_MAX_ITER):
+        p = _sigmoid(logits)
+        grad = np.bincount(keys.ravel(), (x * (p - y)[:, None]).ravel()).reshape(-1, d)
+        hess = np.bincount(pairs, np.einsum("na,nb,n->nab", x, x, p * (1 - p)).ravel())
+        step = np.linalg.solve(hess.reshape(-1, d, d) / count[:, None, None] + np.diag(penalty),
+                               (grad / count[:, None] + penalty * params)[..., None])[..., 0]
+        rises = True
+        while np.any(rises):
+            trial = params - step
+            logits = np.sum(trial.ravel()[keys] * x, axis=1)
+            trial_obj = (np.bincount(task, np.logaddexp(0.0, logits) - y * logits) / count
+                         + 0.5 * trial**2 @ penalty)
+            rises = (trial_obj > obj) & (np.abs(step).max(axis=1) >= NEWTON_TOL)
+            step[rises] /= 2
+        params, obj, moving = trial, trial_obj, ~(np.abs(step).max(axis=1) < NEWTON_TOL)
+        if not moving.any():
+            models.update(zip(fit, map(LogisticModel, params[:, :-1], params[:, -1].tolist())))
+            return dict(sorted(models.items()))
+    raise TrainingError(f"logistic fit of task {fit[np.argmax(moving)]} did not converge")
 
 
 def evaluate_f1(models, heldout_by_task):

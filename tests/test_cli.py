@@ -720,7 +720,7 @@ class TestPredictNt:
             configs.append(read_json(out / "manifest.json")["config"])
         assert [k for k in configs[0] if configs[0][k] != configs[1].get(k)] == ["l2"]
         assert configs[0]["learner"]["kind"] == "closed-form-linear"
-        assert (configs[0]["logistic_epochs"], configs[0]["logistic_lr"]) == (1500, 0.5)
+        assert not [k for k in configs[0] if k.startswith("logistic_")]
 
     @pytest.mark.parametrize("change,key", [("ridge", "learner"),
                                             ("holdout", "holdout_frac"),
@@ -815,23 +815,55 @@ class TestPredictNt:
         rows = [label for ls in labels.values() for label in ls]
         assert rep["heldout_nt_rate"] == sum(rows) / len(rows)
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--logistic-epochs", "0"), ("--logistic-epochs", "-3"), ("--logistic-lr", "-1"),
-        ("--logistic-lr", "0"), ("--logistic-lr", "nan"), ("--logistic-lr", "inf"),
-        ("--l2", "-5"), ("--l2", "nan"), ("--l2", "inf")])
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
     def test_logistic_settings_that_cannot_fit_exit_2_before_training(
-            self, tmp_path, pipeline, capsys, monkeypatch, flag, value):
-        # before the refusal, epochs 0 and a negative step size exited 0 with
-        # an untrained or ascended predictor, and l2 -5 exited 3 after 569 epochs
+            self, tmp_path, pipeline, capsys, monkeypatch, value):
+        # at --l2 0 a separable task has no optimum; before the refusal, l2 0
+        # exited 0 with whatever the fit stopped at
         _, inst_dir, aff_dir = pipeline
         monkeypatch.setattr(cli.aff_mod, "collect_evaluations", no_training)
         capsys.readouterr()
         out = tmp_path / "nt"
         assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", aff_dir,
-                    "--heldout-subsets", "40", flag, value, "--out", str(out)]) == 2
+                    "--heldout-subsets", "40", "--l2", value, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("taskaff: logistic settings need "), err
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and "--l2" in err[0], err
         assert not (out / "transfer_f1.json").exists() and not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_heldout_subsets_below_one_refused_before_the_log_is_read(
+            self, tmp_path, pipeline, capsys, monkeypatch, value):
+        # named by its flag, not by SamplingPlan's num_subsets, and before
+        # the affinity log and the dataset are read
+        _, inst_dir, aff_dir = pipeline
+
+        def no_log(*args, **kwargs):
+            raise AssertionError("predict-nt opened the affinity log before refusing")
+
+        monkeypatch.setattr(cli.aff_mod, "open_log", no_log)
+        capsys.readouterr()
+        out = tmp_path / "nt"
+        assert run(["predict-nt", "--dataset", inst_dir, "--affinity-dir", aff_dir,
+                    "--heldout-subsets", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("taskaff: ") and "--heldout-subsets" in err[0]
+        assert not out.exists()
+
+    def test_gradient_descent_flags_are_unknown_arguments(self, tmp_path, pipeline, capsys):
+        # the exact fit has no epochs and no step size to set; as --config
+        # keys they name no flag and are ignored
+        _, inst_dir, aff_dir = pipeline
+        out = tmp_path / "nt"
+        argv = ["predict-nt", "--dataset", inst_dir, "--affinity-dir", aff_dir,
+                "--heldout-subsets", "40", "--out", str(out)]
+        for flag in ("--logistic-epochs", "--logistic-lr"):
+            assert run(argv + [flag, "1"]) == 64
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"logistic-epochs": 0, "logistic-lr": -1}))
+        assert run(argv + ["--config", str(config)]) == 0
+        assert "logistic_epochs" not in read_json(out / "manifest.json")["config"]
 
     def test_directory_without_affinity_log_exit_66(self, tmp_path, pipeline, capsys):
         # a cluster output directory holds no fingerprint.json
