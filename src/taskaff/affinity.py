@@ -301,7 +301,7 @@ def save_affinity(aff: AffinityMatrix, aff_dir) -> None:
     np.savetxt(os.path.join(aff_dir, THETA), aff.theta, delimiter=",", fmt="%.17g")
     np.savetxt(os.path.join(aff_dir, COUNTS), aff.counts, delimiter=",", fmt="%d")
     with open(os.path.join(aff_dir, SIDECAR), "w", encoding="utf-8") as fh:
-        json.dump({"imputed": np.argwhere(aff.imputed).tolist()}, fh, sort_keys=True)
+        fh.write(json.dumps({"imputed": np.argwhere(aff.imputed).tolist()}, sort_keys=True))
 
 
 def load_affinity(aff_dir) -> AffinityMatrix:
@@ -389,7 +389,7 @@ def run_log(aff_dir, plan: SamplingPlan, spec: LearnerSpec, fingerprint, load_da
             with open(fp_path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(fingerprint, sort_keys=True, indent=1) + "\n")
             with open(subsets_path, "w", encoding="utf-8") as fh:
-                json.dump(subsets.tolist(), fh)
+                fh.write(json.dumps(subsets.tolist()))  # the C encoder; json.dump is pure Python
         done = np.setdiff1d(np.arange(len(subsets)), pending)
         save_eval_log(EvalLog(subsets[done], scores[done]), evals_path, spec.metric, plan.seed,
                       indices=done)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, ParseError, TaskAffError
+from .learners import fork_map
 
 log = logging.getLogger(__name__)
 
@@ -288,10 +289,14 @@ def _ppr_propagate(pt, s: np.ndarray, teleport: float,
         if steps == PPR_MAX_ITER:
             raise TaskAffError("PPR propagation did not converge "
                                f"(residual: {float(residual.max()):g})")
-        cur = r[:, active]
-        nxt = teleport * s[:, active] + (1.0 - teleport) * (pt @ cur)
+        every = active.size == r.shape[1]  # until a column freezes, no gather or scatter
+        cur = r if every else r[:, active]
+        nxt = teleport * (s if every else s[:, active]) + (1.0 - teleport) * (pt @ cur)
         residual = np.abs(nxt - cur).sum(axis=0)
-        r[:, active] = nxt
+        if every:
+            r = nxt
+        else:
+            r[:, active] = nxt
         moving = residual >= tol[active]
         active, residual = active[moving], residual[moving]
         steps += 1
@@ -363,8 +368,8 @@ def personalized_pagerank(walk, seeds, teleport: float, tol: float) -> np.ndarra
     return _ppr_propagate(walk, s[:, None], teleport, np.array([tol]))[:, 0]
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """Cosine of u and v, whose norms are nu and nv; 0.0 if either is zero."""
     if nu == 0 or nv == 0:
         return 0.0
     return float(u @ v / (nu * nv))
@@ -374,20 +379,26 @@ def ppr_group_similarity(g: Graph, tasks, groups, teleport: float = PPR_TELEPORT
     """Mean pairwise PPR cosine similarity within vs. between task groups.
 
     Each task's PPR vector is seeded at its positively-labeled training
-    nodes. A pair of tasks counts as "within" when the two tasks share at
-    least one group; every unordered pair is counted once. A side with no
-    pairs is returned as None. ``groups`` is a list of groups of task ids
-    in 0..T-1, as grouping.load_grouping checks those of a file.
+    nodes; the vectors are computed by learners.fork_map, on its pool when
+    the BLAS was pinned, and a failure names its task ("…, task 4"). A pair
+    of tasks counts as "within" when the two tasks share at least one group;
+    every unordered pair is counted once. A side with no pairs is returned
+    as None. ``groups`` is a list of groups of task ids in 0..T-1, as
+    grouping.load_grouping checks those of a file.
     """
     num_tasks = tasks.num_tasks
     walk = _transposed_walk(g)
-    vectors = []
+    seed_sets = []
     for i in range(num_tasks):
         mask = tasks.train_mask[i]
-        seeds = mask[tasks.labels[i][mask] == 1]
-        if seeds.size == 0:
+        seed_sets.append(mask[tasks.labels[i][mask] == 1])
+        if seed_sets[i].size == 0:
             raise InvalidInputError(f"task {i} has no positive training nodes")
-        vectors.append(personalized_pagerank(walk, seeds, teleport, PPR_DEFAULT_TOL))
+    # Workers fork here, after the walk and the seed sets exist, and inherit them.
+    vectors = list(fork_map(
+        lambda i: personalized_pagerank(walk, seed_sets[i], teleport, PPR_DEFAULT_TOL),
+        range(num_tasks), [f"task {i}" for i in range(num_tasks)], "PPR"))
+    norms = [np.linalg.norm(v) for v in vectors]
     member_groups = [set() for _ in range(num_tasks)]
     for gi, members in enumerate(groups):
         for t in members:
@@ -395,7 +406,7 @@ def ppr_group_similarity(g: Graph, tasks, groups, teleport: float = PPR_TELEPORT
     within, between = [], []
     for i in range(num_tasks):
         for j in range(i + 1, num_tasks):
-            sim = _cosine(vectors[i], vectors[j])
+            sim = _cosine(vectors[i], vectors[j], norms[i], norms[j])
             if member_groups[i] & member_groups[j]:
                 within.append(sim)
             else:

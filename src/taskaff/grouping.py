@@ -15,7 +15,7 @@ import numpy as np
 
 from .affinity import AffinityMatrix
 from .errors import InvalidInputError, TaskAffError, int_ids, reading
-from .learners import LearnerSpec, evaluate, train_models
+from .learners import LearnerSpec, evaluate, evaluate_heads, train_models
 from .learners import train_subset  # noqa: F401 (bench/tracing.py wraps it here)
 
 KMEANS_RESTARTS = 10
@@ -159,20 +159,21 @@ def evaluate_grouping(models, tasks, metric: str):
     """Best test score per task over deployed models, and their sum.
 
     The linear kind shares its weight vector, so every model scores every
-    task; the mlp kind only scores tasks for which it has a head. A task
-    covered by no model raises TaskAffError.
+    task; the mlp kind only scores tasks for which it has a head, all of
+    them from one hidden pass (learners.evaluate_heads). A task covered by
+    no model raises TaskAffError.
     """
     if not models:
         raise InvalidInputError("at least one model is required")
+    heads = [None if m.kind == "closed-form-linear"
+             else dict(zip(m.subset, evaluate_heads(m, tasks, "test", metric))) for m in models]
     per_task = []
     for i in range(tasks.num_tasks):
-        candidates = [
-            m for m in models
-            if m.kind == "closed-form-linear" or i in m.subset
-        ]
+        candidates = [evaluate(m, tasks, i, "test", metric) if scores is None else scores[i]
+                      for m, scores in zip(models, heads) if scores is None or i in scores]
         if not candidates:
             raise TaskAffError(f"task {i} is covered by no deployed model")
-        per_task.append(max(evaluate(m, tasks, i, "test", metric) for m in candidates))
+        per_task.append(max(candidates))
     return per_task, float(sum(per_task))
 
 
@@ -207,7 +208,7 @@ def save_grouping(groups, assignments, budget: int, path) -> None:
         "budget": budget,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
 
 
 def load_grouping(path, num_tasks: int) -> list:

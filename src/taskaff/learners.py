@@ -13,9 +13,8 @@ losses are negated.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
-import signal
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,14 +31,16 @@ METRICS = ("negative-cross-entropy", "negative-mse", "f1")
 _PROB_EPS = 1e-12
 # Bound on one float temporary of closed_form_scores' chunked scoring (bytes).
 _CHUNK_BYTES = 2**20
+# Rows per hidden pass of evaluate_heads: its temporaries are O(rows x width).
+_SCORE_ROWS = 2048
 
 # Whether this process pinned its BLAS to one thread before numpy loaded;
-# taskaff.cli sets it once, when it is imported. Only then does train_models
+# taskaff.cli sets it once, when it is imported. Only then does fork_map
 # fork workers: each worker left at several BLAS threads oversubscribes the
 # cores and runs several times slower than one process.
 ONE_BLAS_THREAD = False
-# (parent pid, tasks, spec, features) of a train_models worker, set in it.
-_WORKER_DATA = None
+# (parent pid, job function) of a fork_map worker, set in it.
+_WORKER = None
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,16 @@ def _init_params(rng, in_dim, spec: LearnerSpec, num_tasks):
     return layers
 
 
-def _hidden(layers, x):
-    """Activations [x, h_1, ..., h_L] of the hidden layers (all pairs but the head)."""
-    acts = [x]
-    for w, b in layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+def _hidden(layers, x, acts=None):
+    """Activations [x, h_1, ..., h_L] of the hidden layers (all pairs but the
+    head). A given ``acts`` is such a list, its x being ``x``; the h_l are
+    written into it."""
+    if acts is None:
+        acts = [x, *(np.empty((len(x), w.shape[1])) for w, _ in layers[:-1])]
+    for (w, b), a, h in zip(layers[:-1], acts, acts[1:]):
+        np.matmul(a, w, out=h)
+        h += b
+        np.maximum(h, 0.0, out=h)
     return acts
 
 
@@ -221,8 +227,7 @@ class _Batch:
     ``x`` holds the feature rows of the union of the train masks; pair q
     is row ``rows[q]`` of ``x`` under task column ``cols[q]`` with label
     ``y[q]``, weighted by 1 / ``denom[q]`` (task size times task count) in
-    the mean per-task loss. ``d_out`` is the union x tasks output-gradient
-    buffer; entries off the member pairs stay zero.
+    the mean per-task loss.
     """
 
     x: np.ndarray
@@ -230,7 +235,6 @@ class _Batch:
     cols: np.ndarray
     y: np.ndarray
     denom: np.ndarray
-    d_out: np.ndarray
 
 
 def _batch(features, masks, labels) -> _Batch:
@@ -247,21 +251,49 @@ def _batch(features, masks, labels) -> _Batch:
         cols=cols,
         y=np.concatenate([np.asarray(y, dtype=float)[m] for y, m in zip(labels, masks)]),
         denom=(sizes * len(masks))[cols].astype(float),
-        d_out=np.zeros((union.size, len(masks))),
     )
 
 
-def _forward_backward(layers, batch: _Batch, loss_kind):
+@dataclass
+class _Workspace:
+    """The arrays one model's epochs write, allocated once per model.
+
+    ``acts`` is [x, h_1, ..., h_L] (see _hidden), ``out`` the union x tasks
+    head outputs and ``d_out`` their gradient, zero off the batch's member
+    pairs. Hidden layer l has its ReLU mask ``relu[l]`` and its pre-ReLU
+    gradient ``deltas[l]``; ``grads`` has the structure of the layers.
+    """
+
+    acts: list
+    out: np.ndarray
+    d_out: np.ndarray
+    relu: list
+    deltas: list
+    grads: list
+
+
+def _workspace(layers, batch: _Batch) -> _Workspace:
+    hidden = [np.empty((len(batch.x), w.shape[1])) for w, _ in layers[:-1]]
+    out = np.empty((len(batch.x), layers[-1][0].shape[1]))
+    return _Workspace(acts=[batch.x, *hidden], out=out, d_out=np.zeros_like(out),
+                      relu=[np.empty(h.shape, dtype=bool) for h in hidden],
+                      deltas=[np.empty_like(h) for h in hidden],
+                      grads=[[np.empty_like(w), np.empty_like(b)] for w, b in layers])
+
+
+def _forward_backward(layers, batch: _Batch, loss_kind, ws: _Workspace):
     """Loss and gradients of the mean per-task loss at the current params.
 
     ``layers`` is the encoder followed by the head pair (see _init_params);
-    the gradients come back in the same structure. Outputs are linked and
+    the gradients come back in the same structure, as ``ws.grads``. Every
+    product is written into the buffers of ``ws``. Outputs are linked and
     scored only at the batch's member pairs.
     """
-    acts = _hidden(layers, batch.x)
-    top = acts[-1]
+    acts = _hidden(layers, batch.x, ws.acts)
     head_w, head_b = layers[-1]
-    out = (top @ head_w + head_b)[batch.rows, batch.cols]
+    np.matmul(acts[-1], head_w, out=ws.out)
+    ws.out += head_b
+    out = ws.out[batch.rows, batch.cols]
     y = batch.y
     if loss_kind == "bce":
         p = _sigmoid(out)
@@ -273,16 +305,19 @@ def _forward_backward(layers, batch: _Batch, loss_kind):
         pair_loss = diff**2
         d_pair = 2.0 * diff
     loss = float(np.sum(pair_loss / batch.denom))
-    d_out = batch.d_out
-    d_out[batch.rows, batch.cols] = d_pair / batch.denom
-    grads = [[top.T @ d_out, d_out.sum(axis=0)]]
-    d_h = d_out @ head_w.T
-    for layer in range(len(layers) - 2, -1, -1):
-        d_a = d_h * (acts[layer + 1] > 0.0)  # relu(a) > 0 exactly where a > 0
-        grads.insert(0, [acts[layer].T @ d_a, d_a.sum(axis=0)])
+    d_h = ws.d_out
+    d_h[batch.rows, batch.cols] = d_pair / batch.denom
+    for layer in range(len(layers) - 1, -1, -1):
+        gw, gb = ws.grads[layer]
+        np.matmul(acts[layer].T, d_h, out=gw)
+        np.sum(d_h, axis=0, out=gb)
         if layer:  # the input gradient of layer 0 is never used
-            d_h = d_a @ layers[layer][0].T
-    return loss, grads
+            d_a = ws.deltas[layer - 1]
+            np.matmul(d_h, layers[layer][0].T, out=d_a)
+            relu = np.greater(acts[layer], 0.0, out=ws.relu[layer - 1])  # relu(a) > 0 iff a > 0
+            d_a *= relu
+            d_h = d_a
+    return loss, ws.grads
 
 
 def _sigmoid(z):
@@ -321,12 +356,13 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
     batch = _batch(features, [tasks.train_mask[tid] for tid in subset],
                    [tasks.labels[tid] for tid in subset])
     layers = _init_params(rng, features.shape[1], spec, len(subset))
+    ws = _workspace(layers, batch)
     loss_kind = spec.train_loss_kind()
     lr = spec.learning_rate
     prev_loss = np.inf
     monotone = True
     for epoch in range(spec.epochs):
-        loss, grads = _forward_backward(layers, batch, loss_kind)
+        loss, grads = _forward_backward(layers, batch, loss_kind, ws)
         if not np.isfinite(loss):
             raise TrainingError(f"training loss became non-finite, epoch {epoch}")
         if monotone and loss > prev_loss + 1e-12:
@@ -334,75 +370,101 @@ def train_subset(g, tasks, subset, spec: LearnerSpec, seed: int,
             log.warning("training loss increased at epoch %d (lr=%g); flagged, "
                         "not fatal", epoch, lr)
         prev_loss = loss
-        for layer, (gw, gb) in zip(layers, grads):
-            layer[0] -= lr * gw
-            layer[1] -= lr * gb
+        for layer, grad in zip(layers, grads):
+            for param, g in zip(layer, grad):
+                g *= lr  # then param -= g: param -= lr * g, bit for bit
+                param -= g
     return MtlModel("shared-encoder-mlp", subset, features, layers=layers,
                     monotone_loss=monotone)
 
 
-def _init_worker(*data):
-    global _WORKER_DATA
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the pool on Ctrl-C
-    _WORKER_DATA = (os.getppid(), *data)
+def fork_map(fn, jobs, names, label, parallel=True):
+    """Yield fn(jobs[k]) for each k in order; a TrainingError of job k is
+    raised with ", <names[k]>" appended (names like "subset 23" or "task 4").
 
-
-def _train_job(job):
-    parent, tasks, spec, features = _WORKER_DATA
-    subset, seed = job
-    model = train_subset(None, tasks, subset, spec, seed, features=features)
-    if os.getppid() != parent:  # the parent was killed; no one reads the result
-        os._exit(1)
-    return replace(model, features=None)  # the parent holds the features
-
-
-def train_models(tasks, subsets, spec: LearnerSpec, seeds, features, names):
-    """Yield train_subset(None, tasks, subsets[k], spec, seeds[k], features)
-    for each k in order; a TrainingError of job k is raised with
-    ", <names[k]>" appended (names like "subset 23" or "group 1").
-
-    MLP subsets train on a fork pool of one worker per available CPU (at most
-    one per subset) when ONE_BLAS_THREAD holds, otherwise one after another in
-    this process. Workers inherit the data by fork and send back the model
-    without its features, which this process reattaches; results are read in
-    order, so a training failure is raised at its own k, after the models
-    before it. Close the generator (contextlib.closing) when not reading it to
-    the end: that stops and joins the workers.
+    With ``parallel`` and ONE_BLAS_THREAD, the jobs run on a fork pool of one
+    worker per available CPU (at most one per job), otherwise one after
+    another in this process. Workers inherit ``fn`` and the data it reads
+    by fork, so only jobs and results are pickled. Results are read in
+    order, so a failure is raised at its own k, after the results before it;
+    a worker that dies (killed by the OOM killer, say) fails the job being
+    waited for with "a <label> worker died". Close the generator
+    (contextlib.closing) when not reading it to the end: that stops and
+    joins the workers.
     """
-    jobs = list(zip(subsets, seeds))
-    workers = min(len(jobs), len(os.sched_getaffinity(0))) if ONE_BLAS_THREAD else 1
+    jobs = list(jobs)
+    workers = min(len(jobs), len(os.sched_getaffinity(0))) if parallel and ONE_BLAS_THREAD else 1
     pool = None
-    if spec.kind == "shared-encoder-mlp" and workers > 1:
-        x = np.asarray(features, dtype=float)
+    if workers > 1:
+        import multiprocessing  # only a command that forks pays for the import
+
         ctx = multiprocessing.get_context("fork")
         others = set(ctx.active_children())
-        pool = ctx.Pool(workers, _init_worker, (tasks, spec, features))
+        pool = ctx.Pool(workers, _init_worker, (fn,))
         procs = set(ctx.active_children()) - others
     try:
-        results = None if pool is None else pool.imap(_train_job, jobs)
-        for (subset, seed), name in zip(jobs, names):
+        results = None if pool is None else pool.imap(_run_job, jobs)
+        for job, name in zip(jobs, names):
             try:
-                model = (train_subset(None, tasks, subset, spec, seed, features=features)
-                         if pool is None else replace(_next_result(results, procs), features=x))
+                result = fn(job) if pool is None else _next_result(results, procs, label)
             except TrainingError as exc:
                 raise TrainingError(f"{exc}, {name}") from exc
-            yield model
+            yield result
     finally:
         if pool is not None:
             pool.terminate()  # also joins the workers
 
 
-def _next_result(results, procs):
-    """The next imap result. A worker that died (killed by the OOM killer,
-    say) took its job with it and the pool would wait for that job forever,
-    so a dead worker ends the wait with a TrainingError."""
+def _init_worker(fn):
+    import signal
+
+    global _WORKER
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the pool on Ctrl-C
+    _WORKER = (os.getppid(), fn)
+
+
+def _run_job(job):
+    parent, fn = _WORKER
+    result = fn(job)
+    if os.getppid() != parent:  # the parent was killed; no one reads the result
+        os._exit(1)
+    return result
+
+
+def _next_result(results, procs, label):
+    """The next imap result. A worker that died took its job with it and the
+    pool would wait for that job forever, so a dead worker ends the wait."""
+    from multiprocessing import TimeoutError
+
     while True:
         try:
             return results.next(timeout=1.0)
-        except multiprocessing.TimeoutError:
+        except TimeoutError:
             dead = [p.exitcode for p in procs if p.exitcode is not None]
             if dead:
-                raise TrainingError(f"a training worker died (exit code {dead[0]})") from None
+                raise TrainingError(f"a {label} worker died (exit code {dead[0]})") from None
+
+
+def train_models(tasks, subsets, spec: LearnerSpec, seeds, features, names):
+    """Yield train_subset(None, tasks, subsets[k], spec, seeds[k], features)
+    for each k in order, by fork_map; a TrainingError of job k is raised with
+    ", <names[k]>" appended (names like "subset 23" or "group 1").
+
+    Only MLP subsets go to the pool. A worker sends a model back without its
+    features, which this process reattaches. Close the generator
+    (contextlib.closing) when not reading it to the end: that stops and
+    joins the workers.
+    """
+    x = np.asarray(features, dtype=float)
+
+    def train(job):
+        subset, seed = job
+        return replace(train_subset(None, tasks, subset, spec, seed, features=x), features=None)
+
+    with closing(fork_map(train, zip(subsets, seeds), names, "training",
+                          spec.kind == "shared-encoder-mlp")) as models:
+        for model in models:
+            yield replace(model, features=x)
 
 
 def f1_score(y_true, y_pred) -> float:
@@ -419,6 +481,37 @@ def _f1(pos, pred):
 def evaluate(model: MtlModel, tasks, task_id: int, mask_kind: str,
              metric: str) -> float:
     """Score one task on its val or test mask, oriented higher-is-better."""
+    mask = _eval_mask(tasks, task_id, mask_kind, metric)
+    return float(_score(model.raw_scores(mask, task_id), tasks.labels[task_id][mask], metric))
+
+
+def evaluate_heads(model: MtlModel, tasks, mask_kind: str, metric: str) -> list:
+    """[evaluate(model, tasks, i, mask_kind, metric) for i in model.subset] of
+    an MLP model from one hidden pass over the union of the members' masks,
+    in chunks of about _SCORE_ROWS rows, instead of one pass per member.
+
+    Each member's head product runs on its own rows of that pass, as in
+    evaluate, so the scores equal evaluate's bit for bit wherever the BLAS
+    gives a row of the hidden products the same bits at any row count.
+    OpenBLAS 0.3.31 does for products of two rows or more on inputs of up to
+    a few hundred columns; a one-row mask, or a mask of under about 20 rows
+    on 600 or more input columns, can differ in the last bits.
+    """
+    masks = [_eval_mask(tasks, i, mask_kind, metric) for i in model.subset]
+    union = np.unique(np.concatenate(masks))
+    w, b = model.layers[-1]
+    top = np.empty((union.size, w.shape[0]))
+    lo = 0  # array_split leaves no one-row chunk of a longer union
+    for rows in np.array_split(union, -(-union.size // _SCORE_ROWS)):
+        top[lo:lo + rows.size] = _hidden(model.layers, model.features[rows])[-1]
+        lo += rows.size
+    return [float(_score(top[np.searchsorted(union, mask)] @ np.ascontiguousarray(w[:, k])
+                         + float(b[k]), tasks.labels[i][mask], metric))
+            for k, (i, mask) in enumerate(zip(model.subset, masks))]
+
+
+def _eval_mask(tasks, task_id, mask_kind, metric):
+    """Task ``task_id``'s nonempty val or test mask, for a known metric."""
     if mask_kind not in ("val", "test"):
         raise InvalidInputError(f"mask_kind must be 'val' or 'test', got {mask_kind!r}")
     if metric not in METRICS:
@@ -426,7 +519,7 @@ def evaluate(model: MtlModel, tasks, task_id: int, mask_kind: str,
     mask = tasks.val_mask[task_id] if mask_kind == "val" else tasks.test_mask[task_id]
     if mask.size == 0:
         raise InvalidInputError(f"task {task_id} has an empty {mask_kind} mask")
-    return float(_score(model.raw_scores(mask, task_id), tasks.labels[task_id][mask], metric))
+    return mask
 
 
 def _score(raw, y, metric, count=None):

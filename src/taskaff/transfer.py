@@ -63,7 +63,9 @@ def fit_all(examples, num_tasks: int, l2: float):
     """One logistic model per target task, over ``num_tasks`` weights each. A
     task with one class gets a constant predictor. The others minimize their
     mean log loss plus l2/2 times their squared weights by Newton's method, all
-    at once, halving a task's step while its objective rises."""
+    at once, halving a task's step while its objective rises. A TrainingError
+    names the first task whose Newton system is singular (features so large
+    that every p(1 - p) underflows to 0) or that has not converged."""
     if not (np.isfinite(l2) and l2 > 0 and all(len(y) for _, _, y in examples.values())):
         raise InvalidInputError(f"fit_all needs 0 < l2 < inf and examples of each task, got {l2}")
     models = {tid: LogisticModel(np.zeros(num_tasks), 50.0 if y[0] == 1 else -50.0)
@@ -84,8 +86,8 @@ def fit_all(examples, num_tasks: int, l2: float):
         p = _sigmoid(logits)
         grad = np.bincount(keys.ravel(), (x * (p - y)[:, None]).ravel()).reshape(-1, d)
         hess = np.bincount(pairs, np.einsum("na,nb,n->nab", x, x, p * (1 - p)).ravel())
-        step = np.linalg.solve(hess.reshape(-1, d, d) / count[:, None, None] + np.diag(penalty),
-                               (grad / count[:, None] + penalty * params)[..., None])[..., 0]
+        step = _newton_steps(hess.reshape(-1, d, d) / count[:, None, None] + np.diag(penalty),
+                             grad / count[:, None] + penalty * params, fit)
         rises = True
         while np.any(rises):
             trial = params - step
@@ -99,6 +101,21 @@ def fit_all(examples, num_tasks: int, l2: float):
             models.update(zip(fit, map(LogisticModel, params[:, :-1], params[:, -1].tolist())))
             return dict(sorted(models.items()))
     raise TrainingError(f"logistic fit of task {fit[np.argmax(moving)]} did not converge")
+
+
+def _newton_steps(hessians, grads, tids):
+    """Solve each task's Newton system; the first singular one raises a
+    TrainingError naming its task in ``tids``."""
+    try:
+        return np.linalg.solve(hessians, grads[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for tid, hessian, grad in zip(tids, hessians, grads):
+            try:
+                np.linalg.solve(hessian, grad)
+            except np.linalg.LinAlgError:
+                raise TrainingError(f"logistic fit of task {tid} has a singular "
+                                    "Hessian") from None
+        raise
 
 
 def evaluate_f1(models, heldout_by_task):

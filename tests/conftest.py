@@ -127,12 +127,13 @@ def gradient_check(spec, features, masks, labels, seed=0, num_params=120, step=1
     batch = learners._batch(features, masks, labels)
     loss_kind = spec.train_loss_kind()
 
-    _, grads = learners._forward_backward(layers, batch, loss_kind)
+    ws = learners._workspace(layers, batch)
+    _, grads = learners._forward_backward(layers, batch, loss_kind, ws)
     analytic = _flatten(grads)
     theta = _flatten(layers)
 
     def loss_at(vec):
-        return learners._forward_backward(_unflatten(vec, layers), batch, loss_kind)[0]
+        return learners._forward_backward(_unflatten(vec, layers), batch, loss_kind, ws)[0]
 
     count = min(num_params, theta.size)
     coords = rng.choice(theta.size, size=count, replace=False)

@@ -1144,6 +1144,50 @@ class TestSplitAndPprSim:
             " '--out', d + '/ppr']) == 0\n"
         )
 
+    def test_only_commands_that_fork_import_multiprocessing(self, tmp_path):
+        # The planted chain and split never fork; MLP affinity and ppr-sim
+        # still start their pools (two CPUs claimed, the BLAS pinned).
+        run_python(
+            "import os\n"
+            "for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+            "    os.environ.pop(k, None)\n"
+            "import taskaff.cli as cli\n"
+            "assert cli.learners.ONE_BLAS_THREAD\n"
+            f"d = {str(tmp_path)!r}\n" + SBM_INPUTS +
+            "lin = ['--learner', 'linear', '--metric', 'negative-mse']\n"
+            "pl = ['--dataset', d + '/pl']\n"
+            f"assert cli.main({GEN!r} + ['--seed', '1', '--out', d + '/pl']) == 0\n"
+            "assert cli.main(['affinity', *pl, *lin, '--alpha', '4', '--num-subsets', '60',"
+            " '--out', d + '/plaff']) == 0\n"
+            "assert cli.main(['cluster', '--affinity-dir', d + '/plaff', '--budget', '3',"
+            " '--out', d + '/plgrp']) == 0\n"
+            "assert cli.main(['evaluate', *pl, *lin, '--grouping-dir', d + '/plgrp',"
+            " '--with-baseline', '--out', d + '/plev']) == 0\n"
+            "assert cli.main(['predict-nt', *pl, *lin, '--affinity-dir', d + '/plaff',"
+            " '--heldout-subsets', '20', '--out', d + '/plnt']) == 0\n"
+            "assert cli.main(['verify-theory', *pl, '--alpha', '4', '--num-subsets', '60',"
+            " '--out', d + '/plvt']) in (0, 2)\n"
+            "assert cli.main(split + ['--out', d + '/ds']) == 0\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import multiprocessing.pool\n"
+            "pools, imap = [], multiprocessing.pool.Pool.imap\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    pools.append(len(multiprocessing.active_children()))\n"
+            "    return imap(self, *args, **kwargs)\n"
+            "multiprocessing.pool.Pool.imap = spy\n"
+            "ds = ['--dataset', d + '/ds']\n"
+            "assert cli.main(['affinity', *ds, '--learner', 'mlp', '--epochs', '5',"
+            " '--hidden-width', '8', '--alpha', '3', '--num-subsets', '12',"
+            " '--out', d + '/aff']) == 0\n"
+            "assert pools == [2], pools\n"
+            "assert cli.main(['cluster', '--affinity-dir', d + '/aff', '--budget', '2',"
+            " '--out', d + '/grp']) == 0\n"
+            "assert cli.main(['ppr-sim', *ds, '--grouping-dir', d + '/grp',"
+            " '--out', d + '/ppr']) == 0\n"
+            "assert pools == [2, 2], pools\n"
+        )
+
     def test_linear_affinity_on_community_exit_2_before_writing(self, tmp_path,
                                                                  community_affinity, capsys):
         # every community task has its own train mask, which the linear

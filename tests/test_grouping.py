@@ -7,6 +7,7 @@ import pytest
 from taskaff import affinity, grouping, learners, planted
 from taskaff.affinity import AffinityMatrix
 from taskaff.errors import InvalidInputError, TaskAffError
+from taskaff.tasks import TaskSet
 
 
 def perf_aff(theta):
@@ -210,6 +211,34 @@ class TestTrainAndEvaluateGroups:
         _, obj_one = grouping.evaluate_grouping(models, tasks, "negative-mse")
         _, obj_two = grouping.evaluate_grouping(models * 2, tasks, "negative-mse")
         assert obj_one == obj_two
+
+    @pytest.mark.parametrize("score_rows", [7, 2048])
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    @pytest.mark.parametrize("metric", ["negative-cross-entropy", "f1"])
+    def test_one_hidden_pass_matches_evaluate_bitwise(self, monkeypatch, score_rows,
+                                                      hidden_layers, metric):
+        # val and test masks of 1,500 random rows per task, whose unions of
+        # about 3,000 of 5,000 rows span several chunks of either size
+        rng = np.random.default_rng(hidden_layers)
+        n, t = 5000, 4
+        x = rng.standard_normal((n, 6))
+        splits = [np.split(rng.permutation(n), [200, 1700, 3200])[:3] for _ in range(t)]
+        labels = tuple((rng.random(n) > 0.5).astype(float) for _ in range(t))
+        tasks = TaskSet(n, labels, *zip(*splits))
+        spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=16,
+                                    hidden_layers=hidden_layers, epochs=5, metric=metric)
+        models = grouping.train_groups(tasks, [[0, 1, 3], [1, 2]], spec, 4, features=x)
+        monkeypatch.setattr(learners, "_SCORE_ROWS", score_rows)
+        for model in models:
+            for kind in ("val", "test"):
+                want = [learners.evaluate(model, tasks, i, kind, metric) for i in model.subset]
+                got = learners.evaluate_heads(model, tasks, kind, metric)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        per_task, objective = grouping.evaluate_grouping(models, tasks, metric)
+        want = [max(learners.evaluate(m, tasks, i, "test", metric)
+                    for m in models if i in m.subset) for i in range(t)]
+        assert np.array(per_task).tobytes() == np.array(want).tobytes()
+        assert objective == sum(want)
 
     def test_mlp_missing_head_is_coverage_error(self):
         rng = np.random.default_rng(6)

@@ -235,22 +235,70 @@ def _reference_train(tasks, subset, spec, seed, x):
     return encoder, heads, monotone
 
 
+def _allocating_train(tasks, subset, spec, seed, x):
+    """The epoch that allocated every product, replaced by the one writing
+    into a per-model workspace, kept as the bitwise oracle of its layers."""
+    rng = np.random.default_rng(seed)
+    batch = learners._batch(x, [tasks.train_mask[t] for t in subset],
+                            [tasks.labels[t] for t in subset])
+    layers = learners._init_params(rng, x.shape[1], spec, len(subset))
+    d_out = np.zeros((len(batch.x), len(subset)))
+    for _ in range(spec.epochs):
+        acts = [batch.x]
+        for w, b in layers[:-1]:
+            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        top = acts[-1]
+        head_w, head_b = layers[-1]
+        out = (top @ head_w + head_b)[batch.rows, batch.cols]
+        y = batch.y
+        if spec.train_loss_kind() == "bce":
+            d_pair = learners._sigmoid(out) - y
+        else:
+            d_pair = 2.0 * (out - y)
+        d_out[batch.rows, batch.cols] = d_pair / batch.denom
+        grads = [[top.T @ d_out, d_out.sum(axis=0)]]
+        d_h = d_out @ head_w.T
+        for layer in range(len(layers) - 2, -1, -1):
+            d_a = d_h * (acts[layer + 1] > 0.0)
+            grads.insert(0, [acts[layer].T @ d_a, d_a.sum(axis=0)])
+            if layer:
+                d_h = d_a @ layers[layer][0].T
+        for layer, (gw, gb) in zip(layers, grads):
+            layer[0] -= spec.learning_rate * gw
+            layer[1] -= spec.learning_rate * gb
+    return layers
+
+
+def _kernel_task_set(rng, metric):
+    """Overlapping train masks of unequal sizes; one task shares no row."""
+    n = 40
+    x = rng.standard_normal((n, 5))
+    trains = (np.arange(0, 20), np.arange(10, 35), np.arange(0, 35, 4), np.array([35]))
+    if metric == "negative-mse":
+        labels = tuple(rng.standard_normal(n) for _ in trains)
+    else:
+        labels = tuple((rng.random(n) > 0.5).astype(float) for _ in trains)
+    val, test = np.arange(36, 38), np.arange(38, 40)
+    return TaskSet(n, labels, trains, (val,) * 4, (test,) * 4), x
+
+
 class TestVectorizedKernel:
     @pytest.mark.parametrize("hidden_layers", [0, 1, 2])
     @pytest.mark.parametrize("metric", ["negative-cross-entropy", "negative-mse"])
+    def test_workspace_epoch_matches_the_allocating_one_bitwise(self, hidden_layers, metric):
+        ts, x = _kernel_task_set(np.random.default_rng(30 + hidden_layers), metric)
+        spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=7,
+                                    hidden_layers=hidden_layers, epochs=60,
+                                    learning_rate=0.2, metric=metric)
+        model = learners.train_subset(None, ts, [3, 0, 1, 2], spec, seed=5, features=x)
+        want = _allocating_train(ts, (0, 1, 2, 3), spec, 5, x)
+        for (w, b), (rw, rb) in zip(model.layers, want, strict=True):
+            assert w.tobytes() == rw.tobytes() and b.tobytes() == rb.tobytes()
+
+    @pytest.mark.parametrize("hidden_layers", [0, 1, 2])
+    @pytest.mark.parametrize("metric", ["negative-cross-entropy", "negative-mse"])
     def test_matches_per_task_loop(self, hidden_layers, metric):
-        # overlapping train masks of unequal sizes; one task shares no row
-        rng = np.random.default_rng(20 + hidden_layers)
-        n = 40
-        x = rng.standard_normal((n, 5))
-        trains = (np.arange(0, 20), np.arange(10, 35), np.arange(0, 35, 4),
-                  np.array([35]))
-        if metric == "negative-mse":
-            labels = tuple(rng.standard_normal(n) for _ in trains)
-        else:
-            labels = tuple((rng.random(n) > 0.5).astype(float) for _ in trains)
-        val, test = np.arange(36, 38), np.arange(38, 40)
-        ts = TaskSet(n, labels, trains, (val,) * 4, (test,) * 4)
+        ts, x = _kernel_task_set(np.random.default_rng(20 + hidden_layers), metric)
         spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_width=7,
                                     hidden_layers=hidden_layers, epochs=60,
                                     learning_rate=0.2, metric=metric)
@@ -392,8 +440,9 @@ class TestGradientCheck:
         y = (rng.random(8) > 0.5).astype(float)
         spec = learners.LearnerSpec(kind="shared-encoder-mlp", hidden_layers=0)
         layers = learners._init_params(np.random.default_rng(3), 3, spec, 1)
-        _, grads = learners._forward_backward(
-            layers, learners._batch(x, [mask], [y]), "bce")
+        batch = learners._batch(x, [mask], [y])
+        _, grads = learners._forward_backward(layers, batch, "bce",
+                                              learners._workspace(layers, batch))
         (w, b), = layers
         (g_w, g_b), = grads
         p = 1 / (1 + np.exp(-(x @ w[:, 0] + b[0])))

@@ -1,6 +1,7 @@
-"""MLP training on the fork pool of learners.train_models: same models and
-scores as one process, failures at their own index (in one process too), no
-worker left behind."""
+"""The fork pool of learners.fork_map, under MLP training and the PPR vectors
+of graphs.ppr_group_similarity: same models, scores and similarities as one
+process, failures at their own index (in one process too), no worker left
+behind."""
 
 import multiprocessing
 import multiprocessing.pool
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from taskaff import affinity, grouping, learners
+from taskaff import affinity, graphs, grouping, learners
 from taskaff.errors import TrainingError
 from tests.conftest import block_task_set, two_block_graph
 
@@ -25,10 +26,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 @pytest.fixture(scope="module")
-def data():
+def graph_data():
     rng = np.random.default_rng(3)
     g = two_block_graph(rng)
-    return block_task_set(g, rng), rng.standard_normal((g.num_nodes, 5))
+    return g, block_task_set(g, rng), rng.standard_normal((g.num_nodes, 5))
+
+
+@pytest.fixture(scope="module")
+def data(graph_data):
+    return graph_data[1:]
 
 
 def pooled(monkeypatch, cpus):
@@ -121,12 +127,13 @@ def test_a_killed_worker_fails_the_run_instead_of_hanging(monkeypatch, data):
     assert multiprocessing.active_children() == []
 
 
-def test_no_pool_unless_blas_was_pinned(monkeypatch, data):
-    tasks, x = data
+def test_no_pool_unless_blas_was_pinned(monkeypatch, graph_data):
+    g, tasks, x = graph_data
     pools = pooled(monkeypatch, 3)
     monkeypatch.setattr(learners, "ONE_BLAS_THREAD", False)
     affinity.collect_evaluations(tasks, SUBSETS, SPEC, 5, features=x)
     grouping.train_groups(tasks, GROUPS, SPEC, 9, features=x)
+    graphs.ppr_group_similarity(g, tasks, GROUPS)
     assert pools == []
 
 
@@ -140,6 +147,36 @@ def test_linear_learner_never_pools(monkeypatch, data):
     linear = learners.LearnerSpec(kind="closed-form-linear")
     assert len(grouping.train_groups(tasks, singletons, linear, 9, features=x)) == 4
     assert pools == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_ppr_similarity_matches_one_process_bitwise(monkeypatch, graph_data, cpus):
+    g, tasks, _ = graph_data
+    want = graphs.ppr_group_similarity(g, tasks, GROUPS)
+    pools = pooled(monkeypatch, cpus)
+    got = graphs.ppr_group_similarity(g, tasks, GROUPS)
+    assert pools == ([] if cpus == 1 else [cpus])
+    assert multiprocessing.active_children() == []
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_a_killed_ppr_worker_fails_naming_its_task(monkeypatch, graph_data):
+    g, tasks, _ = graph_data
+    pools = pooled(monkeypatch, 2)
+    ppr, doomed = graphs.personalized_pagerank, tasks.train_mask[1]
+
+    def killing(walk, seeds, *args):
+        if np.array_equal(seeds, doomed):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return ppr(walk, seeds, *args)
+
+    monkeypatch.setattr(graphs, "personalized_pagerank", killing)
+    with pytest.raises(TrainingError) as err:
+        graphs.ppr_group_similarity(g, tasks, GROUPS)
+    assert pools == [2]
+    assert str(err.value) == "a PPR worker died (exit code -9), task 1"
+    assert multiprocessing.active_children() == []
+
 
 
 @pytest.mark.parametrize("code, env, pinned", [

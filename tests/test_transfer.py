@@ -270,6 +270,27 @@ class TestFitAllReachesTheOptimum:
         del ex[3]
         assert transfer.fit_all(ex, 1, l2=1e-6)[1].weights[0] > 0
 
+    def test_singular_hessian_raises_naming_the_task(self):
+        # task 2's separable features, scaled by 1e150, take every row's
+        # p(1 - p) to 0 after one step, and with it the unpenalized bias row
+        # of its Hessian; task 1 alone fits
+        rng = np.random.default_rng(0)
+
+        def task(target, scale, noise):
+            others = [i for i in range(6) if i != target]
+            cols = np.array([np.sort(np.r_[target, rng.choice(others, 2, replace=False)])
+                             for _ in range(30)])
+            values = rng.standard_normal((30, 3)) * scale
+            return cols, values, (values.sum(axis=1) + noise * rng.standard_normal(30) > 0
+                                  ).astype(int)
+
+        ex = {2: task(2, 1e150, 0.0), 1: task(1, 1.0, 1.0)}
+        with pytest.raises(TrainingError,
+                           match="^logistic fit of task 2 has a singular Hessian$"):
+            transfer.fit_all(ex, 6, l2=1e-2)
+        del ex[2]
+        assert set(transfer.fit_all(ex, 6, l2=1e-2)) == {1}
+
     @pytest.mark.parametrize("l2", [0.0, -5.0, np.inf, np.nan])
     def test_penalty_that_leaves_no_optimum_refused(self, l2):
         with pytest.raises(InvalidInputError, match="^fit_all needs 0 < l2 < inf"):
